@@ -11,8 +11,11 @@ GO ?= go
 # committed BENCH_pr4.json against the baseline and the committed
 # BENCH_pr5.json against the shm-speedup floor (both deterministic);
 # regenerate the artifacts with `make benchjson benchjson5` (or the full
-# `make bench`) when the call path changes.
+# `make bench`) when the call path changes. The recipe line repeats the
+# test in which the broker's release-after-reply ordering used to show
+# as a flake in plain `go test`, so it cannot come back silently.
 ci: fmtcheck vet staticcheck vulncheck build test race shmtest haftest brokertest chaintest benchcheck
+	$(GO) test -count=3 -run 'TestBrokerAdmitAndCall' .
 
 # gofmt -l prints nonconforming files; any output is a failure.
 fmtcheck:
@@ -58,8 +61,14 @@ stress:
 # The tests carry a linux build tag; on other platforms the packages
 # compile against the stub surface and the run reports no tests — a
 # graceful skip, not a failure.
+#
+# The second line repeats the reply-protocol tests (no lost wake with a
+# one-probe spin window, exact reply-hint counts, a client scribbling on
+# its no-hint words): they assert counts, not timings, so every
+# repetition must agree.
 shmtest:
 	$(GO) test -race -count=1 -run 'TestShm' ./internal/faultinject/ .
+	$(GO) test -race -count=5 -run 'TestShmNoLostWake|TestShmNoHintMark|TestShmReplyHintCounts|TestShmHostileNoHintWord' .
 
 # The high-availability suite: replicated-registry fault schedules
 # (kill-leader, partition, rolling restart, lease expiry, the mesh
@@ -73,8 +82,11 @@ haftest:
 # hostile-frame tests, the async-plane breaker wiring, and the
 # crash-restart fault schedules (SIGKILL mid-traffic, lease expiry,
 # registry generation changes) with the at-most-once ledger audited.
+# The second line hammers the release-before-reply pin: 200 back-to-back
+# calls at MaxConcurrent: 1, twenty times over.
 brokertest:
 	$(GO) test -race -count=1 -run 'TestBroker|TestParseBrokerControl|TestAsyncBreaker' .
+	$(GO) test -count=20 -run 'TestBrokerBackToBackAtBulkhead' .
 
 # The continuation-chain suite: descriptor round-trips, the server-side
 # executor's vouch semantics (panic at stage K, deadline between stages,

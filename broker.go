@@ -1394,10 +1394,6 @@ func (bk *Broker) relayLoop(conn net.Conn, ts *tenantState, service string, stri
 		ts.inflight.Add(1)
 		go func(eff *tenantEffective) {
 			defer func() {
-				ts.inflight.Add(-1)
-				if eff.adm != nil {
-					eff.adm.exit()
-				}
 				<-sem
 				wg.Done()
 			}()
@@ -1410,6 +1406,14 @@ func (bk *Broker) relayLoop(conn net.Conn, ts *tenantState, service string, stri
 				res, cerr = up.CallContext(ctx, proc, args)
 			}
 			cancel()
+			// The upstream call is over, so the tenant's gauge and
+			// admission ticket go back before any reply is written: a
+			// tenant holding its reply must not still count as in flight,
+			// or its next back-to-back call is shed at MaxConcurrent: 1.
+			ts.inflight.Add(-1)
+			if eff.adm != nil {
+				eff.adm.exit()
+			}
 			if oneWay {
 				ts.oneWays.add(stripe, 1)
 				return

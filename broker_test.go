@@ -208,6 +208,35 @@ func TestBrokerBulkhead(t *testing.T) {
 	}
 }
 
+// TestBrokerBackToBackAtBulkhead pins the release-before-reply ordering
+// of the relay goroutine: a tenant at MaxConcurrent: 1 with no queue that
+// calls again the moment its reply arrives must never find its own
+// finished call still holding the bulkhead slot, and the in-flight gauge
+// must already read zero when the reply is in the tenant's hands.
+func TestBrokerBackToBackAtBulkhead(t *testing.T) {
+	bk, addr := startBrokerRig(t, BrokerOptions{})
+	if err := bk.SetPolicy(&BrokerPolicy{
+		AllowUnknown: true,
+		Tenants:      map[string]TenantPolicy{"serial": {MaxConcurrent: 1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := brokerTenant(t, addr, "serial", "")
+	for i := 0; i < 200; i++ {
+		res, err := s.Call(0, addArgs(uint32(i), 1))
+		if err != nil {
+			t.Fatalf("back-to-back call %d: %v", i, err)
+		}
+		if got := binary.LittleEndian.Uint32(res); got != uint32(i)+1 {
+			t.Fatalf("call %d = %d, want %d", i, got, i+1)
+		}
+		_, tenants := bk.Snapshot()
+		if len(tenants) != 1 || tenants[0].InFlight != 0 || tenants[0].QuotaSheds != 0 {
+			t.Fatalf("after reply %d: tenant snapshot %+v", i, tenants)
+		}
+	}
+}
+
 // TestBrokerLivePolicyUpdate: suspension and un-suspension apply to a
 // live connection without re-dialing, and the policy version moves.
 func TestBrokerLivePolicyUpdate(t *testing.T) {

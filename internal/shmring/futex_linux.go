@@ -40,10 +40,9 @@ func futexWake(addr *atomic.Uint32, n int) {
 		0, 0, 0)
 }
 
-// OSYield offers the processor to other runnable OS threads and
-// processes (sched_yield). Spin loops that wait on a peer process must
-// use this rather than runtime.Gosched alone: the Go scheduler cannot
-// run the other domain.
-func OSYield() {
+// osYield offers the processor to other runnable OS threads and
+// processes (sched_yield) — the half of Yield that runtime.Gosched
+// cannot do: the Go scheduler cannot run the other domain.
+func osYield() {
 	syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0)
 }

@@ -210,7 +210,7 @@ func (r *Ring) WakeAll() {
 	futexWake(r.seq, 1<<30)
 }
 
-// procYield surrenders the processor between spin probes — first to
+// Yield surrenders the processor between spin probes — first to
 // other goroutines in this process (the producer may be a sibling
 // goroutine), then to other OS processes (the producer may be the peer
 // domain on the far side of the segment). On a single-CPU host the
@@ -218,9 +218,9 @@ func (r *Ring) WakeAll() {
 // kernel's round-robin runs the peer immediately instead of this side
 // burning its quantum and falling back to a futex park, which costs a
 // full sleep/wake context switch per direction.
-func procYield() {
+func Yield() {
 	runtime.Gosched()
-	OSYield()
+	osYield()
 }
 
 // PopWait pops, spinning `spin` iterations and then parking on the
@@ -241,7 +241,7 @@ func (r *Ring) PopWait(spin int, wait time.Duration, stop func() bool) (uint64, 
 			if v, ok := r.Pop(); ok {
 				return v, true
 			}
-			procYield()
+			Yield()
 		}
 		g := r.seq.Load()
 		if v, ok := r.Pop(); ok {

@@ -113,7 +113,7 @@ func TestConcurrentTransfer(t *testing.T) {
 			for i := 0; i < perProd; i++ {
 				v := uint64(p*perProd + i)
 				for !r.Push(v) {
-					procYield()
+					Yield()
 				}
 				r.Bump()
 			}

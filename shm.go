@@ -35,7 +35,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,6 +87,7 @@ const (
 	slotOffBulkLen = 32 // u64: payload length (in/spill) or produced length (out reply)
 	slotOffBulkCap = 40 // u64: capacity the descriptor's pages provide
 	slotOffBulkDir = 48 // u32: BulkDir, bulkDirSpill, or 0 for a plain call
+	slotOffNoHint  = 56 // u64: call ID up to which a spinning caller wants no reply hint; 0 = always hint
 
 	// slot states
 	slotIdle    = uint32(0)
@@ -257,6 +257,7 @@ type ShmServer struct {
 	segBytes       atomic.Int64
 	calls          atomic.Uint64
 	torn           atomic.Uint64
+	replyHints     atomic.Uint64
 	peerCrashes    atomic.Uint64
 	cleanDetaches  atomic.Uint64
 }
@@ -321,6 +322,7 @@ func (sv *ShmServer) Stats() ShmServerStats {
 		SegmentBytes:      sv.segBytes.Load(),
 		Calls:             sv.calls.Load(),
 		TornDoorbells:     sv.torn.Load(),
+		ReplyHints:        sv.replyHints.Load(),
 		PeerCrashes:       sv.peerCrashes.Load(),
 		CleanDetaches:     sv.cleanDetaches.Load(),
 	}
@@ -640,7 +642,8 @@ func (ss *shmSession) worker() {
 }
 
 // dispatch runs one doorbell: validate the slot, run the handler on
-// the shared A-stack, publish the reply, ring back.
+// the shared A-stack, publish the reply in the slot's state word, and
+// ring back unless a spinning synchronous caller asked not to be.
 func (ss *shmSession) dispatch(v uint64) {
 	sv := ss.sv
 	if v >= uint64(ss.lay.nslots) {
@@ -661,6 +664,7 @@ func (ss *shmSession) dispatch(v uint64) {
 	proc := int(shmU32(ss.seg, base+slotOffProc).Load())
 	argLen := int(shmU32(ss.seg, base+slotOffArgLen).Load())
 	dir := shmU32(ss.seg, base+slotOffBulkDir).Load()
+	callID := shmU64(ss.seg, base+slotOffCallID).Load()
 	payload := ss.seg[base+slotPayloadOff : base+slotPayloadOff+ss.lay.slotSize]
 	var (
 		resLen   int
@@ -689,7 +693,9 @@ func (ss *shmSession) dispatch(v uint64) {
 	if err == nil && dir == uint32(BulkOut) {
 		shmU64(ss.seg, base+slotOffBulkLen).Store(uint64(produced))
 	}
+	done := slotDoneOK
 	if err != nil {
+		done = slotDoneErr
 		// A chain failure carries structure — the failing stage and the
 		// executed-through vouch — so its body is the chain error wire
 		// form under its own code, not flat text.
@@ -698,7 +704,6 @@ func (ss *shmSession) dispatch(v uint64) {
 			body := appendChainError(payload[:0], ce, ss.lay.slotSize)
 			shmU32(ss.seg, base+slotOffResLen).Store(uint32(len(body)))
 			shmU32(ss.seg, base+slotOffCode).Store(shmErrCodeChain)
-			state.Store(slotDoneErr)
 		} else {
 			text := err.Error()
 			if len(text) > ss.lay.slotSize {
@@ -707,19 +712,29 @@ func (ss *shmSession) dispatch(v uint64) {
 			copy(payload, text)
 			shmU32(ss.seg, base+slotOffResLen).Store(uint32(len(text)))
 			shmU32(ss.seg, base+slotOffCode).Store(shmErrCode(err))
-			state.Store(slotDoneErr)
 		}
 	} else {
 		shmU32(ss.seg, base+slotOffResLen).Store(uint32(resLen))
 		shmU32(ss.seg, base+slotOffCode).Store(0)
-		state.Store(slotDoneOK)
 	}
+	// The state word is the reply: a spinning synchronous caller polls it
+	// and wants nothing more, and says so by posting with the slot's
+	// no-hint word at its own call ID. The word is read once, after the
+	// state is published (awaitReply has the ordering argument), and
+	// decides only whether a ring entry follows: zero, or a mark left by
+	// an earlier occupant, means this call is hinted. It is
+	// client-writable, like the ID it is compared with, so a lying client
+	// can withhold nothing but its own wake-up.
+	state.Store(done)
+	noHint := shmU64(ss.seg, base+slotOffNoHint).Load()
 	sv.calls.Add(1)
+	if noHint != 0 && noHint >= callID {
+		return
+	}
+	sv.replyHints.Add(1)
 	for !ss.s2c.Push(v) {
-		// Cannot persist: the ring holds 2× the slots. The OS yield
-		// matters when the drainer is the peer process.
-		runtime.Gosched()
-		shmring.OSYield()
+		// Cannot persist: the ring holds 2× the slots.
+		shmring.Yield()
 	}
 	ss.s2c.Bump()
 }
@@ -1230,52 +1245,73 @@ func (c *ShmClient) callContext(ctx context.Context, proc int, args, dst []byte)
 	case <-c.sigs[id]: // drain a stale wakeup from a prior occupant
 	default:
 	}
-	payload := c.seg[base+slotPayloadOff : base+slotPayloadOff+c.lay.slotSize]
 	if err := c.stageArgs(id, base, args); err != nil {
 		c.failures.Add(1)
 		c.recycle(id, state)
 		c.end()
 		return nil, err
 	}
-	shmU32(c.seg, base+slotOffProc).Store(uint32(proc))
-	shmU32(c.seg, base+slotOffResLen).Store(0)
-	shmU32(c.seg, base+slotOffCode).Store(0)
-	shmU64(c.seg, base+slotOffCallID).Store(c.callID.Add(1))
-	state.Store(slotPosted)
-	if f := c.opts.Faults; f != nil {
-		if f().TornDoorbell {
-			c.ringDoorbell(uint64(c.lay.nslots) + 7) // garbage index ahead of the real bell
-		}
+	if f := c.opts.Faults; f != nil && f().TornDoorbell {
+		c.ringDoorbell(uint64(c.lay.nslots) + 7) // garbage index ahead of the real bell
 	}
-	if err := c.ringDoorbell(uint64(id)); err != nil {
-		c.failures.Add(1)
-		c.end()
+	body, code, ok, err := c.roundTrip(ctx, id, proc)
+	if err != nil {
 		return nil, err
 	}
-	if err := c.awaitReply(ctx, id, state); err != nil {
-		return nil, err
-	}
-	code := shmU32(c.seg, base+slotOffCode).Load()
-	resLen := int(shmU32(c.seg, base+slotOffResLen).Load())
-	if resLen > c.lay.slotSize {
-		resLen = c.lay.slotSize
-	}
-	st := state.Load()
 	var out []byte
-	var err error
-	if st == slotDoneOK {
-		if resLen > 0 {
-			out = append(dst, payload[:resLen]...) // the single result copy out
-		} else {
-			out = dst
-		}
+	if ok {
+		out = append(dst, body...) // the single result copy out
 	} else {
-		err = shmErrFromCode(code, string(payload[:resLen]))
+		err = shmErrFromCode(code, string(body))
 		c.failures.Add(1)
 	}
 	c.recycle(id, state)
 	c.end()
 	return out, err
+}
+
+// roundTrip is the synchronous exchange every blocking call kind (plain,
+// chain, bulk) shares once its arguments are staged: finish the slot
+// header, post, ring the doorbell, wait, and read the reply header back.
+// body aliases the shared A-stack and is valid until the slot is
+// recycled; ok is false for an error reply, whose body decodes under
+// code. A non-nil err has already settled the caller's accounting (see
+// awaitReply) and the slot must not be touched again.
+//
+// The slot is posted with its no-hint word at the call's own ID: the
+// reply is the state word itself, which awaitReply polls, so the server
+// skips the reply ring unless this caller leaves its spin window and
+// zeroes the word. Only this path writes the word. A spin hit leaves it
+// standing — IDs only grow, so the mark never covers a later occupant:
+// async, one-way and batch submissions (and a peer built before the word
+// existed, which sees zero) get their hint without touching it, and a
+// server that reads the word late, after the slot has moved on, still
+// decides for the call it served.
+func (c *ShmClient) roundTrip(ctx context.Context, id uint32, proc int) (body []byte, code uint32, ok bool, err error) {
+	base := c.lay.slotBase(id)
+	state := shmU32(c.seg, base+slotOffState)
+	noHint := shmU64(c.seg, base+slotOffNoHint)
+	callID := c.callID.Add(1)
+	shmU32(c.seg, base+slotOffProc).Store(uint32(proc))
+	shmU32(c.seg, base+slotOffResLen).Store(0)
+	shmU32(c.seg, base+slotOffCode).Store(0)
+	shmU64(c.seg, base+slotOffCallID).Store(callID)
+	noHint.Store(callID)
+	state.Store(slotPosted)
+	if err := c.ringDoorbell(uint64(id)); err != nil {
+		c.failures.Add(1)
+		c.end()
+		return nil, 0, false, err
+	}
+	if err := c.awaitReply(ctx, id, state, noHint); err != nil {
+		return nil, 0, false, err
+	}
+	code = shmU32(c.seg, base+slotOffCode).Load()
+	resLen := int(shmU32(c.seg, base+slotOffResLen).Load())
+	if resLen > c.lay.slotSize {
+		resLen = c.lay.slotSize
+	}
+	return c.seg[base+slotPayloadOff : base+slotPayloadOff+resLen], code, state.Load() == slotDoneOK, nil
 }
 
 // CallChain submits the whole dependent pipeline as one slot post and
@@ -1335,33 +1371,15 @@ func (c *ShmClient) CallChainContext(ctx context.Context, ch *Chain) ([]byte, er
 	copy(payload, desc) // the single descriptor copy into the shared A-stack
 	shmU32(c.seg, base+slotOffArgLen).Store(uint32(len(desc)))
 	shmU32(c.seg, base+slotOffBulkDir).Store(uint32(bulkDirChain))
-	shmU32(c.seg, base+slotOffProc).Store(0)
-	shmU32(c.seg, base+slotOffResLen).Store(0)
-	shmU32(c.seg, base+slotOffCode).Store(0)
-	shmU64(c.seg, base+slotOffCallID).Store(c.callID.Add(1))
-	state.Store(slotPosted)
-	if err := c.ringDoorbell(uint64(id)); err != nil {
-		c.failures.Add(1)
-		c.end()
+	body, code, ok, err := c.roundTrip(ctx, id, 0)
+	if err != nil {
 		return nil, err
 	}
-	if err := c.awaitReply(ctx, id, state); err != nil {
-		return nil, err
-	}
-	code := shmU32(c.seg, base+slotOffCode).Load()
-	resLen := int(shmU32(c.seg, base+slotOffResLen).Load())
-	if resLen > c.lay.slotSize {
-		resLen = c.lay.slotSize
-	}
-	st := state.Load()
 	var out []byte
-	var err error
-	if st == slotDoneOK {
-		if resLen > 0 {
-			out = append([]byte(nil), payload[:resLen]...) // the single result copy out
-		}
+	if ok {
+		out = append(out, body...) // the single result copy out
 	} else {
-		err = shmDecodeErr(code, payload[:resLen])
+		err = shmDecodeErr(code, body)
 		c.failures.Add(1)
 	}
 	c.recycle(id, state)
@@ -1379,8 +1397,7 @@ func (c *ShmClient) ringDoorbell(v uint64) error {
 		case <-c.dead:
 			return c.deadErr(false)
 		default:
-			runtime.Gosched()
-			shmring.OSYield()
+			shmring.Yield()
 		}
 	}
 	c.c2s.Bump()
@@ -1443,18 +1460,35 @@ func (c *ShmClient) recycle(id uint32, state *atomic.Uint32) {
 // already settled the caller's accounting: dead sessions release the
 // inflight reference here, timeouts hand the slot (and the inflight
 // reference) to an orphan watcher.
-func (c *ShmClient) awaitReply(ctx context.Context, id uint32, state *atomic.Uint32) error {
+//
+// The slot was posted with noHint at this call's ID, so while the caller
+// spins the server publishes the reply in the state word and nothing
+// else. Leaving the window stores zero and then re-reads the state,
+// mirroring the server's store of the state followed by its load of the
+// word: the atomics are sequentially consistent, so either this re-read
+// sees the reply or the server's load sees zero and pushes the hint the
+// parked regime waits on. A wake is never lost; at worst both happen and
+// the hint is a stale one the next drain absorbs. ctx is consulted only
+// once parked, when the word is already zero, so the orphan watcher of
+// an abandoned call is always hinted.
+func (c *ShmClient) awaitReply(ctx context.Context, id uint32, state *atomic.Uint32, noHint *atomic.Uint64) error {
 	for i := 0; i < c.opts.Spin; i++ {
-		if st := state.Load(); st >= slotDoneOK {
+		if state.Load() >= slotDoneOK {
 			c.spinReplies.Add(1)
 			return nil
 		}
 		// Spinners drain the reply ring themselves: with the
-		// demultiplexer asleep, hints must not accumulate, and a hint
-		// for a parked sibling is forwarded to its signal channel.
+		// demultiplexer asleep, hints for async siblings must not
+		// accumulate, and a hint for a parked sibling is forwarded to
+		// its signal channel. With no hints of its own in the ring the
+		// probe stays in this side's cache.
 		c.drainReplies()
-		runtime.Gosched()
-		shmring.OSYield()
+		shmring.Yield()
+	}
+	noHint.Store(0)
+	if state.Load() >= slotDoneOK {
+		c.spinReplies.Add(1)
+		return nil
 	}
 	// Crossing into the parked regime: register so the reply doorbell
 	// takes the futex path, and rouse the demultiplexer.
@@ -1748,35 +1782,14 @@ func (c *ShmClient) CallBulk(proc int, args []byte, h *BulkHandle) ([]byte, erro
 	shmU64(c.seg, base+slotOffBulkLen).Store(inLen)
 	shmU64(c.seg, base+slotOffBulkCap).Store(uint64(size))
 	shmU32(c.seg, base+slotOffBulkDir).Store(uint32(h.dir))
-	shmU32(c.seg, base+slotOffProc).Store(uint32(proc))
-	shmU32(c.seg, base+slotOffResLen).Store(0)
-	shmU32(c.seg, base+slotOffCode).Store(0)
-	shmU64(c.seg, base+slotOffCallID).Store(c.callID.Add(1))
-	state.Store(slotPosted)
-	if err := c.ringDoorbell(uint64(id)); err != nil {
-		c.failures.Add(1)
-		c.end()
+	body, code, ok, err := c.roundTrip(context.Background(), id, proc)
+	if err != nil {
 		return nil, err
 	}
-	if err := c.awaitReply(context.Background(), id, state); err != nil {
-		return nil, err
+	if !ok {
+		return fail(shmErrFromCode(code, string(body)))
 	}
-	code := shmU32(c.seg, base+slotOffCode).Load()
-	resLen := int(shmU32(c.seg, base+slotOffResLen).Load())
-	if resLen > c.lay.slotSize {
-		resLen = c.lay.slotSize
-	}
-	var out []byte
-	if st := state.Load(); st != slotDoneOK {
-		err = shmErrFromCode(code, string(payload[:resLen]))
-		c.failures.Add(1)
-		c.recycle(id, state)
-		c.end()
-		return nil, err
-	}
-	if resLen > 0 {
-		out = append([]byte(nil), payload[:resLen]...) // the single result copy out
-	}
+	out := append([]byte(nil), body...) // the single result copy out
 	switch h.dir {
 	case BulkIn:
 		h.n = size
@@ -1864,10 +1877,11 @@ func (c *ShmClient) handleHint(v uint64) {
 // channel, leaving the futex word with zero waiters: spinning callers
 // drain the ring themselves and the server's doorbell costs no wake
 // syscall. The moment a caller parks, it is kicked awake and parks on
-// the futex instead, so cross-process wakes reach parked callers.
-// Replies consumed by a caller's spin are popped before demux sees
-// them — stale signals are possible and every waiter re-checks its
-// slot.
+// the futex instead, so cross-process wakes reach parked callers. A
+// synchronous reply taken inside the caller's spin window never enters
+// the ring at all (roundTrip); one taken on the window's edge may leave
+// a hint behind — stale signals are possible and every waiter re-checks
+// its slot.
 func (c *ShmClient) demux() {
 	defer close(c.demuxDone)
 	stop := func() bool {

@@ -16,7 +16,6 @@ package lrpc
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"lrpc/internal/shmring"
@@ -137,8 +136,7 @@ func (c *ShmClient) postChainSlot(id uint32, desc []byte, fut *Future) error {
 		case <-c.dead:
 			return c.unpostSlot(id, state)
 		default:
-			runtime.Gosched()
-			shmring.OSYield()
+			shmring.Yield()
 		}
 	}
 	select {
@@ -256,8 +254,7 @@ func (c *ShmClient) postSlot(id uint32, proc int, args []byte, fut *Future, ring
 		case <-c.dead:
 			return c.unpostSlot(id, state)
 		default:
-			runtime.Gosched()
-			shmring.OSYield()
+			shmring.Yield()
 		}
 	}
 	// Re-check after a successful push: the dead sweep only resolves

@@ -123,6 +123,12 @@ func (o *ShmServeOptions) fill() {
 
 // ShmServerStats is a point-in-time snapshot of the server side of the
 // shared-memory plane, aggregated across sessions.
+//
+// Every dispatch counts in Calls; only some push a reply-ring entry and
+// count in ReplyHints. Async, one-way and batch completions always do. A
+// synchronous caller takes its reply from the slot's state word and is
+// hinted only once it has left its spin window (DESIGN §5.11), so
+// Calls − ReplyHints is the number of replies that cost no ring traffic.
 type ShmServerStats struct {
 	Sessions          uint64 // sessions ever established
 	ActiveSessions    int64  // sessions currently mapped
@@ -130,6 +136,7 @@ type ShmServerStats struct {
 	SegmentBytes      int64  // bytes currently mapped across sessions
 	Calls             uint64 // dispatches completed (ok or error reply)
 	TornDoorbells     uint64 // doorbells discarded as torn/duplicated
+	ReplyHints        uint64 // reply-ring hints actually pushed (see above)
 	PeerCrashes       uint64 // sessions ended by peer death
 	CleanDetaches     uint64 // sessions ended by client Close
 }

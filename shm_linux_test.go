@@ -10,10 +10,14 @@ package lrpc
 // can re-exec the test binary.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -279,9 +283,18 @@ func TestShmSupervisorRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill the first server outright and bring up a successor on the
-	// same socket path: the next calls ride a fresh segment.
+	// same socket path: the next calls ride a fresh segment. A call
+	// posted before the client has read the server's bye would land in a
+	// dying session and fail as "may have executed" — the contract, but
+	// not the recovery under test — so wait for the client to see it.
+	old := sup.Client()
 	exp1.Terminate()
 	sv1.Close()
+	select {
+	case <-old.dead:
+	case <-time.After(5 * time.Second):
+		t.Fatal("client never noticed the server's shutdown")
+	}
 	sys2 := NewSystem()
 	if _, err := sys2.Export(iface); err != nil {
 		t.Fatal(err)
@@ -510,4 +523,272 @@ func shmWaitFor(t *testing.T, d time.Duration, cond func() bool, state func() st
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// --- the reply protocol: slot state word first, ring hints on demand ---
+
+// shmStallIface is Echo with a handler that stays on its processor for
+// the microseconds named in the argument's last four bytes, so replies
+// land at a seeded spread of instants around the moment a Spin: 1
+// caller leaves its window.
+func shmStallIface(name string) *Interface {
+	return &Interface{
+		Name: name,
+		Procs: []Proc{{Name: "StallEcho", Handler: func(c *Call) {
+			args := c.Args()
+			stall := time.Duration(binary.LittleEndian.Uint32(args[len(args)-4:])) * time.Microsecond
+			for t0 := time.Now(); time.Since(t0) < stall; {
+			}
+			copy(c.ResultsBuf(len(args)), args)
+		}}},
+	}
+}
+
+// TestShmNoLostWake: callers that leave their spin window after a
+// single probe race the server's reply on every call. Whichever side
+// gets there first, the call must return its own result before the
+// deadline, accounted as exactly one spin or park reply.
+func TestShmNoLostWake(t *testing.T) {
+	_, sock, _ := startShm(t, shmStallIface("Stall"), ShmServeOptions{})
+	c, err := DialShmOpts(sock, "Stall", ShmDialOptions{Spin: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const callers, per = 8, 2000
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(17 + g)))
+			args := make([]byte, 12)
+			for i := 0; i < per; i++ {
+				binary.LittleEndian.PutUint32(args[0:], uint32(g))
+				binary.LittleEndian.PutUint32(args[4:], uint32(i))
+				binary.LittleEndian.PutUint32(args[8:], uint32(rng.Intn(41)))
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				out, err := c.CallContext(ctx, 0, args)
+				cancel()
+				if err != nil || !bytes.Equal(out, args) {
+					t.Errorf("caller %d call %d = %x, %v (want %x)", g, i, out, err, args)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Calls != callers*per || st.Timeouts != 0 || st.Failures != 0 ||
+		st.SpinReplies+st.ParkReplies != st.Calls {
+		t.Fatalf("client stats %+v", st)
+	}
+}
+
+// TestShmNoHintMarkNeverCoversLaterOccupant runs every submission kind
+// through one slot in turn. A synchronous call leaves its no-hint mark
+// behind on a spin hit and zeroes it when it parks; either way the mark
+// must sit below the ID of whatever posts next, because async and
+// one-way completions are only ever reaped from the reply ring.
+func TestShmNoHintMarkNeverCoversLaterOccupant(t *testing.T) {
+	for _, spin := range []int{1, 1 << 20} {
+		t.Run(fmt.Sprintf("spin=%d", spin), func(t *testing.T) {
+			_, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{})
+			c, err := DialShmOpts(sock, "Shm", ShmDialOptions{Slots: 1, Spin: spin})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			mark := shmU64(c.seg, c.lay.slotBase(0)+slotOffNoHint)
+			call := func(step string) {
+				t.Helper()
+				if out, err := c.CallContext(ctx, 0, []byte(step)); err != nil || string(out) != step {
+					t.Fatalf("%s = %q, %v", step, out, err)
+				}
+				if m := mark.Load(); m > c.callID.Load() {
+					t.Fatalf("%s left no-hint mark %d ahead of call ID %d", step, m, c.callID.Load())
+				}
+			}
+			call("sync 1")
+			f, err := c.CallAsync(0, []byte("async"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out, err := f.WaitContext(ctx); err != nil || string(out) != "async" {
+				t.Fatalf("async after sync = %q, %v", out, err)
+			}
+			if err := c.CallOneWay(1, nil); err != nil {
+				t.Fatal(err)
+			}
+			// The one-way holds the only slot until its hint retires it.
+			call("sync 2")
+			if st := c.Stats(); st.Timeouts != 0 || st.Failures != 0 || st.OneWayDrops != 0 {
+				t.Fatalf("client stats %+v", st)
+			}
+		})
+	}
+}
+
+// TestShmReplyHintCounts pins who gets a reply-ring hint, as counts
+// that repeat: a synchronous caller that stays in its spin window gets
+// none, every batched submission gets exactly one (on slots whose last
+// occupant was synchronous), and a parked synchronous caller gets one.
+func TestShmReplyHintCounts(t *testing.T) {
+	hold := make(chan struct{})
+	sv, sock, _ := startShm(t, shmTestIface("Shm", hold), ShmServeOptions{})
+	c, err := DialShmOpts(sock, "Shm", ShmDialOptions{Spin: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hints := func() uint64 { return sv.Stats().ReplyHints }
+
+	const calls = 10000
+	for i := 0; i < calls; i++ {
+		if _, err := c.Call(1, nil); err != nil {
+			t.Fatalf("Null %d: %v", i, err)
+		}
+	}
+	if st := c.Stats(); hints() != 0 || st.ParkReplies != 0 || st.SpinReplies != calls {
+		t.Fatalf("after %d spinning calls: ReplyHints = %d, client %+v", calls, hints(), st)
+	}
+
+	bt := c.NewBatch()
+	for i := 0; i < 64; i++ {
+		if _, err := bt.Call(1, nil); err != nil {
+			t.Fatalf("stage %d: %v", i, err)
+		}
+	}
+	if err := bt.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := hints(); got != 64 {
+		t.Fatalf("after a batch of 64: ReplyHints = %d, want 64", got)
+	}
+
+	parker, err := DialShmOpts(sock, "Shm", ShmDialOptions{Spin: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parker.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := parker.Call(2, nil) // Hold: blocked until the test releases it
+		done <- err
+	}()
+	shmWaitFor(t, 5*time.Second, func() bool { return parker.parked.Load() == 1 },
+		func() string { return fmt.Sprintf("parked=%d", parker.parked.Load()) })
+	close(hold)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got, st := hints(), parker.Stats(); got != 65 || st.ParkReplies != 1 {
+		t.Fatalf("after one parked call: ReplyHints = %d, want 65; client %+v", got, st)
+	}
+}
+
+// TestShmHostileNoHintWord: the no-hint word lives in client-writable
+// memory. A client that scribbles on it while calling can withhold its
+// own wake-ups — its calls may run into their deadlines and its slots
+// may never come back — and nothing else: the server keeps dispatching
+// and accounting, a well-behaved session beside it never notices, and
+// the liars' segments are reclaimed at teardown like any other. One liar
+// spins (volume: the server reads garbage on nearly every call), the
+// other parks at once (every withheld hint strands a slot).
+func TestShmHostileNoHintWord(t *testing.T) {
+	sv, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{})
+	var liars []*ShmClient
+	for _, opts := range []ShmDialOptions{{Slots: 64}, {Slots: 4, Spin: 1}} {
+		c, err := DialShmOpts(sock, "Shm", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		liars = append(liars, c)
+	}
+	honest, err := DialShm(sock, "Shm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer honest.Close()
+
+	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the scribbler: zero ↔ garbage on every slot's word
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(99))
+		for !stopped() {
+			for _, c := range liars {
+				for id := 0; id < c.Slots(); id++ {
+					v := uint64(0)
+					if rng.Intn(2) == 0 {
+						v = rng.Uint64() | 1
+					}
+					shmU64(c.seg, c.lay.slotBase(uint32(id))+slotOffNoHint).Store(v)
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+	for _, c := range liars {
+		wg.Add(1)
+		go func(c *ShmClient) { // a liar's own traffic: may stall, never past its deadline
+			defer wg.Done()
+			for !stopped() {
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+				out, err := c.CallContext(ctx, 0, []byte("liar"))
+				cancel()
+				if err == nil && string(out) != "liar" {
+					t.Errorf("liar call echoed %q", out)
+					return
+				}
+				if err != nil && !errors.Is(err, ErrCallTimeout) {
+					t.Errorf("liar call = %v, want success or ErrCallTimeout", err)
+					return
+				}
+			}
+		}(c)
+	}
+	var honestCalls uint64
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); honestCalls++ {
+		msg := fmt.Sprintf("honest %d", honestCalls)
+		if out, err := honest.Call(0, []byte(msg)); err != nil || string(out) != msg {
+			t.Fatalf("honest call %d beside hostile sessions = %q, %v", honestCalls, out, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	// Every slot any session posted was dispatched exactly once: the
+	// call IDs count the posts, Calls the dispatches.
+	posted := honest.callID.Load()
+	for _, c := range liars {
+		posted += c.callID.Load()
+	}
+	shmWaitFor(t, 5*time.Second, func() bool { return sv.Stats().Calls == posted },
+		func() string { return fmt.Sprintf("posted=%d server=%+v", posted, sv.Stats()) })
+	if st := honest.Stats(); st.Failures != 0 || st.Timeouts != 0 || st.Calls != honestCalls {
+		t.Fatalf("honest session stats %+v", st)
+	}
+	if st := sv.Stats(); st.TornDoorbells != 0 {
+		t.Fatalf("server stats %+v", st)
+	}
+	for _, c := range liars {
+		c.Close()
+	}
+	shmWaitFor(t, 5*time.Second, func() bool {
+		st := sv.Stats()
+		return st.ActiveSessions == 1 && st.SegmentsReclaimed == 2
+	}, func() string { return fmt.Sprintf("%+v", sv.Stats()) })
 }
