@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci fmtcheck vet build test race stress shmtest haftest brokertest chaintest bench benchjson benchjson5 benchjson6 benchjson7 benchjson8 benchjson9 benchjson10 benchcheck fuzz staticcheck vulncheck
+.PHONY: ci fmtcheck vet build test race stress onecore shmtest haftest brokertest chaintest bench benchjson benchjson5 benchjson6 benchjson7 benchjson8 benchjson9 benchjson10 benchcheck fuzz staticcheck vulncheck
 
 # Formatting, vet, static analysis, build, tests (plain and -race), then
 # the perf gates: the whole merge bar in one command. The gates check the
@@ -14,7 +14,7 @@ GO ?= go
 # `make bench`) when the call path changes. The recipe line repeats the
 # test in which the broker's release-after-reply ordering used to show
 # as a flake in plain `go test`, so it cannot come back silently.
-ci: fmtcheck vet staticcheck vulncheck build test race shmtest haftest brokertest chaintest benchcheck
+ci: fmtcheck vet staticcheck vulncheck build test race onecore shmtest haftest brokertest chaintest benchcheck
 	$(GO) test -count=3 -run 'TestBrokerAdmitAndCall' .
 
 # gofmt -l prints nonconforming files; any output is a failure.
@@ -57,6 +57,24 @@ race:
 stress:
 	$(GO) test -race -count=1 -run 'TestStress|TestNetClient' ./internal/faultinject/ .
 
+# The structure guard for the invocation core (DESIGN §5.17): the
+# dispatch sequence is written out in exactly three places — the core's
+# begin/finish, the callAppend fast path, and the message-passing
+# baseline — and admission is entered from exactly three — the core,
+# callAppend, and the broker's per-tenant gate. A fourth call site of
+# either is a new hand-copied dispatch path, so it fails here instead of
+# landing silently. The second line repeats the differential table that
+# pins callAppend to the core.
+ONECORE_SRC = $(filter-out %_test.go,$(wildcard *.go))
+onecore:
+	@for pat in '[.]runHandler(' 'adm[.]enter('; do \
+		n=$$(cat $(ONECORE_SRC) | grep -v '^[[:space:]]*//' | grep -c "$$pat"); \
+		if [ "$$n" -gt 3 ]; then \
+			echo "onecore: $$n call sites of $$pat in the root package, want at most 3:"; \
+			grep -n "$$pat" $(ONECORE_SRC); exit 1; fi; \
+	done
+	$(GO) test -race -count=3 -run 'TestDispatch' .
+
 # The cross-process shared-memory integration suite, race-detector on.
 # The tests carry a linux build tag; on other platforms the packages
 # compile against the stub surface and the run reports no tests — a
@@ -65,10 +83,13 @@ stress:
 # The second line repeats the reply-protocol tests (no lost wake with a
 # one-probe spin window, exact reply-hint counts, a client scribbling on
 # its no-hint words): they assert counts, not timings, so every
-# repetition must agree.
+# repetition must agree. The lost-wake test gets forty runs (about 20 s):
+# the store→load race it guards showed in 3 of 680 -race runs, a rate
+# five repetitions never catch.
 shmtest:
 	$(GO) test -race -count=1 -run 'TestShm' ./internal/faultinject/ .
-	$(GO) test -race -count=5 -run 'TestShmNoLostWake|TestShmNoHintMark|TestShmReplyHintCounts|TestShmHostileNoHintWord' .
+	$(GO) test -race -count=5 -run 'TestShmNoHintMark|TestShmReplyHintCounts|TestShmHostileNoHintWord' .
+	$(GO) test -race -count=40 -run 'TestShmNoLostWake' .
 
 # The high-availability suite: replicated-registry fault schedules
 # (kill-leader, partition, rolling restart, lease expiry, the mesh
@@ -134,8 +155,7 @@ benchjson6:
 	$(GO) run ./cmd/lrpcbench -json failover > BENCH_pr6.json
 
 # Regenerate the batched-submission artifact: amortized Null latency at
-# batch sizes 1/8/64 plus the pipelined dependent chain, across
-# in-process, shared-memory, and TCP loopback.
+# batch sizes 1/8/64 across in-process, shared-memory, and TCP loopback.
 benchjson7:
 	$(GO) run ./cmd/lrpcbench -json batch > BENCH_pr7.json
 
@@ -152,9 +172,8 @@ benchjson9:
 	$(GO) run ./cmd/lrpcbench -json broker > BENCH_pr9.json
 
 # Regenerate the continuation-chain artifact: the depth-4 dependent
-# pipeline as sequential calls, a Batch.Then chain, and one server-side
-# CallChain submission, across in-process, shared-memory, and TCP
-# loopback.
+# pipeline as sequential calls and as one server-side CallChain
+# submission, across in-process, shared-memory, and TCP loopback.
 benchjson10:
 	$(GO) run ./cmd/lrpcbench -json chain > BENCH_pr10.json
 
@@ -166,8 +185,8 @@ benchjson10:
 # at any payload of 1 MiB and above, or if the broker artifact records
 # a double execution, a victim p99 flood/unloaded ratio over 3x, or a
 # restart the victim never reattached from, or if the depth-4
-# server-side chain fails to beat the client-driven Then pipeline by
-# 2x on shm or TCP.
+# server-side chain fails to beat the same pipeline issued as
+# sequential calls by 2x on shm or TCP.
 benchcheck:
 	$(GO) run ./cmd/benchcheck BENCH_baseline.json BENCH_pr4.json
 	$(GO) run ./cmd/benchcheck BENCH_pr5.json

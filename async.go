@@ -22,35 +22,24 @@ package lrpc
 //   - One-way calls drop the reply half entirely: no future, no reply
 //     slot, at-most-once execution with errors dropped (and counted) on
 //     the serving side. See DESIGN §5.13 for the exact semantics.
-//   - Batch.Then pipelines a dependent call: the continuation is
-//     submitted from the completion-drain path the moment its input
-//     arrives, so an A→B→C chain costs one round trip, not three.
+//
+// Dependent calls (A's result feeds B) do not belong here: they run as a
+// Chain (chain.go), every stage in the server's domain on one submission.
 
 import (
 	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ErrFutureSpent reports misuse of a pooled future: Wait collects a
-// future exactly once, and a collected future must not be waited (or
-// chained) again — it may already belong to another call.
+// future exactly once, and a collected future must not be waited
+// again — it may already belong to another call.
 var ErrFutureSpent = errors.New("lrpc: future already collected (pooled futures are wait-once)")
 
-// errFutureChained reports a second Then on the same future. A future
-// carries at most one continuation; pipelines deeper than one dependent
-// call belong on the chain plane (NewChain / CallChain), which runs
-// every stage in the server's domain on a single submission.
-var errFutureChained = errors.New("lrpc: future already has a continuation (use Chain for multi-stage pipelines)")
-
-// errAbandonedCont completes the continuation of an abandoned parent.
-var errAbandonedCont = errors.New("lrpc: parent call abandoned before its continuation could run")
-
 // errWouldBlock is the transports' internal "no submission capacity
-// right now": batch staging flushes and retries, completion-path
-// resubmission falls back to a goroutine.
+// right now": batch staging flushes and retries.
 var errWouldBlock = errors.New("lrpc: submission would block")
 
 // Future states. A checkout moves idle→pending; completion pending→done;
@@ -77,10 +66,6 @@ type Future struct {
 
 	out []byte
 	err error
-
-	// cont is the registered continuation (Batch.Then), fired exactly
-	// once by whichever of complete/Then observes both halves.
-	cont atomic.Pointer[contRec]
 
 	// In-process abandonment integration (nil on the client planes):
 	// abandoning a future counts against the export and registers the
@@ -114,7 +99,6 @@ func newFuture() *Future {
 	default:
 	}
 	f.out, f.err = nil, nil
-	f.cont.Store(nil)
 	f.exp, f.sys, f.procName = nil, nil, ""
 	f.act.Store(nil)
 	f.abandons = nil
@@ -135,32 +119,21 @@ func (f *Future) release() {
 // recycled here.
 //
 // Ordering matters: the channel token is sent last, after the state
-// flip and the continuation fire, and a collector must consume the
-// token before recycling — that receive is the happens-before edge
+// flip, and a collector must consume the token before recycling —
+// that receive is the happens-before edge
 // proving the completer is finished with the record, so a fast waiter
 // can never return a future to the pool under the completer's feet.
 func (f *Future) complete(out []byte, err error) {
 	f.out, f.err = out, err
 	if f.state.CompareAndSwap(futPending, futDone) {
-		if cr := f.cont.Swap(nil); cr != nil {
-			fireCont(cr, out, err)
-		}
 		select {
 		case f.ch <- struct{}{}:
 		default:
 		}
 		return
 	}
-	// Abandoned: nobody will collect. Propagate to any continuation —
-	// its input will never arrive — and recycle the record.
+	// Abandoned: nobody will collect. Recycle the record.
 	f.out, f.err = nil, nil
-	if cr := f.cont.Swap(nil); cr != nil {
-		e := err
-		if e == nil {
-			e = errAbandonedCont
-		}
-		fireCont(cr, nil, e)
-	}
 	f.release()
 }
 
@@ -272,26 +245,6 @@ func (f *Future) noteAbandon(cause error) {
 	}
 }
 
-// contRec is a registered continuation: when the parent completes, proc
-// is submitted with the parent's results as arguments and child carries
-// the outcome.
-type contRec struct {
-	proc  int
-	child *Future
-	be    batchBackend
-}
-
-// fireCont runs a continuation from a completion path: a failed parent
-// fails the child outright; a successful one submits the dependent call
-// immediately — no intermediate round trip.
-func fireCont(cr *contRec, out []byte, err error) {
-	if err != nil {
-		cr.child.complete(nil, err)
-		return
-	}
-	cr.be.submitNow(cr.proc, out, cr.child)
-}
-
 // --- asynchronous submission, in-process plane ---
 
 // CallAsync submits proc without waiting: the returned future resolves
@@ -311,14 +264,14 @@ func (b *Binding) CallAsync(proc int, args []byte) (*Future, error) {
 // CallAsyncOpts is CallAsync carrying per-call priority and an admission
 // deadline.
 func (b *Binding) CallAsyncOpts(proc int, args []byte, opts CallOpts) (*Future, error) {
-	p, pool, err := b.validate(proc, args)
+	p, _, err := b.validate(proc, args)
 	if err != nil {
 		b.traceValidateFail(proc, err)
 		return nil, err
 	}
 	f := newFuture()
 	f.exp, f.sys, f.procName = b.exp, b.sys, p.Name
-	go b.runAsync(p, pool, args, f, opts)
+	go b.runAsync(proc, args, f, opts)
 	return f, nil
 }
 
@@ -332,112 +285,47 @@ func (b *Binding) CallOneWay(proc int, args []byte) error {
 	return err
 }
 
-// runAsync is the server half of an in-process asynchronous call: the
-// same sequence as callAppend, on a private goroutine, resolving a
-// future instead of returning. Admission is entered before the Call
-// record or A-stack is touched, so a shed submission costs neither.
-func (b *Binding) runAsync(p *Proc, pool *astackPool, args []byte, f *Future, opts CallOpts) {
-	adm := b.exp.admission.Load()
-	if adm != nil {
-		if err := adm.enter(opts.Priority, opts.Deadline, f.abandon); err != nil {
-			if err == ErrOverload {
-				b.recordShed(p, pool, err)
-			}
-			f.complete(nil, err)
-			return
-		}
-		if f.state.Load() == futAbandoned {
-			// Admitted, but the caller gave up while we queued: release
-			// the slot untouched. complete recycles the record.
-			adm.exit()
-			f.complete(nil, timeoutError(context.Canceled))
-			return
-		}
-	}
-
-	m := b.exp.metrics.Load()
-	var started time.Time
-	if m != nil {
-		started = time.Now()
-	}
-	c := callPool.Get().(*Call)
-	buf, err := pool.get(b.Policy, f.abandon, c.stripe)
-	if err != nil {
-		c.release()
-		if adm != nil {
-			adm.exit()
-		}
+// runAsync is an in-process asynchronous call: both halves of the
+// invocation core on a private goroutine, resolving a future instead of
+// returning. The future's abandon channel is the cancel channel, so a
+// submission whose waiter gave up costs no Call record and no A-stack.
+func (b *Binding) runAsync(proc int, args []byte, f *Future, opts CallOpts) {
+	inv := invocation{proc: proc, args: args, prio: opts.Priority, deadline: opts.Deadline, cancel: f.abandon}
+	if err := b.begin(&inv); err != nil {
 		if err == errWaitCancelled {
 			err = timeoutError(context.Canceled)
 		}
 		f.complete(nil, err)
 		return
 	}
-	prepareCall(c, p, buf.b, args)
-
 	// The activation record: published so an abandoning waiter can
 	// register the running handler as an orphan (resilience.go).
-	act := &activation{done: make(chan struct{})}
+	act := &activation{inv: inv, done: make(chan struct{})}
 	f.act.Store(act)
-
-	herr := b.exp.runHandler(p, c)
-	if herr != nil {
-		pool.putPoisoned(buf, c.stripe)
-		if adm != nil {
-			adm.exit()
-		}
-		act.err = herr
-		close(act.done)
-		f.complete(nil, herr)
-		return
-	}
-	var out []byte
-	if c.resLen > 0 {
-		src := c.oob
-		if src == nil {
-			src = c.astack[:c.resLen]
-		}
-		out = append([]byte(nil), src...)
-	}
-	pool.put(buf, c.stripe)
-	if adm != nil {
-		adm.exit()
-	}
-	b.exp.calls.add(c.stripe, 1)
-	if m != nil {
-		m.dispatch.record(c.stripe, time.Since(started))
-	}
-	c.release()
-	if b.exp.terminated.Load() {
-		herr = ErrCallFailed
-	}
-	act.err = herr
+	act.err = b.finish(&act.inv)
 	close(act.done)
-	f.complete(out, herr)
+	f.complete(act.inv.out, act.err)
 }
 
 // --- Batch: the submission/completion queue ---
 
 // batchBackend is one transport's submission plane. stage records (and,
 // for transports with real doorbells, posts) one entry without ringing;
-// flush makes everything staged visible with a single doorbell;
-// submitNow dispatches one dependent call from a completion path.
+// flush makes everything staged visible with a single doorbell.
 type batchBackend interface {
 	stage(e *batchEnt) error
 	flush() error
-	submitNow(proc int, args []byte, f *Future)
 }
 
 // batchEnt is one staged submission and, after Batch.Wait, its outcome.
 type batchEnt struct {
-	proc    int
-	args    []byte
-	fut     *Future
-	oneWay  bool
-	chained bool // submitted by the parent's completion, not by Flush
-	out     []byte
-	err     error
-	waited  bool
+	proc   int
+	args   []byte
+	fut    *Future
+	oneWay bool
+	out    []byte
+	err    error
+	waited bool
 }
 
 // Batch accumulates submissions and rings the transport's doorbell once
@@ -492,38 +380,6 @@ func (bt *Batch) OneWay(proc int, args []byte) error {
 	return nil
 }
 
-// Then stages a dependent call: when f completes successfully, proc is
-// submitted with f's results as arguments — from the completion-drain
-// path, without an intermediate round trip — and the returned future
-// carries the dependent call's outcome. A failed or abandoned parent
-// fails the child with the same error. Each future accepts one
-// continuation, and it must be registered before the parent is waited.
-func (bt *Batch) Then(f *Future, proc int) (*Future, error) {
-	switch f.state.Load() {
-	case futPending, futDone:
-	default:
-		return nil, ErrFutureSpent
-	}
-	child := newFuture()
-	cr := &contRec{proc: proc, child: child, be: bt.be}
-	if !f.cont.CompareAndSwap(nil, cr) {
-		child.complete(nil, errFutureChained)
-		child.Wait()
-		return nil, errFutureChained
-	}
-	if s := f.state.Load(); s == futDone || s == futCollected {
-		// The parent completed while we registered: claim and fire here
-		// (the Swap makes the claim exactly-once against complete). An
-		// abandoned parent is left alone — its eventual completion
-		// fires the continuation with the abandonment error.
-		if got := f.cont.Swap(nil); got != nil {
-			fireCont(got, f.out, f.err)
-		}
-	}
-	bt.ents = append(bt.ents, batchEnt{proc: proc, fut: child, chained: true})
-	return child, nil
-}
-
 // Flush submits everything staged since the last flush with one
 // doorbell: one futex bump on shm, one coalesced write on TCP, one
 // dispatch pass in-process.
@@ -560,8 +416,8 @@ func (bt *Batch) Wait() error {
 }
 
 // Result returns entry i's outcome, valid after Wait. Entries number
-// every Call, OneWay, and Then in staging order; one-way entries report
-// nil results.
+// every Call and OneWay in staging order; one-way entries report nil
+// results.
 func (bt *Batch) Result(i int) ([]byte, error) {
 	e := &bt.ents[i]
 	return e.out, e.err
@@ -584,9 +440,6 @@ type errBackend struct{ err error }
 
 func (e errBackend) stage(*batchEnt) error { return e.err }
 func (e errBackend) flush() error          { return e.err }
-func (e errBackend) submitNow(_ int, _ []byte, f *Future) {
-	f.complete(nil, e.err)
-}
 
 // inprocBatch is the in-process backend: staging is pure bookkeeping
 // and Flush is the single dispatch pass on the caller's thread — the
@@ -623,11 +476,6 @@ func (ib *inprocBatch) flush() error {
 		e.fut.complete(out, err)
 	}
 	return nil
-}
-
-func (ib *inprocBatch) submitNow(proc int, args []byte, f *Future) {
-	out, err := ib.b.callAppend(proc, args, nil, PriorityNormal)
-	f.complete(out, err)
 }
 
 // OneWayDrops returns the number of one-way executions whose error was

@@ -98,34 +98,6 @@ func TestShmBatchSingleDoorbell(t *testing.T) {
 	}
 }
 
-func TestShmBatchThen(t *testing.T) {
-	_, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{Workers: 2})
-	c, err := DialShmOpts(sock, "Shm", ShmDialOptions{Slots: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	bt := c.NewBatch()
-	p, err := bt.Call(0, []byte("chained"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	child, err := bt.Then(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bt.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := child.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "chained" {
-		t.Fatalf("chained echo = %q", out)
-	}
-}
-
 func TestShmOneWayRecyclesSlots(t *testing.T) {
 	_, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{Workers: 2})
 	c, err := DialShmOpts(sock, "Shm", ShmDialOptions{Slots: 2})

@@ -2,10 +2,10 @@ package lrpc
 
 // Tests for the asynchronous call plane (async.go, net_async.go): future
 // lifecycle and misuse, batched submission on the in-process and TCP
-// planes, pipelined continuations, one-way at-most-once accounting, and
-// the seeded hammers racing Future.Wait against Terminate and pooled
-// reuse. The shared-memory plane's tests live in async_linux_test.go
-// and internal/faultinject (peer-kill needs a second process).
+// planes, one-way at-most-once accounting, and the seeded hammers
+// racing Future.Wait against Terminate and pooled reuse. The
+// shared-memory plane's tests live in async_linux_test.go and
+// internal/faultinject (peer-kill needs a second process).
 
 import (
 	"context"
@@ -76,17 +76,13 @@ func TestFutureDoubleWaitReturnsSpent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The future went back to the pool on first Wait; a second Wait (or
-	// Err, or a Then) must fail descriptively, never hand out another
-	// call's results.
+	// Err) must fail descriptively, never hand out another call's
+	// results.
 	if _, err := f.Wait(); !errors.Is(err, ErrFutureSpent) {
 		t.Fatalf("second Wait = %v, want ErrFutureSpent", err)
 	}
 	if err := f.Err(); !errors.Is(err, ErrFutureSpent) {
 		t.Fatalf("Err after Wait = %v, want ErrFutureSpent", err)
-	}
-	bt := b.NewBatch()
-	if _, err := bt.Then(f, 2); !errors.Is(err, ErrFutureSpent) {
-		t.Fatalf("Then on spent future = %v, want ErrFutureSpent", err)
 	}
 }
 
@@ -145,75 +141,6 @@ func TestBatchInprocess(t *testing.T) {
 	}
 	if exp.OneWayDrops() != 0 {
 		t.Fatalf("OneWayDrops = %d for a clean one-way", exp.OneWayDrops())
-	}
-}
-
-func TestBatchThenPipelines(t *testing.T) {
-	sys := NewSystem()
-	if _, err := sys.Export(arithInterface()); err != nil {
-		t.Fatal(err)
-	}
-	b, err := sys.Import("Arith")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A→B→C chain over Echo: each stage's results feed the next stage's
-	// arguments from the completion path, no intermediate collection.
-	bt := b.NewBatch()
-	payload := []byte("pipelined payload")
-	head, err := bt.Call(1, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid, err := bt.Then(head, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail, err := bt.Then(mid, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tail
-	if err := bt.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := bt.Result(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != string(payload) {
-		t.Fatalf("chain returned %q", out)
-	}
-	// A second continuation on one future is rejected.
-	bt2 := b.NewBatch()
-	p, err := bt2.Call(1, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bt2.Then(p, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bt2.Then(p, 1); err == nil {
-		t.Fatal("second Then on one future accepted")
-	}
-	if err := bt2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	// Then on an already-completed parent fires immediately.
-	bt3 := b.NewBatch()
-	p3, err := bt3.Call(1, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bt3.Flush(); err != nil { // in-process flush runs inline: p3 is done
-		t.Fatal(err)
-	}
-	c3, err := bt3.Then(p3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out, err := c3.Wait(); err != nil || string(out) != string(payload) {
-		t.Fatalf("late Then = %q, %v", out, err)
 	}
 }
 
@@ -411,26 +338,6 @@ func TestNetBatchCoalesces(t *testing.T) {
 	}
 	if st.Batches == 0 || st.Batches > n {
 		t.Fatalf("Batches = %d, want coalescing (1..%d flushes for %d calls)", st.Batches, n, n)
-	}
-	// Pipelining across the wire: Then chains Echo→Echo.
-	bt.Reset()
-	p, err := bt.Call(1, []byte("over the wire"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	child, err := bt.Then(p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bt.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := child.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "over the wire" {
-		t.Fatalf("chained echo = %q", out)
 	}
 }
 

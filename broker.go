@@ -1469,9 +1469,7 @@ func upstreamStatus(err error) (byte, string) {
 		}
 		return 1, re.Msg
 	}
-	if errors.Is(err, ErrNotSent) || errors.Is(err, ErrBreakerOpen) ||
-		errors.Is(err, ErrOverload) || errors.Is(err, ErrRevoked) ||
-		errors.Is(err, ErrNotExported) || errors.Is(err, ErrNoAStacks) {
+	if notExecuted(err) {
 		return 2, err.Error()
 	}
 	return 1, fmt.Sprintf("lrpc: broker upstream: %v", err)

@@ -21,7 +21,6 @@ package lrpc
 import (
 	"fmt"
 	"io"
-	"time"
 )
 
 // MaxBulkSize bounds one call's bulk payload (1 GiB). In-band
@@ -321,73 +320,19 @@ func (b *Binding) CallBulk(proc int, args []byte, h *BulkHandle) ([]byte, error)
 }
 
 // dispatchBulk is the server-side funnel shared by the in-process plane
-// and the TCP server: the direct-transfer path of callAppend with the
-// bulk segments attached to the invocation. The bulk span histogram
-// (metrics.go) records the whole dispatch, payload movement included,
-// so bulk latency is observable separately from the in-band path.
+// and the TCP server: the invocation core with the bulk segments
+// attached. A bulk-carrying invocation lands in the bulk span histogram
+// (metrics.go), payload movement included, so bulk latency is observable
+// separately from the in-band path.
 func (b *Binding) dispatchBulk(proc int, args []byte, dir BulkDir, segs [][]byte, inLen int) (res []byte, produced int, err error) {
-	m := b.exp.metrics.Load()
-	var started time.Time
-	if m != nil {
-		started = time.Now()
-	}
-
-	p, pool, err := b.validate(proc, args)
-	if err != nil {
-		b.traceValidateFail(proc, err)
+	inv := invocation{proc: proc, args: args, segs: segs, dir: dir, bulkIn: inLen}
+	if err := b.begin(&inv); err != nil {
 		return nil, 0, err
 	}
-	adm := b.exp.admission.Load()
-	if adm != nil {
-		if err := adm.enter(PriorityNormal, time.Time{}, nil); err != nil {
-			if err == ErrOverload {
-				b.recordShed(p, pool, err)
-			}
-			return nil, 0, err
-		}
-	}
-
-	c := callPool.Get().(*Call)
-	buf, err := pool.get(b.Policy, nil, c.stripe)
-	if err != nil {
-		c.release()
-		if adm != nil {
-			adm.exit()
-		}
+	if err := b.finish(&inv); err != nil {
 		return nil, 0, err
 	}
-	prepareCall(c, p, buf.b, args)
-	c.bulkSegs, c.bulkDir, c.bulkIn, c.bulkOut = segs, dir, inLen, 0
-
-	if herr := b.exp.runHandler(p, c); herr != nil {
-		pool.putPoisoned(buf, c.stripe)
-		if adm != nil {
-			adm.exit()
-		}
-		return nil, 0, herr
-	}
-
-	if c.resLen > 0 {
-		src := c.oob
-		if src == nil {
-			src = c.astack[:c.resLen]
-		}
-		res = append([]byte(nil), src...)
-	}
-	produced = c.bulkOut
-	pool.put(buf, c.stripe)
-	if adm != nil {
-		adm.exit()
-	}
-	b.exp.calls.add(c.stripe, 1)
-	if m != nil {
-		m.bulkSpan.record(c.stripe, time.Since(started))
-	}
-	c.release()
-	if b.exp.terminated.Load() {
-		return nil, 0, ErrCallFailed
-	}
-	return res, produced, nil
+	return inv.out, inv.produced, nil
 }
 
 // CallBulk routes through the same transport ladder as Call: the

@@ -8,12 +8,10 @@ package lrpc
 // containment, metrics), and only the final result crosses back.
 //
 // This is the paper's core argument applied to pipelines. LRPC
-// eliminates the domain crossing per call; Batch.Then (async.go)
-// still pays one full client round trip per dependent stage because
-// the continuation fires on the client. A Chain pays one crossing for
-// the whole pipeline: one frame on TCP, one doorbell on shm, one
-// entry into the dispatch loop in-process (PR 7's recorded negative,
-// ROADMAP open item 3).
+// eliminates the domain crossing per call; a pipeline driven from the
+// client still pays one full round trip per dependent stage. A Chain
+// pays one crossing for the whole pipeline: one frame on TCP, one
+// doorbell on shm, one entry into the dispatch loop in-process.
 //
 // At-most-once stays exact across a mid-chain failure. A chain error
 // carries the failing stage's index plus an executed-through vouch:
@@ -68,7 +66,7 @@ const bulkDirChain = 4
 
 // shmErrCodeChain is the shm reply code for a chain failure: the slot
 // payload carries an encoded ChainError (appendChainError) instead of
-// bare error text.
+// bare error text. The flat path emits only the sentinel codes below it.
 const shmErrCodeChain = 7
 
 // ChainStage is one link of a Chain: call Proc with the stage's
@@ -262,17 +260,19 @@ func (e *ChainError) Is(target error) bool {
 	return target == ErrNotExecuted && e.Executed == 0
 }
 
-// chainWireSentinels is the cross-transport error classification for
-// a chain failure body, index+1 == wire code (0 is "plain text").
-// Append-only: codes are shared between client and server builds.
-var chainWireSentinels = []error{
+// wireSentinels is the one sentinel↔code table of the wire: the error
+// classification carried by a chain failure body on every transport
+// and by the shm plane's flat error reply, index+1 == wire code (0 is
+// "plain text"). Append-only: codes are shared between client and
+// server builds.
+var wireSentinels = []error{
 	ErrRevoked, ErrCallFailed, ErrBadProcedure, ErrOverload,
 	ErrTooLarge, ErrNoAStacks, ErrCallTimeout, ErrQuotaExceeded,
 }
 
-// chainErrCode classifies a stage failure for the wire.
-func chainErrCode(err error) uint32 {
-	for i, s := range chainWireSentinels {
+// wireErrCode classifies a failure for the wire.
+func wireErrCode(err error) uint32 {
+	for i, s := range wireSentinels {
 		if errors.Is(err, s) {
 			return uint32(i + 1)
 		}
@@ -280,14 +280,14 @@ func chainErrCode(err error) uint32 {
 	return 0
 }
 
-// chainErrFromCode rebuilds a stage error from its wire
-// classification, preserving the sentinel identity (errors.Is keeps
-// working across the hop) and the server's text.
-func chainErrFromCode(code uint32, text string) error {
-	if code == 0 || int(code) > len(chainWireSentinels) {
+// wireErrFromCode rebuilds an error from its wire classification,
+// preserving the sentinel identity (errors.Is keeps working across the
+// hop) and the server's text.
+func wireErrFromCode(code uint32, text string) error {
+	if code == 0 || int(code) > len(wireSentinels) {
 		return &RemoteError{Msg: text}
 	}
-	s := chainWireSentinels[code-1]
+	s := wireSentinels[code-1]
 	if text == "" || text == s.Error() {
 		return s
 	}
@@ -311,7 +311,7 @@ func appendChainError(dst []byte, ce *ChainError, maxLen int) []byte {
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(ce.Stage))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(ce.Executed))
-	dst = binary.LittleEndian.AppendUint32(dst, chainErrCode(ce.Err))
+	dst = binary.LittleEndian.AppendUint32(dst, wireErrCode(ce.Err))
 	return append(dst, text...)
 }
 
@@ -329,7 +329,7 @@ func parseChainError(body []byte) error {
 		return &RemoteError{Msg: fmt.Sprintf("malformed chain error (stage %d, executed %d)", stage, executed)}
 	}
 	return &ChainError{Stage: stage, Executed: executed,
-		Err: chainErrFromCode(code, string(body[12:]))}
+		Err: wireErrFromCode(code, string(body[12:]))}
 }
 
 // --- the executor ---
@@ -345,34 +345,39 @@ func chainScratch(buf []byte, need int) []byte {
 	return buf[:need]
 }
 
+// stageStackSize is the A-stack size stage proc's scratch must offer;
+// an index the core is about to reject gets the default.
+func (b *Binding) stageStackSize(proc int) int {
+	if proc >= 0 && proc < len(b.exp.iface.Procs) {
+		if n := b.exp.iface.Procs[proc].AStackSize; n > 0 {
+			return n
+		}
+	}
+	return DefaultAStackSize
+}
+
 // execChain runs every stage of a parsed chain inside the server's
-// domain: one dispatch pass per stage through the normal funnel —
-// validate, admission, runHandler with panic containment, per-export
-// accounting — with no A-stack pool round-trips: the chain owns two
-// scratch stacks and alternates them, the previous stage's result
-// feeding the next stage's arguments with one copy (the chain's copy
-// A). The returned result aliases executor-owned scratch; callers
-// copy it out (their copy F) before the next chain runs.
+// domain: one pass through the invocation core per stage — validate,
+// admission, runHandler with panic containment, per-export accounting
+// — with no A-stack pool round-trips: the chain owns two scratch stacks
+// the core adopts in alternation, the previous stage's result feeding
+// the next stage's arguments with one copy (the chain's copy A). The
+// returned result aliases executor-owned scratch; callers copy it out
+// (their copy F) before the next chain runs.
 //
 // A non-nil deadline is checked between stages: a chain never
 // abandons a running handler mid-stage (the captured-thread rule of
 // the paper's 5.3 applies per stage), but it will not start the next
 // stage past the deadline — and that refusal is vouched as
-// not-executed for every remaining stage.
+// not-executed for every remaining stage. The vouch follows the core's
+// halves: a stage refused by begin never ran (Executed: k), a stage
+// failed by finish did (Executed: k+1).
 func (b *Binding) execChain(stages []ChainStage, deadline time.Time) ([]byte, *ChainError) {
-	m := b.exp.metrics.Load()
-	var started time.Time
-	if m != nil {
-		started = time.Now()
-	}
 	var bufA, bufB []byte
 	var prev []byte // previous stage's result
-	c := callPool.Get().(*Call)
-	stripe := c.stripe
 	for k := range stages {
 		st := &stages[k]
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			c.release()
 			return nil, &ChainError{Stage: k, Executed: k,
 				Err: timeoutError(fmt.Errorf("deadline expired before chain stage %d", k))}
 		}
@@ -381,7 +386,6 @@ func (b *Binding) execChain(stages []ChainStage, deadline time.Time) ([]byte, *C
 		var slice []byte
 		if k > 0 {
 			if st.Off > len(prev) {
-				c.release()
 				return nil, &ChainError{Stage: k, Executed: k, Err: fmt.Errorf(
 					"%w: chain stage %d slices [%d:] of a %d-byte result",
 					ErrBadProcedure, k, st.Off, len(prev))}
@@ -389,7 +393,6 @@ func (b *Binding) execChain(stages []ChainStage, deadline time.Time) ([]byte, *C
 			slice = prev[st.Off:]
 			if st.Len >= 0 {
 				if st.Len > len(slice) {
-					c.release()
 					return nil, &ChainError{Stage: k, Executed: k, Err: fmt.Errorf(
 						"%w: chain stage %d slices [%d:%d] of a %d-byte result",
 						ErrBadProcedure, k, st.Off, st.Off+st.Len, len(prev))}
@@ -397,82 +400,27 @@ func (b *Binding) execChain(stages []ChainStage, deadline time.Time) ([]byte, *C
 				slice = slice[:st.Len]
 			}
 		}
-		argLen := len(st.Prefix) + len(slice)
-		p, _, err := b.validate(st.Proc, st.Prefix) // size checked against argLen below
-		if err == nil && argLen > MaxOOBSize {
-			err = ErrTooLarge
-		}
-		if err != nil {
-			b.traceValidateFail(st.Proc, err)
-			c.release()
-			return nil, &ChainError{Stage: k, Executed: k, Err: err}
-		}
 		// Stage the arguments on this stage's scratch stack (the
 		// chain's copy A), alternating buffers so the copy never reads
 		// the stack it is writing.
-		size := p.AStackSize
-		if size <= 0 {
-			size = DefaultAStackSize
-		}
-		if argLen > size {
-			size = argLen
-		}
-		bufA = chainScratch(bufA, size)
+		argLen := len(st.Prefix) + len(slice)
+		bufA = chainScratch(bufA, max(argLen, b.stageStackSize(st.Proc)))
 		n := copy(bufA, st.Prefix)
 		copy(bufA[n:], slice)
 
-		adm := b.exp.admission.Load()
-		if adm != nil {
-			if aerr := adm.enter(PriorityNormal, deadline, nil); aerr != nil {
-				if aerr == ErrOverload {
-					b.recordShed(p, b.pools[st.Proc], aerr)
-				}
-				c.release()
-				return nil, &ChainError{Stage: k, Executed: k, Err: aerr}
-			}
+		inv := invocation{proc: st.Proc, args: bufA[:argLen], astack: bufA, deadline: deadline}
+		if err := b.begin(&inv); err != nil {
+			return nil, &ChainError{Stage: k, Executed: k, Err: err}
 		}
-		c.astack = bufA
-		c.args = bufA[:argLen]
-		c.oob = nil
-		c.resLen = 0
-		if p.ProtectArgs && argLen > 0 {
-			cp := make([]byte, argLen)
-			copy(cp, c.args) // copy E: immutability-sensitive procedures
-			c.args = cp
+		if err := b.finish(&inv); err != nil {
+			return nil, &ChainError{Stage: k, Executed: k + 1, Err: err}
 		}
-		if herr := b.exp.runHandler(p, c); herr != nil {
-			if adm != nil {
-				adm.exit()
-			}
-			// The Call is not released: the panicked handler may still
-			// hold references into it (the callAppend rule).
-			return nil, &ChainError{Stage: k, Executed: k + 1, Err: herr}
-		}
-		if c.oob != nil {
-			prev = c.oob
-		} else {
-			prev = c.astack[:c.resLen]
-		}
-		if adm != nil {
-			adm.exit()
-		}
-		b.exp.calls.add(stripe, 1)
 		b.exp.chainStages.Add(1)
-		if b.exp.terminated.Load() {
-			// The server terminated while this stage was inside it:
-			// the stage ran, the chain cannot continue.
-			c.release()
-			return nil, &ChainError{Stage: k, Executed: k + 1, Err: ErrCallFailed}
-		}
+		prev = inv.out
 		bufA, bufB = bufB, bufA
 	}
 	b.exp.chains.Add(1)
-	if m != nil {
-		m.dispatch.record(stripe, time.Since(started))
-	}
-	out := prev
-	c.release()
-	return out, nil
+	return prev, nil
 }
 
 // Chains returns how many chains completed end to end in this

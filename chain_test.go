@@ -118,7 +118,7 @@ func TestChainDescriptorRejections(t *testing.T) {
 }
 
 func TestChainErrorWire(t *testing.T) {
-	for _, sentinel := range chainWireSentinels {
+	for _, sentinel := range wireSentinels {
 		ce := &ChainError{Stage: 3, Executed: 4, Err: sentinel}
 		back := parseChainError(appendChainError(nil, ce, 0))
 		var got *ChainError

@@ -45,10 +45,10 @@
 // A one-argument artifact whose "bench" field reads "chain" (as written
 // by `lrpcbench -json chain`, see BENCH_pr10.json) is checked as a
 // continuation-chain record: every row must carry positive latencies,
-// and the server-side depth-4 CallChain must beat the client-driven
-// Batch.Then pipeline by the -min-chain-speedup floor on TCP, and on
-// shm when the shm transport is present — the PR-10 acceptance gate
-// for the chain plane.
+// and the server-side depth-4 CallChain must beat the same pipeline
+// issued as sequential calls by the -min-chain-speedup floor on TCP,
+// and on shm when the shm transport is present — the PR-10 acceptance
+// gate for the chain plane.
 //
 //	benchcheck [-max-regress 10] BASELINE.json CURRENT.json
 //	benchcheck [-min-shm-speedup 5] TRANSPORTS.json
@@ -75,7 +75,7 @@ func main() {
 	minBatchSpeedup := flag.Float64("min-batch-speedup", 3, "minimum per-call-vs-batched shm Null speedup for a batch artifact")
 	minBulkBandwidth := flag.Float64("min-bulk-bandwidth", 1, "minimum shm-over-TCP bytes/sec ratio at large payloads for a bulk artifact")
 	maxIsolationRatio := flag.Float64("max-isolation-ratio", 3, "maximum victim p99 inflation under aggressor flood for a broker artifact")
-	minChainSpeedup := flag.Float64("min-chain-speedup", 2, "minimum server-side-chain-vs-Then-pipeline speedup for a chain artifact")
+	minChainSpeedup := flag.Float64("min-chain-speedup", 2, "minimum server-side-chain-vs-sequential-calls speedup for a chain artifact")
 	flag.Parse()
 	switch flag.NArg() {
 	case 1:
@@ -207,11 +207,11 @@ func benchKind(path string) string {
 }
 
 // checkBatch validates a batched-submission artifact: every swept point
-// and pipeline row must carry positive latencies, and when the shm
-// transport is present the per-call-over-batched Null speedup must
-// clear the floor. Artifacts recorded on hosts without the shm plane
-// (no shm rows, speedup zero) pass with a notice, matching the
-// transports gate's platform policy.
+// must carry a positive latency, and when the shm transport is present
+// the per-call-over-batched Null speedup must clear the floor.
+// Artifacts recorded on hosts without the shm plane (no shm rows,
+// speedup zero) pass with a notice, matching the transports gate's
+// platform policy.
 func checkBatch(path string, minSpeedup float64) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -238,15 +238,6 @@ func checkBatch(path string, minSpeedup float64) {
 			hasShm = true
 		}
 		fmt.Printf("%-8s batch %-3d Null %.0f ns/op\n", p.Transport, p.BatchSize, p.NullNsPerOp)
-	}
-	for _, p := range r.Pipeline {
-		if p.SequentialNsPerChain <= 0 || p.BatchedNsPerChain <= 0 {
-			fmt.Fprintf(os.Stderr, "benchcheck: %s: %s pipeline has a non-positive latency\n",
-				path, p.Transport)
-			os.Exit(1)
-		}
-		fmt.Printf("%-8s pipeline depth %d: sequential %.0f ns, batched %.0f ns (%.2fx)\n",
-			p.Transport, p.Depth, p.SequentialNsPerChain, p.BatchedNsPerChain, p.Speedup)
 	}
 	if !hasShm {
 		fmt.Println("benchcheck: ok (no shm rows; platform without the shm plane)")
@@ -316,9 +307,9 @@ func checkBulk(path string, minRatio float64) {
 }
 
 // checkChain validates a continuation-chain artifact: every row must
-// carry positive latencies for all three arms, and the server-side
-// CallChain must beat the client-driven Batch.Then pipeline by the
-// floor on TCP always, and on shm whenever the shm row is present.
+// carry positive latencies for both arms, and the server-side
+// CallChain must beat the sequential calls by the floor on TCP always,
+// and on shm whenever the shm row is present.
 // Artifacts recorded on hosts without the shm plane (no shm row,
 // ShmChainSpeedup zero) pass the shm half with a notice, matching the
 // transports gate's platform policy; the TCP half always gates.
@@ -339,7 +330,7 @@ func checkChain(path string, minSpeedup float64) {
 	}
 	hasShm, hasTCP := false, false
 	for _, p := range r.Points {
-		if p.SequentialNsPerChain <= 0 || p.ThenNsPerChain <= 0 || p.ChainNsPerChain <= 0 {
+		if p.SequentialNsPerChain <= 0 || p.ChainNsPerChain <= 0 {
 			fmt.Fprintf(os.Stderr, "benchcheck: %s: %s chain row has a non-positive latency\n",
 				path, p.Transport)
 			os.Exit(1)
@@ -350,15 +341,14 @@ func checkChain(path string, minSpeedup float64) {
 		case "tcp":
 			hasTCP = true
 		}
-		fmt.Printf("%-8s depth %d: sequential %.0f ns, Then %.0f ns, CallChain %.0f ns (%.2fx vs Then)\n",
-			p.Transport, p.Depth, p.SequentialNsPerChain, p.ThenNsPerChain, p.ChainNsPerChain,
-			p.SpeedupVsThen)
+		fmt.Printf("%-8s depth %d: sequential %.0f ns, CallChain %.0f ns (%.2fx)\n",
+			p.Transport, p.Depth, p.SequentialNsPerChain, p.ChainNsPerChain, p.SpeedupVsSequential)
 	}
 	if !hasTCP {
 		fmt.Fprintf(os.Stderr, "benchcheck: %s: no tcp chain row recorded\n", path)
 		os.Exit(1)
 	}
-	fmt.Printf("tcp chain speedup vs Then pipeline: %.2fx (floor %.1fx)\n", r.TCPChainSpeedup, minSpeedup)
+	fmt.Printf("tcp chain speedup vs sequential calls: %.2fx (floor %.1fx)\n", r.TCPChainSpeedup, minSpeedup)
 	if r.TCPChainSpeedup < minSpeedup {
 		fmt.Fprintf(os.Stderr, "benchcheck: FAIL: tcp chain speedup %.2fx below floor %.1fx\n",
 			r.TCPChainSpeedup, minSpeedup)
@@ -368,7 +358,7 @@ func checkChain(path string, minSpeedup float64) {
 		fmt.Println("benchcheck: ok (no shm row; platform without the shm plane)")
 		return
 	}
-	fmt.Printf("shm chain speedup vs Then pipeline: %.2fx (floor %.1fx)\n", r.ShmChainSpeedup, minSpeedup)
+	fmt.Printf("shm chain speedup vs sequential calls: %.2fx (floor %.1fx)\n", r.ShmChainSpeedup, minSpeedup)
 	if r.ShmChainSpeedup < minSpeedup {
 		fmt.Fprintf(os.Stderr, "benchcheck: FAIL: shm chain speedup %.2fx below floor %.1fx\n",
 			r.ShmChainSpeedup, minSpeedup)

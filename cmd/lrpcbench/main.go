@@ -15,19 +15,19 @@
 //	lrpcbench -json bulk > BENCH_pr8.json
 //	lrpcbench -json chain > BENCH_pr10.json
 //
-// The chain experiment times the depth-4 dependent pipeline three ways
-// per transport — blocking sequential calls, a client-driven Batch.Then
-// continuation chain, and one server-side CallChain submission — and
-// records the speedup of the server-side chain over the Then pipeline,
-// the artifact cmd/benchcheck's -min-chain-speedup gate reads.
+// The chain experiment times the depth-4 dependent pipeline both ways
+// per transport — blocking sequential calls and one server-side
+// CallChain submission — and records the speedup of the server-side
+// chain over the sequential calls, the artifact cmd/benchcheck's
+// -min-chain-speedup gate reads.
 //
 // The bulk experiment sweeps CallBulk payloads (4 KiB to 64 MiB)
 // through the same three transports and records bytes/sec per size —
 // the artifact cmd/benchcheck's -min-bulk-bandwidth gate reads.
 //
 // The batch experiment sweeps batched submission (amortized Null ns/op
-// at batch sizes 1/8/64) and the pipelined dependent chain across the
-// same three transports, reusing the shm experiment's server child.
+// at batch sizes 1/8/64) across the same three transports, reusing the
+// shm experiment's server child.
 //
 // The shm experiment measures the same three calls (Null, Add, BigIn)
 // through three transports — in-process, shared memory between two OS
@@ -164,7 +164,6 @@ func main() {
 				}
 			} else {
 				fmt.Println(experiments.BatchTable(r).Render())
-				fmt.Println(experiments.PipelineTable(r).Render())
 			}
 		case "chain":
 			r, err := runChainBench()
@@ -239,24 +238,17 @@ func main() {
 
 // runBatchBench is the parent role of the batch experiment: the same
 // three transports as runTransportBench (re-execing this binary as the
-// serving process for shm and TCP), swept over batch sizes and the
-// pipelined dependent chain. The shm session dials with a slot count
-// covering the deepest batch so staging never blocks on the pairwise
-// allocation inside the measurement loop.
+// serving process for shm and TCP), swept over batch sizes. The shm
+// session dials with a slot count covering the deepest batch so staging
+// never blocks on the pairwise allocation inside the measurement loop.
 func runBatchBench() (experiments.BatchResult, error) {
 	var points []experiments.BatchPoint
-	var pipeline []experiments.PipelinePoint
 	measure := func(name string, c experiments.AsyncClient) error {
 		ps, err := experiments.MeasureBatch(name, c)
 		if err != nil {
 			return err
 		}
 		points = append(points, ps...)
-		pp, err := experiments.MeasurePipeline(name, c, experiments.PipelineDepth)
-		if err != nil {
-			return err
-		}
-		pipeline = append(pipeline, pp)
 		return nil
 	}
 
@@ -338,15 +330,14 @@ func runBatchBench() (experiments.BatchResult, error) {
 		return experiments.BatchResult{}, err
 	}
 
-	return experiments.FinishBatchResult(points, pipeline), nil
+	return experiments.FinishBatchResult(points), nil
 }
 
 // runChainBench is the parent role of the chain experiment: the same
 // three transports as runBatchBench (re-execing this binary as the
 // serving process for shm and TCP), each timing the depth-4 dependent
-// pipeline three ways — sequential, Batch.Then, and one server-side
-// CallChain submission. The shm session dials with a slot count
-// covering the Then arm's staging so it never blocks mid-measurement.
+// pipeline both ways — sequential calls and one server-side CallChain
+// submission.
 func runChainBench() (experiments.ChainResult, error) {
 	var points []experiments.ChainPoint
 	measure := func(name string, c experiments.ChainClient) error {
@@ -410,9 +401,7 @@ func runChainBench() (experiments.ChainResult, error) {
 		return experiments.ChainResult{}, fmt.Errorf("server handshake: %q", line)
 	}
 
-	if c, err := lrpc.DialShmOpts(sock, "Transport", lrpc.ShmDialOptions{
-		Slots: experiments.ChainDepth * 2, Spin: 8192,
-	}); err != nil {
+	if c, err := lrpc.DialShmOpts(sock, "Transport", lrpc.ShmDialOptions{Spin: 8192}); err != nil {
 		if !errors.Is(err, lrpc.ErrShmUnsupported) {
 			return experiments.ChainResult{}, fmt.Errorf("dial shm: %w", err)
 		}

@@ -120,6 +120,13 @@ func TestCallPathTakesNoLocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One call before the hammer: a fresh pool's sync.Pool front-end sizes
+	// its per-P array under a global mutex on first use, and four
+	// goroutines arriving there together contend on it (1 run in 60) —
+	// a one-time initialisation, not a lock on the call path.
+	if _, err := b.Call(2, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

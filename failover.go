@@ -209,7 +209,7 @@ func (s *ReplicatedSupervisor) CallContext(ctx context.Context, proc int, args [
 		}
 		lastErr = err
 		switch {
-		case s.retrySafe(err):
+		case notExecuted(err):
 			// Provably never executed: fail over and re-send.
 		case errors.Is(err, ErrCallFailed) && s.opts.RetryFailedCalls:
 			// The handler may have run; the caller opted into re-execution.
@@ -230,19 +230,6 @@ func (s *ReplicatedSupervisor) CallContext(ctx context.Context, proc int, args [
 		}
 	}
 	return nil, lastErr
-}
-
-// retrySafe reports whether err proves the call never executed on the
-// server — the only class of failures fail-over may re-send (§5.3).
-func (s *ReplicatedSupervisor) retrySafe(err error) bool {
-	return errors.Is(err, ErrRevoked) || // binding revoked before dispatch
-		errors.Is(err, ErrNotExported) || // name unknown at this endpoint
-		errors.Is(err, ErrOverload) || // shed by admission control
-		errors.Is(err, ErrNoAStacks) || // rejected before activation
-		errors.Is(err, ErrNotSent) || // no byte reached the wire
-		errors.Is(err, ErrNotExecuted) || // server vouched non-execution
-		errors.Is(err, ErrBreakerOpen) || // failed fast, nothing sent
-		errors.Is(err, ErrShmUnsupported) // plane missing, nothing sent
 }
 
 // rebind replaces a dead binding, single-flight across concurrent

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 )
 
@@ -236,134 +235,53 @@ func (b *Binding) CallContext(ctx context.Context, proc int, args []byte) ([]byt
 	return b.callContextPrio(ctx, proc, args, PriorityNormal)
 }
 
-// callContextPrio is CallContext carrying the call's load-shedding class.
+// callContextPrio is CallContext carrying the call's load-shedding class:
+// the invocation core with the context's deadline and Done channel, and
+// the second half on an activation goroutine the caller may abandon.
 func (b *Binding) callContextPrio(ctx context.Context, proc int, args []byte, prio Priority) ([]byte, error) {
 	if ctx == nil || ctx.Done() == nil {
 		return b.callAppend(proc, args, nil, prio)
 	}
-	p, pool, err := b.validate(proc, args)
-	if err != nil {
-		b.traceValidateFail(proc, err)
-		return nil, err
-	}
-	// Admission control (resilience.go): the context's deadline bounds
-	// the wait for a slot — a call that cannot be admitted before it is
-	// shed with ErrOverload instead of parking past its budget. The gate
-	// precedes the ctx.Err check so an over-deadline call against a full
-	// export reports the true cause: it was shed, not timed out.
-	adm := b.exp.admission.Load()
-	if adm != nil {
-		var deadline time.Time
-		if d, ok := ctx.Deadline(); ok {
-			deadline = d
-		}
-		if err := adm.enter(prio, deadline, ctx.Done()); err != nil {
-			if err == ErrOverload {
-				b.recordShed(p, pool, err)
-			}
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		if adm != nil {
-			adm.exit()
-		}
-		return nil, timeoutError(err)
-	}
-
-	m := b.exp.metrics.Load()
-	var started time.Time
-	if m != nil {
-		started = time.Now()
-	}
-
-	c := callPool.Get().(*Call)
-	buf, err := pool.get(b.Policy, ctx.Done(), c.stripe)
-	if err != nil {
-		c.release()
-		if adm != nil {
-			adm.exit()
-		}
+	inv := invocation{proc: proc, args: args, prio: prio, cancel: ctx.Done()}
+	inv.deadline, _ = ctx.Deadline()
+	if err := b.begin(&inv); err != nil {
 		if err == errWaitCancelled {
-			return nil, timeoutError(ctx.Err())
+			err = timeoutError(ctx.Err())
 		}
 		return nil, err
 	}
-
-	prepareCall(c, p, buf.b, args)
 
 	// The activation: the server-side half of the call, which owns the
-	// A-stack until the handler returns. The linkage record (act) is what
-	// the caller marks abandoned; the activation consults it only to skip
-	// work, never to cut the handler short — a captured thread stays
-	// captured until the server lets go, exactly as in the paper.
-	act := &activation{done: make(chan struct{})}
+	// A-stack until the handler returns. Abandoning it never cuts the
+	// handler short — a captured thread stays captured until the server
+	// lets go, exactly as in the paper.
+	act := &activation{inv: inv, done: make(chan struct{})}
 	go func() {
-		herr := b.exp.runHandler(p, c)
-		if herr == nil && !act.abandoned.Load() {
-			if c.resLen > 0 {
-				src := c.oob
-				if src == nil {
-					src = c.astack[:c.resLen]
-				}
-				act.out = append([]byte(nil), src...)
-			}
-		}
-		// Reclaim the shared buffer only now that the server has
-		// actually returned — never under a running handler.
-		if herr != nil {
-			pool.putPoisoned(buf, c.stripe)
-		} else {
-			pool.put(buf, c.stripe)
-		}
-		if adm != nil {
-			// The admission slot spans the activation, not the caller's
-			// wait: an abandoned call keeps its slot until the handler
-			// lets go, so the cap truly bounds running handlers.
-			adm.exit()
-		}
-		if herr == nil {
-			// A completion is counted only when the handler returned
-			// normally, matching CallAppend's accounting: a panicked
-			// activation is a failed call, not a completed one.
-			b.exp.calls.add(c.stripe, 1)
-			if m != nil {
-				m.dispatch.record(c.stripe, time.Since(started))
-			}
-			c.release()
-			if b.exp.terminated.Load() {
-				herr = ErrCallFailed
-			}
-		}
-		act.err = herr
+		act.err = b.finish(&act.inv)
 		close(act.done)
 	}()
 
 	select {
 	case <-act.done:
-		if act.err != nil {
-			return nil, act.err
-		}
-		return act.out, nil
+		return act.inv.out, act.err
 	case <-ctx.Done():
-		act.abandoned.Store(true)
 		b.exp.abandoned.Add(1)
 		// Register the orphan: the handler is still running — possibly
 		// in an export that terminates before it returns — and the
 		// reaper (resilience.go) accounts for it until it does.
-		b.sys.addOrphan(act, b.exp, p.Name)
-		b.sys.emitTrace(TraceAbandon, b.exp.iface.Name, p.Name, ctx.Err())
+		b.sys.addOrphan(act, b.exp, inv.p.Name)
+		b.sys.emitTrace(TraceAbandon, b.exp.iface.Name, inv.p.Name, ctx.Err())
 		return nil, timeoutError(ctx.Err())
 	}
 }
 
 // activation is the wall-clock linkage record for one in-flight call:
-// the caller's handle on the server-side execution it may abandon.
+// the caller's handle on the server-side execution it may abandon. The
+// invocation record rides in it, so the pair costs one allocation.
 type activation struct {
-	done      chan struct{}
-	abandoned atomic.Bool
-	out       []byte
-	err       error
+	inv  invocation
+	done chan struct{}
+	err  error
 }
 
 // timeoutError wraps a context error as the package's timeout exception.

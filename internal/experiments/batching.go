@@ -1,14 +1,12 @@
 package experiments
 
 // Batched-submission latency: the amortized cost of a Null call when N
-// submissions share one doorbell, across the three transports, plus
-// the pipeline experiment — a dependent-call chain (A→B→C) submitted
-// through Batch.Then against the same chain issued as sequential
-// blocking calls. The PR-7 acceptance row is the shm column: at batch
-// 64 the amortized Null must beat the per-call Null by the floor
-// cmd/benchcheck enforces (-min-batch-speedup), because a batch pays
-// one futex doorbell and one bulk completion reap for the whole run of
-// submissions instead of a park/wake pair per call.
+// submissions share one doorbell, across the three transports. The
+// PR-7 acceptance row is the shm column: at batch 64 the amortized Null
+// must beat the per-call Null by the floor cmd/benchcheck enforces
+// (-min-batch-speedup), because a batch pays one futex doorbell and one
+// bulk completion reap for the whole run of submissions instead of a
+// park/wake pair per call.
 //
 // The rig shape matches transports.go: cmd/lrpcbench owns the process
 // wiring, this file owns the client-surface interface, the estimators,
@@ -27,10 +25,6 @@ import (
 // points, the second deep enough to amortize the doorbell into noise.
 var BatchSizes = []int{1, 8, 64}
 
-// PipelineDepth is the dependent-chain length of the pipeline
-// experiment (A→B→C→D: one Batch.Call plus three Thens).
-const PipelineDepth = 4
-
 // AsyncClient is the slice of a client the batching rig needs; Binding,
 // ShmClient, and NetClient all provide it.
 type AsyncClient interface {
@@ -47,17 +41,6 @@ type BatchPoint struct {
 	NullNsPerOp float64 `json:"null_ns_per_op"`
 }
 
-// PipelinePoint is one transport's dependent-chain row: the same
-// Depth-long chain issued as blocking sequential calls and as one
-// batched submission with Then continuations.
-type PipelinePoint struct {
-	Transport            string  `json:"transport"`
-	Depth                int     `json:"depth"`
-	SequentialNsPerChain float64 `json:"sequential_ns_per_chain"`
-	BatchedNsPerChain    float64 `json:"batched_ns_per_chain"`
-	Speedup              float64 `json:"speedup"`
-}
-
 // BatchResult is the full batching artifact (BENCH_pr7.json). Bench is
 // the artifact discriminator cmd/benchcheck sniffs ("batch").
 type BatchResult struct {
@@ -67,9 +50,8 @@ type BatchResult struct {
 	// ShmBatchSpeedup is per-call shm Null over batch-64 amortized shm
 	// Null — the PR-7 acceptance number. Zero when the shm transport is
 	// absent (non-Linux hosts).
-	ShmBatchSpeedup float64         `json:"shm_batch_speedup"`
-	Points          []BatchPoint    `json:"points"`
-	Pipeline        []PipelinePoint `json:"pipeline"`
+	ShmBatchSpeedup float64      `json:"shm_batch_speedup"`
+	Points          []BatchPoint `json:"points"`
 }
 
 // MeasureBatch sweeps BatchSizes over one transport, returning a row
@@ -136,54 +118,6 @@ func batchWindowNs(c AsyncClient, size int) (float64, error) {
 	return best, nil
 }
 
-// MeasurePipeline times one transport's Depth-long dependent chain
-// both ways. The sequential arm blocks on every link (depth round
-// trips); the batched arm stages the head and chains the rest with
-// Then, so the links fire from the completion path (one round trip of
-// caller latency plus server-side turnaround).
-func MeasurePipeline(name string, c AsyncClient, depth int) (PipelinePoint, error) {
-	p := PipelinePoint{Transport: name, Depth: depth}
-
-	seq := func() error {
-		for i := 0; i < depth; i++ {
-			if _, err := c.Call(TransportNull, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	bt := c.NewBatch()
-	chained := func() error {
-		bt.Reset()
-		f, err := bt.Call(TransportNull, nil)
-		if err != nil {
-			return err
-		}
-		for i := 1; i < depth; i++ {
-			if f, err = bt.Then(f, TransportNull); err != nil {
-				return err
-			}
-		}
-		if err := bt.Flush(); err != nil {
-			return err
-		}
-		_, err = f.Wait()
-		return err
-	}
-
-	var err error
-	if p.SequentialNsPerChain, err = chainWindowNs(seq); err != nil {
-		return p, fmt.Errorf("pipeline %s sequential: %w", name, err)
-	}
-	if p.BatchedNsPerChain, err = chainWindowNs(chained); err != nil {
-		return p, fmt.Errorf("pipeline %s batched: %w", name, err)
-	}
-	if p.BatchedNsPerChain > 0 {
-		p.Speedup = p.SequentialNsPerChain / p.BatchedNsPerChain
-	}
-	return p, nil
-}
-
 // chainWindowNs estimates ns per chain, best-of-windows minimum.
 func chainWindowNs(run func() error) (float64, error) {
 	const (
@@ -217,13 +151,12 @@ func chainWindowNs(run func() error) (float64, error) {
 
 // FinishBatchResult stamps the host fields and the shm acceptance
 // number onto the measured points.
-func FinishBatchResult(points []BatchPoint, pipeline []PipelinePoint) BatchResult {
+func FinishBatchResult(points []BatchPoint) BatchResult {
 	r := BatchResult{
 		Bench:        "batch",
 		NumCPU:       runtime.NumCPU(),
 		CalibNsPerOp: calibNsPerOp(),
 		Points:       points,
-		Pipeline:     pipeline,
 	}
 	var perCall, batched float64
 	maxSize := 0
@@ -258,21 +191,6 @@ func BatchTable(r BatchResult) *Table {
 	}
 	for _, p := range r.Points {
 		t.Rows = append(t.Rows, []string{p.Transport, us(float64(p.BatchSize)), us(p.NullNsPerOp)})
-	}
-	return t
-}
-
-// PipelineTable renders the dependent-chain rows.
-func PipelineTable(r BatchResult) *Table {
-	t := &Table{
-		Title:  "Pipelined dependent chains: sequential vs batched (ns/chain)",
-		Header: []string{"transport", "depth", "sequential", "batched", "speedup"},
-	}
-	for _, p := range r.Pipeline {
-		t.Rows = append(t.Rows, []string{
-			p.Transport, us(float64(p.Depth)),
-			us(p.SequentialNsPerChain), us(p.BatchedNsPerChain), us1(p.Speedup) + "x",
-		})
 	}
 	return t
 }

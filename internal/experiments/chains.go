@@ -4,10 +4,9 @@ package experiments
 // pipeline when the whole chain is shipped to the server's domain as
 // one descriptor (CallChain — one frame, one doorbell, zero
 // intermediate result transfers) against the same pipeline driven from
-// the client — as blocking sequential calls, and as a Batch.Then
-// continuation chain (PR 7's best client-side shape). The PR-10
-// acceptance rows are the shm and TCP speedup-vs-Then numbers: the
-// server-side chain must beat the client-driven pipeline by the floor
+// the client as blocking sequential calls. The PR-10 acceptance rows
+// are the shm and TCP speedup-vs-sequential numbers: the server-side
+// chain must beat the client-driven pipeline by the floor
 // cmd/benchcheck enforces (-min-chain-speedup), because every link it
 // removes was a full cross-domain round trip.
 //
@@ -23,29 +22,26 @@ import (
 )
 
 // ChainDepth is the dependent-pipeline length of the chain experiment
-// (A→B→C→D), matching PipelineDepth so the Then arm here reproduces
-// the PR-7 pipeline rows.
+// (A→B→C→D).
 const ChainDepth = 4
 
 // ChainClient is the slice of a client the chain rig needs; Binding,
 // ShmClient, and NetClient all provide it.
 type ChainClient interface {
-	AsyncClient
+	Call(proc int, args []byte) ([]byte, error)
 	CallChain(ch *lrpc.Chain) ([]byte, error)
 }
 
 // ChainPoint is one transport's row: the same Depth-long dependent
-// pipeline timed three ways — blocking sequential calls, a client-
-// driven Batch.Then continuation chain, and one server-side CallChain
-// submission. SpeedupVsThen is ThenNsPerChain over ChainNsPerChain,
-// the acceptance number.
+// pipeline timed both ways — blocking sequential calls and one
+// server-side CallChain submission. SpeedupVsSequential is
+// SequentialNsPerChain over ChainNsPerChain, the acceptance number.
 type ChainPoint struct {
 	Transport            string  `json:"transport"`
 	Depth                int     `json:"depth"`
 	SequentialNsPerChain float64 `json:"sequential_ns_per_chain"`
-	ThenNsPerChain       float64 `json:"then_ns_per_chain"`
 	ChainNsPerChain      float64 `json:"chain_ns_per_chain"`
-	SpeedupVsThen        float64 `json:"speedup_vs_then"`
+	SpeedupVsSequential  float64 `json:"speedup_vs_sequential"`
 }
 
 // ChainResult is the full chain artifact (BENCH_pr10.json). Bench is
@@ -55,20 +51,18 @@ type ChainResult struct {
 	NumCPU       int     `json:"num_cpu"`
 	CalibNsPerOp float64 `json:"calib_ns_per_op"`
 	// ShmChainSpeedup and TCPChainSpeedup are the per-transport
-	// acceptance numbers: client-driven Then pipeline ns/chain over
-	// server-side CallChain ns/chain at ChainDepth. ShmChainSpeedup is
+	// acceptance numbers: sequential-calls ns/chain over server-side
+	// CallChain ns/chain at ChainDepth. ShmChainSpeedup is
 	// zero when the shm transport is absent (non-Linux hosts).
 	ShmChainSpeedup float64      `json:"shm_chain_speedup"`
 	TCPChainSpeedup float64      `json:"tcp_chain_speedup"`
 	Points          []ChainPoint `json:"points"`
 }
 
-// MeasureChain times one transport's Depth-long dependent pipeline all
-// three ways. Every arm runs the same Depth Null handlers; what varies
-// is who drives the links — the caller (blocking round trips), the
-// completion path (Then continuations: one caller round trip plus a
-// server turnaround per link), or the server's chain executor (one
-// round trip total).
+// MeasureChain times one transport's Depth-long dependent pipeline
+// both ways. Both arms run the same Depth Null handlers; what varies is
+// who drives the links — the caller (blocking round trips) or the
+// server's chain executor (one round trip total).
 func MeasureChain(name string, c ChainClient, depth int) (ChainPoint, error) {
 	p := ChainPoint{Transport: name, Depth: depth}
 
@@ -79,24 +73,6 @@ func MeasureChain(name string, c ChainClient, depth int) (ChainPoint, error) {
 			}
 		}
 		return nil
-	}
-	bt := c.NewBatch()
-	then := func() error {
-		bt.Reset()
-		f, err := bt.Call(TransportNull, nil)
-		if err != nil {
-			return err
-		}
-		for i := 1; i < depth; i++ {
-			if f, err = bt.Then(f, TransportNull); err != nil {
-				return err
-			}
-		}
-		if err := bt.Flush(); err != nil {
-			return err
-		}
-		_, err = f.Wait()
-		return err
 	}
 	ch := lrpc.NewChain()
 	for i := 0; i < depth; i++ {
@@ -111,14 +87,11 @@ func MeasureChain(name string, c ChainClient, depth int) (ChainPoint, error) {
 	if p.SequentialNsPerChain, err = chainWindowNs(seq); err != nil {
 		return p, fmt.Errorf("chain %s sequential: %w", name, err)
 	}
-	if p.ThenNsPerChain, err = chainWindowNs(then); err != nil {
-		return p, fmt.Errorf("chain %s then-pipeline: %w", name, err)
-	}
 	if p.ChainNsPerChain, err = chainWindowNs(chained); err != nil {
 		return p, fmt.Errorf("chain %s server-side: %w", name, err)
 	}
 	if p.ChainNsPerChain > 0 {
-		p.SpeedupVsThen = p.ThenNsPerChain / p.ChainNsPerChain
+		p.SpeedupVsSequential = p.SequentialNsPerChain / p.ChainNsPerChain
 	}
 	return p, nil
 }
@@ -135,9 +108,9 @@ func FinishChainResult(points []ChainPoint) ChainResult {
 	for _, p := range points {
 		switch p.Transport {
 		case "shm":
-			r.ShmChainSpeedup = p.SpeedupVsThen
+			r.ShmChainSpeedup = p.SpeedupVsSequential
 		case "tcp":
-			r.TCPChainSpeedup = p.SpeedupVsThen
+			r.TCPChainSpeedup = p.SpeedupVsSequential
 		}
 	}
 	return r
@@ -147,7 +120,7 @@ func FinishChainResult(points []ChainPoint) ChainResult {
 func ChainTable(r ChainResult) *Table {
 	t := &Table{
 		Title:  "Server-side chains: depth-" + us(float64(ChainDepth)) + " dependent pipeline (ns/chain, best-of-windows minimum)",
-		Header: []string{"transport", "depth", "sequential", "Then pipeline", "CallChain", "speedup vs Then"},
+		Header: []string{"transport", "depth", "sequential", "CallChain", "speedup vs sequential"},
 		Notes: []string{
 			us(float64(r.NumCPU)) + " CPUs available; calibration " + us1(r.CalibNsPerOp) + " ns/op scalar loop",
 		},
@@ -155,8 +128,8 @@ func ChainTable(r ChainResult) *Table {
 	for _, p := range r.Points {
 		t.Rows = append(t.Rows, []string{
 			p.Transport, us(float64(p.Depth)),
-			us(p.SequentialNsPerChain), us(p.ThenNsPerChain), us(p.ChainNsPerChain),
-			us1(p.SpeedupVsThen) + "x",
+			us(p.SequentialNsPerChain), us(p.ChainNsPerChain),
+			us1(p.SpeedupVsSequential) + "x",
 		})
 	}
 	return t

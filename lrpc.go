@@ -195,6 +195,15 @@ func (c *Call) ResultsBuf(n int) []byte {
 // SetResults copies b as the call's results (convenience over ResultsBuf).
 func (c *Call) SetResults(b []byte) { copy(c.ResultsBuf(len(b)), b) }
 
+// result returns the bytes the handler produced, wherever ResultsBuf put
+// them: the out-of-band buffer, or the first resLen bytes of the A-stack.
+func (c *Call) result() []byte {
+	if c.oob != nil {
+		return c.oob
+	}
+	return c.astack[:c.resLen]
+}
+
 // System is one machine's LRPC installation: the name server plus the
 // binding-issue state the kernel would hold. The call path itself never
 // touches the System lock — validation happens at bind time, and
@@ -526,6 +535,15 @@ func (b *Binding) CallAppend(proc int, args, dst []byte) ([]byte, error) {
 
 // callAppend is the direct-transfer call path, shared by Call/CallAppend
 // and the priority-carrying CallWithOpts route (resilience.go).
+//
+// It is the invocation core (begin/finish below) specialised for {pool
+// A-stack, no deadline, no cancel, no bulk, results appended inline},
+// written out because routing it through the record was measured:
+// BenchmarkWallClockLRPC/Null 58–62 → 66–79 ns, inproc-small 12.8–15.2 M
+// → 10.7–13.1 M calls/s (DESIGN §5.17). It alone times the copies (the
+// copy histogram is a measurement of this path). TestDispatch*
+// (dispatch_test.go) pins it to the core: one scenario table through
+// both, identical results, error classes and accounting required.
 func (b *Binding) callAppend(proc int, args, dst []byte, prio Priority) ([]byte, error) {
 	// One nil-checked atomic load decides whether this invocation is
 	// measured; when the recorder is absent the path reads no clock,
@@ -667,16 +685,165 @@ func prepareCall(c *Call, p *Proc, astack, args []byte) {
 	// else: oversized arguments stay in the caller's buffer — the Go
 	// analog of the out-of-band segment, which is itself just another
 	// pairwise-shared region.
+	stageCall(c, p, astack, callArgs)
+}
 
+// stageCall fills in the server's view of an invocation whose arguments
+// are already where the handler will read them: the tail of prepareCall,
+// and all there is to do on an adopted A-stack.
+func stageCall(c *Call, p *Proc, astack, args []byte) {
 	c.astack = astack
-	c.args = callArgs
+	c.args = args
 	c.oob = nil
 	c.resLen = 0
-	if p.ProtectArgs && len(callArgs) > 0 {
-		cp := make([]byte, len(callArgs))
-		copy(cp, callArgs) // copy E: immutability-sensitive procedures
+	if p.ProtectArgs && len(args) > 0 {
+		cp := make([]byte, len(args))
+		copy(cp, args) // copy E: immutability-sensitive procedures
 		c.args = cp
 	}
+}
+
+// invocation is the record of one call through the invocation core, the
+// one sequence every general entry point shares (DESIGN §5.17): its
+// fields are the options, begin and finish the halves around the
+// handler. Synchronous callers keep it on their stack; callers that
+// hand finish to another goroutine embed it in their activation.
+type invocation struct {
+	// Options, filled by the caller before begin.
+	proc     int
+	args     []byte
+	prio     Priority
+	deadline time.Time       // bounds the wait for admission; zero is none
+	cancel   <-chan struct{} // closed when the caller gives up; nil is never
+	// astack, when non-nil, is adopted in place of a pool A-stack (the
+	// shm slot, the chain's scratch): the arguments are already staged,
+	// on it or out of band, and the results are left on it.
+	astack []byte
+	segs   [][]byte // bulk payload (bulk.go); dir 0 is none
+	dir    BulkDir
+	bulkIn int
+
+	// Carried from begin to finish.
+	p       *Proc
+	pool    *astackPool
+	buf     *astackBuf // the pool A-stack; nil when astack was adopted
+	adm     *admission
+	c       *Call
+	m       *exportMetrics
+	started time.Time
+
+	// Outcome, valid once finish returns nil. out is a private copy for
+	// a pool A-stack; for an adopted one it aliases the stack (or the
+	// handler's out-of-band buffer, when len(out) > len(astack)).
+	out      []byte
+	produced int // bulk bytes the handler wrote
+}
+
+// begin is the first half of the core, up to the domain transfer. It
+// runs on the caller's goroutine, so a rejected, shed or cancelled call
+// is a synchronous verdict that cost no Call record and no A-stack, and
+// after an error there is nothing to undo. A fired cancel channel
+// surfaces as errWaitCancelled; each caller words its own timeout.
+func (b *Binding) begin(inv *invocation) error {
+	// Stamped first: time spent queued for admission is dispatch latency.
+	inv.m = b.exp.metrics.Load()
+	if inv.m != nil {
+		inv.started = time.Now()
+	}
+	p, pool, err := b.validate(inv.proc, inv.args)
+	if err != nil {
+		b.traceValidateFail(inv.proc, err)
+		return err
+	}
+	// The gate precedes the cancel check: a call that cannot be admitted
+	// before its deadline reports the true cause — shed, not timed out.
+	adm := b.exp.admission.Load()
+	if adm != nil {
+		if err := adm.enter(inv.prio, inv.deadline, inv.cancel); err != nil {
+			if err == ErrOverload {
+				b.recordShed(p, pool, err)
+			}
+			return err
+		}
+	}
+	select {
+	case <-inv.cancel: // never ready when nil
+		if adm != nil {
+			adm.exit()
+		}
+		return errWaitCancelled
+	default:
+	}
+	c := callPool.Get().(*Call)
+	if inv.astack != nil {
+		stageCall(c, p, inv.astack, inv.args)
+	} else {
+		buf, err := pool.get(b.Policy, inv.cancel, c.stripe)
+		if err != nil {
+			c.release()
+			if adm != nil {
+				adm.exit()
+			}
+			return err
+		}
+		inv.buf = buf
+		prepareCall(c, p, buf.b, inv.args)
+	}
+	c.bulkSegs, c.bulkDir, c.bulkIn, c.bulkOut = inv.segs, inv.dir, inv.bulkIn, 0
+	inv.p, inv.pool, inv.adm, inv.c = p, pool, adm, c
+	return nil
+}
+
+// finish is the second half of the core, from the domain transfer to
+// the return. It may run on an activation goroutine whose caller has
+// gone: the A-stack and the admission slot are held until the handler
+// actually returns, never recycled under a running one. A non-nil error
+// (*PanicError, or ErrCallFailed when the server terminated mid-call)
+// means no results, on every plane.
+func (b *Binding) finish(inv *invocation) error {
+	c := inv.c
+	herr := b.exp.runHandler(inv.p, c)
+	if herr == nil {
+		inv.produced = c.bulkOut
+		if inv.buf == nil {
+			inv.out = c.result()
+		} else if c.resLen > 0 {
+			inv.out = append([]byte(nil), c.result()...) // copy F
+		}
+	}
+	if inv.buf != nil {
+		if herr != nil {
+			inv.pool.putPoisoned(inv.buf, c.stripe)
+		} else {
+			inv.pool.put(inv.buf, c.stripe)
+		}
+	}
+	if inv.adm != nil {
+		// After the A-stack went back, so the cap bounds stack pressure
+		// as well as handler concurrency.
+		inv.adm.exit()
+	}
+	if herr != nil {
+		// Not a completion, and the Call is not released: the panicked
+		// handler may still hold references into it.
+		return herr
+	}
+	b.exp.calls.add(c.stripe, 1)
+	if inv.m != nil {
+		span := &inv.m.dispatch
+		if inv.dir != 0 {
+			span = &inv.m.bulkSpan
+		}
+		span.record(c.stripe, time.Since(inv.started))
+	}
+	c.release()
+	if b.exp.terminated.Load() {
+		// The server terminated while we were inside it: the call,
+		// completed or not, returns the call-failed exception.
+		inv.out, inv.produced = nil, 0
+		return ErrCallFailed
+	}
+	return nil
 }
 
 // CallByName invokes a procedure by name, resolved through the index

@@ -89,6 +89,32 @@ var ErrNotSent = errors.New("lrpc: request never sent")
 // yields the *RemoteError carrying the server's text.
 var ErrNotExecuted = errors.New("lrpc: call rejected before execution")
 
+// notExecuted reports whether err proves the call never reached a
+// handler, so that vouching for it on the wire (status 2) or re-sending
+// it elsewhere cannot break at-most-once. It is the one list of such
+// failures: rejectStatus, the broker's upstreamStatus and the replicated
+// supervisor's fail-over all ask it. Each sees only part of the union
+// (a server's own dispatch cannot produce the client-side sentinels; a
+// policy refusal that crossed a wire already carries the vouch); the
+// rest is vacuous there, not unsafe. A chain that stopped part-way did
+// run its earlier stages: only its own vouch (Executed == 0) counts.
+func notExecuted(err error) bool {
+	var ce *ChainError
+	if errors.As(err, &ce) {
+		return ce.Executed == 0
+	}
+	return errors.Is(err, ErrNotExecuted) || // a server's wire vouch
+		errors.Is(err, ErrRevoked) || // binding revoked before dispatch
+		errors.Is(err, ErrNotExported) || // name unknown at this endpoint
+		errors.Is(err, ErrOverload) || // shed by admission control
+		errors.Is(err, ErrNoAStacks) || // rejected before activation
+		errors.Is(err, ErrQuotaExceeded) || // shed by the broker's tenant policy
+		errors.Is(err, ErrTenantSuspended) || // refused by the broker's tenant policy
+		errors.Is(err, ErrNotSent) || // no byte reached the wire
+		errors.Is(err, ErrBreakerOpen) || // failed fast, nothing sent
+		errors.Is(err, ErrShmUnsupported) // plane missing, nothing sent
+}
+
 // notSentError brands a transport failure as provably pre-wire. It
 // matches ErrNotSent directly and its cause via Unwrap, so existing
 // errors.Is(err, ErrConnClosed) checks keep working.
@@ -489,9 +515,7 @@ func (s *System) serveConn(conn net.Conn, opts ServeOptions) {
 // that crashed mid-run, stays status 1 because the handler may have had
 // side effects.
 func rejectStatus(err error) byte {
-	if errors.Is(err, ErrRevoked) || errors.Is(err, ErrNotExported) ||
-		errors.Is(err, ErrOverload) || errors.Is(err, ErrNoAStacks) ||
-		errors.Is(err, ErrQuotaExceeded) || errors.Is(err, ErrTenantSuspended) {
+	if notExecuted(err) {
 		return 2
 	}
 	return 1

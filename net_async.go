@@ -350,18 +350,6 @@ func (nb *netBatch) retire(cause error) {
 	nb.conn, nb.gen = nil, 0
 }
 
-// submitNow dispatches one dependent call from a completion path. The
-// read loop must never block on the in-flight window (it is what frees
-// the window), so the resubmission always runs on its own goroutine.
-func (nb *netBatch) submitNow(proc int, args []byte, f *Future) {
-	c := nb.c
-	go func() {
-		if err := c.sendAsync(context.Background(), uint32(proc), args, f); err != nil {
-			f.complete(nil, err)
-		}
-	}()
-}
-
 // appendRequestFrame appends one length-prefixed request frame to dst —
 // the building block of a batch's coalesced write. Layout matches
 // writeRequest: len u32 | id u64 | nameLen u16 | name | procWord u32 |

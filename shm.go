@@ -151,57 +151,27 @@ func shmU64(seg []byte, off int) *atomic.Uint64 {
 
 // --- error codes on the shared reply path ---
 
+// shmErrCode classifies a flat (non-chain) failure for the slot's code
+// word through the shared wire table (wireSentinels, chain.go). Only
+// the codes below shmErrCodeChain are emitted: that value marks a
+// structured chain body, so a sentinel numbered at or above it travels
+// as plain text instead.
 func shmErrCode(err error) uint32 {
-	switch {
-	case errors.Is(err, ErrRevoked):
-		return 1
-	case errors.Is(err, ErrBadProcedure):
-		return 3
-	case errors.Is(err, ErrOverload):
-		return 4
-	case errors.Is(err, ErrTooLarge):
-		return 5
-	case errors.Is(err, ErrNoAStacks):
-		return 6
-	case errors.Is(err, ErrCallFailed):
-		return 2
+	if code := wireErrCode(err); code < shmErrCodeChain {
+		return code
 	}
 	return 0
-}
-
-func shmErrFromCode(code uint32, text string) error {
-	sentinel := func(sent error) error {
-		if text == "" || text == sent.Error() {
-			return sent
-		}
-		return fmt.Errorf("%w: %s", sent, text)
-	}
-	switch code {
-	case 1:
-		return ErrRevoked
-	case 2:
-		return sentinel(ErrCallFailed)
-	case 3:
-		return ErrBadProcedure
-	case 4:
-		return ErrOverload
-	case 5:
-		return sentinel(ErrTooLarge)
-	case 6:
-		return ErrNoAStacks
-	}
-	return &RemoteError{Msg: text}
 }
 
 // shmDecodeErr maps one slot's error reply onto a Go error: a chain
 // reply (shmErrCodeChain, chain.go) carries the structured chain-error
 // body with the failing stage and executed-through vouch; every other
-// code is the flat code + text of shmErrFromCode.
+// code is a wire-table code plus the server's text.
 func shmDecodeErr(code uint32, body []byte) error {
 	if code == shmErrCodeChain {
 		return parseChainError(body)
 	}
-	return shmErrFromCode(code, string(body))
+	return wireErrFromCode(code, string(body))
 }
 
 // --- segment creation ---
@@ -677,7 +647,7 @@ func (ss *shmSession) dispatch(v uint64) {
 		err = fmt.Errorf("%w: %d argument bytes exceed the %d-byte slot",
 			ErrTooLarge, argLen, ss.lay.slotSize)
 	case dir == 0:
-		resLen, oob, err = ss.b.callShared(proc, payload, argLen)
+		resLen, oob, _, err = ss.b.callSharedBulk(proc, payload, payload[:argLen], nil, 0, 0)
 	case dir == uint32(bulkDirChain):
 		resLen, err = ss.dispatchChain(payload, argLen)
 	default:
@@ -725,7 +695,13 @@ func (ss *shmSession) dispatch(v uint64) {
 	// an earlier occupant, means this call is hinted. It is
 	// client-writable, like the ID it is compared with, so a lying client
 	// can withhold nothing but its own wake-up.
-	state.Store(done)
+	//
+	// Swap, not Store: the load below must not pass it (the store→load
+	// pair with awaitReply). Under the race detector a sync/atomic Store
+	// to memory outside the Go heap, such as the mapped segment, is
+	// release-only; a read-modify-write is a full barrier in both builds
+	// and is the XCHG amd64 already emits for Store.
+	state.Swap(done)
 	noHint := shmU64(ss.seg, base+slotOffNoHint).Load()
 	sv.calls.Add(1)
 	if noHint != 0 && noHint >= callID {
@@ -855,77 +831,26 @@ func (ss *shmSession) dispatchChain(payload []byte, argLen int) (int, error) {
 	return copy(payload, out), nil
 }
 
-// callShared is the dispatch half of a shared-memory call: the same
-// sequence as callAppend with the A-stack pool replaced by the
-// segment's pairwise slot — the arguments are already on the A-stack
-// when the doorbell rings, so there is no copy A and no pool checkout.
-func (b *Binding) callShared(proc int, shared []byte, argLen int) (resLen int, oob []byte, err error) {
-	resLen, oob, _, err = b.callSharedBulk(proc, shared, shared[:argLen], nil, 0, 0)
-	return resLen, oob, err
-}
-
-// callSharedBulk is callShared with the argument bytes decoupled from
-// the A-stack (a spilled call's args live in bulk pages) and an
-// optional bulk payload exposed to the handler in place.
+// callSharedBulk is the dispatch half of a shared-memory call: the
+// invocation core adopting the segment's pairwise slot as its A-stack.
+// The arguments are already on it when the doorbell rings (or, for a
+// spilled call, in bulk pages), so there is no copy A and no pool
+// checkout; an optional bulk payload is exposed to the handler in
+// place. In-band results are in the slot when it returns; results that
+// outgrew it come back as oob. After a panic the slot is reused freely
+// — the client overwrites it on its next call.
 func (b *Binding) callSharedBulk(proc int, astack, args []byte, segs [][]byte, dir BulkDir, bulkIn int) (resLen int, oob []byte, produced int, err error) {
-	m := b.exp.metrics.Load()
-	var started time.Time
-	if m != nil {
-		started = time.Now()
-	}
-	p, _, err := b.validate(proc, args)
-	if err != nil {
-		b.traceValidateFail(proc, err)
+	inv := invocation{proc: proc, args: args, astack: astack, segs: segs, dir: dir, bulkIn: bulkIn}
+	if err := b.begin(&inv); err != nil {
 		return 0, nil, 0, err
 	}
-	adm := b.exp.admission.Load()
-	if adm != nil {
-		if aerr := adm.enter(PriorityNormal, time.Time{}, nil); aerr != nil {
-			if aerr == ErrOverload {
-				b.recordShed(p, b.pools[proc], aerr)
-			}
-			return 0, nil, 0, aerr
-		}
+	if err := b.finish(&inv); err != nil {
+		return 0, nil, 0, err
 	}
-	c := callPool.Get().(*Call)
-	c.astack = astack
-	c.args = args
-	c.oob = nil
-	c.resLen = 0
-	c.bulkSegs, c.bulkDir, c.bulkIn = segs, dir, bulkIn
-	if p.ProtectArgs && len(args) > 0 {
-		cp := make([]byte, len(args))
-		copy(cp, args) // copy E: immutability-sensitive procedures
-		c.args = cp
+	if len(inv.out) > len(astack) {
+		oob = inv.out
 	}
-	if herr := b.exp.runHandler(p, c); herr != nil {
-		if adm != nil {
-			adm.exit()
-		}
-		// The Call is not released (the panicked handler may hold
-		// references); the slot itself is reused freely — the client
-		// overwrites it on its next call.
-		return 0, nil, 0, herr
-	}
-	resLen = c.resLen
-	oob = c.oob
-	produced = c.bulkOut
-	if adm != nil {
-		adm.exit()
-	}
-	b.exp.calls.add(c.stripe, 1)
-	if m != nil {
-		if dir != 0 {
-			m.bulkSpan.record(c.stripe, time.Since(started))
-		} else {
-			m.dispatch.record(c.stripe, time.Since(started))
-		}
-	}
-	c.release()
-	if b.exp.terminated.Load() {
-		return resLen, oob, produced, ErrCallFailed
-	}
-	return resLen, oob, produced, nil
+	return len(inv.out), oob, inv.produced, nil
 }
 
 // --- client ---
@@ -1262,7 +1187,7 @@ func (c *ShmClient) callContext(ctx context.Context, proc int, args, dst []byte)
 	if ok {
 		out = append(dst, body...) // the single result copy out
 	} else {
-		err = shmErrFromCode(code, string(body))
+		err = shmDecodeErr(code, body)
 		c.failures.Add(1)
 	}
 	c.recycle(id, state)
@@ -1465,9 +1390,9 @@ func (c *ShmClient) recycle(id uint32, state *atomic.Uint32) {
 // spins the server publishes the reply in the state word and nothing
 // else. Leaving the window stores zero and then re-reads the state,
 // mirroring the server's store of the state followed by its load of the
-// word: the atomics are sequentially consistent, so either this re-read
-// sees the reply or the server's load sees zero and pushes the hint the
-// parked regime waits on. A wake is never lost; at worst both happen and
+// word: both stores are read-modify-writes (full barriers), so either this
+// re-read sees the reply or the server's load sees zero and pushes the hint
+// the parked regime waits on. A wake is never lost; at worst both happen and
 // the hint is a stale one the next drain absorbs. ctx is consulted only
 // once parked, when the word is already zero, so the orphan watcher of
 // an abandoned call is always hinted.
@@ -1485,7 +1410,9 @@ func (c *ShmClient) awaitReply(ctx context.Context, id uint32, state *atomic.Uin
 		c.drainReplies()
 		shmring.Yield()
 	}
-	noHint.Store(0)
+	// Swap, not Store, for the reason given at the server's half of the
+	// pair (shmSession.dispatch): the re-read below must not pass it.
+	noHint.Swap(0)
 	if state.Load() >= slotDoneOK {
 		c.spinReplies.Add(1)
 		return nil
@@ -1787,7 +1714,7 @@ func (c *ShmClient) CallBulk(proc int, args []byte, h *BulkHandle) ([]byte, erro
 		return nil, err
 	}
 	if !ok {
-		return fail(shmErrFromCode(code, string(body)))
+		return fail(shmDecodeErr(code, body))
 	}
 	out := append([]byte(nil), body...) // the single result copy out
 	switch h.dir {

@@ -295,7 +295,7 @@ func (c *ShmClient) unpostSlot(id uint32, state *atomic.Uint32) error {
 // finishAsync retires one asynchronous slot: claim the future, copy the
 // result out, recycle the slot, complete. Runs on whichever goroutine
 // drained the reply hint — the demultiplexer or a spinning synchronous
-// caller — and may submit a dependent continuation inline.
+// caller.
 func (c *ShmClient) finishAsync(id uint32) {
 	base := c.lay.slotBase(id)
 	state := shmU32(c.seg, base+slotOffState)
@@ -351,7 +351,7 @@ func (c *ShmClient) finishOneWay(id uint32) {
 			}
 			payload := c.seg[base+slotPayloadOff : base+slotPayloadOff+c.lay.slotSize]
 			t.TraceEvent(TraceEvent{Kind: TraceOneWayDrop, Iface: c.name,
-				Err: shmErrFromCode(code, string(payload[:resLen]))})
+				Err: shmDecodeErr(code, payload[:resLen])})
 		}
 	}
 	c.recycle(id, state)
@@ -440,26 +440,5 @@ func (sb *shmBatch) flushStaged() {
 	if sb.staged > 0 {
 		sb.staged = 0
 		sb.c.c2s.Bump()
-	}
-}
-
-// submitNow dispatches a continuation from a completion path. Those run
-// on the demultiplexer (which is what drains completions), so waiting
-// for a free slot here would deadlock the session — a full house hands
-// the blocking wait to a fresh goroutine instead.
-func (sb *shmBatch) submitNow(proc int, args []byte, f *Future) {
-	c := sb.c
-	c.asyncCalls.Add(1)
-	err := c.submitAsync(proc, args, f, false, true)
-	if err == errWouldBlock {
-		go func() {
-			if err := c.submitAsync(proc, args, f, true, true); err != nil {
-				f.complete(nil, err)
-			}
-		}()
-		return
-	}
-	if err != nil {
-		f.complete(nil, err)
 	}
 }
