@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci fmtcheck vet build test race stress onecore shmtest haftest brokertest chaintest bench benchjson benchjson5 benchjson6 benchjson7 benchjson8 benchjson9 benchjson10 benchcheck fuzz staticcheck vulncheck
+.PHONY: ci fmtcheck vet build crossbuild test race stress onecore onecaller shmtest haftest brokertest chaintest bench benchjson benchjson5 benchjson6 benchjson7 benchjson8 benchjson9 benchjson10 benchcheck fuzz staticcheck vulncheck
 
 # Formatting, vet, static analysis, build, tests (plain and -race), then
 # the perf gates: the whole merge bar in one command. The gates check the
@@ -14,7 +14,7 @@ GO ?= go
 # `make bench`) when the call path changes. The recipe line repeats the
 # test in which the broker's release-after-reply ordering used to show
 # as a flake in plain `go test`, so it cannot come back silently.
-ci: fmtcheck vet staticcheck vulncheck build test race onecore shmtest haftest brokertest chaintest benchcheck
+ci: fmtcheck vet staticcheck vulncheck build crossbuild test race onecore onecaller shmtest haftest brokertest chaintest benchcheck
 	$(GO) test -count=3 -run 'TestBrokerAdmitAndCall' .
 
 # gofmt -l prints nonconforming files; any output is a failure.
@@ -45,6 +45,14 @@ vulncheck:
 build:
 	$(GO) build ./...
 
+# The package must build and vet — tests included — where the shm plane
+# is a stub. Pure-Go cross-compilation, no network, no toolchain beyond
+# the one already here; it is also the check that the stub surface in
+# shm_stub.go is whole.
+crossbuild:
+	GOOS=darwin $(GO) build ./...
+	GOOS=darwin $(GO) vet ./...
+
 test:
 	$(GO) test ./...
 
@@ -74,6 +82,31 @@ onecore:
 			grep -n "$$pat" $(ONECORE_SRC); exit 1; fi; \
 	done
 	$(GO) test -race -count=3 -run 'TestDispatch' .
+
+# The structure guard for the client half (DESIGN §5.10): supervised
+# recovery is written once. Capped-backoff doubling and the single-flight
+# done channel each appear at most twice in the root package — the rebind
+# core in supervise.go and NetClient.getConn, which is on every TCP
+# call's path and stays its own — so a third is a supervisor loop pasted
+# back. TransparentBinding picks a plane at bind time and nothing else: a
+# hand-written call method on it, or a `tb.local != nil` ladder, is the
+# old eight-way copy coming back. The Caller assertions in supervise.go
+# are the compile-time half. The second line runs the one table that
+# holds every constructor to the same edges.
+onecaller:
+	@for pat in 'backoff \*= 2' 'Done = make(chan struct{})'; do \
+		n=$$(cat $(ONECORE_SRC) | grep -v '^[[:space:]]*//' | grep -c "$$pat"); \
+		if [ "$$n" -gt 2 ]; then \
+			echo "onecaller: $$n sites of '$$pat' in the root package, want at most 2:"; \
+			grep -n "$$pat" $(ONECORE_SRC); exit 1; fi; \
+	done
+	@for pat in 'tb[.]local != nil' 'tb[.]shm != nil' 'func (tb \*TransparentBinding) \(Call\|NewBatch\)'; do \
+		if grep -n "$$pat" $(ONECORE_SRC); then \
+			echo "onecaller: TransparentBinding ladder '$$pat' in the root package, want none"; exit 1; fi; \
+	done
+	@if grep -n 'Supervis' shm.go shm_stub.go; then \
+		echo "onecaller: supervisor code in the shm transport files, want it in supervise.go"; exit 1; fi
+	$(GO) test -race -count=3 -run 'TestSupervisorEdges' .
 
 # The cross-process shared-memory integration suite, race-detector on.
 # The tests carry a linux build tag; on other platforms the packages

@@ -334,19 +334,3 @@ func (b *Binding) dispatchBulk(proc int, args []byte, dir BulkDir, segs [][]byte
 	}
 	return inv.out, inv.produced, nil
 }
-
-// CallBulk routes through the same transport ladder as Call: the
-// in-process plane's by-reference path, the shm plane's shared bulk
-// region, or the TCP plane's out-of-frame stream.
-func (tb *TransparentBinding) CallBulk(proc int, args []byte, h *BulkHandle) ([]byte, error) {
-	if b := tb.local; b != nil {
-		return b.CallBulk(proc, args, h)
-	}
-	if c := tb.shm; c != nil {
-		return c.CallBulk(proc, args, h)
-	}
-	if c := tb.remote; c != nil {
-		return c.CallBulk(proc, args, h)
-	}
-	return nil, ErrNotExported
-}

@@ -480,29 +480,3 @@ func (b *Binding) CallChainAsync(ch *Chain) (*Future, error) {
 	}()
 	return f, nil
 }
-
-// CallChain on a TransparentBinding runs the chain on whichever plane
-// the binding points at — in the same address space, in the server
-// process across shared memory, or across the network — always in the
-// server's domain.
-func (tb *TransparentBinding) CallChain(ch *Chain) ([]byte, error) {
-	if tb.local != nil {
-		return tb.local.CallChain(ch)
-	}
-	if tb.shm != nil {
-		return tb.shm.CallChain(ch)
-	}
-	return tb.remote.CallChain(ch)
-}
-
-// CallChainAsync submits the chain on whichever plane the binding
-// points at, returning a pooled Future.
-func (tb *TransparentBinding) CallChainAsync(ch *Chain) (*Future, error) {
-	if tb.local != nil {
-		return tb.local.CallChainAsync(ch)
-	}
-	if tb.shm != nil {
-		return tb.shm.CallChainAsync(ch)
-	}
-	return tb.remote.CallChainAsync(ch)
-}

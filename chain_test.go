@@ -361,19 +361,32 @@ func TestChainAsyncInProcess(t *testing.T) {
 	}
 }
 
+// TestChainTransparentBinding: the chain entry points are the chosen
+// plane's own, promoted through the binding — in process and over TCP
+// here, over shm in TestShmTransparentBindingThreeWay.
 func TestChainTransparentBinding(t *testing.T) {
 	b, _ := chainBinding(t)
-	tb := BindLocal(b)
-	out, err := tb.CallChain(NewChain().Add(0, []byte("ab")).Add(1, nil))
-	if err != nil || string(out) != "bc" {
-		t.Fatalf("local transparent chain = %q, %v", out, err)
-	}
-	f, err := tb.CallChainAsync(NewChain().Add(0, []byte("x")))
+	remote, err := DialInterface("tcp", startChainNet(t), "Pipe")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, err := f.Wait(); err != nil || string(out) != "x" {
-		t.Fatalf("local transparent async chain = %q, %v", out, err)
+	defer remote.Close()
+	for name, tb := range map[string]*TransparentBinding{"local": BindLocal(b), "tcp": BindRemote(remote)} {
+		out, err := tb.CallChain(NewChain().Add(0, []byte("ab")).Add(1, nil))
+		if err != nil || string(out) != "bc" {
+			t.Fatalf("%s transparent chain = %q, %v", name, out, err)
+		}
+		out, err = tb.CallChainContext(context.Background(), NewChain().Add(0, []byte("ab")).Add(1, nil))
+		if err != nil || string(out) != "bc" {
+			t.Fatalf("%s transparent chain under a context = %q, %v", name, out, err)
+		}
+		f, err := tb.CallChainAsync(NewChain().Add(0, []byte("x")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err := f.Wait(); err != nil || string(out) != "x" {
+			t.Fatalf("%s transparent async chain = %q, %v", name, out, err)
+		}
 	}
 }
 

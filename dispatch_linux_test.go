@@ -15,6 +15,26 @@ import (
 // default size, so the fixture's out-of-band results travel in-band here
 // — the bytes compared are the same.
 func init() {
+	// The server half of the plane on a heap-backed slot: arguments that
+	// fit are staged on it as the client would, larger ones arrive out of
+	// band as a spilled call's do.
+	dispatchEntries = append(dispatchEntries, dispatchEntry{
+		name:   "callSharedBulk",
+		adopts: true,
+		open: func(_ *testing.T, fx *dispatchFixture) func(int, []byte) ([]byte, error) {
+			return func(proc int, args []byte) ([]byte, error) {
+				slot := make([]byte, dispatchStack)
+				if len(args) <= len(slot) {
+					args = slot[:copy(slot, args)]
+				}
+				resLen, oob, _, err := fx.b.callSharedBulk(proc, slot, args, nil, 0, 0)
+				if err != nil || oob != nil {
+					return oob, err
+				}
+				return slot[:resLen], nil
+			}
+		},
+	})
 	dispatchEntries = append(dispatchEntries, dispatchEntry{
 		name:   "ShmClient.Call",
 		adopts: true,

@@ -128,7 +128,7 @@ type dispatchEntry struct {
 }
 
 // dispatchEntries starts with the reference; dispatch_linux_test.go
-// appends the real shared-memory plane.
+// appends the shared-memory plane, both halves of it.
 var dispatchEntries = []dispatchEntry{
 	{name: "CallAppend", open: func(_ *testing.T, fx *dispatchFixture) func(int, []byte) ([]byte, error) {
 		return func(proc int, args []byte) ([]byte, error) { return fx.b.CallAppend(proc, args, nil) }
@@ -155,22 +155,6 @@ var dispatchEntries = []dispatchEntry{
 	{name: "CallChain", adopts: true, open: func(_ *testing.T, fx *dispatchFixture) func(int, []byte) ([]byte, error) {
 		return func(proc int, args []byte) ([]byte, error) {
 			return fx.b.CallChain(NewChain().Add(proc, args))
-		}
-	}},
-	// The server half of the shm plane on a heap-backed slot: arguments
-	// that fit are staged on it as the client would, larger ones arrive
-	// out of band as a spilled call's do.
-	{name: "callSharedBulk", adopts: true, open: func(_ *testing.T, fx *dispatchFixture) func(int, []byte) ([]byte, error) {
-		return func(proc int, args []byte) ([]byte, error) {
-			slot := make([]byte, dispatchStack)
-			if len(args) <= len(slot) {
-				args = slot[:copy(slot, args)]
-			}
-			resLen, oob, _, err := fx.b.callSharedBulk(proc, slot, args, nil, 0, 0)
-			if err != nil || oob != nil {
-				return oob, err
-			}
-			return slot[:resLen], nil
 		}
 	}},
 }

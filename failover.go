@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -83,58 +82,81 @@ type ReplicatedStats struct {
 	Endpoint  Endpoint // the endpoint currently bound (zero if none)
 }
 
-// boundPlane is the supervisor's current transport: the binding plus the
-// registry endpoint it was built from (for failover accounting).
+// boundPlane is the supervisor's current transport: the binding, the
+// registry endpoint it was built from (for failover accounting), and the
+// plane's liveness signal for the probe.
 type boundPlane struct {
-	tb *TransparentBinding
-	ep Endpoint
+	*TransparentBinding
+	ep    Endpoint
+	alive func() bool
 }
 
 // ReplicatedSupervisor owns a service binding resolved through the
 // replicated registry and keeps it alive across server crashes, lease
 // expiries, and registry leader changes. Safe for concurrent use.
+//
+// It is the rebind core of supervise.go configured for many endpoints:
+// the dial func is resolve → rank → bind, the liveness func is the bound
+// plane's, the verdict is failoverVerdict, and a spent budget reports
+// ErrRegistryUnavailable.
 type ReplicatedSupervisor struct {
+	rebinder
+
 	name string
 	opts ReplicatedOpts
 	rc   *RegistryClient
 
-	cur atomic.Pointer[boundPlane]
-
-	mu         sync.Mutex
-	rebinding  bool
-	rebindDone chan struct{}
-	rebindErr  error
-	closed     bool
-
-	closeCh chan struct{}
-
 	resolves  atomic.Uint64
-	rebinds   atomic.Uint64
 	failovers atomic.Uint64
+}
+
+// failoverVerdict is the multi-endpoint classification: a call is sent
+// to another endpoint only when its non-execution is provable. A timeout
+// or a mid-call connection loss may have executed, so it is surfaced —
+// and the endpoint, now suspect, is replaced in the background.
+func failoverVerdict(err error) verdict {
+	switch {
+	case notExecuted(err):
+		return resend
+	case errors.Is(err, ErrCallTimeout), errors.Is(err, ErrConnClosed), errors.Is(err, ErrCallFailed):
+		return suspect
+	}
+	return surface
 }
 
 // SuperviseReplicated resolves name through the registry replicas at
 // registryAddrs, binds to the best live endpoint, and returns a
 // supervisor that fails over transparently. The initial resolve-and-bind
-// is synchronous: an error means no replica answered or no endpoint was
-// reachable.
+// is synchronous and spends a full recovery round: an error means no
+// replica answered or no endpoint was reachable.
 func SuperviseReplicated(name string, opts ReplicatedOpts, registryAddrs ...string) (*ReplicatedSupervisor, error) {
 	if len(registryAddrs) == 0 {
 		return nil, errors.New("lrpc: SuperviseReplicated requires at least one registry address")
 	}
 	opts.fill()
 	s := &ReplicatedSupervisor{
-		name:    name,
-		opts:    opts,
-		rc:      NewRegistryClient(registryAddrs, opts.Registry),
-		closeCh: make(chan struct{}),
+		name: name,
+		opts: opts,
+		rc:   NewRegistryClient(registryAddrs, opts.Registry),
 	}
-	if err := s.runRebind(context.Background(), Endpoint{}); err != nil {
+	s.rebinder = rebinder{
+		dial:           s.resolveAndBind,
+		alive:          func(c Caller) bool { return c.(*boundPlane).alive() },
+		classify:       failoverVerdict,
+		installed:      s.account,
+		exhausted:      ErrRegistryUnavailable,
+		attempts:       opts.RebindAttempts,
+		backoffInitial: opts.RebindBackoffInitial,
+		backoffMax:     opts.RebindBackoffMax,
+		retryFailed:    opts.RetryFailedCalls,
+		closeCh:        make(chan struct{}),
+	}
+	if err := s.round(context.Background()); err != nil {
 		s.rc.Close()
 		return nil, err
 	}
 	if opts.ProbeInterval > 0 {
-		go s.probeLoop()
+		go s.every(opts.ProbeInterval, s.probe)
 	}
 	return s, nil
 }
@@ -145,7 +167,7 @@ func (s *ReplicatedSupervisor) Registry() *RegistryClient { return s.rc }
 
 // Endpoint returns the endpoint the supervisor is currently bound to.
 func (s *ReplicatedSupervisor) Endpoint() Endpoint {
-	if bp := s.cur.Load(); bp != nil {
+	if bp, ok := s.current().(*boundPlane); ok {
 		return bp.ep
 	}
 	return Endpoint{}
@@ -153,205 +175,57 @@ func (s *ReplicatedSupervisor) Endpoint() Endpoint {
 
 // Stats snapshots the recovery counters.
 func (s *ReplicatedSupervisor) Stats() ReplicatedStats {
-	st := ReplicatedStats{
+	return ReplicatedStats{
 		Resolves:  s.resolves.Load(),
 		Rebinds:   s.rebinds.Load(),
 		Failovers: s.failovers.Load(),
+		Endpoint:  s.Endpoint(),
 	}
-	if bp := s.cur.Load(); bp != nil {
-		st.Endpoint = bp.ep
-	}
-	return st
 }
 
 // Close stops the supervisor: the prober exits, the current transport is
 // released, and subsequent calls fail with ErrSupervisorClosed.
 func (s *ReplicatedSupervisor) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.shut() {
 		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.closeCh)
-	if bp := s.cur.Swap(nil); bp != nil {
-		_ = bp.tb.Close()
 	}
 	return s.rc.Close()
 }
 
-// Call invokes the procedure through the current binding, failing over
-// between endpoints when non-execution is provable.
-func (s *ReplicatedSupervisor) Call(proc int, args []byte) ([]byte, error) {
-	return s.CallContext(context.Background(), proc, args)
-}
-
-// CallContext is Call under a context.
-func (s *ReplicatedSupervisor) CallContext(ctx context.Context, proc int, args []byte) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt <= s.opts.RebindAttempts; attempt++ {
-		select {
-		case <-s.closeCh:
-			return nil, ErrSupervisorClosed
-		default:
-		}
-		bp := s.cur.Load()
-		if bp == nil {
-			if err := s.rebind(ctx, nil); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		res, err := bp.tb.CallContext(ctx, proc, args)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		switch {
-		case notExecuted(err):
-			// Provably never executed: fail over and re-send.
-		case errors.Is(err, ErrCallFailed) && s.opts.RetryFailedCalls:
-			// The handler may have run; the caller opted into re-execution.
-		case errors.Is(err, ErrCallTimeout),
-			errors.Is(err, ErrConnClosed),
-			errors.Is(err, ErrCallFailed):
-			// The call may have executed (in-flight when the transport or
-			// handler died): surface the error — re-sending it elsewhere
-			// would break at-most-once — but recover in the background so
-			// the next call finds a live binding.
-			go func() { _ = s.rebind(context.Background(), bp) }()
-			return res, err
-		default:
-			return res, err
-		}
-		if err := s.rebind(ctx, bp); err != nil {
-			return nil, err
-		}
-	}
-	return nil, lastErr
-}
-
-// rebind replaces a dead binding, single-flight across concurrent
-// callers (the same discipline as Supervisor.rebind).
-func (s *ReplicatedSupervisor) rebind(ctx context.Context, stale *boundPlane) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrSupervisorClosed
-	}
-	if cur := s.cur.Load(); cur != nil && cur != stale {
-		s.mu.Unlock()
-		return nil // another caller already recovered
-	}
-	if s.rebinding {
-		done := s.rebindDone
-		s.mu.Unlock()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return timeoutError(ctx.Err())
-		case <-s.closeCh:
-			return ErrSupervisorClosed
-		}
-		s.mu.Lock()
-		err := s.rebindErr
-		cur := s.cur.Load()
-		s.mu.Unlock()
-		if cur != nil {
-			return nil
-		}
-		if err == nil {
-			err = ErrRegistryUnavailable
-		}
-		return err
-	}
-	s.rebinding = true
-	s.rebindDone = make(chan struct{})
-	done := s.rebindDone
-	s.mu.Unlock()
-
+// resolveAndBind is the one-attempt dial func: resolve through any live
+// registry replica, rank the endpoints (in-process → shm → TCP, the
+// endpoint being replaced demoted to last resort), and bind the first
+// that answers. The core retries it under backoff — long enough for a
+// lease expiry or a registry election to converge under it.
+func (s *ReplicatedSupervisor) resolveAndBind(old Caller) (Caller, error) {
 	var failed Endpoint
-	if stale != nil {
-		failed = stale.ep
+	if bp, ok := old.(*boundPlane); ok {
+		failed = bp.ep
 	}
-	err := s.runRebind(ctx, failed)
-	s.mu.Lock()
-	s.rebinding = false
-	s.rebindErr = err
-	s.mu.Unlock()
-	close(done)
-	return err
-}
-
-// runRebind is one recovery round: resolve through any live registry
-// replica, rank the endpoints (in-process → shm → TCP, the just-failed
-// endpoint demoted to last resort), and bind the first that answers.
-// Retries under capped exponential backoff until the attempt budget is
-// spent — long enough for a lease expiry or a registry election to
-// converge under it.
-func (s *ReplicatedSupervisor) runRebind(ctx context.Context, failed Endpoint) error {
-	backoff := s.opts.RebindBackoffInitial
-	var lastErr error
-	for attempt := 0; attempt < s.opts.RebindAttempts; attempt++ {
-		select {
-		case <-s.closeCh:
-			return ErrSupervisorClosed
-		case <-ctx.Done():
-			return timeoutError(ctx.Err())
-		default:
-		}
-		eps, err := s.rc.Resolve(s.name)
-		s.resolves.Add(1)
+	eps, err := s.rc.Resolve(s.name)
+	s.resolves.Add(1)
+	if err != nil {
+		return nil, err
+	}
+	bindErr := fmt.Errorf("%w: registry returned no endpoints", ErrNoSuchName)
+	for _, ep := range rankEndpoints(eps, failed) {
+		bp, err := s.bindEndpoint(ep)
 		if err == nil {
-			var bindErr error
-			for _, ep := range rankEndpoints(eps, failed) {
-				tb, err := s.bindEndpoint(ep)
-				if err != nil {
-					bindErr = fmt.Errorf("bind %s: %w", ep, err)
-					continue
-				}
-				s.install(tb, ep)
-				return nil
-			}
-			lastErr = bindErr
-			if lastErr == nil {
-				lastErr = fmt.Errorf("%w: registry returned no endpoints", ErrNoSuchName)
-			}
-		} else {
-			lastErr = err
+			return bp, nil
 		}
-		t := time.NewTimer(backoff)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return timeoutError(ctx.Err())
-		case <-s.closeCh:
-			t.Stop()
-			return ErrSupervisorClosed
-		}
-		backoff *= 2
-		if backoff > s.opts.RebindBackoffMax {
-			backoff = s.opts.RebindBackoffMax
-		}
+		bindErr = fmt.Errorf("bind %s: %w", ep, err)
 	}
-	return fmt.Errorf("%w: failover rebind failed after %d attempts: %v",
-		ErrRegistryUnavailable, s.opts.RebindAttempts, lastErr)
+	return nil, bindErr
 }
 
-// install publishes a fresh binding, releasing the old transport and
-// accounting the rebind (and failover, when the endpoint changed).
-func (s *ReplicatedSupervisor) install(tb *TransparentBinding, ep Endpoint) {
-	old := s.cur.Swap(&boundPlane{tb: tb, ep: ep})
-	s.rebinds.Add(1)
+// account records a published binding: a rebind always, a failover when
+// the endpoint changed.
+func (s *ReplicatedSupervisor) account(old, cur Caller) {
+	ep := cur.(*boundPlane).ep
 	s.emit(TraceRebind, ep, nil)
-	if old != nil {
-		_ = old.tb.Close()
-		if old.ep != ep {
-			s.failovers.Add(1)
-			s.emit(TraceFailover, ep, nil)
-		}
+	if bp, ok := old.(*boundPlane); ok && bp.ep != ep {
+		s.failovers.Add(1)
+		s.emit(TraceFailover, ep, nil)
 	}
 }
 
@@ -387,8 +261,11 @@ func rankEndpoints(eps []Endpoint, failed Endpoint) []Endpoint {
 	return out
 }
 
-// bindEndpoint builds the transport for one endpoint.
-func (s *ReplicatedSupervisor) bindEndpoint(ep Endpoint) (*TransparentBinding, error) {
+// bindEndpoint builds the transport for one endpoint, with the liveness
+// signal its plane offers: a local binding is dead once revoked, a shm
+// session once its peer died; a NetClient redials itself, so there is
+// nothing for the probe to see — its failures reach the verdict instead.
+func (s *ReplicatedSupervisor) bindEndpoint(ep Endpoint) (*boundPlane, error) {
 	switch ep.Plane {
 	case PlaneInproc:
 		if s.opts.Local == nil {
@@ -398,17 +275,17 @@ func (s *ReplicatedSupervisor) bindEndpoint(ep Endpoint) (*TransparentBinding, e
 		if err != nil {
 			return nil, err
 		}
-		return BindLocal(b), nil
+		return &boundPlane{BindLocal(b), ep, func() bool { return !b.Revoked() }}, nil
 	case PlaneShm:
 		dial := s.opts.ShmDial
 		if dial == nil {
-			dial = func(path, name string) (*ShmClient, error) { return DialShm(path, name) }
+			dial = DialShm
 		}
 		c, err := dial(ep.Addr, s.name)
 		if err != nil {
 			return nil, err
 		}
-		return BindShm(c), nil
+		return &boundPlane{BindShm(c), ep, func() bool { return !c.peerDied() }}, nil
 	case PlaneTCP:
 		dopts := s.opts.Net
 		addr := ep.Addr
@@ -421,30 +298,8 @@ func (s *ReplicatedSupervisor) bindEndpoint(ep Endpoint) (*TransparentBinding, e
 		if err != nil {
 			return nil, err
 		}
-		return BindRemote(c), nil
+		return &boundPlane{BindRemote(c), ep, func() bool { return true }}, nil
 	default:
 		return nil, fmt.Errorf("lrpc: unknown endpoint plane %q", ep.Plane)
-	}
-}
-
-// probeLoop is the background health prober: a supervisor whose binding
-// died (or was revoked) recovers ahead of the next call.
-func (s *ReplicatedSupervisor) probeLoop() {
-	t := time.NewTicker(s.opts.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.closeCh:
-			return
-		case <-t.C:
-		}
-		bp := s.cur.Load()
-		if bp == nil {
-			_ = s.rebind(context.Background(), nil)
-			continue
-		}
-		if bp.tb.local != nil && bp.tb.local.Revoked() {
-			_ = s.rebind(context.Background(), bp)
-		}
 	}
 }

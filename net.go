@@ -1563,69 +1563,6 @@ func (c *NetClient) Close() error {
 	return nil
 }
 
-// TransparentBinding serves the paper's transparency requirement: one
-// callable handle whose transport — in-process direct transfer,
-// same-machine shared memory, or cross-machine TCP — is decided once at
-// bind time and tested at the first instructions of Call. The ladder is
-// the paper's Table 1 read as a decision procedure: prefer the cheapest
-// plane that actually crosses the boundary the peers sit on.
-type TransparentBinding struct {
-	local  *Binding
-	shm    *ShmClient
-	remote *NetClient
-}
-
-// BindLocal wraps a local binding.
-func BindLocal(b *Binding) *TransparentBinding { return &TransparentBinding{local: b} }
-
-// BindShm wraps a same-machine, separate-process shared-memory session.
-func BindShm(c *ShmClient) *TransparentBinding { return &TransparentBinding{shm: c} }
-
-// BindRemote wraps a network client.
-func BindRemote(c *NetClient) *TransparentBinding { return &TransparentBinding{remote: c} }
-
-// Remote reports whether calls cross the machine boundary.
-func (tb *TransparentBinding) Remote() bool { return tb.remote != nil }
-
-// SameMachine reports whether calls cross a process boundary but stay
-// on this machine (the shared-memory plane).
-func (tb *TransparentBinding) SameMachine() bool { return tb.shm != nil }
-
-// Call invokes the procedure on whichever plane the binding points at.
-func (tb *TransparentBinding) Call(proc int, args []byte) ([]byte, error) {
-	if tb.local != nil { // in-process, first instruction
-		return tb.local.Call(proc, args)
-	}
-	if tb.shm != nil { // same machine, different protection domain
-		return tb.shm.Call(proc, args)
-	}
-	return tb.remote.Call(proc, args)
-}
-
-// CallContext invokes the procedure under a context on any plane.
-func (tb *TransparentBinding) CallContext(ctx context.Context, proc int, args []byte) ([]byte, error) {
-	if tb.local != nil {
-		return tb.local.CallContext(ctx, proc, args)
-	}
-	if tb.shm != nil {
-		return tb.shm.CallContext(ctx, proc, args)
-	}
-	return tb.remote.CallContext(ctx, proc, args)
-}
-
-// Close releases the transport behind the binding: the shm session or
-// TCP connection is closed; a purely local binding holds no transport
-// resources and is left to the export's lifecycle.
-func (tb *TransparentBinding) Close() error {
-	if tb.shm != nil {
-		return tb.shm.Close()
-	}
-	if tb.remote != nil {
-		return tb.remote.Close()
-	}
-	return nil
-}
-
 // --- framing ---
 
 // frameBufPool recycles the per-write frame buffers on both sides of the

@@ -362,41 +362,3 @@ func appendRequestFrame(dst []byte, id uint64, name string, procWord uint32, arg
 	dst = binary.LittleEndian.AppendUint32(dst, procWord)
 	return append(dst, args...)
 }
-
-// --- TransparentBinding: the async ladder ---
-
-// CallAsync submits an asynchronous call on whichever plane the binding
-// points at, with the same bind-time transport decision as Call.
-func (tb *TransparentBinding) CallAsync(proc int, args []byte) (*Future, error) {
-	if tb.local != nil {
-		return tb.local.CallAsync(proc, args)
-	}
-	if tb.shm != nil {
-		return tb.shm.CallAsync(proc, args)
-	}
-	return tb.remote.CallAsync(proc, args)
-}
-
-// CallOneWay submits a fire-and-forget call on whichever plane the
-// binding points at.
-func (tb *TransparentBinding) CallOneWay(proc int, args []byte) error {
-	if tb.local != nil {
-		return tb.local.CallOneWay(proc, args)
-	}
-	if tb.shm != nil {
-		return tb.shm.CallOneWay(proc, args)
-	}
-	return tb.remote.CallOneWay(proc, args)
-}
-
-// NewBatch builds a submission batch over whichever plane the binding
-// points at.
-func (tb *TransparentBinding) NewBatch() *Batch {
-	if tb.local != nil {
-		return tb.local.NewBatch()
-	}
-	if tb.shm != nil {
-		return tb.shm.NewBatch()
-	}
-	return tb.remote.NewBatch()
-}

@@ -17,7 +17,7 @@ package lrpc
 //   - a supervisor that owns a binding, health-probes it, and
 //     transparently re-imports after ErrRevoked — the paper's "bindings
 //     are revoked on domain termination" made survivable by automatic
-//     client recovery;
+//     client recovery (supervise.go);
 //   - an orphan-activation reaper accounting for abandoned activations
 //     (deadline-abandoned calls whose handlers are still running, possibly
 //     inside terminated exports) until they actually return.
@@ -30,9 +30,7 @@ package lrpc
 // flow through the Tracer hook of metrics.go.
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -396,293 +394,6 @@ func (br *breaker) failure(now time.Time) (openedNow bool) {
 	br.mu.Unlock()
 	br.until.Store(now.Add(d).UnixNano())
 	return br.state.Swap(brOpen) != brOpen
-}
-
-// --- Supervisor: automatic client recovery across domain termination ---
-
-// SupervisorOpts tunes Supervise. The zero value selects defaults.
-type SupervisorOpts struct {
-	// RebindAttempts bounds the import retries of one recovery round
-	// (and the call retries across rounds). 0 selects 20.
-	RebindAttempts int
-	// RebindBackoffInitial/Max shape the capped exponential backoff
-	// between import attempts. Zero values select 1ms and 100ms.
-	RebindBackoffInitial time.Duration
-	RebindBackoffMax     time.Duration
-	// ProbeInterval is the health-probe period: the supervisor checks
-	// its binding and rebinds proactively when it finds it revoked, so
-	// recovery usually completes before the next call arrives. 0 selects
-	// 50ms; negative disables the background prober (calls still recover
-	// on demand).
-	ProbeInterval time.Duration
-	// ReapInterval is the orphan-reaper period (System.ReapOrphans on
-	// the supervised system). 0 selects the probe interval; negative
-	// disables the background reaper.
-	ReapInterval time.Duration
-	// RetryFailedCalls also retries calls that resolved ErrCallFailed —
-	// the handler may have executed, so enable this only for idempotent
-	// interfaces. ErrRevoked calls (which never reached a handler) are
-	// always retried.
-	RetryFailedCalls bool
-}
-
-func (o *SupervisorOpts) fill() {
-	if o.RebindAttempts <= 0 {
-		o.RebindAttempts = 20
-	}
-	if o.RebindBackoffInitial <= 0 {
-		o.RebindBackoffInitial = time.Millisecond
-	}
-	if o.RebindBackoffMax <= 0 {
-		o.RebindBackoffMax = 100 * time.Millisecond
-	}
-	if o.ProbeInterval == 0 {
-		o.ProbeInterval = 50 * time.Millisecond
-	}
-	if o.ReapInterval == 0 {
-		o.ReapInterval = o.ProbeInterval
-	}
-}
-
-// Supervisor owns a binding on the caller's behalf: calls go through the
-// current binding, and when the server domain terminates (ErrRevoked)
-// the supervisor re-imports — with backoff, single-flight across
-// concurrent callers — and retries, reproducing the paper's revocation
-// semantics with automatic recovery. A background prober rebinds ahead
-// of demand and a background reaper accounts for orphaned activations.
-type Supervisor struct {
-	importFn func() (*Binding, error)
-	opts     SupervisorOpts
-	sys      *System
-
-	cur     atomic.Pointer[Binding]
-	rebinds atomic.Uint64
-
-	mu         sync.Mutex
-	rebinding  bool
-	rebindDone chan struct{}
-	rebindErr  error
-	closed     bool
-
-	closeCh chan struct{}
-}
-
-// Supervise imports eagerly through importFn and returns a supervisor
-// owning the resulting binding. importFn is re-run (with backoff) after
-// every revocation; it must be safe for concurrent use with the calls.
-func Supervise(importFn func() (*Binding, error), opts SupervisorOpts) (*Supervisor, error) {
-	if importFn == nil {
-		return nil, errors.New("lrpc: Supervise requires an import function")
-	}
-	opts.fill()
-	b, err := importFn()
-	if err != nil {
-		return nil, err
-	}
-	s := &Supervisor{importFn: importFn, opts: opts, sys: b.sys, closeCh: make(chan struct{})}
-	s.cur.Store(b)
-	if opts.ProbeInterval > 0 || opts.ReapInterval > 0 {
-		go s.background()
-	}
-	return s, nil
-}
-
-// Binding returns the supervisor's current binding (which may be revoked
-// if a rebind is in progress).
-func (s *Supervisor) Binding() *Binding { return s.cur.Load() }
-
-// Rebinds returns how many times the supervisor re-imported.
-func (s *Supervisor) Rebinds() uint64 { return s.rebinds.Load() }
-
-// Close stops the supervisor's background goroutine and fails subsequent
-// calls with ErrSupervisorClosed. The current binding is left intact.
-func (s *Supervisor) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.closeCh)
-}
-
-// Call invokes the procedure through the current binding, recovering
-// across domain termination.
-func (s *Supervisor) Call(proc int, args []byte) ([]byte, error) {
-	return s.callPrio(context.Background(), proc, args, PriorityNormal)
-}
-
-// CallContext is Call under a context.
-func (s *Supervisor) CallContext(ctx context.Context, proc int, args []byte) ([]byte, error) {
-	return s.callPrio(ctx, proc, args, PriorityNormal)
-}
-
-// CallWithOpts is Call with per-call options (deadline, priority).
-func (s *Supervisor) CallWithOpts(proc int, args []byte, opts CallOpts) ([]byte, error) {
-	if opts.Deadline.IsZero() {
-		return s.callPrio(context.Background(), proc, args, opts.Priority)
-	}
-	ctx, cancel := context.WithDeadline(context.Background(), opts.Deadline)
-	defer cancel()
-	return s.callPrio(ctx, proc, args, opts.Priority)
-}
-
-func (s *Supervisor) callPrio(ctx context.Context, proc int, args []byte, prio Priority) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt <= s.opts.RebindAttempts; attempt++ {
-		select {
-		case <-s.closeCh:
-			return nil, ErrSupervisorClosed
-		default:
-		}
-		b := s.cur.Load()
-		if b == nil || b.Revoked() {
-			if err := s.rebind(ctx, b); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		res, err := b.callContextPrio(ctx, proc, args, prio)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		switch {
-		case errors.Is(err, ErrRevoked):
-			// The call never reached a handler: always safe to retry
-			// over a fresh binding.
-		case errors.Is(err, ErrCallFailed) && s.opts.RetryFailedCalls:
-			// The handler may have run; the caller opted into re-execution.
-		case errors.Is(err, ErrCallFailed):
-			// Not retry-safe, but the domain died under us: recover in
-			// the background so the next call finds a live binding.
-			go func() { _ = s.rebind(context.Background(), b) }()
-			return res, err
-		default:
-			return res, err
-		}
-		if err := s.rebind(ctx, b); err != nil {
-			return nil, err
-		}
-	}
-	return nil, lastErr
-}
-
-// rebind replaces a stale binding, single-flight: one caller runs the
-// import loop, concurrent callers wait on its outcome.
-func (s *Supervisor) rebind(ctx context.Context, stale *Binding) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrSupervisorClosed
-	}
-	if cur := s.cur.Load(); cur != nil && cur != stale && !cur.Revoked() {
-		s.mu.Unlock()
-		return nil // another caller already recovered
-	}
-	if s.rebinding {
-		done := s.rebindDone
-		s.mu.Unlock()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return timeoutError(ctx.Err())
-		case <-s.closeCh:
-			return ErrSupervisorClosed
-		}
-		s.mu.Lock()
-		err := s.rebindErr
-		cur := s.cur.Load()
-		s.mu.Unlock()
-		if cur != nil && !cur.Revoked() {
-			return nil
-		}
-		if err == nil {
-			err = ErrRevoked
-		}
-		return err
-	}
-	s.rebinding = true
-	s.rebindDone = make(chan struct{})
-	done := s.rebindDone
-	s.mu.Unlock()
-
-	err := s.runRebind(ctx)
-	s.mu.Lock()
-	s.rebinding = false
-	s.rebindErr = err
-	s.mu.Unlock()
-	close(done)
-	return err
-}
-
-// runRebind is one recovery round: importFn under capped exponential
-// backoff until it yields a live binding or the attempt budget is spent.
-func (s *Supervisor) runRebind(ctx context.Context) error {
-	backoff := s.opts.RebindBackoffInitial
-	var lastErr error
-	for attempt := 0; attempt < s.opts.RebindAttempts; attempt++ {
-		b, err := s.importFn()
-		if err == nil && b != nil && b.Revoked() {
-			// Import raced a termination and handed back an
-			// already-revoked binding; treat it as a miss and retry.
-			err = ErrRevoked
-		}
-		if err == nil && b != nil {
-			s.cur.Store(b)
-			s.rebinds.Add(1)
-			b.sys.emitTrace(TraceRebind, b.exp.iface.Name, "", nil)
-			return nil
-		}
-		if err == nil {
-			err = ErrNotExported
-		}
-		lastErr = err
-		t := time.NewTimer(backoff)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return timeoutError(ctx.Err())
-		case <-s.closeCh:
-			t.Stop()
-			return ErrSupervisorClosed
-		}
-		backoff *= 2
-		if backoff > s.opts.RebindBackoffMax {
-			backoff = s.opts.RebindBackoffMax
-		}
-	}
-	return fmt.Errorf("%w: supervisor rebind failed after %d attempts: %v",
-		ErrRevoked, s.opts.RebindAttempts, lastErr)
-}
-
-// background is the supervisor's prober/reaper loop.
-func (s *Supervisor) background() {
-	var probeC, reapC <-chan time.Time
-	if s.opts.ProbeInterval > 0 {
-		t := time.NewTicker(s.opts.ProbeInterval)
-		defer t.Stop()
-		probeC = t.C
-	}
-	if s.opts.ReapInterval > 0 {
-		t := time.NewTicker(s.opts.ReapInterval)
-		defer t.Stop()
-		reapC = t.C
-	}
-	for {
-		select {
-		case <-s.closeCh:
-			return
-		case <-probeC:
-			if b := s.cur.Load(); b == nil || b.Revoked() {
-				_ = s.rebind(context.Background(), b)
-			}
-		case <-reapC:
-			s.sys.ReapOrphans()
-		}
-	}
 }
 
 // Revoked reports whether the binding has been revoked (its exporting

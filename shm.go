@@ -1950,157 +1950,15 @@ func (c *ShmClient) Close() error {
 	return nil
 }
 
-// --- supervised recovery across peer restarts ---
-
-// ShmSupervisor is Supervise for the shared-memory plane: it holds the
-// current session, retries revoked calls through a single-flight
-// redial with capped backoff, and probes in the background so recovery
-// usually completes before the next call arrives.
-type ShmSupervisor struct {
-	dial func() (*ShmClient, error)
-	opts SupervisorOpts
-
-	cur     atomic.Pointer[ShmClient]
-	rebinds atomic.Uint64
-
-	mu     sync.Mutex
-	closed bool
-
-	closeCh chan struct{}
-}
-
-// SuperviseShm dials the first session and supervises it. The dial
-// function is retried with the supervisor's backoff whenever the
-// session's binding is revoked (server restart, export termination, or
-// peer crash).
-func SuperviseShm(dial func() (*ShmClient, error), opts SupervisorOpts) (*ShmSupervisor, error) {
-	opts.fill()
-	c, err := dial()
-	if err != nil {
-		return nil, err
-	}
-	s := &ShmSupervisor{dial: dial, opts: opts, closeCh: make(chan struct{})}
-	s.cur.Store(c)
-	if opts.ProbeInterval > 0 {
-		go s.probe()
-	}
-	return s, nil
-}
-
-// Client returns the current session (nil after Close).
-func (s *ShmSupervisor) Client() *ShmClient { return s.cur.Load() }
-
-// Rebinds returns how many times the supervisor re-dialed.
-func (s *ShmSupervisor) Rebinds() uint64 { return s.rebinds.Load() }
-
-// Close stops the supervisor and closes its current session.
-func (s *ShmSupervisor) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.closeCh)
-	s.mu.Unlock()
-	if c := s.cur.Load(); c != nil {
-		c.Close()
-	}
-	return nil
-}
-
-// Call invokes proc, recovering revoked sessions transparently.
-func (s *ShmSupervisor) Call(proc int, args []byte) ([]byte, error) {
-	return s.CallContext(context.Background(), proc, args)
-}
-
-// CallContext invokes proc under ctx with supervised recovery.
-func (s *ShmSupervisor) CallContext(ctx context.Context, proc int, args []byte) ([]byte, error) {
-	for try := 0; ; try++ {
-		c := s.cur.Load()
-		if c == nil {
-			return nil, ErrSupervisorClosed
-		}
-		out, err := c.CallContext(ctx, proc, args)
-		if err == nil {
-			return out, nil
-		}
-		retry := errors.Is(err, ErrRevoked)
-		if errors.Is(err, ErrCallFailed) && !errors.Is(err, ErrRevoked) {
-			// The handler may have executed: retry only when the
-			// interface is declared idempotent.
-			if !s.opts.RetryFailedCalls {
-				go s.rebindFrom(c)
-				return nil, err
-			}
-			retry = true
-		}
-		if !retry || try >= s.opts.RebindAttempts {
-			return nil, err
-		}
-		if rerr := s.rebindFrom(c); rerr != nil {
-			return nil, err
-		}
-	}
-}
-
-// rebindFrom replaces the session old with a fresh dial, single-flight:
-// concurrent callers that lost the race return immediately and retry on
-// the session the winner installed.
-func (s *ShmSupervisor) rebindFrom(old *ShmClient) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrSupervisorClosed
-	}
-	if s.cur.Load() != old {
-		return nil // someone already rebound
-	}
-	backoff := s.opts.RebindBackoffInitial
-	var lastErr error
-	for i := 0; i < s.opts.RebindAttempts; i++ {
-		c, err := s.dial()
-		if err == nil {
-			old.Close()
-			s.cur.Store(c)
-			s.rebinds.Add(1)
-			return nil
-		}
-		lastErr = err
-		select {
-		case <-s.closeCh:
-			return ErrSupervisorClosed
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-		if backoff > s.opts.RebindBackoffMax {
-			backoff = s.opts.RebindBackoffMax
-		}
-	}
-	return fmt.Errorf("%w: shm rebind failed after %d attempts: %v",
-		ErrRevoked, s.opts.RebindAttempts, lastErr)
-}
-
-// probe rebinds proactively when the current session dies.
-func (s *ShmSupervisor) probe() {
-	t := time.NewTicker(s.opts.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.closeCh:
-			return
-		case <-t.C:
-		}
-		c := s.cur.Load()
-		if c == nil {
-			return
-		}
-		select {
-		case <-c.dead:
-			if !c.userClosed.Load() {
-				s.rebindFrom(c)
-			}
-		default:
-		}
+// peerDied reports whether the session died under its owner — the peer
+// crashed, restarted or terminated the export — rather than being closed
+// by it: the liveness signal supervised recovery (supervise.go) re-dials
+// on.
+func (c *ShmClient) peerDied() bool {
+	select {
+	case <-c.dead:
+		return !c.userClosed.Load()
+	default:
+		return false
 	}
 }

@@ -330,6 +330,10 @@ func TestShmTransparentBindingThreeWay(t *testing.T) {
 	if err != nil || string(out) != "via shm" {
 		t.Fatalf("three-way shm call = %q, %v", out, err)
 	}
+	out, err = tb.CallChainContext(context.Background(), NewChain().Add(0, []byte("chained")).Add(0, nil))
+	if err != nil || string(out) != "chained" {
+		t.Fatalf("three-way shm chain under a context = %q, %v", out, err)
+	}
 	// And the in-process arm still wins when present.
 	sysL := NewSystem()
 	if _, err := sysL.Export(shmTestIface("Local", nil)); err != nil {

@@ -126,27 +126,5 @@ func (c *ShmClient) Close() error { return nil }
 // Stats returns zeroes on this platform.
 func (c *ShmClient) Stats() ShmClientStats { return ShmClientStats{} }
 
-// ShmSupervisor is unavailable on this platform; see shm.go (linux).
-type ShmSupervisor struct{}
-
-// SuperviseShm fails with ErrShmUnsupported.
-func SuperviseShm(dial func() (*ShmClient, error), opts SupervisorOpts) (*ShmSupervisor, error) {
-	return nil, ErrShmUnsupported
-}
-
-// Client returns nil on this platform.
-func (s *ShmSupervisor) Client() *ShmClient { return nil }
-
-// Rebinds returns 0 on this platform.
-func (s *ShmSupervisor) Rebinds() uint64 { return 0 }
-
-// Close is a no-op on this platform.
-func (s *ShmSupervisor) Close() error { return nil }
-
-// Call fails with ErrShmUnsupported.
-func (s *ShmSupervisor) Call(proc int, args []byte) ([]byte, error) { return nil, ErrShmUnsupported }
-
-// CallContext fails with ErrShmUnsupported.
-func (s *ShmSupervisor) CallContext(ctx context.Context, proc int, args []byte) ([]byte, error) {
-	return nil, ErrShmUnsupported
-}
+// peerDied is false on this platform: no session ever lived.
+func (c *ShmClient) peerDied() bool { return false }

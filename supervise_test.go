@@ -1,0 +1,246 @@
+package lrpc
+
+// One table over the supervisor constructors: the recovery sequence is
+// written once (supervise.go), so its edges — Close against a rebind in
+// progress, a caller's context against the backoff sleep, calls after
+// Close, the exhaustion sentinel — are asserted once and must hold for
+// every configuration. supervise_linux_test.go appends the shm row.
+// Everything here is public API; waits are on events with a deadline.
+
+import (
+	"context"
+	"errors"
+	"net"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// supervisedFixture is one supervisor over one live server.
+type supervisedFixture struct {
+	sup   Caller
+	close func()
+	// kill takes the server away for good: no successor ever appears.
+	kill func()
+	// dials carries one token per dial attempt made after kill.
+	dials chan struct{}
+	armed atomic.Bool
+}
+
+func newSupervisedFixture() *supervisedFixture {
+	// Sized past any attempt budget a row configures, so a token is never
+	// dropped while the test still counts them.
+	return &supervisedFixture{dials: make(chan struct{}, 256)}
+}
+
+// dialed is called from every row's dial hook.
+func (fx *supervisedFixture) dialed() {
+	if fx.armed.Load() {
+		select {
+		case fx.dials <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// awaitDials blocks until n dial attempts have been made since kill.
+func (fx *supervisedFixture) awaitDials(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-fx.dials:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d dial attempts seen after the server died", i, n)
+		}
+	}
+}
+
+// superviseRow is one constructor. Zero budget arguments select the
+// constructor's defaults.
+type superviseRow struct {
+	name      string
+	exhausted error
+	open      func(t *testing.T, attempts int, backoff time.Duration) *supervisedFixture
+}
+
+var superviseRows = []superviseRow{
+	{name: "Supervise", exhausted: ErrRevoked, open: openSupervise},
+	{name: "SuperviseReplicated", exhausted: ErrRegistryUnavailable, open: openSuperviseReplicated},
+}
+
+func nullInterface(name string) *Interface {
+	return &Interface{Name: name, Procs: []Proc{{
+		Name: "Null", AStackSize: 8, Handler: func(c *Call) { c.ResultsBuf(0) },
+	}}}
+}
+
+func openSupervise(t *testing.T, attempts int, backoff time.Duration) *supervisedFixture {
+	t.Helper()
+	sys := NewSystem()
+	exp, err := sys.Export(nullInterface("Svc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := newSupervisedFixture()
+	sup, err := Supervise(func() (*Binding, error) {
+		fx.dialed()
+		return sys.Import("Svc")
+	}, SupervisorOpts{
+		RebindAttempts:       attempts,
+		RebindBackoffInitial: backoff,
+		RebindBackoffMax:     backoff,
+		ProbeInterval:        -1,
+		ReapInterval:         -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx.sup, fx.close = sup, sup.Close
+	fx.kill = func() {
+		fx.armed.Store(true)
+		exp.Terminate()
+	}
+	t.Cleanup(sup.Close)
+	return fx
+}
+
+// startTestRegistry runs a one-replica registry and returns its address
+// list; a lone replica elects itself within a few heartbeats.
+func startTestRegistry(t *testing.T) []string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{ln.Addr().String()}
+	rep, err := StartRegistryReplica(0, addrs, RegistryOpts{HeartbeatInterval: 10 * time.Millisecond, Listener: ln})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rep.Stop)
+	return addrs
+}
+
+// registerForever registers eps under name with a lease that outlives
+// the test, so a killed server stays resolvable: the registry keeps
+// answering and every bind attempt fails at the endpoint.
+func registerForever(t *testing.T, addrs []string, name string, eps ...Endpoint) {
+	t.Helper()
+	rc := NewRegistryClient(addrs, RegistryClientOpts{})
+	defer rc.Close()
+	if _, err := rc.Register(name, time.Hour, eps...); err != nil {
+		t.Fatalf("register %s: %v", name, err)
+	}
+}
+
+// openSuperviseReplicated binds in process, so kill is as synchronous as
+// the Supervise row's. The service also lists a TCP endpoint nobody
+// serves: once the local export is gone every recovery attempt tries it
+// first (the failed endpoint is the last resort), which is the dial the
+// fixture counts.
+func openSuperviseReplicated(t *testing.T, attempts int, backoff time.Duration) *supervisedFixture {
+	t.Helper()
+	sys := NewSystem()
+	exp, err := sys.Export(nullInterface("svc.null"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := startTestRegistry(t)
+	registerForever(t, addrs, "svc.null",
+		Endpoint{Plane: PlaneInproc}, Endpoint{Plane: PlaneTCP, Addr: "127.0.0.1:1"})
+
+	fx := newSupervisedFixture()
+	sup, err := SuperviseReplicated("svc.null", ReplicatedOpts{
+		Local: sys,
+		DialTCP: func(string) (net.Conn, error) {
+			fx.dialed()
+			return nil, errors.New("nobody serves this endpoint")
+		},
+		RebindAttempts:       attempts,
+		RebindBackoffInitial: backoff,
+		RebindBackoffMax:     backoff,
+		ProbeInterval:        -1,
+	}, addrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx.sup, fx.close = sup, func() { sup.Close() }
+	fx.kill = func() {
+		fx.armed.Store(true)
+		exp.Terminate()
+	}
+	t.Cleanup(fx.close)
+	return fx
+}
+
+func TestSupervisorEdges(t *testing.T) {
+	for _, row := range superviseRows {
+		t.Run(row.name, func(t *testing.T) {
+			// With the constructor's default budget a recovery round that
+			// finds no successor lasts well over a second.
+			t.Run("Close during a rebind", func(t *testing.T) {
+				fx := row.open(t, 0, 0)
+				if _, err := fx.sup.Call(0, nil); err != nil {
+					t.Fatalf("call on a live server: %v", err)
+				}
+				fx.kill()
+				callErr := make(chan error, 1)
+				go func() {
+					_, err := fx.sup.Call(0, nil)
+					callErr <- err
+				}()
+				fx.awaitDials(t, 3) // the round is in its backoff loop
+				start := time.Now()
+				fx.close()
+				if d := time.Since(start); d > 100*time.Millisecond {
+					t.Errorf("Close took %v while a rebind was burning its budget, want < 100ms", d)
+				}
+				select {
+				case err := <-callErr:
+					if !errors.Is(err, ErrSupervisorClosed) {
+						t.Errorf("call interrupted by Close = %v, want ErrSupervisorClosed", err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("the call outlived Close by 5s")
+				}
+			})
+
+			t.Run("context bounds the rebind", func(t *testing.T) {
+				fx := row.open(t, 0, 0)
+				fx.kill()
+				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+				defer cancel()
+				start := time.Now()
+				_, err := fx.sup.CallContext(ctx, 0, nil)
+				if d := time.Since(start); d > 200*time.Millisecond {
+					t.Errorf("CallContext under a 50ms context returned after %v, want < 200ms", d)
+				}
+				if !errors.Is(err, ErrCallTimeout) {
+					t.Errorf("CallContext under an expired context = %v, want ErrCallTimeout", err)
+				}
+			})
+
+			t.Run("calls after Close", func(t *testing.T) {
+				fx := row.open(t, 0, 0)
+				if _, err := fx.sup.Call(0, nil); err != nil {
+					t.Fatalf("call on a live server: %v", err)
+				}
+				fx.close()
+				if _, err := fx.sup.Call(0, nil); !errors.Is(err, ErrSupervisorClosed) {
+					t.Errorf("Call after Close = %v, want ErrSupervisorClosed", err)
+				}
+				if _, err := fx.sup.CallContext(context.Background(), 0, nil); !errors.Is(err, ErrSupervisorClosed) {
+					t.Errorf("CallContext after Close = %v, want ErrSupervisorClosed", err)
+				}
+			})
+
+			t.Run("exhaustion sentinel", func(t *testing.T) {
+				fx := row.open(t, 3, time.Microsecond)
+				fx.kill()
+				if _, err := fx.sup.Call(0, nil); !errors.Is(err, row.exhausted) {
+					t.Errorf("call with no successor = %v, want %v", err, row.exhausted)
+				}
+			})
+		})
+	}
+}
