@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci fmtcheck vet build crossbuild test race stress onecore onecaller shmtest haftest brokertest chaintest bench benchjson benchjson5 benchjson6 benchjson7 benchjson8 benchjson9 benchjson10 benchcheck fuzz staticcheck vulncheck
+.PHONY: ci fmtcheck vet build crossbuild test race stress onecore onecaller onewire shmtest haftest brokertest chaintest bench benchjson benchjson5 benchjson6 benchjson7 benchjson8 benchjson9 benchjson10 benchcheck fuzz staticcheck vulncheck
 
 # Formatting, vet, static analysis, build, tests (plain and -race), then
 # the perf gates: the whole merge bar in one command. The gates check the
@@ -14,7 +14,7 @@ GO ?= go
 # `make bench`) when the call path changes. The recipe line repeats the
 # test in which the broker's release-after-reply ordering used to show
 # as a flake in plain `go test`, so it cannot come back silently.
-ci: fmtcheck vet staticcheck vulncheck build crossbuild test race onecore onecaller shmtest haftest brokertest chaintest benchcheck
+ci: fmtcheck vet staticcheck vulncheck build crossbuild test race onecore onecaller onewire shmtest haftest brokertest chaintest benchcheck
 	$(GO) test -count=3 -run 'TestBrokerAdmitAndCall' .
 
 # gofmt -l prints nonconforming files; any output is a failure.
@@ -107,6 +107,25 @@ onecaller:
 	@if grep -n 'Supervis' shm.go shm_stub.go; then \
 		echo "onecaller: supervisor code in the shm transport files, want it in supervise.go"; exit 1; fi
 	$(GO) test -race -count=3 -run 'TestSupervisorEdges' .
+
+# The structure guard for the TCP plane (DESIGN §5.15): one server loop,
+# one client round trip. A request is parsed and a reply written from
+# exactly one call site each — serveConn, whose routes are the System's
+# import cache and the broker's tenant gate — so a second call site is a
+# relay loop pasted back. The client has one synchronous pendingCall
+# registration (NetClient.roundTrip) and one breaker gate (NetClient.allow);
+# another is a second round-trip loop or a hand-copied gate. Each cap
+# counts the definition plus its one caller. The second line runs the
+# TCP and broker suites, the route table included.
+onewire:
+	@for cap in 'parseRequest(:2' 'writeReply(:2' 'pendingCall{ch::1' 'br[.]allow(:1'; do \
+		pat=$${cap%:*}; max=$${cap##*:}; \
+		n=$$(cat $(ONECORE_SRC) | grep -v '^[[:space:]]*//' | grep -c "$$pat"); \
+		if [ "$$n" -gt "$$max" ]; then \
+			echo "onewire: $$n sites of '$$pat' in the root package, want at most $$max:"; \
+			grep -n "$$pat" $(ONECORE_SRC); exit 1; fi; \
+	done
+	$(GO) test -race -count=3 -run 'TestBroker|TestNet' .
 
 # The cross-process shared-memory integration suite, race-detector on.
 # The tests carry a linux build tag; on other platforms the packages

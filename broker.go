@@ -14,8 +14,9 @@ package lrpc
 //     with its generation, a per-tenant lease, and the live policy
 //     version;
 //   - after admission the connection speaks the ordinary LRPC wire
-//     protocol (net.go) and the broker relays frames to the backend,
-//     applying centralized policy first: per-tenant token-bucket rate
+//     protocol on the one server loop (serveConn, net.go), whose route
+//     here relays frames to the backend and applies centralized policy
+//     first (tenantRoute.open): per-tenant token-bucket rate
 //     limits and concurrency bulkheads (the existing admission priority
 //     queue, one instance per tenant), so an aggressor sheds with
 //     ErrQuotaExceeded while victims keep their latency;
@@ -633,7 +634,8 @@ type BrokerOptions struct {
 	// 0 selects a random seed. Announce overrides the generation with
 	// the announcement lease.
 	Seed int64
-	// Tracer receives TraceShed events for policy rejections.
+	// Tracer receives TraceShed events for policy rejections, and the
+	// server loop's TraceOneWayDrop and TraceWriteFail events.
 	Tracer Tracer
 }
 
@@ -917,7 +919,7 @@ func (bk *Broker) Serve(ln net.Listener) error {
 			return err
 		}
 		bk.wg.Add(1)
-		go bk.serveConn(conn)
+		go bk.handleConn(conn)
 	}
 }
 
@@ -1076,34 +1078,9 @@ func promLabelEscape(s string) string {
 	return string(out)
 }
 
-func (bk *Broker) emitShed(tenant string, err error) {
-	if bk.opts.Tracer != nil {
-		bk.opts.Tracer.TraceEvent(TraceEvent{Kind: TraceShed, Iface: "tenant/" + tenant, Err: err})
-	}
-}
-
 // --- connection handling ---
 
-// readLimitedFrame reads one frame like readFrame but under a caller
-// cap: a length header beyond max is rejected before a byte of body is
-// read, let alone allocated.
-func readLimitedFrame(r io.Reader, max int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n > max {
-		return nil, fmt.Errorf("lrpc: %d-byte control frame exceeds the %d-byte limit", n, max)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func (bk *Broker) serveConn(conn net.Conn) {
+func (bk *Broker) handleConn(conn net.Conn) {
 	defer bk.wg.Done()
 	// The first frame decides what this connection is: a HELLO makes it
 	// a tenant data connection, stats/policy ops make it an admin
@@ -1232,247 +1209,184 @@ func (bk *Broker) serveTenant(conn net.Conn, hello *brokerControl) {
 	}
 	ts.conns.Add(1)
 	defer ts.conns.Add(-1)
-	bk.relayLoop(conn, ts, hello.service, stripe)
+	serveConn(&countingConn{Conn: conn, ts: ts, stripe: stripe},
+		&tenantRoute{bk: bk, ts: ts, service: hello.service, stripe: stripe},
+		ServeOptions{MaxInFlight: bk.opts.MaxInFlight, WriteTimeout: bk.opts.WriteTimeout})
 }
 
-// relayLoop is the broker's data path: the serveConn shape of net.go
-// with the policy gate ahead of dispatch and an upstream call instead
-// of a local handler.
-func (bk *Broker) relayLoop(conn net.Conn, ts *tenantState, service string, stripe uint32) {
-	closing := make(chan struct{})
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, bk.opts.MaxInFlight)
-	var wmu sync.Mutex
-	var closeOnce sync.Once
-	reply := func(callID uint64, status byte, body []byte) {
-		ts.bytesOut.add(stripe, uint64(13+len(body)))
-		if err := writeReply(conn, &wmu, bk.opts.WriteTimeout, callID, status, body); err != nil {
-			closeOnce.Do(func() { conn.Close() })
-		}
-	}
-	for {
-		frame, err := readFrame(conn)
-		if err != nil {
-			break
-		}
-		ts.bytesIn.add(stripe, uint64(4+len(frame)))
-		callID, name, proc, oneWay, bulk, chain, args, perr := parseRequest(frame)
-		if perr != nil {
-			break
-		}
-		// Bulk frames are not relayed: the payload streams outside the
-		// frame envelope and splicing it through the broker would buffer
-		// it twice. Keep the stream framed (drain), vouch non-execution.
-		if bulk {
-			bulkDir, bulkLen, _, berr := parseBulkHeader(args)
-			if berr != nil {
-				break
-			}
-			if bulkDir == BulkIn {
-				if _, derr := io.CopyN(io.Discard, conn, bulkLen); derr != nil {
-					break
-				}
-			}
-			ts.bulkRejects.add(stripe, 1)
-			if !oneWay {
-				reply(callID, 2, []byte(fmt.Sprintf(
-					"%s: bulk calls are not relayed; bind the backend's bulk plane directly",
-					ErrNotAdmitted.Error())))
-			}
-			continue
-		}
-		// A chain's reply (or status-4 vouch) is its at-most-once
-		// contract: a one-way chain gets neither, so it is dropped
-		// unanswered (the serveConn contract, net.go). The descriptor is
-		// parsed HERE, ahead of the policy gate, because the gate charges
-		// the token bucket one token per stage — a malformed descriptor
-		// is refused with the broker's non-execution vouch for free.
-		var chainStages []ChainStage
-		if chain {
-			if oneWay {
-				continue
-			}
-			var cherr error
-			if chainStages, cherr = parseChain(args); cherr != nil {
-				reply(callID, 2, []byte(cherr.Error()))
-				continue
-			}
-		}
-		// The HELLO admitted one service; frames for anything else are
-		// refused (a tenant cannot widen its own admission).
-		if service != "" && name != service {
-			if !oneWay {
-				reply(callID, 2, []byte(fmt.Sprintf(
-					"%s: tenant %q is admitted to %q, not %q",
-					ErrNotAdmitted.Error(), ts.name, service, name)))
-			}
-			continue
-		}
+// countingConn counts every byte an admitted tenant connection carries —
+// drained payloads and refused frames included — into the tenant's
+// BytesIn and BytesOut.
+type countingConn struct {
+	net.Conn
+	ts     *tenantState
+	stripe uint32
+}
 
-		// --- the centralized policy gate ---
-		eff := ts.eff.Load()
-		if eff.suspended {
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.ts.bytesIn.add(c.stripe, uint64(n))
+	return n, err
+}
+
+// Write counts before writing, so a reply is on the books by the time
+// the tenant can read it.
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.ts.bytesOut.add(c.stripe, uint64(len(p)))
+	return c.Conn.Write(p)
+}
+
+// tenantRoute is the broker's route for one admitted tenant connection:
+// the centralized policy gate, opened on the server loop before a
+// goroutine is spent, and an upstream call as the target.
+type tenantRoute struct {
+	bk      *Broker
+	ts      *tenantState
+	service string
+	stripe  uint32
+}
+
+func (r *tenantRoute) trace(kind TraceKind, iface string, err error) {
+	if t := r.bk.opts.Tracer; t != nil {
+		t.TraceEvent(TraceEvent{Kind: kind, Iface: iface, Err: err})
+	}
+}
+
+// shed reports a policy rejection as the tenant's TraceShed event.
+func (r *tenantRoute) shed(err error) { r.trace(TraceShed, "tenant/"+r.ts.name, err) }
+
+// open is the policy gate, in order: bulk refusal, service confinement,
+// suspension, the token bucket charged per chain stage, the bulkhead,
+// the upstream, and a chain-capable upstream for a chain. Every refusal
+// carries the non-execution vouch; a relayed call holds its bulkhead
+// ticket and the in-flight gauge until the target's done.
+func (r *tenantRoute) open(req *request) (target, error) {
+	ts, stripe := r.ts, r.stripe
+	// Bulk frames are not relayed: the payload streams outside the frame
+	// envelope and splicing it through the broker would buffer it twice.
+	// The loop drains it, so the stream stays framed.
+	if req.dir != 0 {
+		ts.bulkRejects.add(stripe, 1)
+		return nil, refusal(fmt.Sprintf("%s: bulk calls are not relayed; bind the backend's bulk plane directly",
+			ErrNotAdmitted.Error()))
+	}
+	// The HELLO admitted one service; frames for anything else are
+	// refused (a tenant cannot widen its own admission).
+	if r.service != "" && req.name != r.service {
+		return nil, refusal(fmt.Sprintf("%s: tenant %q is admitted to %q, not %q",
+			ErrNotAdmitted.Error(), ts.name, r.service, req.name))
+	}
+	eff := ts.eff.Load()
+	if eff.suspended {
+		ts.suspendedRejects.add(stripe, 1)
+		r.shed(ErrTenantSuspended)
+		return nil, refusal(fmt.Sprintf("%s: tenant %q", ErrTenantSuspended.Error(), ts.name))
+	}
+	// Rate gate: a chain is charged one token per stage, all or nothing —
+	// N dependent calls in one frame cost what N frames would, and a shed
+	// chain (nothing executed, vouched) drains no tokens at all.
+	cost := max(1, len(req.stages))
+	if eff.bucket != nil && !eff.bucket.takeN(time.Now().UnixNano(), cost) {
+		ts.quotaSheds.add(stripe, 1)
+		r.shed(ErrQuotaExceeded)
+		return nil, refusal(fmt.Sprintf("%s: tenant %q over its %g calls/sec rate",
+			ErrQuotaExceeded.Error(), ts.name, eff.pol.RatePerSec))
+	}
+	if eff.adm != nil {
+		deadline := time.Now().Add(r.bk.opts.QueueTimeout)
+		switch aerr := eff.adm.enter(eff.pol.Priority, deadline, nil); {
+		case aerr == nil:
+		case errors.Is(aerr, ErrRevoked):
 			ts.suspendedRejects.add(stripe, 1)
-			bk.emitShed(ts.name, ErrTenantSuspended)
-			if !oneWay {
-				reply(callID, 2, []byte(fmt.Sprintf("%s: tenant %q",
-					ErrTenantSuspended.Error(), ts.name)))
-			}
-			continue
-		}
-		// Rate gate: a chain is charged one token per stage, all or
-		// nothing — N dependent calls in one frame cost what N frames
-		// would, and a shed chain (nothing executed, vouched) drains no
-		// tokens at all.
-		cost := 1
-		if chain {
-			cost = len(chainStages)
-		}
-		if eff.bucket != nil && !eff.bucket.takeN(time.Now().UnixNano(), cost) {
+			return nil, refusal(fmt.Sprintf("%s: tenant %q", ErrTenantSuspended.Error(), ts.name))
+		default: // ErrOverload: the bulkhead is full
 			ts.quotaSheds.add(stripe, 1)
-			bk.emitShed(ts.name, ErrQuotaExceeded)
-			if !oneWay {
-				reply(callID, 2, []byte(fmt.Sprintf(
-					"%s: tenant %q over its %g calls/sec rate",
-					ErrQuotaExceeded.Error(), ts.name, eff.pol.RatePerSec)))
-			}
-			continue
+			r.shed(ErrQuotaExceeded)
+			return nil, refusal(fmt.Sprintf("%s: tenant %q at its %d-call concurrency bulkhead",
+				ErrQuotaExceeded.Error(), ts.name, eff.pol.MaxConcurrent))
 		}
-		if eff.adm != nil {
-			deadline := time.Now().Add(bk.opts.QueueTimeout)
-			switch aerr := eff.adm.enter(eff.pol.Priority, deadline, closing); {
-			case aerr == nil:
-			case errors.Is(aerr, ErrRevoked):
-				ts.suspendedRejects.add(stripe, 1)
-				if !oneWay {
-					reply(callID, 2, []byte(fmt.Sprintf("%s: tenant %q",
-						ErrTenantSuspended.Error(), ts.name)))
-				}
-				continue
-			default: // ErrOverload: the bulkhead is full
-				ts.quotaSheds.add(stripe, 1)
-				bk.emitShed(ts.name, ErrQuotaExceeded)
-				if !oneWay {
-					reply(callID, 2, []byte(fmt.Sprintf(
-						"%s: tenant %q at its %d-call concurrency bulkhead",
-						ErrQuotaExceeded.Error(), ts.name, eff.pol.MaxConcurrent)))
-				}
-				continue
-			}
-		}
-
-		up, uerr := bk.upstreamFor(name)
-		if uerr != nil {
-			if eff.adm != nil {
-				eff.adm.exit()
-			}
-			if !oneWay {
-				reply(callID, 2, []byte(uerr.Error()))
-			}
-			continue
-		}
-		// A chain needs a chain-capable upstream (NetClient and
-		// LocalUpstream both are); anything else refuses with the
-		// broker's non-execution vouch before a single stage runs.
-		var chainUp brokerChainUpstream
-		if chain {
-			cu, capable := up.(brokerChainUpstream)
-			if !capable {
-				if eff.adm != nil {
-					eff.adm.exit()
-				}
-				reply(callID, 2, []byte(fmt.Sprintf(
-					"%s: upstream for %q cannot execute chains",
-					ErrNotAdmitted.Error(), name)))
-				continue
-			}
-			chainUp = cu
-		}
-
-		sem <- struct{}{}
-		wg.Add(1)
-		ts.inflight.Add(1)
-		go func(eff *tenantEffective) {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			ctx, cancel := context.WithTimeout(context.Background(), bk.opts.ForwardTimeout)
-			var res []byte
-			var cerr error
-			if chain {
-				res, cerr = chainUp.CallChainContext(ctx, &Chain{stages: chainStages})
-			} else {
-				res, cerr = up.CallContext(ctx, proc, args)
-			}
-			cancel()
-			// The upstream call is over, so the tenant's gauge and
-			// admission ticket go back before any reply is written: a
-			// tenant holding its reply must not still count as in flight,
-			// or its next back-to-back call is shed at MaxConcurrent: 1.
-			ts.inflight.Add(-1)
-			if eff.adm != nil {
-				eff.adm.exit()
-			}
-			if oneWay {
-				ts.oneWays.add(stripe, 1)
-				return
-			}
-			ts.calls.add(stripe, 1)
-			select {
-			case <-closing:
-				return
-			default:
-			}
-			if cerr != nil {
-				// A mid-chain failure relays verbatim as status 4: the
-				// tenant's at-most-once classification needs the failing
-				// stage and the executed-through vouch intact across the
-				// broker hop.
-				var ce *ChainError
-				if errors.As(cerr, &ce) {
-					ts.errorsN.add(stripe, 1)
-					reply(callID, 4, appendChainError(nil, ce, 0))
-					return
-				}
-				status, msg := upstreamStatus(cerr)
-				if status != 2 {
-					ts.errorsN.add(stripe, 1)
-				}
-				reply(callID, status, []byte(msg))
-				return
-			}
-			if len(res) > MaxOOBSize {
-				ts.errorsN.add(stripe, 1)
-				reply(callID, 1, []byte(oversizedResults(len(res))))
-				return
-			}
-			reply(callID, 0, res)
-		}(eff)
 	}
-	close(closing)
-	closeOnce.Do(func() { conn.Close() })
-	wg.Wait()
+	t := &relay{r: r, adm: eff.adm}
+	up, err := r.bk.upstreamFor(req.name)
+	if err != nil {
+		t.exit()
+		return nil, refusal(err.Error())
+	}
+	t.up = up
+	if req.stages != nil {
+		// A chain needs a chain-capable upstream (NetClient and
+		// LocalUpstream both are); anything else refuses before a single
+		// stage runs.
+		cu, capable := up.(brokerChainUpstream)
+		if !capable {
+			t.exit()
+			return nil, refusal(fmt.Sprintf("%s: upstream for %q cannot execute chains",
+				ErrNotAdmitted.Error(), req.name))
+		}
+		t.chainUp = cu
+	}
+	ts.inflight.Add(1)
+	return t, nil
 }
 
-// upstreamStatus maps an upstream failure onto the tenant-facing wire:
-// the broker forwards the server's own non-execution vouch (status 2)
-// and adds its own for failures that provably never reached the
-// backend; anything else — including a broker→backend connection lost
-// with the frame written — stays status 1, because the backend may have
-// executed it and at-most-once forbids pretending otherwise.
-func upstreamStatus(err error) (byte, string) {
-	var re *RemoteError
-	if errors.As(err, &re) {
-		if re.NotExecuted {
-			return 2, re.Msg
+// relay is an admitted request's upstream call.
+type relay struct {
+	r       *tenantRoute
+	adm     *admission // the bulkhead entered; nil when unlimited
+	up      BrokerUpstream
+	chainUp brokerChainUpstream
+}
+
+func (t *relay) exit() {
+	if t.adm != nil {
+		t.adm.exit()
+	}
+}
+
+func (t *relay) serve(req *request) ([]byte, []byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), t.r.bk.opts.ForwardTimeout)
+	var res []byte
+	var err error
+	if req.stages != nil {
+		res, err = t.chainUp.CallChainContext(ctx, &Chain{stages: req.stages})
+	} else {
+		res, err = t.up.CallContext(ctx, req.proc, req.args)
+	}
+	cancel()
+	ts, stripe := t.r.ts, t.r.stripe
+	if req.oneWay {
+		ts.oneWays.add(stripe, 1)
+		return nil, nil, nil
+	}
+	ts.calls.add(stripe, 1)
+	if err == nil {
+		if len(res) > MaxOOBSize {
+			ts.errorsN.add(stripe, 1)
 		}
-		return 1, re.Msg
+		return res, nil, nil
 	}
-	if notExecuted(err) {
-		return 2, err.Error()
+	// A relayed *RemoteError or *ChainError crosses verbatim (failReply):
+	// the tenant's at-most-once classification needs the backend's vouch
+	// intact. A failure that provably never reached the backend keeps the
+	// broker's vouch; anything else — including a broker→backend
+	// connection lost with the frame written — stays status 1, because
+	// the backend may have executed it.
+	if !errors.As(err, new(*RemoteError)) && !errors.As(err, new(*ChainError)) && !notExecuted(err) {
+		err = fmt.Errorf("lrpc: broker upstream: %w", err)
 	}
-	return 1, fmt.Sprintf("lrpc: broker upstream: %v", err)
+	if status, _ := failReply(err); status != 2 {
+		ts.errorsN.add(stripe, 1)
+	}
+	return nil, nil, err
+}
+
+// done returns the tenant's gauge and bulkhead ticket. The loop calls it
+// before any reply is written: a tenant holding its reply must not still
+// count as in flight, or its next back-to-back call is shed at
+// MaxConcurrent: 1.
+func (t *relay) done() {
+	t.r.ts.inflight.Add(-1)
+	t.exit()
 }
 
 // --- client-side control helpers ---
@@ -1488,7 +1402,7 @@ func brokerControlRoundTrip(conn net.Conn, payload []byte, wantOp byte, timeout 
 	if err := writeFrame(conn, payload); err != nil {
 		return nil, err
 	}
-	frame, err := readLimitedFrame(conn, maxFrame)
+	frame, err := readFrame(conn)
 	if err != nil {
 		return nil, err
 	}

@@ -326,7 +326,7 @@ func TestBrokerServiceConfinement(t *testing.T) {
 		t.Fatalf("hello: gen=%d err=%v", gen, err)
 	}
 	// Send a request frame for a service the HELLO did not admit.
-	frame := appendRequestFrame(nil, 7, "Arith", 0, addArgs(1, 1))
+	frame := appendRequestFrame(nil, 7, "Arith", 0, addArgs(1, 1), nil)
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}

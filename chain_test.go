@@ -597,7 +597,7 @@ func TestBrokerChainMalformedDescriptor(t *testing.T) {
 	s := brokerTenant(t, addr, "team-a", "")
 	// Drive the raw client so the descriptor bypasses Chain.check.
 	nc := s.Client()
-	_, err := nc.doCall(context.Background(), wireFlagChain, []byte("not a chain"))
+	_, err := nc.call(context.Background(), wireFlagChain, []byte("not a chain"), nil)
 	if err == nil || !strings.Contains(err.Error(), "chain") {
 		t.Fatalf("malformed descriptor through broker: %v", err)
 	}

@@ -29,6 +29,17 @@ import (
 // per-connection handler concurrency and applies write deadlines so a
 // stalled peer cannot pin goroutines forever.
 //
+// One loop, two routes. serveConn is the only server loop: it reads and
+// parses each frame, asks the connection's route to open it — on the
+// read loop, in request order, before a bulk payload is read or a
+// goroutine is spent — and serves what was opened on a bounded
+// goroutine. ServeNetwork's route imports the named interface once per
+// connection and dispatches into it; the broker's route (broker.go) is
+// its tenant policy gate in front of an upstream call. The client has
+// one of each too: every synchronous call is one round trip
+// (NetClient.call) and every request frame comes from one encoder
+// (appendRequestFrame).
+//
 // Wire protocol (all integers little-endian):
 //
 //	frame   = u32 length, payload
@@ -92,7 +103,7 @@ var ErrNotExecuted = errors.New("lrpc: call rejected before execution")
 // notExecuted reports whether err proves the call never reached a
 // handler, so that vouching for it on the wire (status 2) or re-sending
 // it elsewhere cannot break at-most-once. It is the one list of such
-// failures: rejectStatus, the broker's upstreamStatus and the replicated
+// failures: rejectStatus, the broker's relay and the replicated
 // supervisor's fail-over all ask it. Each sees only part of the union
 // (a server's own dispatch cannot produce the client-side sentinels; a
 // policy refusal that crossed a wire already carries the vouch); the
@@ -227,7 +238,7 @@ func (s *System) ServeNetworkOpts(l net.Listener, opts ServeOptions) error {
 		if err != nil {
 			return err
 		}
-		go s.serveConn(conn, opts)
+		go serveConn(conn, &importRoute{s: s, maxBulk: opts.MaxBulkBytes, bindings: map[string]*Binding{}}, opts)
 	}
 }
 
@@ -297,7 +308,48 @@ func (c *trackedConn) Close() error {
 	return c.Conn.Close()
 }
 
-func (s *System) serveConn(conn net.Conn, opts ServeOptions) {
+// request is one parsed request frame, handed by the server loop to a
+// route and then to the target the route opened.
+type request struct {
+	callID uint64
+	name   string
+	proc   int
+	oneWay bool
+	args   []byte
+	stages []ChainStage // a chain's parsed descriptor; nil for any other call
+
+	dir     BulkDir // 0 when the request carries no bulk payload
+	bulkLen int64   // BulkIn payload length or BulkOut capacity
+	bulkIn  []byte  // the BulkIn payload, read once the route opened
+}
+
+// route is one connection's policy on the server loop. open runs on
+// the read loop, in request order, before a bulk payload is read or a
+// goroutine is spent; a refusal it returns is answered (or, one-way,
+// dropped) there. trace reports the loop's events.
+type route interface {
+	open(req *request) (target, error)
+	trace(kind TraceKind, iface string, err error)
+}
+
+// target runs an opened request (serve: its results and, for BulkOut,
+// the produced payload) and gives back whatever open took (done); the
+// loop calls done before any reply is written.
+type target interface {
+	serve(req *request) (res, bulkOut []byte, err error)
+	done()
+}
+
+// refusal is a route's pre-dispatch rejection as the client will see
+// it: the text verbatim under wire status 2, the vouch of non-execution.
+func refusal(msg string) error { return &RemoteError{Msg: msg, NotExecuted: true} }
+
+// serveConn is the one TCP server loop, shared by ServeNetworkOpts and
+// the broker's admitted tenant connections; only the route differs.
+// Each frame is parsed, opened by the route, its bulk payload read, and
+// served on a goroutine bounded by MaxInFlight, whose reply is written
+// under one write lock.
+func serveConn(conn net.Conn, rt route, opts ServeOptions) {
 	// closing is the close signal to in-flight handlers: once the read
 	// side has failed the connection is dead, and a handler finishing
 	// afterwards must not try to write its reply into it.
@@ -310,97 +362,57 @@ func (s *System) serveConn(conn net.Conn, opts ServeOptions) {
 	// a half-dead pipe that swallows replies would otherwise strand every
 	// pending client call until its deadline, when closing it makes the
 	// client redial immediately.
-	reply := func(iface string, callID uint64, status byte, body []byte) {
-		if err := writeReply(conn, &wmu, opts.WriteTimeout, callID, status, body); err != nil {
-			s.emitTrace(TraceWriteFail, iface, "", err)
+	reply := func(req *request, status byte, body, bulk []byte) {
+		if err := writeReply(conn, &wmu, opts.WriteTimeout, req.callID, status, body, bulk); err != nil {
+			rt.trace(TraceWriteFail, req.name, err)
 			closeOnce.Do(func() { conn.Close() })
 		}
 	}
-	// replyBulk is reply for a successful bulk call: the status-3 frame
-	// plus the produced payload streamed behind it under one write-lock
-	// hold.
-	replyBulk := func(iface string, callID uint64, results, bulk []byte) {
-		if err := writeBulkReply(conn, &wmu, opts.WriteTimeout, callID, results, bulk); err != nil {
-			s.emitTrace(TraceWriteFail, iface, "", err)
-			closeOnce.Do(func() { conn.Close() })
-		}
-	}
-	bindings := map[string]*Binding{}
 	for {
 		frame, err := readFrame(conn)
 		if err != nil {
 			break
 		}
-		callID, name, proc, oneWay, bulk, chain, args, err := parseRequest(frame)
+		req := &request{}
+		var bulk, chain bool
+		req.callID, req.name, req.proc, req.oneWay, bulk, chain, req.args, err = parseRequest(frame)
 		if err != nil {
 			break
 		}
-		// A bulk request's payload travels on the stream right behind its
-		// frame: it must be consumed here, in read-loop order, whatever
-		// becomes of the call itself — otherwise the next frame would be
-		// parsed out of the middle of the payload.
-		var bulkDir BulkDir
-		var bulkLen int64
-		var bulkIn []byte
 		if bulk {
-			bulkDir, bulkLen, args, err = parseBulkHeader(args)
-			if err != nil {
+			if req.dir, req.bulkLen, req.args, err = parseBulkHeader(req.args); err != nil {
 				break // framing is unrecoverable past a malformed bulk header
 			}
-			if oneWay || bulkLen > opts.MaxBulkBytes {
-				// Reject, but keep the stream framed first.
-				if bulkDir == BulkIn {
-					if _, err := io.CopyN(io.Discard, conn, bulkLen); err != nil {
-						break
-					}
-				}
-				if oneWay {
-					s.emitTrace(TraceOneWayDrop, name, "",
-						errors.New("lrpc: one-way call cannot carry a bulk payload"))
-					continue
-				}
-				s.emitTrace(TraceBulkReject, name, "", ErrTooLarge)
-				reply(name, callID, 2, []byte(fmt.Sprintf(
-					"%s: %d-byte bulk payload exceeds the server's %d-byte limit",
-					ErrTooLarge.Error(), bulkLen, opts.MaxBulkBytes)))
-				continue
-			}
-			if bulkDir == BulkIn {
-				if bulkIn, err = readBulkBody(conn, int(bulkLen)); err != nil {
-					break
-				}
-			}
 		}
-		if chain && (oneWay || bulk) {
-			// A chain's reply (or status-4 vouch) is its at-most-once
-			// contract, so it cannot be one-way; bulk payloads move on
-			// the bulk plane, not inside a descriptor. Any consumed bulk
-			// payload was drained above, so the stream stays framed.
-			if oneWay {
-				s.emitTrace(TraceOneWayDrop, name, "",
-					errors.New("lrpc: a chain call cannot be one-way"))
-				continue
+		t, rerr := openRequest(rt, req, chain)
+		// A BulkIn payload travels on the stream right behind its frame:
+		// it is consumed here, in read-loop order, whatever becomes of the
+		// call — read when the call goes ahead, drained unbuffered when it
+		// was refused — so the next frame is never parsed out of the
+		// middle of a payload.
+		if req.dir == BulkIn {
+			if rerr == nil {
+				req.bulkIn, err = readBody(conn, int(req.bulkLen))
+			} else {
+				_, err = io.CopyN(io.Discard, conn, req.bulkLen)
 			}
-			reply(name, callID, 2, []byte("lrpc: a chain call cannot carry a bulk payload"))
-			continue
-		}
-		b, ok := bindings[name]
-		if !ok {
-			nb, err := s.Import(name)
 			if err != nil {
-				if oneWay {
-					// No reply path exists for a one-way request: drop
-					// and count, never write.
-					s.emitTrace(TraceOneWayDrop, name, "", err)
-					continue
+				if rerr == nil {
+					t.done()
 				}
-				// The call never dispatched: vouch for non-execution so a
-				// failover layer may retry it elsewhere.
-				reply(name, callID, 2, []byte(err.Error()))
+				break
+			}
+		}
+		if rerr != nil {
+			if req.oneWay {
+				// No reply path exists for a one-way request: drop and
+				// trace, never write.
+				rt.trace(TraceOneWayDrop, req.name, rerr)
 				continue
 			}
-			bindings[name] = nb
-			b = nb
+			status, body := failReply(rerr)
+			reply(req, status, body, nil)
+			continue
 		}
 		// Serve concurrently, but bounded: each in-flight request gets a
 		// server-side thread of control, and once MaxInFlight of them are
@@ -412,75 +424,9 @@ func (s *System) serveConn(conn net.Conn, opts ServeOptions) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if bulk {
-				var segs [][]byte
-				inLen := 0
-				var outBuf []byte
-				if bulkDir == BulkIn {
-					segs = [][]byte{bulkIn}
-					inLen = len(bulkIn)
-				} else {
-					outBuf = make([]byte, bulkLen)
-					segs = [][]byte{outBuf}
-				}
-				res, produced, err := b.dispatchBulk(proc, args, bulkDir, segs, inLen)
-				select {
-				case <-closing:
-					return
-				default:
-				}
-				if err != nil {
-					reply(name, callID, rejectStatus(err), []byte(err.Error()))
-					return
-				}
-				if len(res) > MaxOOBSize {
-					reply(name, callID, 1, []byte(oversizedResults(len(res))))
-					return
-				}
-				if bulkDir == BulkIn {
-					reply(name, callID, 0, res)
-					return
-				}
-				replyBulk(name, callID, res, outBuf[:produced])
-				return
-			}
-			if chain {
-				// One frame in, one reply out: every stage executes in
-				// this server's domain through the same dispatch funnel a
-				// single call takes (execChain, chain.go).
-				stages, perr := parseChain(args)
-				if perr != nil {
-					select {
-					case <-closing:
-						return
-					default:
-					}
-					// Nothing dispatched: vouch non-execution.
-					reply(name, callID, 2, []byte(perr.Error()))
-					return
-				}
-				out, cerr := b.execChain(stages, time.Time{})
-				select {
-				case <-closing:
-					return
-				default:
-				}
-				if cerr != nil {
-					reply(name, callID, 4, appendChainError(nil, cerr, 0))
-					return
-				}
-				if len(out) > MaxOOBSize {
-					reply(name, callID, 1, []byte(oversizedResults(len(out))))
-					return
-				}
-				reply(name, callID, 0, out)
-				return
-			}
-			res, err := b.Call(proc, args)
-			if oneWay {
-				if err != nil {
-					b.dropOneWayError(proc, err)
-				}
+			res, bulkOut, err := t.serve(req)
+			t.done()
+			if req.oneWay {
 				return // at-most-once, no reply frame (DESIGN §5.13)
 			}
 			select {
@@ -488,25 +434,136 @@ func (s *System) serveConn(conn net.Conn, opts ServeOptions) {
 				return // the connection died while we ran; drop the reply
 			default:
 			}
-			if err != nil {
-				reply(name, callID, rejectStatus(err), []byte(err.Error()))
-				return
-			}
-			if len(res) > MaxOOBSize {
+			switch {
+			case err != nil:
+				status, body := failReply(err)
+				reply(req, status, body, nil)
+			case len(res) > MaxOOBSize:
 				// An oversized result frame would trip the client's
 				// maxFrame guard and kill the whole pipelined connection;
 				// fail this one call cleanly instead. Results beyond
 				// MaxOOBSize need the bulk plane (CallBulk with BulkOut).
-				reply(name, callID, 1, []byte(oversizedResults(len(res))))
-				return
+				reply(req, 1, []byte(oversizedResults(len(res))), nil)
+			case req.dir == BulkOut:
+				reply(req, 3, res, bulkOut)
+			default:
+				reply(req, 0, res, nil)
 			}
-			reply(name, callID, 0, res)
 		}()
 	}
 	close(closing)
 	closeOnce.Do(func() { conn.Close() }) // unblock any handler mid-write
 	wg.Wait()
 }
+
+// openRequest applies the rules every route shares, then asks the route.
+// A chain's reply (or status-4 vouch) is its at-most-once contract, so
+// it cannot be one-way, and bulk payloads move on the bulk plane, not
+// inside a descriptor. The descriptor is parsed here, before the route,
+// so a route can price a chain by its stages and a malformed one is
+// refused before anything is charged.
+func openRequest(rt route, req *request, chain bool) (target, error) {
+	if chain {
+		if req.oneWay {
+			return nil, errors.New("lrpc: a chain call cannot be one-way")
+		}
+		if req.dir != 0 {
+			return nil, refusal("lrpc: a chain call cannot carry a bulk payload")
+		}
+		stages, err := parseChain(req.args)
+		if err != nil {
+			return nil, refusal(err.Error())
+		}
+		req.stages = stages
+	}
+	return rt.open(req)
+}
+
+// failReply maps a failed request onto the wire: status 4 and the
+// structured body for a chain's *ChainError, a relayed *RemoteError's
+// text and vouch verbatim (so a route's refusal is status 2), and
+// anything else classified by rejectStatus.
+func failReply(err error) (byte, []byte) {
+	var ce *ChainError
+	if errors.As(err, &ce) {
+		return 4, appendChainError(nil, ce, 0)
+	}
+	var re *RemoteError
+	if errors.As(err, &re) {
+		if re.NotExecuted {
+			return 2, []byte(re.Msg)
+		}
+		return 1, []byte(re.Msg)
+	}
+	return rejectStatus(err), []byte(err.Error())
+}
+
+// importRoute is the System's route: each interface a connection names
+// is imported once, and the binding is the target.
+type importRoute struct {
+	s        *System
+	maxBulk  int64
+	bindings map[string]*Binding
+}
+
+func (r *importRoute) open(req *request) (target, error) {
+	if req.dir != 0 {
+		if req.oneWay {
+			return nil, errors.New("lrpc: one-way call cannot carry a bulk payload")
+		}
+		if req.bulkLen > r.maxBulk {
+			r.trace(TraceBulkReject, req.name, ErrTooLarge)
+			return nil, refusal(fmt.Sprintf("%s: %d-byte bulk payload exceeds the server's %d-byte limit",
+				ErrTooLarge.Error(), req.bulkLen, r.maxBulk))
+		}
+	}
+	b, ok := r.bindings[req.name]
+	if !ok {
+		nb, err := r.s.Import(req.name)
+		if err != nil {
+			// Never dispatched: rejectStatus vouches non-execution so a
+			// failover layer may retry it elsewhere.
+			return nil, err
+		}
+		r.bindings[req.name] = nb
+		b = nb
+	}
+	return b, nil
+}
+
+func (r *importRoute) trace(kind TraceKind, iface string, err error) {
+	r.s.emitTrace(kind, iface, "", err)
+}
+
+// serve runs one request of the server loop through the invocation
+// core: a chain through execChain (every stage in this domain, one
+// frame in, one reply out), a bulk call through dispatchBulk, anything
+// else through Call.
+func (b *Binding) serve(req *request) ([]byte, []byte, error) {
+	switch {
+	case req.stages != nil:
+		out, cerr := b.execChain(req.stages, time.Time{})
+		if cerr != nil {
+			return nil, nil, cerr
+		}
+		return out, nil, nil
+	case req.dir == BulkIn:
+		res, _, err := b.dispatchBulk(req.proc, req.args, BulkIn, [][]byte{req.bulkIn}, len(req.bulkIn))
+		return res, nil, err
+	case req.dir == BulkOut:
+		out := make([]byte, req.bulkLen)
+		res, produced, err := b.dispatchBulk(req.proc, req.args, BulkOut, [][]byte{out}, 0)
+		return res, out[:produced], err
+	}
+	res, err := b.Call(req.proc, req.args)
+	if err != nil && req.oneWay {
+		b.dropOneWayError(req.proc, err)
+	}
+	return res, nil, err
+}
+
+// done is a no-op: a binding holds nothing per request.
+func (b *Binding) done() {}
 
 // rejectStatus classifies a dispatch failure for the wire: rejections
 // the run-time raises before a handler runs — revoked binding, admission
@@ -1109,13 +1166,30 @@ func (c *NetClient) getConn(ctx context.Context) (net.Conn, uint64, error) {
 // Call performs one network RPC, under the client's default CallTimeout
 // when one is configured.
 func (c *NetClient) Call(proc int, args []byte) ([]byte, error) {
-	ctx := context.Background()
-	if c.opts.CallTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
-		defer cancel()
-	}
+	ctx, cancel := c.callCtx()
+	defer cancel()
 	return c.CallContext(ctx, proc, args)
+}
+
+// callCtx is the context of a call entry without one: bounded by the
+// client's default CallTimeout when one is configured.
+func (c *NetClient) callCtx() (context.Context, context.CancelFunc) {
+	if c.opts.CallTimeout > 0 {
+		return context.WithTimeout(context.Background(), c.opts.CallTimeout)
+	}
+	return context.Background(), func() {}
+}
+
+// allow is the circuit-breaker gate every submission passes ahead of
+// the in-flight window: while the peer is known dead, calls fail fast
+// with ErrBreakerOpen instead of queueing behind doomed requests. probe
+// elects the caller the half-open probe, whose verdict goes to
+// brObserve.
+func (c *NetClient) allow() (probe bool, err error) {
+	if c.br == nil {
+		return false, nil
+	}
+	return c.br.allow(time.Now())
 }
 
 // CallContext performs one network RPC under ctx: the call fails with
@@ -1125,25 +1199,7 @@ func (c *NetClient) CallContext(ctx context.Context, proc int, args []byte) ([]b
 	if err := c.checkRequestSize(args, 0); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c.calls.Add(1)
-
-	// Circuit breaker gate, ahead of the in-flight window: while the
-	// peer is known dead, calls fail fast instead of queueing on the sem
-	// behind doomed requests.
-	var probe bool
-	if c.br != nil {
-		var err error
-		probe, err = c.br.allow(time.Now())
-		if err != nil {
-			return nil, err
-		}
-	}
-	res, err := c.doCall(ctx, uint32(proc), args)
-	c.brObserve(probe, err)
-	return res, err
+	return c.call(ctx, uint32(proc), args, nil)
 }
 
 // CallChain submits a whole dependent pipeline as one request frame and
@@ -1151,12 +1207,8 @@ func (c *NetClient) CallContext(ctx context.Context, proc int, args []byte) ([]b
 // (chain.go) and returns only the final stage's results. The client's
 // default CallTimeout, when configured, bounds the single round trip.
 func (c *NetClient) CallChain(ch *Chain) ([]byte, error) {
-	ctx := context.Background()
-	if c.opts.CallTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
-		defer cancel()
-	}
+	ctx, cancel := c.callCtx()
+	defer cancel()
 	return c.CallChainContext(ctx, ch)
 }
 
@@ -1173,24 +1225,29 @@ func (c *NetClient) CallChainContext(ctx context.Context, ch *Chain) ([]byte, er
 	if err := c.checkRequestSize(desc, 0); err != nil {
 		return nil, err
 	}
+	return c.call(ctx, wireFlagChain, desc, nil)
+}
+
+// call is the one synchronous round trip under every call entry: the
+// breaker gate, the in-flight window, redial-and-resend while the
+// request provably never reached the wire, and awaitReply. h, when
+// non-nil, streams a BulkIn payload behind the frame or receives a
+// BulkOut reply's payload.
+func (c *NetClient) call(ctx context.Context, procWord uint32, args []byte, h *BulkHandle) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	c.calls.Add(1)
-	var probe bool
-	if c.br != nil {
-		var err error
-		probe, err = c.br.allow(time.Now())
-		if err != nil {
-			return nil, err
-		}
+	probe, err := c.allow()
+	if err != nil {
+		return nil, err
 	}
-	res, err := c.doCall(ctx, wireFlagChain, desc)
+	res, err := c.roundTrip(ctx, procWord, args, h)
 	c.brObserve(probe, err)
 	return res, err
 }
 
-func (c *NetClient) doCall(ctx context.Context, procWord uint32, args []byte) ([]byte, error) {
+func (c *NetClient) roundTrip(ctx context.Context, procWord uint32, args []byte, h *BulkHandle) ([]byte, error) {
 	// Bounded in-flight window: backpressure instead of unbounded
 	// pipelining.
 	select {
@@ -1203,6 +1260,10 @@ func (c *NetClient) doCall(ctx context.Context, procWord uint32, args []byte) ([
 	}
 	defer func() { <-c.sem }()
 
+	// A buffer-backed payload can be replayed, so a request that never
+	// reached the wire is resent; a stream-backed source is consumed by
+	// its attempt and gets exactly one.
+	replayable := h == nil || h.src == nil
 	for attempt := 0; attempt < c.opts.RedialAttempts; attempt++ {
 		conn, gen, err := c.getConn(ctx)
 		if err != nil {
@@ -1215,7 +1276,7 @@ func (c *NetClient) doCall(ctx context.Context, procWord uint32, args []byte) ([
 			return nil, notSent(err)
 		}
 
-		p := &pendingCall{ch: make(chan netReply, 1), gen: gen}
+		p := &pendingCall{ch: make(chan netReply, 1), gen: gen, bulk: h}
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
@@ -1226,71 +1287,98 @@ func (c *NetClient) doCall(ctx context.Context, procWord uint32, args []byte) ([
 		c.wait[id] = p
 		c.mu.Unlock()
 
-		wrote, werr := c.writeRequest(ctx, conn, id, procWord, args)
+		wrote, werr := c.writeRequest(ctx, conn, id, procWord, args, h)
 		if werr != nil {
-			c.mu.Lock()
-			delete(c.wait, id)
-			c.mu.Unlock()
+			c.unregister(id)
 			c.emitEvent(TraceWriteFail, werr)
 			c.connBroken(conn, gen, werr)
 			if !wrote {
-				// The request never reached the wire: retrying cannot
-				// double-execute anything, so redial and resend.
-				c.retries.Add(1)
-				continue
+				if replayable {
+					// Nothing reached the wire: retrying cannot
+					// double-execute anything, so redial and resend.
+					c.retries.Add(1)
+					continue
+				}
+				return nil, notSent(werr)
 			}
 			return nil, fmt.Errorf("%w: send failed mid-request: %v", ErrConnClosed, werr)
 		}
-
-		select {
-		case reply, ok := <-p.ch:
-			if !ok {
-				// The connection died after the request reached the wire;
-				// the server may or may not have executed it, so this is
-				// not safe to retry.
-				return nil, fmt.Errorf("%w: connection lost awaiting reply", ErrConnClosed)
-			}
-			if reply.status != 0 {
-				c.failures.Add(1)
-				if reply.status == 4 {
-					return nil, parseChainError(reply.body)
-				}
-				return nil, &RemoteError{Msg: string(reply.body), NotExecuted: reply.status == 2}
-			}
-			return reply.body, nil
-		case <-ctx.Done():
-			c.mu.Lock()
-			delete(c.wait, id)
-			c.mu.Unlock()
-			c.timeouts.Add(1)
-			return nil, timeoutError(ctx.Err())
-		case <-c.closedCh:
-			c.mu.Lock()
-			delete(c.wait, id)
-			c.mu.Unlock()
-			return nil, ErrConnClosed
-		}
+		return c.awaitReply(ctx, id, p)
 	}
 	return nil, notSent(fmt.Errorf("%w: request could not be sent after %d attempts",
 		ErrConnClosed, c.opts.RedialAttempts))
 }
 
-// writeRequest frames and writes one request as a single Write call, so
-// "reached the wire" is decidable: wrote reports whether any byte of the
-// frame made it into the connection. procWord carries the procedure
-// index plus, for one-way requests, the wireFlagOneWay bit.
-func (c *NetClient) writeRequest(ctx context.Context, conn net.Conn, id uint64, procWord uint32, args []byte) (wrote bool, err error) {
-	if len(c.name) > 0xFFFF {
-		return false, fmt.Errorf("lrpc: interface name of %d bytes exceeds the wire limit", len(c.name))
+// awaitReply waits for call id's reply. When the deadline (or Close)
+// fires after the read loop already claimed the call — it may be
+// mid-stream into a bulk handle's buffer — the call waits for that
+// claimed delivery and returns it instead of abandoning a reply the
+// read loop owns; the delivery or the connection's death bounds the
+// wait.
+func (c *NetClient) awaitReply(ctx context.Context, id uint64, p *pendingCall) ([]byte, error) {
+	var reply netReply
+	var ok bool
+	select {
+	case reply, ok = <-p.ch:
+	case <-ctx.Done():
+		if c.unregister(id) {
+			c.timeouts.Add(1)
+			return nil, timeoutError(ctx.Err())
+		}
+		reply, ok = <-p.ch
+	case <-c.closedCh:
+		if c.unregister(id) {
+			return nil, ErrConnClosed
+		}
+		reply, ok = <-p.ch
 	}
-	bp := frameBuf(4 + 8 + 2 + len(c.name) + 4 + len(args))
-	buf := *bp
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-4))
-	binary.LittleEndian.PutUint64(buf[4:12], id)
-	binary.LittleEndian.PutUint16(buf[12:14], uint16(len(c.name)))
-	off := 14 + copy(buf[14:], c.name)
-	binary.LittleEndian.PutUint32(buf[off:], procWord)
-	copy(buf[off+4:], args)
+	if !ok {
+		// The connection died after the request reached the wire; the
+		// server may or may not have executed it, so this is not safe to
+		// retry.
+		return nil, fmt.Errorf("%w: connection lost awaiting reply", ErrConnClosed)
+	}
+	if reply.status != 0 {
+		c.failures.Add(1)
+		if reply.status == 4 {
+			return nil, parseChainError(reply.body)
+		}
+		return nil, &RemoteError{Msg: string(reply.body), NotExecuted: reply.status == 2}
+	}
+	if h := p.bulk; h != nil {
+		if reply.bulkErr != nil {
+			return reply.body, fmt.Errorf("lrpc: bulk sink: %w", reply.bulkErr)
+		}
+		if h.dir == BulkIn {
+			h.n = h.length()
+		}
+	}
+	return reply.body, nil
+}
+
+// unregister removes a pending call from the wait table; false reports
+// that the read loop (or Close, or a connection sweep) already claimed
+// it.
+func (c *NetClient) unregister(id uint64) bool {
+	c.mu.Lock()
+	_, present := c.wait[id]
+	if present {
+		delete(c.wait, id)
+	}
+	c.mu.Unlock()
+	return present
+}
+
+// writeRequest writes one request frame as a single Write call, so
+// "reached the wire" is decidable: wrote reports whether any byte of the
+// frame made it into the connection. A BulkIn handle's payload streams
+// right behind the frame under the same write-lock hold, so a concurrent
+// request cannot interleave into it: a buffer-backed payload is one
+// Write, a stream-backed one goes through io.CopyN, whose ReadFrom fast
+// path hands an *os.File source to sendfile(2) where the platform has it.
+func (c *NetClient) writeRequest(ctx context.Context, conn net.Conn, id uint64, procWord uint32, args []byte, h *BulkHandle) (wrote bool, err error) {
+	bp := frameBufPool.Get().(*[]byte)
+	buf := appendRequestFrame((*bp)[:0], id, c.name, procWord, args, h)
 
 	deadline := time.Now().Add(c.opts.WriteTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -1299,10 +1387,44 @@ func (c *NetClient) writeRequest(ctx context.Context, conn net.Conn, id uint64, 
 	c.wmu.Lock()
 	conn.SetWriteDeadline(deadline)
 	n, err := conn.Write(buf)
+	if err == nil && h != nil && h.dir == BulkIn {
+		// A fresh budget for the payload: it can dwarf the frame.
+		conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
+		if h.src != nil {
+			_, err = io.CopyN(conn, h.src, h.length())
+		} else {
+			_, err = conn.Write(h.buf)
+		}
+	}
 	conn.SetWriteDeadline(time.Time{})
 	c.wmu.Unlock()
+	*bp = buf
 	frameBufPool.Put(bp)
 	return n > 0, err
+}
+
+// appendRequestFrame appends one length-prefixed request frame to dst —
+// every request frame is encoded here, a batch's coalesced write
+// included: len u32 | id u64 | nameLen u16 | name | procWord u32 |
+// [bulk header] | args. A non-nil h sets wireFlagBulk and writes the
+// bulk header: u8 direction, u64 payload length (BulkIn) or capacity
+// (BulkOut).
+func appendRequestFrame(dst []byte, id uint64, name string, procWord uint32, args []byte, h *BulkHandle) []byte {
+	n := reqOverhead + len(name) + len(args)
+	if h != nil {
+		n += bulkReqHdrSize
+		procWord |= wireFlagBulk
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint64(dst, id)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(name)))
+	dst = append(dst, name...)
+	dst = binary.LittleEndian.AppendUint32(dst, procWord)
+	if h != nil {
+		dst = append(dst, byte(h.dir))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(h.length()))
+	}
+	return append(dst, args...)
 }
 
 // checkRequestSize rejects, before any wire activity, a request that
@@ -1330,12 +1452,8 @@ func (c *NetClient) checkRequestSize(args []byte, extra int) error {
 // payload stream — raise it when moving very large payloads over slow
 // links.
 func (c *NetClient) CallBulk(proc int, args []byte, h *BulkHandle) ([]byte, error) {
-	ctx := context.Background()
-	if c.opts.CallTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
-		defer cancel()
-	}
+	ctx, cancel := c.callCtx()
+	defer cancel()
 	return c.CallBulkContext(ctx, proc, args, h)
 }
 
@@ -1354,181 +1472,8 @@ func (c *NetClient) CallBulkContext(ctx context.Context, proc int, args []byte, 
 	if err := c.checkRequestSize(args, bulkReqHdrSize); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	h.n = 0
-	c.calls.Add(1)
-	var probe bool
-	if c.br != nil {
-		var err error
-		probe, err = c.br.allow(time.Now())
-		if err != nil {
-			return nil, err
-		}
-	}
-	res, err := c.doCallBulk(ctx, proc, args, h)
-	c.brObserve(probe, err)
-	return res, err
-}
-
-func (c *NetClient) doCallBulk(ctx context.Context, proc int, args []byte, h *BulkHandle) ([]byte, error) {
-	select {
-	case c.sem <- struct{}{}:
-	case <-c.closedCh:
-		return nil, notSent(ErrConnClosed)
-	case <-ctx.Done():
-		c.timeouts.Add(1)
-		return nil, timeoutError(ctx.Err())
-	}
-	defer func() { <-c.sem }()
-
-	// A buffer-backed payload can be replayed, so a request that never
-	// reached the wire retries like doCall; a stream-backed source is
-	// consumed by its attempt and gets exactly one.
-	replayable := h.src == nil
-	for attempt := 0; attempt < c.opts.RedialAttempts; attempt++ {
-		conn, gen, err := c.getConn(ctx)
-		if err != nil {
-			if errors.Is(err, ErrCallTimeout) {
-				c.timeouts.Add(1)
-				return nil, err
-			}
-			return nil, notSent(err)
-		}
-
-		p := &pendingCall{ch: make(chan netReply, 1), gen: gen, bulk: h}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, notSent(ErrConnClosed)
-		}
-		c.nextID++
-		id := c.nextID
-		c.wait[id] = p
-		c.mu.Unlock()
-
-		wrote, werr := c.writeBulkRequest(ctx, conn, id, uint32(proc)|wireFlagBulk, args, h)
-		if werr != nil {
-			c.unregister(id)
-			c.emitEvent(TraceWriteFail, werr)
-			c.connBroken(conn, gen, werr)
-			if !wrote {
-				if replayable {
-					c.retries.Add(1)
-					continue
-				}
-				return nil, notSent(werr)
-			}
-			return nil, fmt.Errorf("%w: send failed mid-request: %v", ErrConnClosed, werr)
-		}
-
-		reply, delivered, err := c.awaitBulkReply(ctx, id, p)
-		if err != nil {
-			return nil, err
-		}
-		if !delivered {
-			return nil, fmt.Errorf("%w: connection lost awaiting reply", ErrConnClosed)
-		}
-		if reply.status != 0 {
-			c.failures.Add(1)
-			return nil, &RemoteError{Msg: string(reply.body), NotExecuted: reply.status == 2}
-		}
-		if reply.bulkErr != nil {
-			return reply.body, fmt.Errorf("lrpc: bulk sink: %w", reply.bulkErr)
-		}
-		if h.dir == BulkIn {
-			h.n = h.length()
-		}
-		return reply.body, nil
-	}
-	return nil, notSent(fmt.Errorf("%w: request could not be sent after %d attempts",
-		ErrConnClosed, c.opts.RedialAttempts))
-}
-
-// awaitBulkReply waits for a bulk call's reply. When the deadline (or
-// Close) fires after the read loop already claimed the call — it may be
-// mid-stream into the handle's buffer — the call keeps waiting for the
-// claimed delivery instead of abandoning a buffer the read loop is
-// writing; the stream's completion or the connection's death bounds the
-// wait.
-func (c *NetClient) awaitBulkReply(ctx context.Context, id uint64, p *pendingCall) (netReply, bool, error) {
-	select {
-	case reply, ok := <-p.ch:
-		return reply, ok, nil
-	case <-ctx.Done():
-		if c.unregister(id) {
-			c.timeouts.Add(1)
-			return netReply{}, false, timeoutError(ctx.Err())
-		}
-	case <-c.closedCh:
-		if c.unregister(id) {
-			return netReply{}, false, ErrConnClosed
-		}
-	}
-	// The read loop owns the call: a reply or a channel close is
-	// guaranteed to arrive.
-	reply, ok := <-p.ch
-	return reply, ok, nil
-}
-
-// unregister removes a pending call from the wait table; false reports
-// that the read loop already claimed it.
-func (c *NetClient) unregister(id uint64) bool {
-	c.mu.Lock()
-	_, present := c.wait[id]
-	if present {
-		delete(c.wait, id)
-	}
-	c.mu.Unlock()
-	return present
-}
-
-// writeBulkRequest writes the bulk request frame and, for BulkIn,
-// streams the payload right behind it under the same write-lock hold,
-// so a concurrent request cannot interleave into the payload. A
-// buffer-backed payload is a single Write; a stream-backed one goes
-// through io.CopyN, whose ReadFrom fast path hands an *os.File source
-// to sendfile(2) on platforms that provide it. wrote reports whether
-// any byte reached the connection.
-func (c *NetClient) writeBulkRequest(ctx context.Context, conn net.Conn, id uint64, procWord uint32, args []byte, h *BulkHandle) (wrote bool, err error) {
-	payload := int64(0)
-	if h.dir == BulkIn {
-		payload = h.length()
-	}
-	capacity := h.length()
-	bp := frameBuf(4 + 8 + 2 + len(c.name) + 4 + bulkReqHdrSize + len(args))
-	buf := *bp
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-4))
-	binary.LittleEndian.PutUint64(buf[4:12], id)
-	binary.LittleEndian.PutUint16(buf[12:14], uint16(len(c.name)))
-	off := 14 + copy(buf[14:], c.name)
-	binary.LittleEndian.PutUint32(buf[off:], procWord)
-	buf[off+4] = byte(h.dir)
-	binary.LittleEndian.PutUint64(buf[off+5:off+13], uint64(capacity))
-	copy(buf[off+4+bulkReqHdrSize:], args)
-
-	deadline := time.Now().Add(c.opts.WriteTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	conn.SetWriteDeadline(deadline)
-	defer conn.SetWriteDeadline(time.Time{})
-	n, err := conn.Write(buf)
-	frameBufPool.Put(bp)
-	if err != nil || payload == 0 {
-		return n > 0, err
-	}
-	// A fresh budget for the payload: it can dwarf the frame.
-	conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
-	if h.src != nil {
-		_, err = io.CopyN(conn, h.src, payload)
-	} else {
-		_, err = conn.Write(h.buf)
-	}
-	return true, err
+	return c.call(ctx, uint32(proc), args, h)
 }
 
 // Close tears down the connection permanently; in-flight calls fail with
@@ -1586,49 +1531,42 @@ func frameBuf(n int) *[]byte {
 	return bp
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrame reads one frame of at most maxFrame bytes.
+func readFrame(r io.Reader) ([]byte, error) { return readLimitedFrame(r, maxFrame) }
+
+// readLimitedFrame reads one u32-length-prefixed frame under a cap: a
+// length header beyond max is rejected before a byte of body is read,
+// let alone allocated.
+func readLimitedFrame(r io.Reader, max int) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n > maxFrame {
-		return nil, fmt.Errorf("lrpc: frame of %d bytes exceeds limit", n)
+	if n > max {
+		return nil, fmt.Errorf("lrpc: frame of %d bytes exceeds limit %d", n, max)
 	}
-	// Small frames (the common case) are read in one shot. Large ones
-	// grow incrementally as payload actually arrives, so a hostile length
-	// header cannot commit megabytes of memory per connection before a
-	// single body byte is sent.
-	const chunk = 64 << 10
-	if n <= chunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	buf := make([]byte, 0, chunk)
-	for len(buf) < n {
-		want := n - len(buf)
-		if want > chunk {
-			want = chunk
-		}
-		if len(buf)+want > cap(buf) {
-			grown := cap(buf) * 2
-			if grown > n {
-				grown = n
-			}
-			nb := make([]byte, len(buf), grown)
-			copy(nb, buf)
-			buf = nb
-		}
-		off := len(buf)
-		buf = buf[:off+want]
+	return readBody(r, n)
+}
+
+// readBody reads exactly n bytes — a frame body or a BulkIn payload.
+// Small bodies (the common case) are read in one shot of at most 64 KiB;
+// past that the buffer doubles only once the bytes before it have
+// arrived, so a hostile length cannot commit more memory per connection
+// than it has actually sent.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, 64<<10))
+	off := 0
+	for {
 		if _, err := io.ReadFull(r, buf[off:]); err != nil {
 			return nil, err
 		}
+		if len(buf) == n {
+			return buf, nil
+		}
+		off = len(buf)
+		buf = append(buf, make([]byte, min(off, n-off))...)
 	}
-	return buf, nil
 }
 
 func writeFrame(w io.Writer, payload []byte) error {
@@ -1641,23 +1579,35 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-func writeReply(conn net.Conn, wmu *sync.Mutex, timeout time.Duration, callID uint64, status byte, body []byte) error {
+// writeReply writes one reply frame. A status-3 reply — frame(callID, 3,
+// u64 produced, results) — streams the produced payload bulk right
+// behind its frame under the same hold of wmu, so a concurrent reply
+// cannot interleave into it.
+func writeReply(conn net.Conn, wmu *sync.Mutex, timeout time.Duration, callID uint64, status byte, body, bulk []byte) error {
 	// Frame the length header and payload into one pooled buffer so the
 	// reply is a single Write (one syscall, no per-reply allocation).
-	bp := frameBuf(4 + 9 + len(body))
+	hdr := 9
+	if status == 3 {
+		hdr += 8
+	}
+	bp := frameBuf(4 + hdr + len(body))
 	buf := *bp
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(9+len(body)))
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(hdr+len(body)))
 	binary.LittleEndian.PutUint64(buf[4:12], callID)
 	buf[12] = status
-	copy(buf[13:], body)
+	if status == 3 {
+		binary.LittleEndian.PutUint64(buf[13:21], uint64(len(bulk)))
+	}
+	copy(buf[4+hdr:], body)
 	wmu.Lock()
-	if timeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
+	conn.SetWriteDeadline(time.Now().Add(timeout))
 	_, err := conn.Write(buf)
-	if timeout > 0 {
-		conn.SetWriteDeadline(time.Time{})
+	if err == nil && len(bulk) > 0 {
+		// A fresh budget for the payload: it can dwarf the frame.
+		conn.SetWriteDeadline(time.Now().Add(timeout))
+		_, err = conn.Write(bulk)
 	}
+	conn.SetWriteDeadline(time.Time{})
 	wmu.Unlock()
 	frameBufPool.Put(bp)
 	return err
@@ -1702,71 +1652,6 @@ func parseBulkHeader(args []byte) (BulkDir, int64, []byte, error) {
 		return 0, 0, nil, fmt.Errorf("lrpc: bulk length %d out of range", n)
 	}
 	return dir, n, args[bulkReqHdrSize:], nil
-}
-
-// readBulkBody reads exactly n out-of-frame payload bytes. Like
-// readFrame's large case, the buffer grows only as bytes actually
-// arrive, so a hostile length cannot commit the whole allocation before
-// sending a single payload byte.
-func readBulkBody(r io.Reader, n int) ([]byte, error) {
-	const chunk = 256 << 10
-	if n <= chunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	buf := make([]byte, 0, chunk)
-	for len(buf) < n {
-		want := min(n-len(buf), chunk)
-		if len(buf)+want > cap(buf) {
-			grown := cap(buf) * 2
-			if grown > n {
-				grown = n
-			}
-			nb := make([]byte, len(buf), grown)
-			copy(nb, buf)
-			buf = nb
-		}
-		off := len(buf)
-		buf = buf[:off+want]
-		if _, err := io.ReadFull(r, buf[off:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// writeBulkReply writes a status-3 reply — frame(callID, 3, u64
-// produced, results) — with the produced payload bytes streamed right
-// behind the frame, all under the write lock so a concurrent reply
-// cannot interleave into the payload.
-func writeBulkReply(conn net.Conn, wmu *sync.Mutex, timeout time.Duration, callID uint64, results, bulk []byte) error {
-	bp := frameBuf(4 + 9 + 8 + len(results))
-	buf := *bp
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(9+8+len(results)))
-	binary.LittleEndian.PutUint64(buf[4:12], callID)
-	buf[12] = 3
-	binary.LittleEndian.PutUint64(buf[13:21], uint64(len(bulk)))
-	copy(buf[21:], results)
-	wmu.Lock()
-	defer wmu.Unlock()
-	if timeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(timeout))
-		defer conn.SetWriteDeadline(time.Time{})
-	}
-	_, err := conn.Write(buf)
-	frameBufPool.Put(bp)
-	if err != nil {
-		return err
-	}
-	if timeout > 0 {
-		// A fresh budget for the payload: it can dwarf the frame.
-		conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	_, err = conn.Write(bulk)
-	return err
 }
 
 // oversizedResults is the error text for handler results beyond

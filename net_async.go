@@ -30,7 +30,6 @@ package lrpc
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -47,16 +46,11 @@ func (c *NetClient) sendAsync(ctx context.Context, procWord uint32, args []byte,
 		return err
 	}
 	c.asyncCalls.Add(1)
-	// Circuit breaker gate, ahead of the in-flight window (as in
-	// CallContext): while the peer is known dead the submission fails
-	// fast, and the future resolves with ErrBreakerOpen.
-	var probe bool
-	if c.br != nil {
-		var berr error
-		probe, berr = c.br.allow(time.Now())
-		if berr != nil {
-			return berr
-		}
+	// While the peer is known dead the submission fails fast, and the
+	// future resolves with ErrBreakerOpen.
+	probe, err := c.allow()
+	if err != nil {
+		return err
 	}
 	select {
 	case c.sem <- struct{}{}:
@@ -82,7 +76,7 @@ func (c *NetClient) sendAsync(ctx context.Context, procWord uint32, args []byte,
 	c.wait[id] = &pendingCall{fut: f, gen: gen, probe: probe}
 	c.mu.Unlock()
 
-	wrote, werr := c.writeRequest(ctx, conn, id, procWord, args)
+	wrote, werr := c.writeRequest(ctx, conn, id, procWord, args, nil)
 	if werr != nil {
 		c.emitEvent(TraceWriteFail, werr)
 		// Claim the pending entry back. If connBroken swept it first, it
@@ -90,12 +84,7 @@ func (c *NetClient) sendAsync(ctx context.Context, procWord uint32, args []byte,
 		// its completion (ErrConnClosed) stand; completing here too would
 		// double-complete the future and double-release the slot. (The
 		// sweep also carried the entry's probe verdict to the breaker.)
-		c.mu.Lock()
-		_, mine := c.wait[id]
-		if mine {
-			delete(c.wait, id)
-		}
-		c.mu.Unlock()
+		mine := c.unregister(id)
 		c.connBroken(conn, gen, werr)
 		if !mine {
 			return nil
@@ -168,20 +157,16 @@ func (c *NetClient) CallOneWay(proc int, args []byte) error {
 		return err
 	}
 	c.oneWays.Add(1)
-	var probe bool
-	if c.br != nil {
-		var berr error
-		probe, berr = c.br.allow(time.Now())
-		if berr != nil {
-			return berr
-		}
+	probe, err := c.allow()
+	if err != nil {
+		return err
 	}
 	ctx := context.Background()
 	conn, gen, err := c.getConn(ctx)
 	if err != nil {
 		return c.asyncObserve(probe, notSent(err))
 	}
-	wrote, werr := c.writeRequest(ctx, conn, 0, uint32(proc)|wireFlagOneWay, args)
+	wrote, werr := c.writeRequest(ctx, conn, 0, uint32(proc)|wireFlagOneWay, args, nil)
 	if werr != nil {
 		c.emitEvent(TraceWriteFail, werr)
 		c.connBroken(conn, gen, werr)
@@ -230,15 +215,11 @@ func (nb *netBatch) stage(e *batchEnt) error {
 	if e.fut != nil {
 		e.fut.abandons = &c.timeouts
 	}
-	// Circuit breaker gate: a staged entry that cannot be admitted fails
-	// here, and Batch.Call resolves its future with ErrBreakerOpen.
-	var probe bool
-	if c.br != nil {
-		var berr error
-		probe, berr = c.br.allow(time.Now())
-		if berr != nil {
-			return berr
-		}
+	// A staged entry the breaker refuses fails here, and Batch.Call
+	// resolves its future with ErrBreakerOpen.
+	probe, err := c.allow()
+	if err != nil {
+		return err
 	}
 	// Pin a connection at the first staged entry: a batch is one
 	// coalesced write, so every frame in it must ride one generation.
@@ -252,7 +233,7 @@ func (nb *netBatch) stage(e *batchEnt) error {
 	c.batchedCalls.Add(1)
 	if e.oneWay {
 		c.oneWays.Add(1)
-		nb.buf = appendRequestFrame(nb.buf, 0, c.name, uint32(e.proc)|wireFlagOneWay, e.args)
+		nb.buf = appendRequestFrame(nb.buf, 0, c.name, uint32(e.proc)|wireFlagOneWay, e.args, nil)
 		if probe {
 			nb.probe = true
 		}
@@ -285,7 +266,7 @@ func (nb *netBatch) stage(e *batchEnt) error {
 	id := c.nextID
 	c.wait[id] = &pendingCall{fut: e.fut, gen: nb.gen, probe: probe}
 	c.mu.Unlock()
-	nb.buf = appendRequestFrame(nb.buf, id, c.name, uint32(e.proc), e.args)
+	nb.buf = appendRequestFrame(nb.buf, id, c.name, uint32(e.proc), e.args, nil)
 	return nil
 }
 
@@ -348,17 +329,4 @@ func (nb *netBatch) retire(cause error) {
 		nb.c.connBroken(nb.conn, nb.gen, cause)
 	}
 	nb.conn, nb.gen = nil, 0
-}
-
-// appendRequestFrame appends one length-prefixed request frame to dst —
-// the building block of a batch's coalesced write. Layout matches
-// writeRequest: len u32 | id u64 | nameLen u16 | name | procWord u32 |
-// args.
-func appendRequestFrame(dst []byte, id uint64, name string, procWord uint32, args []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(8+2+len(name)+4+len(args)))
-	dst = binary.LittleEndian.AppendUint64(dst, id)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(name)))
-	dst = append(dst, name...)
-	dst = binary.LittleEndian.AppendUint32(dst, procWord)
-	return append(dst, args...)
 }
