@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci fmtcheck vet build crossbuild test race stress onecore onecaller onewire shmtest haftest brokertest chaintest bench benchjson benchjson5 benchjson6 benchjson7 benchjson8 benchjson9 benchjson10 benchcheck fuzz staticcheck vulncheck
+.PHONY: ci fmtcheck vet build crossbuild test race stress onecore onecaller onewire oneslot shmtest haftest brokertest chaintest bench benchjson benchjson5 benchjson6 benchjson7 benchjson8 benchjson9 benchjson10 benchcheck fuzz staticcheck vulncheck
 
 # Formatting, vet, static analysis, build, tests (plain and -race), then
 # the perf gates: the whole merge bar in one command. The gates check the
@@ -14,7 +14,7 @@ GO ?= go
 # `make bench`) when the call path changes. The recipe line repeats the
 # test in which the broker's release-after-reply ordering used to show
 # as a flake in plain `go test`, so it cannot come back silently.
-ci: fmtcheck vet staticcheck vulncheck build crossbuild test race onecore onecaller onewire shmtest haftest brokertest chaintest benchcheck
+ci: fmtcheck vet staticcheck vulncheck build crossbuild test race onecore onecaller onewire oneslot shmtest haftest brokertest chaintest benchcheck
 	$(GO) test -count=3 -run 'TestBrokerAdmitAndCall' .
 
 # gofmt -l prints nonconforming files; any output is a failure.
@@ -126,6 +126,32 @@ onewire:
 			grep -n "$$pat" $(ONECORE_SRC); exit 1; fi; \
 	done
 	$(GO) test -race -count=3 -run 'TestBroker|TestNet' .
+
+# The structure guard for the shm client (DESIGN §5.11): every call kind
+# drives one slot lifecycle, check → acquire → stage → header →
+# roundTrip | post → retire. A slot is taken in one place (acquire: the
+# inflight reference and its two free-list receives), a request header
+# written in one (header), a reply read in one (reply), and an async slot
+# claimed in two (retire, and unpostSlot for a submission the peer never
+# saw). Another site is a call kind's hand-copied lifecycle coming back.
+# The call entries are sugar over two drivers, written once in the
+# portable shm_common.go, so shm_stub.go stubs the drivers and never an
+# entry. The second line runs the shm suite, the every-kind table
+# included.
+SHM_ENTRIES = Call CallAppend CallContext CallChain CallChainContext CallBulk CallAsync CallChainAsync
+oneslot:
+	@for cap in 'c[.]begin():1' '<-c[.]free:2' 'slotOffCallID)[.]Store(:1' 'slotOffResLen)[.]Load(:1' 'futs\[id\][.]Swap(nil):2'; do \
+		pat=$${cap%:*}; max=$${cap##*:}; \
+		n=$$(cat $(ONECORE_SRC) | grep -v '^[[:space:]]*//' | grep -c "$$pat"); \
+		if [ "$$n" -gt "$$max" ]; then \
+			echo "oneslot: $$n sites of '$$pat' in the root package, want at most $$max:"; \
+			grep -n "$$pat" $(ONECORE_SRC); exit 1; fi; \
+	done
+	@for fn in $(SHM_ENTRIES); do \
+		if grep -n "^func (c [*]ShmClient) $$fn(" shm_stub.go; then \
+			echo "oneslot: shm_stub.go defines $$fn, want it once in shm_common.go"; exit 1; fi; \
+	done
+	$(GO) test -race -count=3 -run 'TestShm' .
 
 # The cross-process shared-memory integration suite, race-detector on.
 # The tests carry a linux build tag; on other platforms the packages

@@ -109,11 +109,26 @@ func TestShmSlotSizeHandshake(t *testing.T) {
 	}
 }
 
-// TestShmBulkExhaustion pins the transient-failure classification: a
-// payload the granted region cannot hold right now is ErrNoAStacks
-// (retryable), not ErrTooLarge (permanent).
+// TestShmBulkExhaustion pins the permanent/transient split: a payload
+// the granted region can never hold is ErrTooLarge (permanent), while
+// one it cannot hold right now, because calls in flight hold the pages,
+// is ErrNoAStacks (retryable).
 func TestShmBulkExhaustion(t *testing.T) {
-	_, sock, _ := startShm(t, shmBulkIface(), ShmServeOptions{})
+	release := make(chan struct{})
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+	iface := shmBulkIface()
+	iface.Procs = append(iface.Procs, Proc{Name: "HoldArgs", Handler: func(c *Call) {
+		<-release
+		c.ResultsBuf(0)
+	}})
+	procHoldArgs := len(iface.Procs) - 1
+	_, sock, _ := startShm(t, iface, ShmServeOptions{})
 	// One 64 KiB page of bulk; spilling 100 KiB needs two.
 	c, err := DialShmOpts(sock, "ShmBulk", ShmDialOptions{SlotSize: 4096, BulkBytes: 64 << 10})
 	if err != nil {
@@ -123,8 +138,25 @@ func TestShmBulkExhaustion(t *testing.T) {
 	if c.BulkBytes() != 64<<10 {
 		t.Fatalf("granted %d bulk bytes, want one page", c.BulkBytes())
 	}
-	if _, err := c.Call(shmProcArgSum, make([]byte, 100<<10)); !errors.Is(err, ErrNoAStacks) {
-		t.Fatalf("spill beyond region = %v, want ErrNoAStacks", err)
+	if _, err := c.Call(shmProcArgSum, make([]byte, 100<<10)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("spill larger than the whole region = %v, want ErrTooLarge", err)
+	}
+	// An async spill parked in its handler holds the one page: a second
+	// spill is transient exhaustion, and fits once the first returns.
+	held := bulkPayload(32 << 10)
+	f, err := c.CallAsync(procHoldArgs, held)
+	if err != nil {
+		t.Fatalf("async spill to hold the page: %v", err)
+	}
+	if _, err := c.Call(shmProcArgSum, held); !errors.Is(err, ErrNoAStacks) {
+		t.Fatalf("spill while the page is held = %v, want ErrNoAStacks", err)
+	}
+	close(release)
+	if _, err := f.Wait(); err != nil {
+		t.Fatalf("held spill: %v", err)
+	}
+	if _, err := c.Call(shmProcArgSum, held); err != nil {
+		t.Fatalf("spill after the page came back: %v", err)
 	}
 	// A payload that fits one page still goes through afterwards.
 	if _, err := c.Call(shmProcArgSum, bulkPayload(60<<10)); err != nil {

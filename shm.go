@@ -1118,90 +1118,234 @@ func (c *ShmClient) Stats() ShmClientStats {
 	}
 }
 
-// Call invokes proc with args through the shared segment.
-func (c *ShmClient) Call(proc int, args []byte) ([]byte, error) {
-	return c.callContext(context.Background(), proc, args, nil)
-}
-
-// CallAppend is Call appending the results to dst.
-func (c *ShmClient) CallAppend(proc int, args, dst []byte) ([]byte, error) {
-	return c.callContext(context.Background(), proc, args, dst)
-}
-
-// CallContext invokes proc under ctx. At the deadline the caller
-// abandons the call (ErrCallTimeout) and its slot is reclaimed once
-// the server's reply eventually lands — §5.3's abandonment protocol.
-func (c *ShmClient) CallContext(ctx context.Context, proc int, args []byte) ([]byte, error) {
-	return c.callContext(ctx, proc, args, nil)
-}
-
-func (c *ShmClient) callContext(ctx context.Context, proc int, args, dst []byte) ([]byte, error) {
+// call is the synchronous driver under every blocking call kind (plain,
+// chain, bulk; the entries are sugar in shm_common.go): prepare the slot,
+// post it and wait (roundTrip), read the reply, settle a bulk handle, and
+// recycle the slot.
+func (c *ShmClient) call(ctx context.Context, r shmReq, dst []byte) ([]byte, error) {
 	c.calls.Add(1)
-	if err := c.checkArgSize(len(args)); err != nil {
-		c.failures.Add(1)
-		return nil, err
+	if r.chain {
+		c.chains.Add(1)
 	}
-	if err := c.begin(); err != nil {
-		c.failures.Add(1)
-		return nil, err
-	}
-	// Slot acquire: the client owns slot lifecycle, so a free slot is a
-	// local channel receive — the A-stack queue of §3.1, guarded on the
-	// client's side of the wall.
-	var id uint32
-	select {
-	case id = <-c.free:
-	default:
-		select {
-		case id = <-c.free:
-		case <-c.dead:
-			c.failures.Add(1)
-			c.end()
-			return nil, c.deadErr(false)
-		case <-ctx.Done():
-			c.timeouts.Add(1)
-			c.end()
-			return nil, timeoutError(ctx.Err())
-		}
-	}
-	base := c.lay.slotBase(id)
-	state := shmU32(c.seg, base+slotOffState)
-	select {
-	case <-c.sigs[id]: // drain a stale wakeup from a prior occupant
-	default:
-	}
-	if err := c.stageArgs(id, base, args); err != nil {
-		c.failures.Add(1)
-		c.recycle(id, state)
-		c.end()
+	id, callID, err := c.prepare(ctx, r, true)
+	if err != nil {
 		return nil, err
 	}
 	if f := c.opts.Faults; f != nil && f().TornDoorbell {
 		c.ringDoorbell(uint64(c.lay.nslots) + 7) // garbage index ahead of the real bell
 	}
-	body, code, ok, err := c.roundTrip(ctx, id, proc)
-	if err != nil {
+	if err := c.roundTrip(ctx, id, callID); err != nil {
 		return nil, err
 	}
+	body, code, ok := c.reply(id)
 	var out []byte
 	if ok {
 		out = append(dst, body...) // the single result copy out
+		if r.h != nil {
+			err = c.collectBulk(id, r.h)
+		}
 	} else {
 		err = shmDecodeErr(code, body)
 		c.failures.Add(1)
 	}
-	c.recycle(id, state)
+	c.recycle(id)
 	c.end()
 	return out, err
 }
 
-// roundTrip is the synchronous exchange every blocking call kind (plain,
-// chain, bulk) shares once its arguments are staged: finish the slot
-// header, post, ring the doorbell, wait, and read the reply header back.
-// body aliases the shared A-stack and is valid until the slot is
-// recycled; ok is false for an error reply, whose body decodes under
-// code. A non-nil err has already settled the caller's accounting (see
-// awaitReply) and the slot must not be touched again.
+// prepare runs the steps every call kind takes before its slot is posted
+// — check, acquire, stage, header — and settles the accounting of
+// whichever fails. On success the caller holds slot id, staged under
+// callID, and one inflight reference.
+func (c *ShmClient) prepare(ctx context.Context, r shmReq, block bool) (id uint32, callID uint64, err error) {
+	if err := c.check(r); err != nil {
+		c.failures.Add(1)
+		return 0, 0, err
+	}
+	if r.h != nil {
+		r.h.n = 0
+	}
+	if id, err = c.acquire(ctx, block); err != nil {
+		return 0, 0, err
+	}
+	if err := c.stage(id, r); err != nil {
+		c.failures.Add(1)
+		c.recycle(id)
+		c.end()
+		return 0, 0, err
+	}
+	return id, c.header(id, r.proc), nil
+}
+
+// check is the one size classification, made before any slot is taken.
+// What it refuses no retry on this session can fix (ErrTooLarge, or a
+// bulk call on a session without a bulk region), so it never shares a
+// sentinel with the transient page exhaustion stage can meet
+// (ErrNoAStacks). Plain args past the slot spill into the bulk region
+// when one was granted and the spill fits it whole — the in-process and
+// TCP planes' MaxOOBSize contract; a chain descriptor and a bulk call's
+// args must fit the slot.
+func (c *ShmClient) check(r shmReq) error {
+	n := len(r.args)
+	switch {
+	case r.h != nil:
+		if err := r.h.check(); err != nil {
+			return err
+		}
+		if n > c.lay.slotSize {
+			return fmt.Errorf("%w: %d argument bytes exceed the %d-byte slot (bulk calls carry args in-slot)",
+				ErrTooLarge, n, c.lay.slotSize)
+		}
+		if c.bulk == nil {
+			return errors.New("lrpc: shm session has no bulk region (dial with BulkBytes > 0)")
+		}
+		if size := r.h.length(); size > int64(c.lay.bulkBytes) {
+			return fmt.Errorf("%w: %d-byte bulk payload exceeds the session's %d-byte bulk region",
+				ErrTooLarge, size, c.lay.bulkBytes)
+		}
+	case r.chain:
+		if n > c.lay.slotSize {
+			return fmt.Errorf("%w: %d-byte chain descriptor exceeds the %d-byte slot",
+				ErrTooLarge, n, c.lay.slotSize)
+		}
+	case n <= c.lay.slotSize:
+	case n > MaxOOBSize:
+		return ErrTooLarge
+	case c.bulk == nil:
+		return fmt.Errorf("%w: %d argument bytes exceed the %d-byte slot",
+			ErrTooLarge, n, c.lay.slotSize)
+	case n > c.lay.bulkBytes:
+		return fmt.Errorf("%w: %d argument bytes exceed the session's %d-byte bulk region",
+			ErrTooLarge, n, c.lay.bulkBytes)
+	}
+	return nil
+}
+
+// acquire is the one slot take: an inflight reference, then a free slot
+// — the A-stack queue of §3.1, a local channel receive on the client's
+// side of the wall — with the stale wakeup a prior occupant may have left
+// drained. block=false returns errWouldBlock rather than wait (batch
+// staging flushes and retries); a blocking take gives up when the session
+// dies or ctx ends.
+func (c *ShmClient) acquire(ctx context.Context, block bool) (uint32, error) {
+	if err := c.begin(); err != nil {
+		c.failures.Add(1)
+		return 0, err
+	}
+	var id uint32
+	select {
+	case id = <-c.free:
+	default:
+		if !block {
+			c.end()
+			return 0, errWouldBlock
+		}
+		select {
+		case id = <-c.free:
+		case <-c.dead:
+			c.failures.Add(1)
+			c.end()
+			return 0, c.deadErr(false)
+		case <-ctx.Done():
+			c.timeouts.Add(1)
+			c.end()
+			return 0, timeoutError(ctx.Err())
+		}
+	}
+	select {
+	case <-c.sigs[id]:
+	default:
+	}
+	return id, nil
+}
+
+// stage is the one copy into the slot: the arguments, or a chain's
+// descriptor, straight into the shared A-stack, and the direction word
+// that routes the server's dispatch (a plain call leaves the zero that
+// recycle stored). A bulk handle's pages and an argument spill — args past
+// the slot, carried in bulk pages the slot's descriptor names, the
+// paper's out-of-band segment pressed into argument service — go through
+// stageBulk.
+func (c *ShmClient) stage(id uint32, r shmReq) error {
+	base := c.lay.slotBase(id)
+	args, dir := r.args, uint32(0)
+	switch {
+	case r.h != nil:
+		if err := c.stageBulk(id, base, r.h); err != nil {
+			return err
+		}
+		dir = uint32(r.h.dir)
+	case r.chain:
+		dir = bulkDirChain
+	case len(args) > c.lay.slotSize:
+		if err := c.stageBulk(id, base, &BulkHandle{dir: BulkIn, buf: args}); err != nil {
+			return err
+		}
+		args, dir = nil, bulkDirSpill
+		if t := c.opts.Tracer; t != nil {
+			t.TraceEvent(TraceEvent{Kind: TraceBulkSpill, Iface: c.name})
+		}
+	}
+	copy(c.seg[base+slotPayloadOff:base+slotPayloadOff+c.lay.slotSize], args)
+	shmU32(c.seg, base+slotOffArgLen).Store(uint32(len(args)))
+	if dir != 0 {
+		shmU32(c.seg, base+slotOffBulkDir).Store(dir)
+	}
+	return nil
+}
+
+// stageBulk reserves bulk pages for h on slot id and publishes them in
+// the slot's descriptor with the payload length and capacity. A BulkIn
+// payload is copied in once, from the caller's buffer or streamed from
+// its reader; BulkOut pages are left for the handler to fill. The request
+// passed check, so an allocation failure is transient exhaustion.
+func (c *ShmClient) stageBulk(id uint32, base int, h *BulkHandle) error {
+	size := h.length()
+	runs, err := c.bulk.alloc(id, size)
+	if err != nil {
+		return err
+	}
+	if runs != nil {
+		c.bulkHeld[id].Store(true)
+	}
+	in := int64(0)
+	if h.dir == BulkIn {
+		for _, r := range runs {
+			dst := c.bulkRunBytes(r)
+			if int64(len(dst)) > size-in {
+				dst = dst[:size-in]
+			}
+			if h.src != nil {
+				if _, err := io.ReadFull(h.src, dst); err != nil {
+					return fmt.Errorf("lrpc: bulk source: %w", err)
+				}
+			} else {
+				copy(dst, h.buf[in:])
+			}
+			in += int64(len(dst))
+		}
+	}
+	c.writeBulkDesc(base, runs)
+	shmU64(c.seg, base+slotOffBulkLen).Store(uint64(in))
+	shmU64(c.seg, base+slotOffBulkCap).Store(uint64(size))
+	return nil
+}
+
+// header is the one request-header write: the procedure, a cleared
+// reply, and a fresh call ID, which it returns.
+func (c *ShmClient) header(id uint32, proc int) uint64 {
+	base := c.lay.slotBase(id)
+	callID := c.callID.Add(1)
+	shmU32(c.seg, base+slotOffProc).Store(uint32(proc))
+	shmU32(c.seg, base+slotOffResLen).Store(0)
+	shmU32(c.seg, base+slotOffCode).Store(0)
+	shmU64(c.seg, base+slotOffCallID).Store(callID)
+	return callID
+}
+
+// roundTrip posts a prepared slot synchronously: post, ring the doorbell,
+// and wait for the reply. A non-nil err has already settled the caller's
+// accounting (see awaitReply) and the slot must not be touched again.
 //
 // The slot is posted with its no-hint word at the call's own ID: the
 // reply is the state word itself, which awaitReply polls, so the server
@@ -1212,118 +1356,92 @@ func (c *ShmClient) callContext(ctx context.Context, proc int, args, dst []byte)
 // existed, which sees zero) get their hint without touching it, and a
 // server that reads the word late, after the slot has moved on, still
 // decides for the call it served.
-func (c *ShmClient) roundTrip(ctx context.Context, id uint32, proc int) (body []byte, code uint32, ok bool, err error) {
+func (c *ShmClient) roundTrip(ctx context.Context, id uint32, callID uint64) error {
 	base := c.lay.slotBase(id)
 	state := shmU32(c.seg, base+slotOffState)
 	noHint := shmU64(c.seg, base+slotOffNoHint)
-	callID := c.callID.Add(1)
-	shmU32(c.seg, base+slotOffProc).Store(uint32(proc))
-	shmU32(c.seg, base+slotOffResLen).Store(0)
-	shmU32(c.seg, base+slotOffCode).Store(0)
-	shmU64(c.seg, base+slotOffCallID).Store(callID)
 	noHint.Store(callID)
 	state.Store(slotPosted)
 	if err := c.ringDoorbell(uint64(id)); err != nil {
 		c.failures.Add(1)
 		c.end()
-		return nil, 0, false, err
+		return err
 	}
-	if err := c.awaitReply(ctx, id, state, noHint); err != nil {
-		return nil, 0, false, err
-	}
-	code = shmU32(c.seg, base+slotOffCode).Load()
-	resLen := int(shmU32(c.seg, base+slotOffResLen).Load())
-	if resLen > c.lay.slotSize {
-		resLen = c.lay.slotSize
-	}
-	return c.seg[base+slotPayloadOff : base+slotPayloadOff+resLen], code, state.Load() == slotDoneOK, nil
+	return c.awaitReply(ctx, id, state, noHint)
 }
 
-// CallChain submits the whole dependent pipeline as one slot post and
-// one doorbell: the server's chain executor (chain.go) runs every stage
-// in its own domain, and the single reply carries only the final
-// stage's results. The encoded descriptor must fit the slot — chains
-// carry control flow, not payload; oversized descriptors (or final
-// results past the slot) are the plane's usual size exception.
-func (c *ShmClient) CallChain(ch *Chain) ([]byte, error) {
-	return c.CallChainContext(context.Background(), ch)
-}
-
-// CallChainContext is CallChain under ctx; at the deadline the caller
-// abandons the slot exactly like a plain call (the orphan watcher
-// reclaims it when the chain's reply eventually lands). A mid-chain
-// failure decodes to a *ChainError with the failing stage and the
-// server's executed-through vouch intact.
-func (c *ShmClient) CallChainContext(ctx context.Context, ch *Chain) ([]byte, error) {
-	if err := ch.check(); err != nil {
-		return nil, err
-	}
-	desc := appendChain(nil, ch.stages)
-	c.calls.Add(1)
-	c.chains.Add(1)
-	if len(desc) > c.lay.slotSize {
-		c.failures.Add(1)
-		return nil, fmt.Errorf("%w: %d-byte chain descriptor exceeds the %d-byte slot",
-			ErrTooLarge, len(desc), c.lay.slotSize)
-	}
-	if err := c.begin(); err != nil {
-		c.failures.Add(1)
-		return nil, err
-	}
-	var id uint32
-	select {
-	case id = <-c.free:
-	default:
-		select {
-		case id = <-c.free:
-		case <-c.dead:
-			c.failures.Add(1)
-			c.end()
-			return nil, c.deadErr(false)
-		case <-ctx.Done():
-			c.timeouts.Add(1)
-			c.end()
-			return nil, timeoutError(ctx.Err())
-		}
-	}
+// reply is the one reply read, once slot id's state word says done. body
+// aliases the shared A-stack, its length clamped to the slot, and is
+// valid until the slot is recycled; ok is false for an error reply,
+// whose body decodes under code.
+func (c *ShmClient) reply(id uint32) (body []byte, code uint32, ok bool) {
 	base := c.lay.slotBase(id)
-	state := shmU32(c.seg, base+slotOffState)
-	select {
-	case <-c.sigs[id]: // drain a stale wakeup from a prior occupant
-	default:
+	code = shmU32(c.seg, base+slotOffCode).Load()
+	n := int(shmU32(c.seg, base+slotOffResLen).Load())
+	if n > c.lay.slotSize {
+		n = c.lay.slotSize
 	}
-	payload := c.seg[base+slotPayloadOff : base+slotPayloadOff+c.lay.slotSize]
-	copy(payload, desc) // the single descriptor copy into the shared A-stack
-	shmU32(c.seg, base+slotOffArgLen).Store(uint32(len(desc)))
-	shmU32(c.seg, base+slotOffBulkDir).Store(uint32(bulkDirChain))
-	body, code, ok, err := c.roundTrip(ctx, id, 0)
-	if err != nil {
-		return nil, err
-	}
-	var out []byte
-	if ok {
-		out = append(out, body...) // the single result copy out
-	} else {
-		err = shmDecodeErr(code, body)
-		c.failures.Add(1)
-	}
-	c.recycle(id, state)
-	c.end()
-	return out, err
+	ok = shmU32(c.seg, base+slotOffState).Load() == slotDoneOK
+	return c.seg[base+slotPayloadOff : base+slotPayloadOff+n], code, ok
 }
 
-// ringDoorbell pushes a slot index to the server and bumps the futex
-// word. The ring holds twice the slot count, so with at most one
-// doorbell per posted slot it cannot stay full; the retry loop only
-// spins when fault injection floods it with torn entries.
-func (c *ShmClient) ringDoorbell(v uint64) error {
+// collectBulk settles h after an ok reply. BulkIn moved the whole
+// payload; BulkOut copies the produced bytes to the caller's buffer or
+// sink out of the page runs this side allocated — never out of the slot's
+// descriptor, which the peer can rewrite. A sink error is returned beside
+// the results, which stand.
+func (c *ShmClient) collectBulk(id uint32, h *BulkHandle) error {
+	size := h.length()
+	if h.dir == BulkIn {
+		h.n = size
+		return nil
+	}
+	remain := int64(shmU64(c.seg, c.lay.slotBase(id)+slotOffBulkLen).Load())
+	if remain < 0 || remain > size {
+		remain = size // a corrupt reply length cannot overrun the handle
+	}
+	for _, r := range c.bulk.held[id] {
+		if remain <= 0 {
+			break
+		}
+		src := c.bulkRunBytes(r)
+		if int64(len(src)) > remain {
+			src = src[:remain]
+		}
+		if h.dst != nil {
+			if _, err := h.dst.Write(src); err != nil {
+				return fmt.Errorf("lrpc: bulk sink: %w", err)
+			}
+		} else {
+			copy(h.buf[h.n:], src)
+		}
+		h.n += int64(len(src))
+		remain -= int64(len(src))
+	}
+	return nil
+}
+
+// push enqueues a slot index on the doorbell ring without bumping the
+// futex word; false means the session died first. The ring holds twice
+// the slot count, so with at most one doorbell per posted slot it cannot
+// stay full; the retry loop only spins when fault injection floods it
+// with torn entries.
+func (c *ShmClient) push(v uint64) bool {
 	for !c.c2s.Push(v) {
 		select {
 		case <-c.dead:
-			return c.deadErr(false)
+			return false
 		default:
 			shmring.Yield()
 		}
+	}
+	return true
+}
+
+// ringDoorbell pushes a slot index to the server and bumps the futex word.
+func (c *ShmClient) ringDoorbell(v uint64) error {
+	if !c.push(v) {
+		return c.deadErr(false)
 	}
 	c.c2s.Bump()
 	return nil
@@ -1340,7 +1458,7 @@ func (c *ShmClient) abandon(id uint32, state *atomic.Uint32) {
 			case <-c.sigs[id]:
 				if st := state.Load(); st >= slotDoneOK {
 					c.parked.Add(-1)
-					c.recycle(id, state)
+					c.recycle(id)
 					c.end()
 					return
 				}
@@ -1358,19 +1476,18 @@ func (c *ShmClient) abandon(id uint32, state *atomic.Uint32) {
 // completion path (sync, async, one-way, orphaned) drains through, so
 // pages can never leak with their slot. Plain calls skip the allocator
 // lock via the bulkHeld fast check.
-func (c *ShmClient) recycle(id uint32, state *atomic.Uint32) {
+func (c *ShmClient) recycle(id uint32) {
+	base := c.lay.slotBase(id)
 	// The direction word is cleared unconditionally: a chain posts
 	// bulkDirChain with no bulk pages (and possibly no bulk region at
 	// all), and a stale direction would route the slot's next occupant
 	// down the wrong dispatch path.
-	shmU32(c.seg, c.lay.slotBase(id)+slotOffBulkDir).Store(0)
-	if c.bulk != nil {
-		if c.bulkHeld[id].Load() {
-			c.bulk.release(id)
-			c.bulkHeld[id].Store(false)
-		}
+	shmU32(c.seg, base+slotOffBulkDir).Store(0)
+	if c.bulk != nil && c.bulkHeld[id].Load() {
+		c.bulk.release(id)
+		c.bulkHeld[id].Store(false)
 	}
-	state.Store(slotIdle)
+	shmU32(c.seg, base+slotOffState).Store(slotIdle)
 	select {
 	case c.free <- id:
 	default:
@@ -1445,57 +1562,6 @@ func (c *ShmClient) awaitReply(ctx context.Context, id uint32, state *atomic.Uin
 			return timeoutError(ctx.Err())
 		}
 	}
-}
-
-// checkArgSize classifies an argument size before any slot is taken:
-// args that fit the slot always pass; args past the slot but within
-// MaxOOBSize pass when the session has a bulk region to spill into
-// (matching the in-process and TCP planes' contract); everything else
-// is ErrTooLarge.
-func (c *ShmClient) checkArgSize(n int) error {
-	if n <= c.lay.slotSize {
-		return nil
-	}
-	if n > MaxOOBSize {
-		return ErrTooLarge
-	}
-	if c.bulk == nil {
-		return fmt.Errorf("%w: %d argument bytes exceed the %d-byte slot",
-			ErrTooLarge, n, c.lay.slotSize)
-	}
-	return nil
-}
-
-// stageArgs writes one call's arguments for slot id: into the slot's
-// payload when they fit, otherwise spilled into freshly allocated bulk
-// pages named by the slot's descriptor (dir=bulkDirSpill, the paper's
-// out-of-band segment pressed into argument service). The caller has
-// already passed checkArgSize, so a failure here is transient page
-// exhaustion, reported as ErrNoAStacks.
-func (c *ShmClient) stageArgs(id uint32, base int, args []byte) error {
-	if len(args) <= c.lay.slotSize {
-		payload := c.seg[base+slotPayloadOff : base+slotPayloadOff+c.lay.slotSize]
-		copy(payload, args) // the single argument copy, straight into the shared A-stack
-		shmU32(c.seg, base+slotOffArgLen).Store(uint32(len(args)))
-		return nil
-	}
-	runs, err := c.allocBulk(id, int64(len(args)))
-	if err != nil {
-		return err
-	}
-	n := 0
-	for _, r := range runs {
-		n += copy(c.bulkRunBytes(r), args[n:])
-	}
-	c.writeBulkDesc(base, runs)
-	shmU32(c.seg, base+slotOffArgLen).Store(0)
-	shmU64(c.seg, base+slotOffBulkLen).Store(uint64(len(args)))
-	shmU64(c.seg, base+slotOffBulkCap).Store(uint64(len(args)))
-	shmU32(c.seg, base+slotOffBulkDir).Store(uint32(bulkDirSpill))
-	if t := c.opts.Tracer; t != nil {
-		t.TraceEvent(TraceEvent{Kind: TraceBulkSpill, Iface: c.name})
-	}
-	return nil
 }
 
 // --- client-owned bulk page allocator ---
@@ -1579,19 +1645,6 @@ func (a *shmBulkAlloc) release(id uint32) {
 	a.mu.Unlock()
 }
 
-// allocBulk reserves pages for slot id and marks the slot as holding
-// them, so recycle releases them with the slot.
-func (c *ShmClient) allocBulk(id uint32, n int64) ([]bulkRun, error) {
-	runs, err := c.bulk.alloc(id, n)
-	if err != nil {
-		return nil, err
-	}
-	if runs != nil {
-		c.bulkHeld[id].Store(true)
-	}
-	return runs, nil
-}
-
 // bulkRunBytes returns the segment bytes one run covers.
 func (c *ShmClient) bulkRunBytes(r bulkRun) []byte {
 	off := c.lay.bulkOff + int(r.start)*bulkPageSize
@@ -1613,152 +1666,6 @@ func (c *ShmClient) writeBulkDesc(base int, runs []bulkRun) {
 // BulkBytes reports the session's granted bulk-region size in bytes (0
 // when the session has no bulk region).
 func (c *ShmClient) BulkBytes() int64 { return int64(c.lay.bulkBytes) }
-
-// CallBulk invokes proc with a bulk payload carried through the
-// segment's bulk region (bulk.go; nil h degrades to Call): the payload
-// is written once into client-allocated pages — or, for BulkOut, pages
-// are reserved for the handler to fill — and the handler touches those
-// pages in place. Arguments ride in the slot and must fit it.
-func (c *ShmClient) CallBulk(proc int, args []byte, h *BulkHandle) ([]byte, error) {
-	if h == nil {
-		return c.Call(proc, args)
-	}
-	c.calls.Add(1)
-	if err := h.check(); err != nil {
-		c.failures.Add(1)
-		return nil, err
-	}
-	if len(args) > c.lay.slotSize {
-		c.failures.Add(1)
-		return nil, fmt.Errorf("%w: %d argument bytes exceed the %d-byte slot (bulk calls carry args in-slot)",
-			ErrTooLarge, len(args), c.lay.slotSize)
-	}
-	if c.bulk == nil {
-		c.failures.Add(1)
-		return nil, errors.New("lrpc: shm session has no bulk region (dial with BulkBytes > 0)")
-	}
-	size := h.length()
-	if size > int64(c.lay.bulkBytes) {
-		c.failures.Add(1)
-		return nil, fmt.Errorf("%w: %d-byte bulk payload exceeds the session's %d-byte bulk region",
-			ErrTooLarge, size, c.lay.bulkBytes)
-	}
-	if err := c.begin(); err != nil {
-		c.failures.Add(1)
-		return nil, err
-	}
-	h.n = 0
-	var id uint32
-	select {
-	case id = <-c.free:
-	default:
-		select {
-		case id = <-c.free:
-		case <-c.dead:
-			c.failures.Add(1)
-			c.end()
-			return nil, c.deadErr(false)
-		}
-	}
-	base := c.lay.slotBase(id)
-	state := shmU32(c.seg, base+slotOffState)
-	select {
-	case <-c.sigs[id]: // drain a stale wakeup from a prior occupant
-	default:
-	}
-	fail := func(err error) ([]byte, error) {
-		c.failures.Add(1)
-		c.recycle(id, state)
-		c.end()
-		return nil, err
-	}
-	runs, err := c.allocBulk(id, size)
-	if err != nil {
-		return fail(err)
-	}
-	if h.dir == BulkIn {
-		// The single payload copy, straight into the shared pages — from
-		// the caller's buffer or streamed from its reader.
-		if h.buf != nil {
-			n := 0
-			for _, r := range runs {
-				n += copy(c.bulkRunBytes(r), h.buf[n:])
-			}
-		} else if h.src != nil {
-			remain := size
-			for _, r := range runs {
-				dst := c.bulkRunBytes(r)
-				if int64(len(dst)) > remain {
-					dst = dst[:remain]
-				}
-				if _, rerr := io.ReadFull(h.src, dst); rerr != nil {
-					return fail(fmt.Errorf("lrpc: bulk source: %w", rerr))
-				}
-				remain -= int64(len(dst))
-			}
-		}
-	}
-	c.writeBulkDesc(base, runs)
-	payload := c.seg[base+slotPayloadOff : base+slotPayloadOff+c.lay.slotSize]
-	copy(payload, args)
-	shmU32(c.seg, base+slotOffArgLen).Store(uint32(len(args)))
-	inLen := uint64(0)
-	if h.dir == BulkIn {
-		inLen = uint64(size)
-	}
-	shmU64(c.seg, base+slotOffBulkLen).Store(inLen)
-	shmU64(c.seg, base+slotOffBulkCap).Store(uint64(size))
-	shmU32(c.seg, base+slotOffBulkDir).Store(uint32(h.dir))
-	body, code, ok, err := c.roundTrip(context.Background(), id, proc)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return fail(shmDecodeErr(code, body))
-	}
-	out := append([]byte(nil), body...) // the single result copy out
-	switch h.dir {
-	case BulkIn:
-		h.n = size
-	case BulkOut:
-		produced := int64(shmU64(c.seg, base+slotOffBulkLen).Load())
-		if produced < 0 || produced > size {
-			produced = size // a corrupt reply length cannot overrun the handle
-		}
-		var sinkErr error
-		remain := produced
-		for _, r := range runs {
-			if remain <= 0 {
-				break
-			}
-			src := c.bulkRunBytes(r)
-			if int64(len(src)) > remain {
-				src = src[:remain]
-			}
-			if h.dst != nil {
-				if sinkErr == nil {
-					if _, werr := h.dst.Write(src); werr != nil {
-						sinkErr = werr
-					} else {
-						h.n += int64(len(src))
-					}
-				}
-			} else {
-				copy(h.buf[h.n:], src)
-				h.n += int64(len(src))
-			}
-			remain -= int64(len(src))
-		}
-		if sinkErr != nil {
-			c.recycle(id, state)
-			c.end()
-			return out, fmt.Errorf("lrpc: bulk sink: %w", sinkErr)
-		}
-	}
-	c.recycle(id, state)
-	c.end()
-	return out, nil
-}
 
 // drainReplies empties whatever the reply ring holds right now — the
 // bulk completion reap. Hints are popped in batches and routed per the
@@ -1786,16 +1693,13 @@ func (c *ShmClient) handleHint(v uint64) {
 		return
 	}
 	id := uint32(v)
-	switch c.kinds[id].Load() {
-	case kindAsync:
-		c.finishAsync(id)
-	case kindOneWay:
-		c.finishOneWay(id)
+	if c.kinds[id].Load() != kindSync {
+		c.retire(id, false)
+		return
+	}
+	select {
+	case c.sigs[id] <- struct{}{}:
 	default:
-		select {
-		case c.sigs[id] <- struct{}{}:
-		default:
-		}
 	}
 }
 
@@ -1870,9 +1774,12 @@ func (c *ShmClient) reap() {
 	<-c.demuxDone
 	// Resolve async and one-way submissions still holding slots before
 	// waiting out the inflight count: each holds a reference that only
-	// its completion releases, so the sweep must run first or the wait
-	// below never drains (shm_async.go).
-	c.sweepAsync()
+	// its retirement releases, so the sweep must run first or the wait
+	// below never drains. It may race straggling spinners and posters;
+	// retire's claim keeps retirement exactly-once (shm_async.go).
+	for id := 0; id < c.lay.nslots; id++ {
+		c.retire(uint32(id), true)
+	}
 	c.mu.Lock()
 	for c.inflight > 0 {
 		c.cond.Wait()

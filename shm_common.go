@@ -1,13 +1,19 @@
 package lrpc
 
-import "errors"
+import (
+	"context"
+	"errors"
+)
 
 // This file holds the platform-independent surface of the shared-memory
-// transport plane: option and statistics types, the fault hook, and the
-// sentinel for platforms without the plane. The working implementation
-// is shm.go (linux); everywhere else shm_stub.go supplies stubs that
-// fail with ErrShmUnsupported so callers — and TransparentBinding's
-// three-way dispatch — compile unchanged.
+// transport plane: option and statistics types, the fault hook, the
+// sentinel for platforms without the plane, and the client's call
+// surface. Every call entry is sugar over one of two drivers, call and
+// callAsync, which take a shmReq through the one slot lifecycle (DESIGN
+// §5.11). The working implementation is shm.go and shm_async.go (linux);
+// everywhere else shm_stub.go supplies stubs that fail with
+// ErrShmUnsupported — the two drivers, not the entries — so callers and
+// TransparentBinding's three-way dispatch compile unchanged.
 
 // ErrShmUnsupported reports that the shared-memory transport is not
 // available on this platform (it requires mmap'd segments, SCM_RIGHTS
@@ -39,7 +45,8 @@ type ShmDialOptions struct {
 	// Tracer receives the client side's uncommon-case events
 	// (TraceShmBind, TraceShmPeerCrash). Optional.
 	Tracer Tracer
-	// Faults, when non-nil, is consulted once per call for injected
+	// Faults, when non-nil, is consulted once per synchronous call (Call,
+	// CallAppend, CallContext, CallChain*, CallBulk) for injected
 	// shared-memory faults (internal/faultinject wires its schedule in
 	// here). Test hook; nil in production.
 	Faults func() ShmFault
@@ -166,4 +173,89 @@ type ShmFault struct {
 	// index before the real one, exercising the server's torn-write
 	// rejection. The real call still completes.
 	TornDoorbell bool
+}
+
+// --- the client call surface ---
+
+// shmReq is one shm submission: a procedure and its arguments, a chain
+// (args then hold its encoded descriptor, which the server executes
+// whole), or a call carrying the bulk payload named by h.
+type shmReq struct {
+	proc  int
+	args  []byte
+	chain bool
+	h     *BulkHandle
+}
+
+// Call invokes proc with args through the shared segment.
+func (c *ShmClient) Call(proc int, args []byte) ([]byte, error) {
+	return c.call(context.Background(), shmReq{proc: proc, args: args}, nil)
+}
+
+// CallAppend is Call appending the results to dst.
+func (c *ShmClient) CallAppend(proc int, args, dst []byte) ([]byte, error) {
+	return c.call(context.Background(), shmReq{proc: proc, args: args}, dst)
+}
+
+// CallContext invokes proc under ctx. At the deadline the caller
+// abandons the call (ErrCallTimeout) and its slot is reclaimed once
+// the server's reply eventually lands — §5.3's abandonment protocol.
+func (c *ShmClient) CallContext(ctx context.Context, proc int, args []byte) ([]byte, error) {
+	return c.call(ctx, shmReq{proc: proc, args: args}, nil)
+}
+
+// CallChain submits the whole dependent pipeline as one slot post and
+// one doorbell: the server's chain executor (chain.go) runs every stage
+// in its own domain, and the single reply carries only the final
+// stage's results. The encoded descriptor must fit the slot — chains
+// carry control flow, not payload; oversized descriptors (or final
+// results past the slot) are the plane's usual size exception.
+func (c *ShmClient) CallChain(ch *Chain) ([]byte, error) {
+	return c.CallChainContext(context.Background(), ch)
+}
+
+// CallChainContext is CallChain under ctx; at the deadline the caller
+// abandons the slot exactly like a plain call (the orphan watcher
+// reclaims it when the chain's reply eventually lands). A mid-chain
+// failure decodes to a *ChainError with the failing stage and the
+// server's executed-through vouch intact.
+func (c *ShmClient) CallChainContext(ctx context.Context, ch *Chain) ([]byte, error) {
+	if err := ch.check(); err != nil {
+		return nil, err
+	}
+	return c.call(ctx, shmReq{args: appendChain(nil, ch.stages), chain: true}, nil)
+}
+
+// CallBulk invokes proc with a bulk payload carried through the
+// segment's bulk region (bulk.go; nil h degrades to Call): the payload
+// is written once into client-allocated pages — or, for BulkOut, pages
+// are reserved for the handler to fill — and the handler touches those
+// pages in place. Arguments ride in the slot and must fit it.
+func (c *ShmClient) CallBulk(proc int, args []byte, h *BulkHandle) ([]byte, error) {
+	if h == nil {
+		return c.Call(proc, args)
+	}
+	return c.call(context.Background(), shmReq{proc: proc, args: args, h: h}, nil)
+}
+
+// CallAsync submits proc through the shared segment without waiting:
+// the argument copy, slot post, and doorbell happen here; the reply is
+// reaped by the demultiplexer (or a spinning sibling draining the
+// ring) and delivered through the returned future. The args slice may
+// be reused as soon as CallAsync returns — the single copy into the
+// shared A-stack is synchronous.
+func (c *ShmClient) CallAsync(proc int, args []byte) (*Future, error) {
+	return c.callAsync(shmReq{proc: proc, args: args})
+}
+
+// CallChainAsync submits a whole dependent pipeline through the shared
+// segment without waiting: one slot, one doorbell, and a future that
+// resolves with the final stage's results — or a *ChainError carrying
+// the failing stage and the server's executed-through vouch — when the
+// chain executor rings back. The chain must not be mutated until then.
+func (c *ShmClient) CallChainAsync(ch *Chain) (*Future, error) {
+	if err := ch.check(); err != nil {
+		return nil, err
+	}
+	return c.callAsync(shmReq{args: appendChain(nil, ch.stages), chain: true})
 }

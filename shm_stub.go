@@ -3,9 +3,10 @@
 package lrpc
 
 // Stubs for the shared-memory transport on platforms without it. Every
-// entry point fails with ErrShmUnsupported; the types exist so that
-// TransparentBinding's three-way dispatch and cross-platform callers
-// compile everywhere, and CI skips (rather than breaks) off linux.
+// entry point fails with ErrShmUnsupported (the call entries through the
+// two drivers below); the types exist so that TransparentBinding's
+// three-way dispatch and cross-platform callers compile everywhere, and
+// CI skips (rather than breaks) off linux.
 
 import (
 	"context"
@@ -74,41 +75,13 @@ func (c *ShmClient) SlotSize() int { return 0 }
 // BulkBytes returns 0 on this platform.
 func (c *ShmClient) BulkBytes() int64 { return 0 }
 
-// CallBulk fails with ErrShmUnsupported.
-func (c *ShmClient) CallBulk(proc int, args []byte, h *BulkHandle) ([]byte, error) {
+// call and callAsync are the two drivers every call entry in
+// shm_common.go is sugar over; here they fail with ErrShmUnsupported.
+func (c *ShmClient) call(context.Context, shmReq, []byte) ([]byte, error) {
 	return nil, ErrShmUnsupported
 }
 
-// Call fails with ErrShmUnsupported.
-func (c *ShmClient) Call(proc int, args []byte) ([]byte, error) { return nil, ErrShmUnsupported }
-
-// CallAppend fails with ErrShmUnsupported.
-func (c *ShmClient) CallAppend(proc int, args, dst []byte) ([]byte, error) {
-	return nil, ErrShmUnsupported
-}
-
-// CallContext fails with ErrShmUnsupported.
-func (c *ShmClient) CallContext(ctx context.Context, proc int, args []byte) ([]byte, error) {
-	return nil, ErrShmUnsupported
-}
-
-// CallAsync fails with ErrShmUnsupported.
-func (c *ShmClient) CallAsync(proc int, args []byte) (*Future, error) {
-	return nil, ErrShmUnsupported
-}
-
-// CallChain fails with ErrShmUnsupported.
-func (c *ShmClient) CallChain(ch *Chain) ([]byte, error) { return nil, ErrShmUnsupported }
-
-// CallChainContext fails with ErrShmUnsupported.
-func (c *ShmClient) CallChainContext(ctx context.Context, ch *Chain) ([]byte, error) {
-	return nil, ErrShmUnsupported
-}
-
-// CallChainAsync fails with ErrShmUnsupported.
-func (c *ShmClient) CallChainAsync(ch *Chain) (*Future, error) {
-	return nil, ErrShmUnsupported
-}
+func (c *ShmClient) callAsync(shmReq) (*Future, error) { return nil, ErrShmUnsupported }
 
 // CallOneWay fails with ErrShmUnsupported.
 func (c *ShmClient) CallOneWay(proc int, args []byte) error { return ErrShmUnsupported }
