@@ -115,17 +115,27 @@ onecaller:
 # relay loop pasted back. The client has one synchronous pendingCall
 # registration (NetClient.roundTrip) and one breaker gate (NetClient.allow);
 # another is a second round-trip loop or a hand-copied gate. Each cap
-# counts the definition plus its one caller. The second line runs the
-# TCP and broker suites, the route table included.
+# counts the definition plus its one caller. Run to completion (DESIGN
+# §5.18) has one spawn site in the loop, one stall-watch handoff, and
+# one write deadline site in the TCP files — connWriter.arm; a second is
+# a lock → deadline → write → clear sequence pasted back. The test lines
+# run the TCP and broker suites, the route table included, then the
+# run-to-completion and deadline-rule tests twenty times over.
+WIRE_SRC = net.go net_async.go
 onewire:
-	@for cap in 'parseRequest(:2' 'writeReply(:2' 'pendingCall{ch::1' 'br[.]allow(:1'; do \
+	@for cap in 'parseRequest(:2' 'writeReply(:2' 'pendingCall{ch::1' 'br[.]allow(:1' 'go l[.]handle(:1' 'go l[.]read(:1'; do \
 		pat=$${cap%:*}; max=$${cap##*:}; \
 		n=$$(cat $(ONECORE_SRC) | grep -v '^[[:space:]]*//' | grep -c "$$pat"); \
 		if [ "$$n" -gt "$$max" ]; then \
 			echo "onewire: $$n sites of '$$pat' in the root package, want at most $$max:"; \
 			grep -n "$$pat" $(ONECORE_SRC); exit 1; fi; \
 	done
+	@n=$$(cat $(WIRE_SRC) | grep -v '^[[:space:]]*//' | grep -c 'SetWriteDeadline('); \
+	if [ "$$n" -gt 1 ]; then \
+		echo "onewire: $$n SetWriteDeadline( sites in $(WIRE_SRC), want at most 1:"; \
+		grep -n 'SetWriteDeadline(' $(WIRE_SRC); exit 1; fi
 	$(GO) test -race -count=3 -run 'TestBroker|TestNet' .
+	$(GO) test -race -count=20 -run 'TestNetExpiredCallLeavesConnection|TestNetBlockedHandlerFreesConnection|TestNetLoneCallsRunOnReader|TestNetSlowProcedureSpawns|TestNetStallWatchParks|TestNetWriteDeadlineRule' .
 
 # The structure guard for the shm client (DESIGN §5.11): every call kind
 # drives one slot lifecycle, check → acquire → stage → header →

@@ -3,7 +3,7 @@
 // rig on the real Go runtime. With no arguments it runs every simulated
 // experiment; otherwise pass any of: table1 figure1 table2 table3 table4
 // table5 figure2 ablations mix workday structure faults throughput
-// failover batch bulk.
+// failover batch bulk chain broker tcpload.
 //
 //	lrpcbench                 # all simulated experiments
 //	lrpcbench table4 table5   # just Table 4 and Table 5
@@ -14,6 +14,13 @@
 //	lrpcbench -json batch > BENCH_pr7.json
 //	lrpcbench -json bulk > BENCH_pr8.json
 //	lrpcbench -json chain > BENCH_pr10.json
+//	lrpcbench -dur 2s tcpload
+//
+// The tcpload experiment drives the TCP server loop with the traffic a
+// single closed-loop caller never produces — callers multiplexed on one
+// connection, a short call beside a slow one, many connections, a
+// broker relaying two tenants over one upstream connection — and reads
+// each shape's call rate and latency percentiles.
 //
 // The chain experiment times the depth-4 dependent pipeline both ways
 // per transport — blocking sequential calls and one server-side
@@ -212,6 +219,22 @@ func main() {
 				}
 			} else {
 				fmt.Println(experiments.FailoverTable(r).Render())
+			}
+		case "tcpload":
+			r, err := experiments.TCPLoad(*dur)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "lrpcbench: tcpload: %v\n", err)
+				os.Exit(1)
+			}
+			if *asJSON {
+				enc := json.NewEncoder(os.Stdout)
+				enc.SetIndent("", "  ")
+				if err := enc.Encode(r); err != nil {
+					fmt.Fprintf(os.Stderr, "lrpcbench: %v\n", err)
+					os.Exit(1)
+				}
+			} else {
+				fmt.Println(experiments.TCPLoadTable(r).Render())
 			}
 		case "broker":
 			r, err := experiments.BrokerIsolation(*seed)

@@ -303,6 +303,11 @@ type Export struct {
 	// EnableMetrics, consulted with one atomic load per dispatch — when
 	// nil the call path does not even read the clock.
 	metrics atomic.Pointer[exportMetrics]
+
+	// slow marks, per procedure and then for chains, that its last run
+	// from a TCP connection outlasted inlineMax (net.go): the server loop
+	// spawns it instead of serving it on the connection's reader.
+	slow []atomic.Bool
 }
 
 // Export registers iface and returns its export handle. Every procedure
@@ -329,7 +334,7 @@ func (s *System) Export(iface *Interface) (*Export, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("lrpc: interface %q already exported", iface.Name)
 	}
-	e := &Export{sys: s, iface: iface, nameIdx: nameIdx}
+	e := &Export{sys: s, iface: iface, nameIdx: nameIdx, slow: make([]atomic.Bool, len(iface.Procs)+1)}
 	s.exports[iface.Name] = e
 	metricsOn := s.metricsOn
 	s.mu.Unlock()

@@ -1,6 +1,7 @@
 package lrpc
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -32,13 +33,15 @@ import (
 // One loop, two routes. serveConn is the only server loop: it reads and
 // parses each frame, asks the connection's route to open it — on the
 // read loop, in request order, before a bulk payload is read or a
-// goroutine is spent — and serves what was opened on a bounded
-// goroutine. ServeNetwork's route imports the named interface once per
-// connection and dispatches into it; the broker's route (broker.go) is
-// its tenant policy gate in front of an upstream call. The client has
-// one of each too: every synchronous call is one round trip
-// (NetClient.call) and every request frame comes from one encoder
-// (appendRequestFrame).
+// goroutine is spent — and serves what was opened: a lone short local
+// request on the reader itself (run to completion, DESIGN §5.18),
+// anything else on a bounded goroutine. ServeNetwork's route imports the
+// named interface once per connection and dispatches into it; the
+// broker's route (broker.go) is its tenant policy gate in front of an
+// upstream call. The client has one of each too: every synchronous call
+// is one round trip (NetClient.call) and every request frame comes from
+// one encoder (appendRequestFrame). Both sides write through one
+// connWriter per connection.
 //
 // Wire protocol (all integers little-endian):
 //
@@ -200,7 +203,8 @@ type ServeOptions struct {
 	// reaches the client). 0 selects 64.
 	MaxInFlight int
 	// WriteTimeout bounds each reply write, so a handler is never pinned
-	// forever on a peer that stopped reading. 0 selects 10s.
+	// forever on a peer that stopped reading: a write gets at least half
+	// of it and at most all of it (connWriter). 0 selects 10s.
 	WriteTimeout time.Duration
 	// MaxBulkBytes bounds one request's out-of-frame bulk payload (or
 	// reserved BulkOut capacity); larger requests are rejected with
@@ -347,29 +351,58 @@ func refusal(msg string) error { return &RemoteError{Msg: msg, NotExecuted: true
 // serveConn is the one TCP server loop, shared by ServeNetworkOpts and
 // the broker's admitted tenant connections; only the route differs.
 // Each frame is parsed, opened by the route, its bulk payload read, and
-// served on a goroutine bounded by MaxInFlight, whose reply is written
-// under one write lock.
+// served within MaxInFlight: on the reader itself when it is alone and
+// short (connLoop.read), on a spawned goroutine otherwise. It returns
+// once the connection is torn down and every request it read has been
+// served.
 func serveConn(conn net.Conn, rt route, opts ServeOptions) {
+	l := &connLoop{
+		conn:    conn,
+		br:      bufio.NewReader(conn),
+		rt:      rt,
+		w:       connWriter{timeout: opts.WriteTimeout, conn: conn},
+		sem:     make(chan struct{}, opts.MaxInFlight),
+		closing: make(chan struct{}),
+	}
+	l.read()
+	// This goroutine may have served a request while the stall watch
+	// handed the loop to another reader; that reader tears it down.
+	<-l.closing
+	l.wg.Wait()
+}
+
+// connLoop is one connection's server loop. Exactly one goroutine at a
+// time is its reader. The reader serves a lone short request itself,
+// which spends no goroutine and no scheduler handoff on it; when such a
+// request runs long after all, the stall watch starts a new reader so
+// the requests behind it are not blocked.
+type connLoop struct {
+	conn net.Conn
+	br   *bufio.Reader // every frame and BulkIn payload is read through it
+	rt   route
+	w    connWriter
+	sem  chan struct{} // MaxInFlight slots, taken by inline and spawned requests alike
+	wg   sync.WaitGroup
 	// closing is the close signal to in-flight handlers: once the read
 	// side has failed the connection is dead, and a handler finishing
 	// afterwards must not try to write its reply into it.
-	closing := make(chan struct{})
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opts.MaxInFlight)
-	var wmu sync.Mutex // interleaved replies from concurrent handlers
-	var closeOnce sync.Once
-	// reply writes one reply and, on failure, tears the connection down:
-	// a half-dead pipe that swallows replies would otherwise strand every
-	// pending client call until its deadline, when closing it makes the
-	// client redial immediately.
-	reply := func(req *request, status byte, body, bulk []byte) {
-		if err := writeReply(conn, &wmu, opts.WriteTimeout, req.callID, status, body, bulk); err != nil {
-			rt.trace(TraceWriteFail, req.name, err)
-			closeOnce.Do(func() { conn.Close() })
-		}
-	}
+	closing   chan struct{}
+	closeOnce sync.Once
+	// run is odd while the reader serves a request itself: the reader
+	// increments it before serving and advances it with a CAS after. The
+	// stall watch advances a count that stayed odd across a tick; the
+	// reader's failed CAS then tells it the loop has a new reader.
+	run     atomic.Uint64
+	watched atomic.Bool // in stallWatch.loops
+	seen    uint64      // run at the watch's previous scan; guarded by stallWatch.mu
+}
+
+// read is the loop's reader. It returns when the read side fails, having
+// torn the connection down, or after serving a request during which the
+// stall watch handed the loop to a new reader.
+func (l *connLoop) read() {
 	for {
-		frame, err := readFrame(conn)
+		frame, err := readFrame(l.br)
 		if err != nil {
 			break
 		}
@@ -384,17 +417,17 @@ func serveConn(conn net.Conn, rt route, opts ServeOptions) {
 				break // framing is unrecoverable past a malformed bulk header
 			}
 		}
-		t, rerr := openRequest(rt, req, chain)
+		t, rerr := openRequest(l.rt, req, chain)
 		// A BulkIn payload travels on the stream right behind its frame:
 		// it is consumed here, in read-loop order, whatever becomes of the
-		// call — read when the call goes ahead, drained unbuffered when it
-		// was refused — so the next frame is never parsed out of the
-		// middle of a payload.
+		// call — read when the call goes ahead, drained and never held
+		// when it was refused — so the next frame is never parsed out of
+		// the middle of a payload.
 		if req.dir == BulkIn {
 			if rerr == nil {
-				req.bulkIn, err = readBody(conn, int(req.bulkLen))
+				req.bulkIn, err = readBody(l.br, int(req.bulkLen))
 			} else {
-				_, err = io.CopyN(io.Discard, conn, req.bulkLen)
+				_, err = io.CopyN(io.Discard, l.br, req.bulkLen)
 			}
 			if err != nil {
 				if rerr == nil {
@@ -407,53 +440,181 @@ func serveConn(conn net.Conn, rt route, opts ServeOptions) {
 			if req.oneWay {
 				// No reply path exists for a one-way request: drop and
 				// trace, never write.
-				rt.trace(TraceOneWayDrop, req.name, rerr)
+				l.rt.trace(TraceOneWayDrop, req.name, rerr)
 				continue
 			}
 			status, body := failReply(rerr)
-			reply(req, status, body, nil)
+			l.reply(req, status, body, nil)
 			continue
 		}
-		// Serve concurrently, but bounded: each in-flight request gets a
-		// server-side thread of control, and once MaxInFlight of them are
-		// running the read loop parks here instead of minting more. A
-		// one-way request is bounded by the same window — the flag frees
-		// the reply slot, not the execution slot.
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res, bulkOut, err := t.serve(req)
-			t.done()
-			if req.oneWay {
-				return // at-most-once, no reply frame (DESIGN §5.13)
-			}
-			select {
-			case <-closing:
-				return // the connection died while we ran; drop the reply
-			default:
-			}
-			switch {
-			case err != nil:
-				status, body := failReply(err)
-				reply(req, status, body, nil)
-			case len(res) > MaxOOBSize:
-				// An oversized result frame would trip the client's
-				// maxFrame guard and kill the whole pipelined connection;
-				// fail this one call cleanly instead. Results beyond
-				// MaxOOBSize need the bulk plane (CallBulk with BulkOut).
-				reply(req, 1, []byte(oversizedResults(len(res))), nil)
-			case req.dir == BulkOut:
-				reply(req, 3, res, bulkOut)
-			default:
-				reply(req, 0, res, nil)
-			}
-		}()
+		// Serve bounded: once MaxInFlight requests are running the reader
+		// parks here instead of taking more. A one-way request is bounded
+		// by the same window — the flag frees the reply slot, not the
+		// execution slot.
+		l.sem <- struct{}{}
+		l.wg.Add(1)
+		// Run to completion when the request is alone and short: a local
+		// target whose procedure last ran within inlineMax, nothing else
+		// in flight, nothing read behind it. A request that arrives
+		// meanwhile waits for it, so a slow procedure spawns. So does a
+		// relay: its serve is an upstream round trip, and on the reader it
+		// would serialise the tenant's concurrent calls.
+		if b, local := t.(*Binding); !local || !b.short(req) || len(l.sem) > 1 || l.br.Buffered() > 0 {
+			go l.handle(req, t)
+			continue
+		}
+		v := l.run.Add(1)
+		stallWatch.enter(l)
+		l.handle(req, t)
+		if !l.run.CompareAndSwap(v, v+1) {
+			return // the stall watch started a new reader while this one served
+		}
 	}
-	close(closing)
-	closeOnce.Do(func() { conn.Close() }) // unblock any handler mid-write
-	wg.Wait()
+	close(l.closing)
+	l.shut() // unblock any handler mid-write
+}
+
+// handle serves one opened request and writes its reply, then gives
+// back its MaxInFlight slot.
+func (l *connLoop) handle(req *request, t target) {
+	defer l.wg.Done()
+	defer func() { <-l.sem }()
+	res, bulkOut, err := t.serve(req)
+	t.done()
+	if req.oneWay {
+		return // at-most-once, no reply frame (DESIGN §5.13)
+	}
+	select {
+	case <-l.closing:
+		return // the connection died while we ran; drop the reply
+	default:
+	}
+	switch {
+	case err != nil:
+		status, body := failReply(err)
+		l.reply(req, status, body, nil)
+	case len(res) > MaxOOBSize:
+		// An oversized result frame would trip the client's maxFrame
+		// guard and kill the whole pipelined connection; fail this one
+		// call cleanly instead. Results beyond MaxOOBSize need the bulk
+		// plane (CallBulk with BulkOut).
+		l.reply(req, 1, []byte(oversizedResults(len(res))), nil)
+	case req.dir == BulkOut:
+		l.reply(req, 3, res, bulkOut)
+	default:
+		l.reply(req, 0, res, nil)
+	}
+}
+
+// reply writes one reply and, on failure, tears the connection down: a
+// half-dead pipe that swallows replies would otherwise strand every
+// pending client call until its deadline, when closing it makes the
+// client redial immediately.
+func (l *connLoop) reply(req *request, status byte, body, bulk []byte) {
+	if err := writeReply(&l.w, req.callID, status, body, bulk); err != nil {
+		l.rt.trace(TraceWriteFail, req.name, err)
+		l.shut()
+	}
+}
+
+func (l *connLoop) shut() { l.closeOnce.Do(func() { l.conn.Close() }) }
+
+// inlineMax is the longest a procedure's last run may have taken for the
+// server loop to serve its next request on the connection's reader
+// (DESIGN §5.18). It bounds what a request read behind an inline one
+// waits, except right after a procedure turns slow, when the stall watch
+// bounds it at two ticks.
+const inlineMax = 50 * time.Microsecond
+
+// stallTick is the stall watch's period: a request its reader has served
+// for one to two ticks is handed off.
+const stallTick = time.Millisecond
+
+// stallWatch is the process-wide stall watch (DESIGN §5.18). It scans
+// only the loops whose reader has served a request itself since its
+// previous scan, and parks once none has.
+var stallWatch = &watcher{}
+
+type watcher struct {
+	mu      sync.Mutex
+	loops   []*connLoop
+	running atomic.Bool
+}
+
+// watchParking, when set, runs between the watch's last scan and its
+// parking: tests act inside that window with it.
+var watchParking atomic.Pointer[func()]
+
+// enter puts l in the watch's set and starts the watch if it has parked.
+// A reader calls it after incrementing l.run to serve a request itself.
+// Each of its two loads pairs with a store of the watch's (DESIGN §5.11):
+// either the reader sees watched or running fall and restores it, or the
+// watch's load after that store sees the new count.
+func (w *watcher) enter(l *connLoop) {
+	if !l.watched.Load() {
+		w.mu.Lock()
+		if !l.watched.Load() {
+			l.watched.Store(true)
+			w.loops = append(w.loops, l)
+		}
+		w.mu.Unlock()
+	}
+	if !w.running.Load() && w.running.CompareAndSwap(false, true) {
+		go w.tick()
+	}
+}
+
+func (w *watcher) tick() {
+	t := time.NewTicker(stallTick)
+	defer t.Stop()
+	for range t.C {
+		if w.scan() {
+			continue
+		}
+		if f := watchParking.Load(); f != nil {
+			(*f)()
+		}
+		// Park. A reader whose increment the scan missed may have found
+		// running still true and started nothing; the re-scan after the
+		// store sees its count and resumes the watch, unless that reader
+		// has already started one.
+		w.running.Store(false)
+		if !w.scan() || !w.running.CompareAndSwap(false, true) {
+			return
+		}
+	}
+}
+
+// scan starts a new reader for every loop whose reader has served one
+// request since the previous scan, drops the loops idle since then, and
+// reports whether any loop is still in the set.
+func (w *watcher) scan() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for i := 0; i < len(w.loops); i++ {
+		l := w.loops[i]
+		v := l.run.Load()
+		if v != l.seen {
+			l.seen = v
+			continue
+		}
+		if v&1 == 1 {
+			if l.run.CompareAndSwap(v, v+1) {
+				go l.read()
+			}
+			continue
+		}
+		l.watched.Store(false)
+		if l.run.Load() != v {
+			l.watched.Store(true) // its reader moved before it could see the flag fall
+			continue
+		}
+		last := len(w.loops) - 1
+		w.loops[i], w.loops[last] = w.loops[last], nil
+		w.loops = w.loops[:last]
+		i--
+	}
+	return len(w.loops) > 0
 }
 
 // openRequest applies the rules every route shares, then asks the route.
@@ -535,11 +696,43 @@ func (r *importRoute) trace(kind TraceKind, iface string, err error) {
 	r.s.emitTrace(kind, iface, "", err)
 }
 
-// serve runs one request of the server loop through the invocation
-// core: a chain through execChain (every stage in this domain, one
-// frame in, one reply out), a bulk call through dispatchBulk, anything
-// else through Call.
+// serve runs one request of the server loop (execute), and how long it
+// ran marks its procedure short or slow for the loop's next request.
 func (b *Binding) serve(req *request) ([]byte, []byte, error) {
+	start := time.Now()
+	res, bulkOut, err := b.execute(req)
+	if i := b.class(req); i >= 0 {
+		if slow := time.Since(start) > inlineMax; b.exp.slow[i].Load() != slow {
+			b.exp.slow[i].Store(slow)
+		}
+	}
+	return res, bulkOut, err
+}
+
+// short reports whether req's procedure ran within inlineMax the last
+// time a connection's request ran it; one never run is short.
+func (b *Binding) short(req *request) bool {
+	i := b.class(req)
+	return i < 0 || !b.exp.slow[i].Load()
+}
+
+// class is req's index into its export's slow marks: its procedure, or
+// the last mark for a chain; -1 for a procedure the interface lacks.
+func (b *Binding) class(req *request) int {
+	last := len(b.exp.slow) - 1
+	switch {
+	case req.stages != nil:
+		return last
+	case req.proc >= last:
+		return -1
+	}
+	return req.proc
+}
+
+// execute runs req through the invocation core: a chain through
+// execChain (every stage in this domain, one frame in, one reply out), a
+// bulk call through dispatchBulk, anything else through Call.
+func (b *Binding) execute(req *request) ([]byte, []byte, error) {
 	switch {
 	case req.stages != nil:
 		out, cerr := b.execChain(req.stages, time.Time{})
@@ -587,7 +780,9 @@ type DialOptions struct {
 	// CallTimeout, when nonzero, is the default deadline applied to
 	// Call; CallContext deadlines take precedence.
 	CallTimeout time.Duration
-	// WriteTimeout bounds each request write. 0 selects 10s.
+	// WriteTimeout bounds each request write: a write gets at least half
+	// of it and at most all of it, or less when the call's own deadline is
+	// earlier (connWriter). 0 selects 10s.
 	WriteTimeout time.Duration
 	// RedialAttempts is how many consecutive failed dials a single call
 	// tolerates before failing with ErrConnClosed. 0 selects 5.
@@ -680,11 +875,9 @@ type NetClient struct {
 
 	closedCh chan struct{}
 
-	wmu sync.Mutex // serializes frame writes
-
 	mu          sync.Mutex
-	conn        net.Conn
-	gen         uint64 // connection generation, bumps on every redial
+	w           *connWriter // the live connection; nil while there is none
+	gen         uint64      // connection generation, bumps on every redial
 	dialing     bool
 	dialDone    chan struct{}
 	lastDialErr error
@@ -791,7 +984,7 @@ func newNetClient(conn net.Conn, name string, opts DialOptions) *NetClient {
 		opts:     opts,
 		sem:      make(chan struct{}, opts.MaxInFlight),
 		closedCh: make(chan struct{}),
-		conn:     conn,
+		w:        &connWriter{timeout: opts.WriteTimeout, conn: conn},
 		gen:      1,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		wait:     map[uint64]*pendingCall{},
@@ -802,7 +995,7 @@ func newNetClient(conn net.Conn, name string, opts DialOptions) *NetClient {
 	if opts.Tracer != nil {
 		c.tracer.Store(&opts.Tracer)
 	}
-	go c.readLoop(conn, 1)
+	go c.readLoop(c.w, 1)
 	return c
 }
 
@@ -888,11 +1081,12 @@ func (c *NetClient) Stats() NetClientStats {
 	return st
 }
 
-func (c *NetClient) readLoop(conn net.Conn, gen uint64) {
+func (c *NetClient) readLoop(w *connWriter, gen uint64) {
+	br := bufio.NewReader(w.conn)
 	for {
-		frame, err := readFrame(conn)
+		frame, err := readFrame(br)
 		if err != nil {
-			c.connBroken(conn, gen, err)
+			c.connBroken(w, gen, err)
 			return
 		}
 		if len(frame) < 9 {
@@ -911,7 +1105,7 @@ func (c *NetClient) readLoop(conn net.Conn, gen uint64) {
 			// frame and must be consumed here, waiter or no waiter, before
 			// the next frame can be parsed.
 			if len(reply.body) < 8 {
-				c.connBroken(conn, gen, errors.New("lrpc: short bulk reply"))
+				c.connBroken(w, gen, errors.New("lrpc: short bulk reply"))
 				return
 			}
 			produced := int64(binary.LittleEndian.Uint64(reply.body[0:8]))
@@ -920,7 +1114,7 @@ func (c *NetClient) readLoop(conn net.Conn, gen uint64) {
 			if ok && p.fut == nil {
 				h = p.bulk
 			}
-			sinkErr, connErr := c.streamBulkReply(conn, h, produced)
+			sinkErr, connErr := c.streamBulkReply(br, h, produced)
 			if connErr != nil {
 				// The payload stream broke: the connection is beyond
 				// recovery, and the claimed waiter learns like every other
@@ -934,7 +1128,7 @@ func (c *NetClient) readLoop(conn net.Conn, gen uint64) {
 						close(p.ch)
 					}
 				}
-				c.connBroken(conn, gen, connErr)
+				c.connBroken(w, gen, connErr)
 				return
 			}
 			reply.status, reply.bulkErr = 0, sinkErr
@@ -977,12 +1171,12 @@ func (c *NetClient) readLoop(conn net.Conn, gen uint64) {
 // framed; connErr reports the stream itself failing or the server
 // overrunning the handle's reserved capacity, both fatal to the
 // connection.
-func (c *NetClient) streamBulkReply(conn net.Conn, h *BulkHandle, produced int64) (sinkErr, connErr error) {
+func (c *NetClient) streamBulkReply(r io.Reader, h *BulkHandle, produced int64) (sinkErr, connErr error) {
 	if produced < 0 {
 		return nil, fmt.Errorf("lrpc: bulk reply length %d out of range", produced)
 	}
 	if h == nil {
-		_, err := io.CopyN(io.Discard, conn, produced)
+		_, err := io.CopyN(io.Discard, r, produced)
 		return nil, err
 	}
 	if produced > h.length() {
@@ -990,7 +1184,7 @@ func (c *NetClient) streamBulkReply(conn net.Conn, h *BulkHandle, produced int64
 			produced, h.length())
 	}
 	if h.dst == nil {
-		if _, err := io.ReadFull(conn, h.buf[:produced]); err != nil {
+		if _, err := io.ReadFull(r, h.buf[:produced]); err != nil {
 			return nil, err
 		}
 		h.n = produced
@@ -1001,7 +1195,7 @@ func (c *NetClient) streamBulkReply(conn net.Conn, h *BulkHandle, produced int64
 	remaining := produced
 	for remaining > 0 {
 		k := min(int64(len(cbuf)), remaining)
-		if _, err := io.ReadFull(conn, cbuf[:k]); err != nil {
+		if _, err := io.ReadFull(r, cbuf[:k]); err != nil {
 			return sinkErr, err
 		}
 		remaining -= k
@@ -1019,12 +1213,12 @@ func (c *NetClient) streamBulkReply(conn net.Conn, h *BulkHandle, produced int64
 // connBroken retires a dead connection: detach it (if it is still the
 // current one) and fail every call that was pipelined on it. Calls on
 // other generations are untouched.
-func (c *NetClient) connBroken(conn net.Conn, gen uint64, _ error) {
-	conn.Close()
+func (c *NetClient) connBroken(w *connWriter, gen uint64, _ error) {
+	w.conn.Close()
 	var futs []*Future
 	c.mu.Lock()
-	if c.gen == gen && c.conn == conn {
-		c.conn = nil
+	if c.gen == gen && c.w == w {
+		c.w = nil
 	}
 	for id, p := range c.wait {
 		if p.gen == gen {
@@ -1054,7 +1248,7 @@ func (c *NetClient) connBroken(conn net.Conn, gen uint64, _ error) {
 // getConn returns the live connection, redialing if necessary. Each
 // invocation tolerates at most RedialAttempts failed dials before giving
 // up, so a call can never spin forever against a dead server.
-func (c *NetClient) getConn(ctx context.Context) (net.Conn, uint64, error) {
+func (c *NetClient) getConn(ctx context.Context) (*connWriter, uint64, error) {
 	fails := 0
 	c.mu.Lock()
 	for {
@@ -1062,10 +1256,10 @@ func (c *NetClient) getConn(ctx context.Context) (net.Conn, uint64, error) {
 			c.mu.Unlock()
 			return nil, 0, ErrConnClosed
 		}
-		if c.conn != nil {
-			conn, gen := c.conn, c.gen
+		if c.w != nil {
+			w, gen := c.w, c.gen
 			c.mu.Unlock()
-			return conn, gen, nil
+			return w, gen, nil
 		}
 		if c.opts.Dial == nil {
 			c.mu.Unlock()
@@ -1150,11 +1344,11 @@ func (c *NetClient) getConn(ctx context.Context) (net.Conn, uint64, error) {
 			conn.Close()
 		} else {
 			c.gen++
-			c.conn = conn
+			c.w = &connWriter{timeout: c.opts.WriteTimeout, conn: conn}
 			c.backoff = 0
 			c.reconnects.Add(1)
 			gen := c.gen
-			go c.readLoop(conn, gen)
+			go c.readLoop(c.w, gen)
 			c.mu.Unlock()
 			c.emitReconnect(gen) // tracer callback runs outside the client lock
 			c.mu.Lock()
@@ -1265,7 +1459,7 @@ func (c *NetClient) roundTrip(ctx context.Context, procWord uint32, args []byte,
 	// its attempt and gets exactly one.
 	replayable := h == nil || h.src == nil
 	for attempt := 0; attempt < c.opts.RedialAttempts; attempt++ {
-		conn, gen, err := c.getConn(ctx)
+		w, gen, err := c.getConn(ctx)
 		if err != nil {
 			if errors.Is(err, ErrCallTimeout) {
 				c.timeouts.Add(1)
@@ -1274,6 +1468,14 @@ func (c *NetClient) roundTrip(ctx context.Context, procWord uint32, args []byte,
 			// getConn failures happen strictly before any write: this
 			// call's frame never touched a connection.
 			return nil, notSent(err)
+		}
+		// A call already past its deadline is not written — the window's
+		// select picks a free slot as often as ctx.Done(). Its write would
+		// fail with nothing sent, which says nothing against the
+		// connection the other calls share.
+		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+			c.timeouts.Add(1)
+			return nil, timeoutError(context.DeadlineExceeded)
 		}
 
 		p := &pendingCall{ch: make(chan netReply, 1), gen: gen, bulk: h}
@@ -1287,11 +1489,11 @@ func (c *NetClient) roundTrip(ctx context.Context, procWord uint32, args []byte,
 		c.wait[id] = p
 		c.mu.Unlock()
 
-		wrote, werr := c.writeRequest(ctx, conn, id, procWord, args, h)
+		wrote, werr := c.writeRequest(ctx, w, id, procWord, args, h)
 		if werr != nil {
 			c.unregister(id)
 			c.emitEvent(TraceWriteFail, werr)
-			c.connBroken(conn, gen, werr)
+			c.connBroken(w, gen, werr)
 			if !wrote {
 				if replayable {
 					// Nothing reached the wire: retrying cannot
@@ -1369,38 +1571,77 @@ func (c *NetClient) unregister(id uint64) bool {
 	return present
 }
 
-// writeRequest writes one request frame as a single Write call, so
-// "reached the wire" is decidable: wrote reports whether any byte of the
-// frame made it into the connection. A BulkIn handle's payload streams
-// right behind the frame under the same write-lock hold, so a concurrent
-// request cannot interleave into it: a buffer-backed payload is one
-// Write, a stream-backed one goes through io.CopyN, whose ReadFrom fast
-// path hands an *os.File source to sendfile(2) where the platform has it.
-func (c *NetClient) writeRequest(ctx context.Context, conn net.Conn, id uint64, procWord uint32, args []byte, h *BulkHandle) (wrote bool, err error) {
+// writeRequest writes one request frame, and a BulkIn handle's payload
+// behind it, under the call's own deadline when ctx has one. wrote
+// reports whether any byte of the frame made it into the connection.
+func (c *NetClient) writeRequest(ctx context.Context, w *connWriter, id uint64, procWord uint32, args []byte, h *BulkHandle) (wrote bool, err error) {
 	bp := frameBufPool.Get().(*[]byte)
 	buf := appendRequestFrame((*bp)[:0], id, c.name, procWord, args, h)
-
-	deadline := time.Now().Add(c.opts.WriteTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
+	due, _ := ctx.Deadline()
+	if h != nil && h.dir == BulkIn {
+		wrote, err = w.write(buf, due, h.buf, h.src, h.length())
+	} else {
+		wrote, err = w.write(buf, due, nil, nil, 0)
 	}
-	c.wmu.Lock()
-	conn.SetWriteDeadline(deadline)
-	n, err := conn.Write(buf)
-	if err == nil && h != nil && h.dir == BulkIn {
-		// A fresh budget for the payload: it can dwarf the frame.
-		conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
-		if h.src != nil {
-			_, err = io.CopyN(conn, h.src, h.length())
-		} else {
-			_, err = conn.Write(h.buf)
-		}
-	}
-	conn.SetWriteDeadline(time.Time{})
-	c.wmu.Unlock()
 	*bp = buf
 	frameBufPool.Put(bp)
-	return n > 0, err
+	return wrote, err
+}
+
+// connWriter is one connection's write side. It serializes frame writes
+// and keeps a write deadline armed across them instead of setting and
+// clearing one around every frame, which costs two runtime-timer updates
+// per write. The rule: a write starting at now is bounded by the armed
+// deadline, re-armed to now+timeout only once less than timeout/2 of it
+// remains, so every write gets at least half of timeout and at most all
+// of it; a call's own deadline, when earlier, is set exactly; a bulk
+// payload behind a frame gets a fresh budget of its own.
+type connWriter struct {
+	mu      sync.Mutex
+	timeout time.Duration
+	conn    net.Conn
+	armed   time.Time // the write deadline set on conn; zero before the first write
+}
+
+// write writes frame as a single Write call, so "reached the wire" is
+// decidable: wrote reports whether any byte of it made it into the
+// connection. due, when nonzero, is the call's own deadline. A bulk
+// payload — n bytes of src when src is non-nil, else body — streams
+// right behind the frame under the same hold, so a concurrent frame
+// cannot interleave into it: body is one Write, src goes through
+// io.CopyN, whose ReadFrom fast path hands an *os.File source to
+// sendfile(2) where the platform has it.
+func (w *connWriter) write(frame []byte, due time.Time, body []byte, src io.Reader, n int64) (wrote bool, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.arm(due, false)
+	k, err := w.conn.Write(frame)
+	if err == nil && (src != nil || len(body) > 0) {
+		w.arm(time.Time{}, true) // the payload can dwarf the frame
+		if src != nil {
+			_, err = io.CopyN(w.conn, src, n)
+		} else {
+			_, err = w.conn.Write(body)
+		}
+	}
+	return k > 0, err
+}
+
+// arm sets the connection's write deadline when the rule on connWriter
+// says it must change; fresh asks for a full budget whatever remains.
+func (w *connWriter) arm(due time.Time, fresh bool) {
+	now := time.Now()
+	d, set := w.armed, fresh || w.armed.Sub(now) < w.timeout/2
+	if set {
+		d = now.Add(w.timeout)
+	}
+	if !due.IsZero() && due.Before(d) {
+		d, set = due, true
+	}
+	if set {
+		w.armed = d
+		w.conn.SetWriteDeadline(d)
+	}
 }
 
 // appendRequestFrame appends one length-prefixed request frame to dst —
@@ -1486,8 +1727,8 @@ func (c *NetClient) Close() error {
 	}
 	c.closed = true
 	close(c.closedCh)
-	conn := c.conn
-	c.conn = nil
+	w := c.w
+	c.w = nil
 	var futs []*Future
 	for id, p := range c.wait {
 		delete(c.wait, id)
@@ -1502,8 +1743,8 @@ func (c *NetClient) Close() error {
 		<-c.sem
 		f.complete(nil, ErrConnClosed)
 	}
-	if conn != nil {
-		return conn.Close()
+	if w != nil {
+		return w.conn.Close()
 	}
 	return nil
 }
@@ -1581,9 +1822,8 @@ func writeFrame(w io.Writer, payload []byte) error {
 
 // writeReply writes one reply frame. A status-3 reply — frame(callID, 3,
 // u64 produced, results) — streams the produced payload bulk right
-// behind its frame under the same hold of wmu, so a concurrent reply
-// cannot interleave into it.
-func writeReply(conn net.Conn, wmu *sync.Mutex, timeout time.Duration, callID uint64, status byte, body, bulk []byte) error {
+// behind its frame (connWriter.write).
+func writeReply(w *connWriter, callID uint64, status byte, body, bulk []byte) error {
 	// Frame the length header and payload into one pooled buffer so the
 	// reply is a single Write (one syscall, no per-reply allocation).
 	hdr := 9
@@ -1599,16 +1839,7 @@ func writeReply(conn net.Conn, wmu *sync.Mutex, timeout time.Duration, callID ui
 		binary.LittleEndian.PutUint64(buf[13:21], uint64(len(bulk)))
 	}
 	copy(buf[4+hdr:], body)
-	wmu.Lock()
-	conn.SetWriteDeadline(time.Now().Add(timeout))
-	_, err := conn.Write(buf)
-	if err == nil && len(bulk) > 0 {
-		// A fresh budget for the payload: it can dwarf the frame.
-		conn.SetWriteDeadline(time.Now().Add(timeout))
-		_, err = conn.Write(bulk)
-	}
-	conn.SetWriteDeadline(time.Time{})
-	wmu.Unlock()
+	_, err := w.write(buf, time.Time{}, bulk, nil, 0)
 	frameBufPool.Put(bp)
 	return err
 }

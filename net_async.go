@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"time"
 )
 
@@ -60,7 +59,7 @@ func (c *NetClient) sendAsync(ctx context.Context, procWord uint32, args []byte,
 		c.timeouts.Add(1)
 		return c.asyncObserve(probe, timeoutError(ctx.Err()))
 	}
-	conn, gen, err := c.getConn(ctx)
+	w, gen, err := c.getConn(ctx)
 	if err != nil {
 		<-c.sem
 		return c.asyncObserve(probe, notSent(err))
@@ -76,7 +75,7 @@ func (c *NetClient) sendAsync(ctx context.Context, procWord uint32, args []byte,
 	c.wait[id] = &pendingCall{fut: f, gen: gen, probe: probe}
 	c.mu.Unlock()
 
-	wrote, werr := c.writeRequest(ctx, conn, id, procWord, args, nil)
+	wrote, werr := c.writeRequest(ctx, w, id, procWord, args, nil)
 	if werr != nil {
 		c.emitEvent(TraceWriteFail, werr)
 		// Claim the pending entry back. If connBroken swept it first, it
@@ -85,7 +84,7 @@ func (c *NetClient) sendAsync(ctx context.Context, procWord uint32, args []byte,
 		// double-complete the future and double-release the slot. (The
 		// sweep also carried the entry's probe verdict to the breaker.)
 		mine := c.unregister(id)
-		c.connBroken(conn, gen, werr)
+		c.connBroken(w, gen, werr)
 		if !mine {
 			return nil
 		}
@@ -162,14 +161,14 @@ func (c *NetClient) CallOneWay(proc int, args []byte) error {
 		return err
 	}
 	ctx := context.Background()
-	conn, gen, err := c.getConn(ctx)
+	w, gen, err := c.getConn(ctx)
 	if err != nil {
 		return c.asyncObserve(probe, notSent(err))
 	}
-	wrote, werr := c.writeRequest(ctx, conn, 0, uint32(proc)|wireFlagOneWay, args, nil)
+	wrote, werr := c.writeRequest(ctx, w, 0, uint32(proc)|wireFlagOneWay, args, nil)
 	if werr != nil {
 		c.emitEvent(TraceWriteFail, werr)
-		c.connBroken(conn, gen, werr)
+		c.connBroken(w, gen, werr)
 		c.brFailure()
 		if !wrote {
 			return notSent(werr)
@@ -196,10 +195,10 @@ func (c *NetClient) NewBatch() *Batch {
 // entry pins a connection generation; every entry in the batch rides
 // that connection, and a flush failure retires it wholesale.
 type netBatch struct {
-	c    *NetClient
-	conn net.Conn // pinned at first stage; nil between batches
-	gen  uint64   // generation of the pinned connection
-	buf  []byte   // staged frames, written back-to-back by flush
+	c   *NetClient
+	w   *connWriter // the connection pinned at first stage; nil between batches
+	gen uint64      // generation of the pinned connection
+	buf []byte      // staged frames, written back-to-back by flush
 	// probe records that a staged ONE-WAY entry was elected the
 	// breaker's half-open probe: with no reply to observe, the flush
 	// write is its verdict. Future-carrying entries ride their verdict
@@ -223,12 +222,12 @@ func (nb *netBatch) stage(e *batchEnt) error {
 	}
 	// Pin a connection at the first staged entry: a batch is one
 	// coalesced write, so every frame in it must ride one generation.
-	if nb.conn == nil {
-		conn, gen, err := c.getConn(context.Background())
+	if nb.w == nil {
+		w, gen, err := c.getConn(context.Background())
 		if err != nil {
 			return c.asyncObserve(probe, notSent(err))
 		}
-		nb.conn, nb.gen = conn, gen
+		nb.w, nb.gen = w, gen
 	}
 	c.batchedCalls.Add(1)
 	if e.oneWay {
@@ -275,19 +274,13 @@ func (nb *netBatch) flush() error {
 		return nil
 	}
 	c := nb.c
-	conn, gen := nb.conn, nb.gen
+	w, gen := nb.w, nb.gen
 	buf := nb.buf
 	nb.buf = nb.buf[:0]
-	if conn == nil {
+	if w == nil {
 		return notSent(ErrConnClosed)
 	}
-	deadline := time.Now().Add(c.opts.WriteTimeout)
-	c.wmu.Lock()
-	conn.SetWriteDeadline(deadline)
-	_, err := conn.Write(buf)
-	conn.SetWriteDeadline(time.Time{})
-	c.wmu.Unlock()
-	if err != nil {
+	if _, err := w.write(buf, time.Time{}, nil, nil, 0); err != nil {
 		c.emitEvent(TraceWriteFail, err)
 		// The failed write is one connection-level failure (it also
 		// stands as the verdict of any one-way probe staged in this
@@ -325,8 +318,8 @@ func (nb *netBatch) flush() error {
 // connBroken, which claims wait-map entries exactly once) and unpins,
 // so the next stage re-dials.
 func (nb *netBatch) retire(cause error) {
-	if nb.conn != nil {
-		nb.c.connBroken(nb.conn, nb.gen, cause)
+	if nb.w != nil {
+		nb.c.connBroken(nb.w, nb.gen, cause)
 	}
-	nb.conn, nb.gen = nil, 0
+	nb.w, nb.gen = nil, 0
 }

@@ -271,7 +271,7 @@ func TestNetClientRedialBudget(t *testing.T) {
 
 	// Cut the live connection so the client must redial.
 	c.mu.Lock()
-	conn := c.conn
+	conn := c.w.conn
 	c.mu.Unlock()
 	conn.Close()
 
