@@ -65,102 +65,32 @@ race:
 stress:
 	$(GO) test -race -count=1 -run 'TestStress|TestNetClient' ./internal/faultinject/ .
 
-# The structure guard for the invocation core (DESIGN §5.17): the
-# dispatch sequence is written out in exactly three places — the core's
-# begin/finish, the callAppend fast path, and the message-passing
-# baseline — and admission is entered from exactly three — the core,
-# callAppend, and the broker's per-tenant gate. A fourth call site of
-# either is a new hand-copied dispatch path, so it fails here instead of
-# landing silently. The second line repeats the differential table that
-# pins callAppend to the core.
-ONECORE_SRC = $(filter-out %_test.go,$(wildcard *.go))
+# The structure guards live in structure_test.go (TestStructureCaps,
+# Tier-1): it parses the root package and caps the call sites that would
+# mean a second, hand-copied path — dispatch and admission (DESIGN
+# §5.17), the rebind loop and TransparentBinding (§5.10), the TCP server
+# loop and client (§5.15, §5.13), the shm slot lifecycle (§5.11). What
+# stays here are the race-detector loops over the tests that pin each
+# path's behaviour.
+#
+# onecore: the differential table that pins callAppend to the core.
 onecore:
-	@for pat in '[.]runHandler(' 'adm[.]enter('; do \
-		n=$$(cat $(ONECORE_SRC) | grep -v '^[[:space:]]*//' | grep -c "$$pat"); \
-		if [ "$$n" -gt 3 ]; then \
-			echo "onecore: $$n call sites of $$pat in the root package, want at most 3:"; \
-			grep -n "$$pat" $(ONECORE_SRC); exit 1; fi; \
-	done
 	$(GO) test -race -count=3 -run 'TestDispatch' .
 
-# The structure guard for the client half (DESIGN §5.10): supervised
-# recovery is written once. Capped-backoff doubling and the single-flight
-# done channel each appear at most twice in the root package — the rebind
-# core in supervise.go and NetClient.getConn, which is on every TCP
-# call's path and stays its own — so a third is a supervisor loop pasted
-# back. TransparentBinding picks a plane at bind time and nothing else: a
-# hand-written call method on it, or a `tb.local != nil` ladder, is the
-# old eight-way copy coming back. The Caller assertions in supervise.go
-# are the compile-time half. The second line runs the one table that
-# holds every constructor to the same edges.
+# onecaller: the one table that holds every supervisor constructor to the
+# same edges.
 onecaller:
-	@for pat in 'backoff \*= 2' 'Done = make(chan struct{})'; do \
-		n=$$(cat $(ONECORE_SRC) | grep -v '^[[:space:]]*//' | grep -c "$$pat"); \
-		if [ "$$n" -gt 2 ]; then \
-			echo "onecaller: $$n sites of '$$pat' in the root package, want at most 2:"; \
-			grep -n "$$pat" $(ONECORE_SRC); exit 1; fi; \
-	done
-	@for pat in 'tb[.]local != nil' 'tb[.]shm != nil' 'func (tb \*TransparentBinding) \(Call\|NewBatch\)'; do \
-		if grep -n "$$pat" $(ONECORE_SRC); then \
-			echo "onecaller: TransparentBinding ladder '$$pat' in the root package, want none"; exit 1; fi; \
-	done
-	@if grep -n 'Supervis' shm.go shm_stub.go; then \
-		echo "onecaller: supervisor code in the shm transport files, want it in supervise.go"; exit 1; fi
 	$(GO) test -race -count=3 -run 'TestSupervisorEdges' .
 
-# The structure guard for the TCP plane (DESIGN §5.15): one server loop,
-# one client round trip. A request is parsed and a reply written from
-# exactly one call site each — serveConn, whose routes are the System's
-# import cache and the broker's tenant gate — so a second call site is a
-# relay loop pasted back. The client has one synchronous pendingCall
-# registration (NetClient.roundTrip) and one breaker gate (NetClient.allow);
-# another is a second round-trip loop or a hand-copied gate. Each cap
-# counts the definition plus its one caller. Run to completion (DESIGN
-# §5.18) has one spawn site in the loop, one stall-watch handoff, and
-# one write deadline site in the TCP files — connWriter.arm; a second is
-# a lock → deadline → write → clear sequence pasted back. The test lines
-# run the TCP and broker suites, the route table included, then the
-# run-to-completion and deadline-rule tests twenty times over.
-WIRE_SRC = net.go net_async.go
+# onewire: the TCP and broker suites, the route table and the every-kind
+# client table included, then the run-to-completion and deadline-rule
+# tests twenty times over.
 onewire:
-	@for cap in 'parseRequest(:2' 'writeReply(:2' 'pendingCall{ch::1' 'br[.]allow(:1' 'go l[.]handle(:1' 'go l[.]read(:1'; do \
-		pat=$${cap%:*}; max=$${cap##*:}; \
-		n=$$(cat $(ONECORE_SRC) | grep -v '^[[:space:]]*//' | grep -c "$$pat"); \
-		if [ "$$n" -gt "$$max" ]; then \
-			echo "onewire: $$n sites of '$$pat' in the root package, want at most $$max:"; \
-			grep -n "$$pat" $(ONECORE_SRC); exit 1; fi; \
-	done
-	@n=$$(cat $(WIRE_SRC) | grep -v '^[[:space:]]*//' | grep -c 'SetWriteDeadline('); \
-	if [ "$$n" -gt 1 ]; then \
-		echo "onewire: $$n SetWriteDeadline( sites in $(WIRE_SRC), want at most 1:"; \
-		grep -n 'SetWriteDeadline(' $(WIRE_SRC); exit 1; fi
 	$(GO) test -race -count=3 -run 'TestBroker|TestNet' .
 	$(GO) test -race -count=20 -run 'TestNetExpiredCallLeavesConnection|TestNetBlockedHandlerFreesConnection|TestNetLoneCallsRunOnReader|TestNetSlowProcedureSpawns|TestNetStallWatchParks|TestNetWriteDeadlineRule' .
 
-# The structure guard for the shm client (DESIGN §5.11): every call kind
-# drives one slot lifecycle, check → acquire → stage → header →
-# roundTrip | post → retire. A slot is taken in one place (acquire: the
-# inflight reference and its two free-list receives), a request header
-# written in one (header), a reply read in one (reply), and an async slot
-# claimed in two (retire, and unpostSlot for a submission the peer never
-# saw). Another site is a call kind's hand-copied lifecycle coming back.
-# The call entries are sugar over two drivers, written once in the
-# portable shm_common.go, so shm_stub.go stubs the drivers and never an
-# entry. The second line runs the shm suite, the every-kind table
-# included.
-SHM_ENTRIES = Call CallAppend CallContext CallChain CallChainContext CallBulk CallAsync CallChainAsync
+# oneslot: the shm suite, the every-kind table included.
 oneslot:
-	@for cap in 'c[.]begin():1' '<-c[.]free:2' 'slotOffCallID)[.]Store(:1' 'slotOffResLen)[.]Load(:1' 'futs\[id\][.]Swap(nil):2'; do \
-		pat=$${cap%:*}; max=$${cap##*:}; \
-		n=$$(cat $(ONECORE_SRC) | grep -v '^[[:space:]]*//' | grep -c "$$pat"); \
-		if [ "$$n" -gt "$$max" ]; then \
-			echo "oneslot: $$n sites of '$$pat' in the root package, want at most $$max:"; \
-			grep -n "$$pat" $(ONECORE_SRC); exit 1; fi; \
-	done
-	@for fn in $(SHM_ENTRIES); do \
-		if grep -n "^func (c [*]ShmClient) $$fn(" shm_stub.go; then \
-			echo "oneslot: shm_stub.go defines $$fn, want it once in shm_common.go"; exit 1; fi; \
-	done
 	$(GO) test -race -count=3 -run 'TestShm' .
 
 # The cross-process shared-memory integration suite, race-detector on.

@@ -137,6 +137,18 @@ func (f *Future) complete(out []byte, err error) {
 	f.release()
 }
 
+// await blocks until f completes or stop closes, reporting whether it
+// completed; a completed future is left for Wait to collect at once.
+func (f *Future) await(stop <-chan struct{}) bool {
+	select {
+	case <-f.ch:
+		f.ch <- struct{}{} // re-arm the token for Wait
+		return true
+	case <-stop:
+		return false
+	}
+}
+
 // Done reports whether the call has completed and the result awaits
 // collection.
 func (f *Future) Done() bool { return f.state.Load() == futDone }

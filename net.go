@@ -38,10 +38,11 @@ import (
 // anything else on a bounded goroutine. ServeNetwork's route imports the
 // named interface once per connection and dispatches into it; the
 // broker's route (broker.go) is its tenant policy gate in front of an
-// upstream call. The client has one of each too: every synchronous call
-// is one round trip (NetClient.call) and every request frame comes from
-// one encoder (appendRequestFrame). Both sides write through one
-// connWriter per connection.
+// upstream call. The client has one of each too: every call with a reply
+// is one submission (NetClient.submit) registering one pending record,
+// which whoever claims it back settles (NetClient.settle), and every
+// request frame comes from one encoder (appendRequestFrame). Both sides
+// write through one connWriter per connection.
 //
 // Wire protocol (all integers little-endian):
 //
@@ -884,7 +885,7 @@ type NetClient struct {
 	backoff     time.Duration
 	rng         *rand.Rand
 	nextID      uint64
-	wait        map[uint64]*pendingCall
+	wait        map[uint64]pendingCall // written only by register
 	closed      bool
 
 	calls      atomic.Uint64
@@ -905,32 +906,22 @@ type NetClient struct {
 	tracer atomic.Pointer[Tracer]
 }
 
+// pendingCall is one call's linkage record (§3.1), kept by value in
+// c.wait from its registration until someone claims it back out: the
+// read loop with its reply, connBroken or Close with the connection, a
+// caller leaving at its deadline, or a writer whose write failed.
+// Whoever claims it settles it, exactly once.
 type pendingCall struct {
-	ch  chan netReply
-	gen uint64
-	// fut, when non-nil, marks an asynchronous submission: the reply (or
-	// the connection's death) completes it directly from the read loop
-	// instead of being handed over ch, and releases the in-flight slot
-	// the submission acquired.
-	fut *Future
+	fut *Future // settled with the call's outcome
+	gen uint64  // the connection generation the request was written on
 	// bulk, when non-nil, is a synchronous bulk call's handle: a status-3
 	// reply's payload streams into it directly from the read loop, which
 	// is the only place the bytes behind the reply frame can be consumed
 	// in order.
 	bulk *BulkHandle
-	// probe marks an asynchronous submission elected as the breaker's
-	// half-open probe: its completion (reply or connection death) carries
-	// the probe's verdict to brObserve.
+	// probe marks a call elected as the breaker's half-open probe: its
+	// settlement carries the probe's verdict to brObserve.
 	probe bool
-}
-
-type netReply struct {
-	status byte
-	body   []byte
-	// bulkErr records a sink-write failure while the read loop streamed a
-	// bulk reply into the handle's io.Writer (the stream itself was
-	// drained, so the connection survives).
-	bulkErr error
 }
 
 // DialInterface connects to a remote System at addr (as served by
@@ -987,7 +978,7 @@ func newNetClient(conn net.Conn, name string, opts DialOptions) *NetClient {
 		w:        &connWriter{timeout: opts.WriteTimeout, conn: conn},
 		gen:      1,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
-		wait:     map[uint64]*pendingCall{},
+		wait:     map[uint64]pendingCall{},
 	}
 	if opts.BreakerThreshold > 0 {
 		c.br = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.BreakerMaxCooldown)
@@ -1092,122 +1083,82 @@ func (c *NetClient) readLoop(w *connWriter, gen uint64) {
 		if len(frame) < 9 {
 			continue
 		}
-		id := binary.LittleEndian.Uint64(frame[0:8])
-		reply := netReply{status: frame[8], body: frame[9:]}
-		c.mu.Lock()
-		p, ok := c.wait[id]
-		if ok {
-			delete(c.wait, id)
-		}
-		c.mu.Unlock()
-		if reply.status == 3 {
+		p, ok := c.claim(binary.LittleEndian.Uint64(frame[0:8]))
+		var out []byte
+		var cerr, broken error
+		switch status, body := frame[8], frame[9:]; {
+		case status == 3:
 			// Bulk reply: the produced payload streams right behind the
-			// frame and must be consumed here, waiter or no waiter, before
-			// the next frame can be parsed.
-			if len(reply.body) < 8 {
-				c.connBroken(w, gen, errors.New("lrpc: short bulk reply"))
-				return
+			// frame and is consumed here, into the claimed call's handle
+			// or the void, before the next frame can be parsed.
+			out, cerr, broken = bulkReply(br, p.bulk, body)
+		case !ok: // nobody to tell, and nothing behind the frame
+		case status == 0:
+			out = body
+			if h := p.bulk; h != nil && h.dir == BulkIn {
+				h.n = h.length()
 			}
-			produced := int64(binary.LittleEndian.Uint64(reply.body[0:8]))
-			reply.body = reply.body[8:]
-			var h *BulkHandle
-			if ok && p.fut == nil {
-				h = p.bulk
-			}
-			sinkErr, connErr := c.streamBulkReply(br, h, produced)
-			if connErr != nil {
-				// The payload stream broke: the connection is beyond
-				// recovery, and the claimed waiter learns like every other
-				// pipelined call — through its closed channel.
-				if ok {
-					if p.fut != nil {
-						<-c.sem
-						c.brObserve(p.probe, ErrConnClosed)
-						p.fut.complete(nil, fmt.Errorf("%w: connection lost during bulk reply", ErrConnClosed))
-					} else {
-						close(p.ch)
-					}
-				}
-				c.connBroken(w, gen, connErr)
-				return
-			}
-			reply.status, reply.bulkErr = 0, sinkErr
-		}
-		if !ok {
-			continue
-		}
-		if p.fut != nil {
-			// Asynchronous completion, resolved right here: free the
-			// in-flight slot first so a continuation fired by complete
-			// can take it without spawning a waiter goroutine. The reply
-			// is the async call's breaker verdict (a remote error still
-			// proves the peer alive), observed before complete so a
-			// continuation's resubmission sees the updated breaker.
-			<-c.sem
-			if reply.status != 0 {
-				c.failures.Add(1)
-				var rerr error
-				if reply.status == 4 {
-					rerr = parseChainError(reply.body)
-				} else {
-					rerr = &RemoteError{Msg: string(reply.body), NotExecuted: reply.status == 2}
-				}
-				c.brObserve(p.probe, rerr)
-				p.fut.complete(nil, rerr)
+		default:
+			c.failures.Add(1)
+			if status == 4 {
+				cerr = parseChainError(body)
 			} else {
-				c.brObserve(p.probe, nil)
-				p.fut.complete(reply.body, nil)
+				cerr = &RemoteError{Msg: string(body), NotExecuted: status == 2}
 			}
-			continue
 		}
-		p.ch <- reply
+		if ok {
+			c.settle(p, out, cerr)
+		}
+		if broken != nil {
+			c.connBroken(w, gen, broken)
+			return
+		}
 	}
 }
 
-// streamBulkReply consumes produced payload bytes following a status-3
-// reply frame, directing them into the waiter's handle — or the void,
-// when the waiter is gone or timed out. A sink-write failure (sinkErr)
-// still drains the remaining stream bytes so the connection stays
-// framed; connErr reports the stream itself failing or the server
-// overrunning the handle's reserved capacity, both fatal to the
-// connection.
-func (c *NetClient) streamBulkReply(r io.Reader, h *BulkHandle, produced int64) (sinkErr, connErr error) {
-	if produced < 0 {
-		return nil, fmt.Errorf("lrpc: bulk reply length %d out of range", produced)
+// bulkReply consumes a status-3 reply — body = u64 produced, results —
+// and the produced payload streamed behind it: into h's buffer or
+// writer, or the void when no caller claimed the call (nil h). A sink
+// failure fails the call but drains the rest, so the connection stays
+// framed; broken reports a stream that cannot be read past — a short
+// body, a failed read, a payload overrunning the handle's capacity —
+// which ends the connection too.
+func bulkReply(r io.Reader, h *BulkHandle, body []byte) (out []byte, err, broken error) {
+	produced := int64(-1)
+	if len(body) >= 8 {
+		produced = int64(binary.LittleEndian.Uint64(body))
 	}
-	if h == nil {
-		_, err := io.CopyN(io.Discard, r, produced)
-		return nil, err
-	}
-	if produced > h.length() {
-		return nil, fmt.Errorf("lrpc: %d-byte bulk reply exceeds the handle's %d-byte capacity",
-			produced, h.length())
-	}
-	if h.dst == nil {
-		if _, err := io.ReadFull(r, h.buf[:produced]); err != nil {
-			return nil, err
+	switch {
+	case produced < 0:
+		broken = fmt.Errorf("lrpc: malformed bulk reply (%d-byte body)", len(body))
+	case h == nil:
+		_, broken = io.CopyN(io.Discard, r, produced)
+	case produced > h.length():
+		broken = fmt.Errorf("lrpc: %d-byte bulk reply exceeds the handle's %d-byte capacity", produced, h.length())
+	case h.dst == nil:
+		if _, broken = io.ReadFull(r, h.buf[:produced]); broken == nil {
+			h.n = produced
 		}
-		h.n = produced
-		return nil, nil
-	}
-	// Writer-backed sink: chunked copy, draining past any sink failure.
-	cbuf := make([]byte, 256<<10)
-	remaining := produced
-	for remaining > 0 {
-		k := min(int64(len(cbuf)), remaining)
-		if _, err := io.ReadFull(r, cbuf[:k]); err != nil {
-			return sinkErr, err
-		}
-		remaining -= k
-		if sinkErr == nil {
-			if _, werr := h.dst.Write(cbuf[:k]); werr != nil {
-				sinkErr = werr
-			} else {
-				h.n += k
+	default:
+		// Writer-backed sink: chunked copy, draining past any sink failure.
+		cbuf := make([]byte, 256<<10)
+		for remaining := produced; remaining > 0 && broken == nil; {
+			k := min(int64(len(cbuf)), remaining)
+			if _, broken = io.ReadFull(r, cbuf[:k]); broken == nil && err == nil {
+				if _, err = h.dst.Write(cbuf[:k]); err == nil {
+					h.n += k
+				}
 			}
+			remaining -= k
 		}
 	}
-	return sinkErr, nil
+	switch {
+	case broken != nil:
+		return nil, fmt.Errorf("%w: connection lost during bulk reply: %v", ErrConnClosed, broken), broken
+	case err != nil:
+		return body[8:], fmt.Errorf("lrpc: bulk sink: %w", err), nil
+	}
+	return body[8:], nil, nil
 }
 
 // connBroken retires a dead connection: detach it (if it is still the
@@ -1215,34 +1166,33 @@ func (c *NetClient) streamBulkReply(r io.Reader, h *BulkHandle, produced int64) 
 // other generations are untouched.
 func (c *NetClient) connBroken(w *connWriter, gen uint64, _ error) {
 	w.conn.Close()
-	var futs []*Future
 	c.mu.Lock()
 	if c.gen == gen && c.w == w {
 		c.w = nil
 	}
+	swept := c.sweep(gen)
+	c.mu.Unlock()
+	// Settled outside the lock: a completion may fire a continuation
+	// that resubmits (and takes c.mu). The request may have reached the
+	// server, so this is not safe to retry.
+	err := fmt.Errorf("%w: connection lost awaiting reply", ErrConnClosed)
+	for _, p := range swept {
+		c.settle(p, nil, err)
+	}
+}
+
+// sweep claims every call of connection generation gen out of the wait
+// table, or every call when gen is 0 (no live generation is). c.mu is
+// held.
+func (c *NetClient) sweep(gen uint64) []pendingCall {
+	var swept []pendingCall
 	for id, p := range c.wait {
-		if p.gen == gen {
+		if gen == 0 || p.gen == gen {
 			delete(c.wait, id)
-			if p.fut != nil {
-				futs = append(futs, p.fut)
-			} else {
-				close(p.ch)
-			}
+			swept = append(swept, p)
 		}
 	}
-	c.mu.Unlock()
-	// Fail orphaned futures outside the lock: complete may fire
-	// continuations, which resubmit (and take c.mu). Each swept future
-	// is one async call killed by a connection-level failure, and each
-	// counts against the breaker — the async mirror of every swept
-	// synchronous call observing its own ErrConnClosed (brObserve).
-	// Channel waiters are NOT counted here: their callers observe the
-	// closed channel and report to the breaker themselves.
-	for _, f := range futs {
-		<-c.sem
-		c.brFailure()
-		f.complete(nil, fmt.Errorf("%w: connection lost awaiting reply", ErrConnClosed))
-	}
+	return swept
 }
 
 // getConn returns the live connection, redialing if necessary. Each
@@ -1422,153 +1372,153 @@ func (c *NetClient) CallChainContext(ctx context.Context, ch *Chain) ([]byte, er
 	return c.call(ctx, wireFlagChain, desc, nil)
 }
 
-// call is the one synchronous round trip under every call entry: the
-// breaker gate, the in-flight window, redial-and-resend while the
-// request provably never reached the wire, and awaitReply. h, when
-// non-nil, streams a BulkIn payload behind the frame or receives a
-// BulkOut reply's payload.
+// call is every synchronous entry: submit, then a wait on the call's
+// future or its deadline. At the deadline the caller claims its call
+// back and settles it as timed out; when the read loop claimed it first
+// — it may be mid-stream into a bulk handle's buffer — the caller waits
+// for that delivery instead, which the reply or the connection's death
+// bounds. h, when non-nil, streams a BulkIn payload behind the frame or
+// receives a BulkOut reply's payload.
 func (c *NetClient) call(ctx context.Context, procWord uint32, args []byte, h *BulkHandle) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	c.calls.Add(1)
-	probe, err := c.allow()
+	f, id, err := c.submit(ctx, procWord, args, h)
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.roundTrip(ctx, procWord, args, h)
-	c.brObserve(probe, err)
-	return res, err
+	if !f.await(ctx.Done()) {
+		if p, mine := c.claim(id); mine {
+			c.timeouts.Add(1)
+			c.settle(p, nil, timeoutError(ctx.Err()))
+		}
+	}
+	return f.Wait()
 }
 
-func (c *NetClient) roundTrip(ctx context.Context, procWord uint32, args []byte, h *BulkHandle) ([]byte, error) {
-	// Bounded in-flight window: backpressure instead of unbounded
-	// pipelining.
-	select {
-	case c.sem <- struct{}{}:
-	case <-c.closedCh:
-		return nil, notSent(ErrConnClosed)
-	case <-ctx.Done():
-		c.timeouts.Add(1)
-		return nil, timeoutError(ctx.Err())
+// submit is the one submission under every call with a reply: allow →
+// window → getConn → the expired-deadline check → newFuture → register →
+// write. Once it returns a future, whoever claims the call back out of
+// c.wait settles it. A failed write is taken back by its writer — its
+// own claim, or the future a connection sweep settled first — and then
+// what the write did decides: a frame that reached the wire may have run
+// and fails with ErrConnClosed; one that did not is redialled and resent
+// while its payload can be replayed, and is ErrNotSent once it cannot.
+func (c *NetClient) submit(ctx context.Context, procWord uint32, args []byte, h *BulkHandle) (*Future, uint64, error) {
+	probe, err := c.allow()
+	if err != nil {
+		return nil, 0, err
 	}
-	defer func() { <-c.sem }()
-
-	// A buffer-backed payload can be replayed, so a request that never
-	// reached the wire is resent; a stream-backed source is consumed by
-	// its attempt and gets exactly one.
+	// A buffer-backed payload can be replayed; a stream-backed source is
+	// consumed by its attempt and gets exactly one.
 	replayable := h == nil || h.src == nil
 	for attempt := 0; attempt < c.opts.RedialAttempts; attempt++ {
-		w, gen, err := c.getConn(ctx)
+		w, gen, err := c.reserve(ctx)
 		if err != nil {
-			if errors.Is(err, ErrCallTimeout) {
-				c.timeouts.Add(1)
-				return nil, err
-			}
-			// getConn failures happen strictly before any write: this
-			// call's frame never touched a connection.
-			return nil, notSent(err)
+			c.brObserve(probe, err)
+			return nil, 0, err
 		}
-		// A call already past its deadline is not written — the window's
-		// select picks a free slot as often as ctx.Done(). Its write would
-		// fail with nothing sent, which says nothing against the
-		// connection the other calls share.
-		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-			c.timeouts.Add(1)
-			return nil, timeoutError(context.DeadlineExceeded)
+		f := newFuture()
+		f.abandons = &c.timeouts
+		id, ok := c.register(pendingCall{fut: f, gen: gen, bulk: h, probe: probe})
+		if !ok {
+			<-c.sem
+			f.release()
+			err := notSent(ErrConnClosed)
+			c.brObserve(probe, err)
+			return nil, 0, err
 		}
-
-		p := &pendingCall{ch: make(chan netReply, 1), gen: gen, bulk: h}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, notSent(ErrConnClosed)
-		}
-		c.nextID++
-		id := c.nextID
-		c.wait[id] = p
-		c.mu.Unlock()
-
 		wrote, werr := c.writeRequest(ctx, w, id, procWord, args, h)
-		if werr != nil {
-			c.unregister(id)
-			c.emitEvent(TraceWriteFail, werr)
-			c.connBroken(w, gen, werr)
-			if !wrote {
-				if replayable {
-					// Nothing reached the wire: retrying cannot
-					// double-execute anything, so redial and resend.
-					c.retries.Add(1)
-					continue
-				}
-				return nil, notSent(werr)
-			}
-			return nil, fmt.Errorf("%w: send failed mid-request: %v", ErrConnClosed, werr)
+		if werr == nil {
+			return f, id, nil
 		}
-		return c.awaitReply(ctx, id, p)
+		c.emitEvent(TraceWriteFail, werr)
+		err = fmt.Errorf("%w: send failed mid-request: %v", ErrConnClosed, werr)
+		if !wrote {
+			err = notSent(fmt.Errorf("%w: send failed: %v", ErrConnClosed, werr))
+		}
+		if p, mine := c.claim(id); mine {
+			c.settle(p, nil, err)
+		}
+		c.connBroken(w, gen, werr)
+		f.Wait() // this settlement or a sweep's: either way, the write decides
+		if wrote || !replayable {
+			return nil, 0, err
+		}
+		// Nothing reached the wire: resending cannot double-execute
+		// anything.
+		c.retries.Add(1)
 	}
-	return nil, notSent(fmt.Errorf("%w: request could not be sent after %d attempts",
+	// Every attempt's failed write has already reached the breaker.
+	return nil, 0, notSent(fmt.Errorf("%w: request could not be sent after %d attempts",
 		ErrConnClosed, c.opts.RedialAttempts))
 }
 
-// awaitReply waits for call id's reply. When the deadline (or Close)
-// fires after the read loop already claimed the call — it may be
-// mid-stream into a bulk handle's buffer — the call waits for that
-// claimed delivery and returns it instead of abandoning a reply the
-// read loop owns; the delivery or the connection's death bounds the
-// wait.
-func (c *NetClient) awaitReply(ctx context.Context, id uint64, p *pendingCall) ([]byte, error) {
-	var reply netReply
-	var ok bool
+// reserve takes an in-flight slot (backpressure instead of unbounded
+// pipelining) and the live connection for one attempt. A call already
+// past its deadline is not written: the window's select picks a free
+// slot as often as ctx.Done(), and its write would fail with nothing
+// sent, which says nothing against the connection other calls share. On
+// an error the slot is given back and nothing was sent.
+func (c *NetClient) reserve(ctx context.Context) (*connWriter, uint64, error) {
 	select {
-	case reply, ok = <-p.ch:
-	case <-ctx.Done():
-		if c.unregister(id) {
-			c.timeouts.Add(1)
-			return nil, timeoutError(ctx.Err())
-		}
-		reply, ok = <-p.ch
+	case c.sem <- struct{}{}:
 	case <-c.closedCh:
-		if c.unregister(id) {
-			return nil, ErrConnClosed
-		}
-		reply, ok = <-p.ch
+		return nil, 0, notSent(ErrConnClosed)
+	case <-ctx.Done():
+		c.timeouts.Add(1)
+		return nil, 0, timeoutError(ctx.Err())
 	}
-	if !ok {
-		// The connection died after the request reached the wire; the
-		// server may or may not have executed it, so this is not safe to
-		// retry.
-		return nil, fmt.Errorf("%w: connection lost awaiting reply", ErrConnClosed)
+	w, gen, err := c.getConn(ctx)
+	if d, ok := ctx.Deadline(); err == nil && ok && !time.Now().Before(d) {
+		err = timeoutError(context.DeadlineExceeded)
 	}
-	if reply.status != 0 {
-		c.failures.Add(1)
-		if reply.status == 4 {
-			return nil, parseChainError(reply.body)
-		}
-		return nil, &RemoteError{Msg: string(reply.body), NotExecuted: reply.status == 2}
+	switch {
+	case errors.Is(err, ErrCallTimeout):
+		c.timeouts.Add(1)
+	case err != nil:
+		err = notSent(err) // getConn fails strictly before any write
+	default:
+		return w, gen, nil
 	}
-	if h := p.bulk; h != nil {
-		if reply.bulkErr != nil {
-			return reply.body, fmt.Errorf("lrpc: bulk sink: %w", reply.bulkErr)
-		}
-		if h.dir == BulkIn {
-			h.n = h.length()
-		}
-	}
-	return reply.body, nil
+	<-c.sem
+	return nil, 0, err
 }
 
-// unregister removes a pending call from the wait table; false reports
-// that the read loop (or Close, or a connection sweep) already claimed
-// it.
-func (c *NetClient) unregister(id uint64) bool {
+// register enters p in the wait table under a fresh call id: the one
+// write to c.wait. ok is false once the client is closed.
+func (c *NetClient) register(p pendingCall) (id uint64, ok bool) {
 	c.mu.Lock()
-	_, present := c.wait[id]
-	if present {
+	defer c.mu.Unlock()
+	if c.closed {
+		return 0, false
+	}
+	c.nextID++
+	c.wait[c.nextID] = p
+	return c.nextID, true
+}
+
+// claim takes call id back out of the wait table; false reports that
+// someone else already claimed it, and settles it.
+func (c *NetClient) claim(id uint64) (pendingCall, bool) {
+	c.mu.Lock()
+	p, ok := c.wait[id]
+	if ok {
 		delete(c.wait, id)
 	}
 	c.mu.Unlock()
-	return present
+	return p, ok
+}
+
+// settle finishes a claimed call: its in-flight slot is given back, its
+// verdict reaches the breaker (a reply, even a remote error, proves the
+// peer alive), and only then is its future completed, so a continuation
+// that resubmits from the completion finds both.
+func (c *NetClient) settle(p pendingCall, out []byte, err error) {
+	<-c.sem
+	c.brObserve(p.probe, err)
+	p.fut.complete(out, err)
 }
 
 // writeRequest writes one request frame, and a BulkIn handle's payload
@@ -1729,19 +1679,10 @@ func (c *NetClient) Close() error {
 	close(c.closedCh)
 	w := c.w
 	c.w = nil
-	var futs []*Future
-	for id, p := range c.wait {
-		delete(c.wait, id)
-		if p.fut != nil {
-			futs = append(futs, p.fut)
-		} else {
-			close(p.ch)
-		}
-	}
+	swept := c.sweep(0)
 	c.mu.Unlock()
-	for _, f := range futs {
-		<-c.sem
-		f.complete(nil, ErrConnClosed)
+	for _, p := range swept {
+		c.settle(p, nil, ErrConnClosed)
 	}
 	if w != nil {
 		return w.conn.Close()

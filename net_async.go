@@ -5,10 +5,11 @@ package lrpc
 // moving parts live close to the synchronous path in net.go — this file
 // holds only the submission surface:
 //
-//   - CallAsync registers a pendingCall carrying a *Future instead of a
-//     reply channel; the read loop completes it in place and releases
-//     the in-flight slot, so a continuation fired by the completion can
-//     resubmit without spawning a waiter goroutine.
+//   - CallAsync is the synchronous path's submit without the wait: one
+//     pendingCall carrying a pooled *Future, which whoever claims it
+//     settles — the read loop in place, releasing the in-flight slot, so
+//     a continuation fired by the completion can resubmit without
+//     spawning a waiter goroutine.
 //   - CallOneWay sets wireFlagOneWay on the proc word and consumes no
 //     reply slot at all: no pendingCall, no in-flight window entry, no
 //     reply frame ever (the server drops and counts execution errors).
@@ -35,74 +36,22 @@ import (
 	"time"
 )
 
-// sendAsync submits one asynchronous request: acquire an in-flight
-// slot, register the future, write the frame. A nil return means the
-// connection machinery (read loop, connBroken, or Close) now owns the
-// future and will complete it exactly once; an error return means the
-// future was never handed off and the caller must complete it.
-func (c *NetClient) sendAsync(ctx context.Context, procWord uint32, args []byte, f *Future) error {
+// callAsync is every asynchronous entry: the size check, the count, and
+// submit, whose future the call's settlement completes.
+func (c *NetClient) callAsync(procWord uint32, args []byte) (*Future, error) {
 	if err := c.checkRequestSize(args, 0); err != nil {
-		return err
+		return nil, err
 	}
 	c.asyncCalls.Add(1)
-	// While the peer is known dead the submission fails fast, and the
-	// future resolves with ErrBreakerOpen.
-	probe, err := c.allow()
-	if err != nil {
-		return err
-	}
-	select {
-	case c.sem <- struct{}{}:
-	case <-c.closedCh:
-		return c.asyncObserve(probe, notSent(ErrConnClosed))
-	case <-ctx.Done():
-		c.timeouts.Add(1)
-		return c.asyncObserve(probe, timeoutError(ctx.Err()))
-	}
-	w, gen, err := c.getConn(ctx)
-	if err != nil {
-		<-c.sem
-		return c.asyncObserve(probe, notSent(err))
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		<-c.sem
-		return c.asyncObserve(probe, notSent(ErrConnClosed))
-	}
-	c.nextID++
-	id := c.nextID
-	c.wait[id] = &pendingCall{fut: f, gen: gen, probe: probe}
-	c.mu.Unlock()
-
-	wrote, werr := c.writeRequest(ctx, w, id, procWord, args, nil)
-	if werr != nil {
-		c.emitEvent(TraceWriteFail, werr)
-		// Claim the pending entry back. If connBroken swept it first, it
-		// owns the future and the in-flight slot — report success and let
-		// its completion (ErrConnClosed) stand; completing here too would
-		// double-complete the future and double-release the slot. (The
-		// sweep also carried the entry's probe verdict to the breaker.)
-		mine := c.unregister(id)
-		c.connBroken(w, gen, werr)
-		if !mine {
-			return nil
-		}
-		<-c.sem
-		c.brFailure() // a failed write is a connection-level failure
-		if !wrote {
-			return notSent(werr)
-		}
-		return fmt.Errorf("%w: send failed mid-request: %v", ErrConnClosed, werr)
-	}
-	return nil
+	f, _, err := c.submit(context.Background(), procWord, args, nil)
+	return f, err
 }
 
 // asyncObserve reports a submission-path failure to the breaker with
 // the sync path's classification (brObserve) and passes the error
-// through — so a probe elected by an async submission that dies before
-// its frame registers still delivers a verdict, and the half-open state
-// cannot wedge.
+// through — so a probe elected by a one-way or a staged batch entry that
+// dies before its frame is written still delivers a verdict, and the
+// half-open state cannot wedge.
 func (c *NetClient) asyncObserve(probe bool, err error) error {
 	c.brObserve(probe, err)
 	return err
@@ -111,18 +60,12 @@ func (c *NetClient) asyncObserve(probe bool, err error) error {
 // CallAsync submits proc over the network without waiting: the returned
 // future resolves when the reply frame arrives (or the connection dies
 // under the request — ErrConnClosed, since the transport cannot know
-// whether the server executed it). Submission failures are returned
-// synchronously and no future escapes. The args slice must not be
-// modified until the future completes.
+// whether the server executed it). A request that provably never
+// reached the wire is redialled and resent, as a synchronous call's is.
+// Submission failures are returned synchronously and no future escapes.
+// The args slice must not be modified until the future completes.
 func (c *NetClient) CallAsync(proc int, args []byte) (*Future, error) {
-	f := newFuture()
-	f.abandons = &c.timeouts
-	if err := c.sendAsync(context.Background(), uint32(proc), args, f); err != nil {
-		f.complete(nil, err)
-		f.Wait()
-		return nil, err
-	}
-	return f, nil
+	return c.callAsync(uint32(proc), args)
 }
 
 // CallChainAsync submits a whole dependent pipeline without waiting:
@@ -134,15 +77,7 @@ func (c *NetClient) CallChainAsync(ch *Chain) (*Future, error) {
 	if err := ch.check(); err != nil {
 		return nil, err
 	}
-	desc := appendChain(nil, ch.stages)
-	f := newFuture()
-	f.abandons = &c.timeouts
-	if err := c.sendAsync(context.Background(), wireFlagChain, desc, f); err != nil {
-		f.complete(nil, err)
-		f.Wait()
-		return nil, err
-	}
-	return f, nil
+	return c.callAsync(wireFlagChain, appendChain(nil, ch.stages))
 }
 
 // CallOneWay sends a fire-and-forget request: the frame carries
@@ -255,16 +190,11 @@ func (nb *netBatch) stage(e *batchEnt) error {
 			return c.asyncObserve(probe, notSent(ErrConnClosed))
 		}
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	id, ok := c.register(pendingCall{fut: e.fut, gen: nb.gen, probe: probe})
+	if !ok {
 		<-c.sem
 		return c.asyncObserve(probe, notSent(ErrConnClosed))
 	}
-	c.nextID++
-	id := c.nextID
-	c.wait[id] = &pendingCall{fut: e.fut, gen: nb.gen, probe: probe}
-	c.mu.Unlock()
 	nb.buf = appendRequestFrame(nb.buf, id, c.name, uint32(e.proc), e.args, nil)
 	return nil
 }

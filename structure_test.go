@@ -1,0 +1,238 @@
+package lrpc
+
+// The structure guards. Each path the package writes once — the
+// invocation core's dispatch (DESIGN §5.17), supervised recovery
+// (§5.10), the TCP server loop and client (§5.15, §5.13), the shm
+// client's slot lifecycle (§5.11) — has a cap on the sites that would
+// mean a second, hand-copied path. The root package's non-test files are
+// parsed and sites matched on the syntax tree by their callee or
+// operand, so comments and string literals never count.
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// structureCap is one guard: at most max sites in files (the whole
+// package when nil) where match holds, each inside function in when in
+// is set.
+type structureCap struct {
+	why   string // what one site too many would be
+	files []string
+	max   int
+	in    string
+	match func(n ast.Node) bool
+}
+
+// callee renders the function a call names, as written: "c.begin",
+// "b.adm.enter", "parseRequest".
+func callee(n ast.Node) (string, *ast.CallExpr) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return "", nil
+	}
+	return types.ExprString(call.Fun), call
+}
+
+// callTo matches a call of name, or of a method or field path ending in
+// "." + name.
+func callTo(name string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		f, _ := callee(n)
+		return f == name || strings.HasSuffix(f, "."+name)
+	}
+}
+
+// goCall matches a go statement spawning fn.
+func goCall(fn string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		g, ok := n.(*ast.GoStmt)
+		return ok && types.ExprString(g.Call.Fun) == fn
+	}
+}
+
+// methodOnCall matches x(…, …last).method(…): a word of the shm slot
+// header read or written at its offset constant.
+func methodOnCall(last, method string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		_, call := callee(n)
+		if call == nil {
+			return false
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != method {
+			return false
+		}
+		inner, ok := sel.X.(*ast.CallExpr)
+		return ok && len(inner.Args) > 0 && strings.HasSuffix(types.ExprString(inner.Args[len(inner.Args)-1]), last)
+	}
+}
+
+// assign matches an assignment with operator tok whose left side ends in
+// lhs and whose right side is rhs.
+func assign(tok token.Token, lhs, rhs string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		a, ok := n.(*ast.AssignStmt)
+		return ok && a.Tok == tok && len(a.Lhs) == 1 && len(a.Rhs) == 1 &&
+			strings.HasSuffix(types.ExprString(a.Lhs[0]), lhs) && types.ExprString(a.Rhs[0]) == rhs
+	}
+}
+
+// methodDecl matches a method of recv whose name starts with one of
+// prefixes (or is one of them, with exact).
+func methodDecl(recv string, exact bool, names ...string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		fd, ok := n.(*ast.FuncDecl)
+		if !ok || fd.Recv == nil || strings.TrimPrefix(types.ExprString(fd.Recv.List[0].Type), "*") != recv {
+			return false
+		}
+		for _, name := range names {
+			if fd.Name.Name == name || !exact && strings.HasPrefix(fd.Name.Name, name) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+var structureCaps = []structureCap{
+	// onecore: the dispatch sequence is written out in three places — the
+	// core's begin/finish, the callAppend fast path and the
+	// message-passing baseline — and admission entered from three — the
+	// core, callAppend and the broker's per-tenant gate.
+	{why: "a hand-copied dispatch path", max: 3, match: callTo("runHandler")},
+	{why: "a hand-copied admission path", max: 3, match: callTo("adm.enter")},
+
+	// onecaller: capped-backoff doubling and the single-flight done
+	// channel live in the rebind core and NetClient.getConn only, and
+	// TransparentBinding picks a plane at bind time and nothing else.
+	{why: "a supervisor loop pasted back", max: 2, match: assign(token.MUL_ASSIGN, "backoff", "2")},
+	{why: "a supervisor loop pasted back", max: 2, match: assign(token.ASSIGN, "Done", "make(chan struct{})")},
+	{why: "a TransparentBinding plane ladder", match: func(n ast.Node) bool {
+		b, ok := n.(*ast.BinaryExpr)
+		if !ok || b.Op != token.NEQ || types.ExprString(b.Y) != "nil" {
+			return false
+		}
+		x := types.ExprString(b.X)
+		return x == "tb.local" || x == "tb.shm"
+	}},
+	{why: "a hand-written TransparentBinding call method", match: methodDecl("TransparentBinding", false, "Call", "NewBatch")},
+	{why: "supervisor code in a shm transport file", files: []string{"shm.go", "shm_stub.go"}, match: func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		return ok && strings.Contains(id.Name, "Supervis")
+	}},
+
+	// onewire: one server loop parses requests and writes replies, one
+	// breaker gate, one spawn and one stall handoff, one write-deadline
+	// site (connWriter.arm) — and on the client, one write to the wait
+	// table (register), one completion (settle), and no reply channel.
+	{why: "a second server loop", max: 1, match: callTo("parseRequest")},
+	{why: "a second server loop", max: 1, match: callTo("writeReply")},
+	{why: "a hand-copied breaker gate", max: 1, match: callTo("br.allow")},
+	{why: "a second spawn site in the server loop", max: 1, match: goCall("l.handle")},
+	{why: "a second stall-watch handoff", max: 1, match: goCall("l.read")},
+	{why: "a lock → deadline → write → clear sequence pasted back", files: []string{"net.go", "net_async.go"}, max: 1, match: callTo("SetWriteDeadline")},
+	{why: "a second pending-call registration", files: []string{"net.go", "net_async.go"}, max: 1, in: "register", match: func(n ast.Node) bool {
+		a, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return false
+		}
+		for _, l := range a.Lhs {
+			if ix, ok := l.(*ast.IndexExpr); ok && types.ExprString(ix.X) == "c.wait" {
+				return true
+			}
+		}
+		return false
+	}},
+	{why: "a call finished outside settle", files: []string{"net.go", "net_async.go"}, max: 1, in: "settle", match: callTo("complete")},
+	{why: "the per-call reply channel coming back", match: func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		return ok && id.Name == "netReply"
+	}},
+
+	// oneslot: every shm call kind drives one slot lifecycle. A slot is
+	// taken in one place (acquire: the inflight reference and its two
+	// free-list receives), a request header written in one, a reply read
+	// in one, an async slot claimed in two (retire, and unpostSlot for a
+	// submission the peer never saw); the call entries are written once,
+	// in shm_common.go, so shm_stub.go stubs the drivers and no entry.
+	{why: "a second slot acquisition", max: 1, match: callTo("c.begin")},
+	{why: "a second slot acquisition", max: 2, match: func(n ast.Node) bool {
+		u, ok := n.(*ast.UnaryExpr)
+		return ok && u.Op == token.ARROW && types.ExprString(u.X) == "c.free"
+	}},
+	{why: "a second request-header writer", max: 1, match: methodOnCall("slotOffCallID", "Store")},
+	{why: "a second reply reader", max: 1, match: methodOnCall("slotOffResLen", "Load")},
+	{why: "a third async slot claim", max: 2, match: func(n ast.Node) bool {
+		f, call := callee(n)
+		return call != nil && strings.HasSuffix(f, "futs[id].Swap") && len(call.Args) == 1 && types.ExprString(call.Args[0]) == "nil"
+	}},
+	{why: "a shm call entry in the stub", files: []string{"shm_stub.go"}, match: methodDecl("ShmClient", true,
+		"Call", "CallAppend", "CallContext", "CallChain", "CallChainContext", "CallBulk", "CallAsync", "CallChainAsync")},
+}
+
+// TestStructureCaps holds the root package to its structure caps.
+func TestStructureCaps(t *testing.T) {
+	fset := token.NewFileSet()
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]*ast.File{}
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if files[name], err = parser.ParseFile(fset, name, src, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range structureCaps {
+		scope := c.files
+		if scope == nil {
+			scope = names
+		}
+		var sites []string
+		for _, name := range scope {
+			f := files[name]
+			if f == nil {
+				continue
+			}
+			for _, d := range f.Decls {
+				fn := ""
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					fn = fd.Name.Name
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					if n != nil && c.match(n) {
+						site := fset.Position(n.Pos()).String()
+						if c.in != "" && fn != c.in {
+							t.Errorf("%s: in %s, want only in %s (%s)", site, fn, c.in, c.why)
+						}
+						sites = append(sites, site)
+					}
+					return true
+				})
+			}
+		}
+		switch {
+		case len(sites) > c.max:
+			t.Errorf("%d sites, want at most %d — %s:\n\t%s", len(sites), c.max, c.why, strings.Join(sites, "\n\t"))
+		case len(sites) == 0 && c.max > 0:
+			// The guarded path itself must be found, or a matcher that
+			// drifted from the code would pass vacuously.
+			t.Errorf("no site of the path guarded against %s", c.why)
+		}
+		t.Logf("%d/%d sites — %s", len(sites), c.max, c.why)
+	}
+}
