@@ -117,14 +117,14 @@ haftest:
 	$(GO) test -race -count=1 -run 'TestHA|TestWrittenFrameNotRetried|TestRetryFailedCallsNeverRetriesWrittenFrame|TestNotSentClassification|TestNotExecutedVouch' .
 
 # The multi-tenant broker suite: policy isolation (rate buckets,
-# bulkheads, suspension, token auth), the control-protocol parser and
-# hostile-frame tests, the async-plane breaker wiring, and the
+# bulkheads, suspension, token auth), the hostile first-frame and
+# malformed-hello tests, the async-plane breaker wiring, and the
 # crash-restart fault schedules (SIGKILL mid-traffic, lease expiry,
 # registry generation changes) with the at-most-once ledger audited.
 # The second line hammers the release-before-reply pin: 200 back-to-back
 # calls at MaxConcurrent: 1, twenty times over.
 brokertest:
-	$(GO) test -race -count=1 -run 'TestBroker|TestParseBrokerControl|TestAsyncBreaker' .
+	$(GO) test -race -count=1 -run 'TestBroker|TestAsyncBreaker' .
 	$(GO) test -count=20 -run 'TestBrokerBackToBackAtBulkhead' .
 
 # The continuation-chain suite: descriptor round-trips, the server-side
@@ -135,14 +135,14 @@ brokertest:
 chaintest:
 	$(GO) test -race -count=1 -run 'TestChain|TestShmChain|TestBrokerChain' ./internal/faultinject/ .
 
-# Native Go fuzzing over the wire parsers (net_fuzz_test.go). Short
-# budgets so it's usable as a pre-commit smoke test; raise FUZZTIME for a
-# real session.
+# Native Go fuzzing over the wire parsers (net_fuzz_test.go) and the
+# broker's first frame (broker_fuzz_test.go). Short budgets so it's
+# usable as a pre-commit smoke test; raise FUZZTIME for a real session.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzParseBrokerControl$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzBrokerFirstFrame$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseChain$$' -fuzztime $(FUZZTIME) .
 
 # Full benchmark sweep with allocation counts (the wall-clock Null path

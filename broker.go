@@ -9,17 +9,18 @@ package lrpc
 // killable daemon:
 //
 //   - tenants (client domains) connect over TCP and admit themselves
-//     with a control-frame HELLO carrying a tenant identity, an optional
-//     token, and the service they intend to call; the broker answers
-//     with its generation, a per-tenant lease, and the live policy
-//     version;
-//   - after admission the connection speaks the ordinary LRPC wire
-//     protocol on the one server loop (serveConn, net.go), whose route
-//     here relays frames to the backend and applies centralized policy
-//     first (tenantRoute.open): per-tenant token-bucket rate
-//     limits and concurrency bulkheads (the existing admission priority
-//     queue, one instance per tenant), so an aggressor sheds with
-//     ErrQuotaExceeded while victims keep their latency;
+//     with a hello, the first request on the connection: a call to the
+//     broker's control interface carrying a tenant identity, an
+//     optional token, and the service they intend to call; the broker
+//     answers with its generation, a per-tenant lease, and the live
+//     policy version;
+//   - after admission the same server loop (connLoop, net.go) carries
+//     the tenant's calls, and its route here relays them to the backend
+//     and applies centralized policy first (tenantRoute.open):
+//     per-tenant token-bucket rate limits and concurrency bulkheads (the
+//     existing admission priority queue, one instance per tenant), so
+//     an aggressor sheds with ErrQuotaExceeded while victims keep their
+//     latency;
 //   - policy is a versioned document (BrokerPolicy) stored in the
 //     replicated registry and applied live — no tenant or backend
 //     restarts; SetPolicy writes through, a poll loop picks up
@@ -45,7 +46,6 @@ package lrpc
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -89,215 +89,57 @@ const DefaultBrokerName = "lrpc.broker"
 // field carries the policy JSON, not a network address.
 const PlanePolicy = "policy"
 
-// --- control protocol ---
+// --- control interface ---
 //
-// A broker connection opens with one control frame (ordinary u32-length
-// framing, readFrame/writeFrame). Control payload layout, all integers
-// little-endian:
+// A broker connection speaks the one wire protocol (net.go) from its
+// first byte. Its first request is a plain two-way call to the control
+// interface, brokerCtlIface, read under MaxControlFrame. Anything else
+// is refused with status 2 (ErrNotAdmitted; ErrBadProcedure for an
+// unknown procedure), or unanswered when it cannot be parsed or is
+// one-way, and the connection closed. The arguments and results are
+// JSON, like the policy and stats documents:
 //
-//	[0:4]  magic "LBK1"
-//	[4]    version (1)
-//	[5]    op
-//	[6:]   op-specific body
-//
-//	opHello body:     u16 tenantLen, tenant, u16 tokenLen, token,
-//	                  u16 serviceLen, service, u64 prevGen, u64 prevLease
-//	opStats body:     empty
-//	opGetPolicy body: empty
-//	opSetPolicy body: u32 blobLen, blob (BrokerPolicy JSON)
-//
-// Replies echo the header with a status byte and message:
-//
-//	[0:4] magic, [4] version, [5] op, [6] status (0 ok), u16 msgLen, msg,
-//	then for ok replies:
-//	  hello:           u64 generation, u64 lease, u64 policyVersion
-//	  stats/getpolicy: u32 blobLen, blob (JSON)
-//	  setpolicy:       u64 policyVersion
-//
-// After an accepted HELLO the connection carries ordinary LRPC request
-// frames, relayed to the backend under policy. Stats/policy ops may
-// repeat on their (admin) connection; they never mix with data frames.
+//	hello:     {Tenant, Token, Service, PrevGen, PrevLease}
+//	           → {Gen, Lease, PolicyVersion}
+//	stats:     → {info, tenants}  (brokerStatsBlob)
+//	getpolicy: → the BrokerPolicy in force, or null
+//	setpolicy: a BrokerPolicy → the applied version
 
+// brokerCtlIface is the control interface every broker connection's
+// first request calls.
+const brokerCtlIface = "lrpc.broker.ctl"
+
+// The control interface's procedures.
 const (
-	brokerMagic   = uint32(0x314B424C) // "LBK1"
-	brokerVersion = 1
-
-	brokerOpHello     = 1
-	brokerOpStats     = 2
-	brokerOpGetPolicy = 3
-	brokerOpSetPolicy = 4
-
-	// brokerMaxIdent bounds each HELLO identifier (tenant, token,
-	// service): hostile length fields beyond it are rejected before any
-	// allocation is sized from them.
-	brokerMaxIdent = 256
-
-	// brokerCtlOverhead is the fixed control header: magic, version, op.
-	brokerCtlOverhead = 4 + 1 + 1
+	brokerProcHello = iota
+	brokerProcStats
+	brokerProcGetPolicy
+	brokerProcSetPolicy
 )
 
-// brokerControl is one parsed control frame.
-type brokerControl struct {
-	op                 byte
-	tenant             string
-	token              string
-	service            string
-	prevGen, prevLease uint64
-	blob               []byte
+// brokerMaxIdent bounds each hello identifier (tenant, token, service).
+const brokerMaxIdent = 256
+
+// brokerHelloArgs is a hello's arguments: the tenant's identity and
+// token, the one service the connection may reach, and the generation
+// and lease of its previous admission, if any (reattach accounting).
+type brokerHelloArgs struct {
+	Tenant, Token, Service string
+	PrevGen, PrevLease     uint64
 }
 
-// ctlReader is a bounds-checked cursor over a control frame; any
-// out-of-range read poisons it. The same discipline as regReader: check
-// `bad` once at the end instead of threading errors through every field.
-type ctlReader struct {
-	b   []byte
-	off int
-	bad bool
+// brokerHelloResult is an accepted hello's result: the broker's
+// generation, the lease minted for this admission, and the policy
+// version in force.
+type brokerHelloResult struct {
+	Gen, Lease, PolicyVersion uint64
 }
 
-func (r *ctlReader) u16() int {
-	if r.bad || r.off+2 > len(r.b) {
-		r.bad = true
-		return 0
-	}
-	v := int(binary.LittleEndian.Uint16(r.b[r.off:]))
-	r.off += 2
-	return v
-}
-
-func (r *ctlReader) u32() int {
-	if r.bad || r.off+4 > len(r.b) {
-		r.bad = true
-		return 0
-	}
-	v := int(binary.LittleEndian.Uint32(r.b[r.off:]))
-	r.off += 4
-	return v
-}
-
-func (r *ctlReader) u64() uint64 {
-	if r.bad || r.off+8 > len(r.b) {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-// ident reads a u16-length-prefixed identifier, capped at
-// brokerMaxIdent BEFORE the slice is taken, so a hostile length can
-// neither over-read nor size an allocation.
-func (r *ctlReader) ident() string {
-	n := r.u16()
-	if r.bad || n > brokerMaxIdent || r.off+n > len(r.b) {
-		r.bad = true
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *ctlReader) blob(max int) []byte {
-	n := r.u32()
-	if r.bad || n > max || r.off+n > len(r.b) {
-		r.bad = true
-		return nil
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-// parseBrokerControl parses one control frame. It is the hostile-input
-// surface of the broker (FuzzParseBrokerControl): every length field is
-// validated against the remaining bytes and a hard cap before any
-// allocation, trailing garbage is rejected, and no input can make it
-// panic, hang, or allocate beyond the frame it was handed.
-func parseBrokerControl(frame []byte) (*brokerControl, error) {
-	if len(frame) < brokerCtlOverhead {
-		return nil, errors.New("lrpc: short broker control frame")
-	}
-	if binary.LittleEndian.Uint32(frame[0:4]) != brokerMagic {
-		return nil, errors.New("lrpc: not a broker control frame")
-	}
-	if frame[4] != brokerVersion {
-		return nil, fmt.Errorf("lrpc: broker control version %d unsupported", frame[4])
-	}
-	pc := &brokerControl{op: frame[5]}
-	r := &ctlReader{b: frame, off: brokerCtlOverhead}
-	switch pc.op {
-	case brokerOpHello:
-		pc.tenant = r.ident()
-		pc.token = r.ident()
-		pc.service = r.ident()
-		pc.prevGen = r.u64()
-		pc.prevLease = r.u64()
-	case brokerOpStats, brokerOpGetPolicy:
-		// no body
-	case brokerOpSetPolicy:
-		pc.blob = r.blob(len(frame))
-	default:
-		return nil, fmt.Errorf("lrpc: unknown broker control op %d", pc.op)
-	}
-	if r.bad || r.off != len(frame) {
-		return nil, errors.New("lrpc: malformed broker control frame")
-	}
-	if pc.op == brokerOpHello && pc.tenant == "" {
-		return nil, errors.New("lrpc: broker hello without a tenant identity")
-	}
-	return pc, nil
-}
-
-// appendBrokerHello encodes a HELLO control payload.
-func appendBrokerHello(dst []byte, tenant, token, service string, prevGen, prevLease uint64) []byte {
-	dst = appendCtlHeader(dst, brokerOpHello)
-	for _, s := range []string{tenant, token, service} {
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
-		dst = append(dst, s...)
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, prevGen)
-	dst = binary.LittleEndian.AppendUint64(dst, prevLease)
-	return dst
-}
-
-func appendCtlHeader(dst []byte, op byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, brokerMagic)
-	return append(dst, brokerVersion, op)
-}
-
-// appendCtlReply encodes a control reply header (magic, version, op,
-// status, message).
-func appendCtlReply(dst []byte, op, status byte, msg string) []byte {
-	dst = appendCtlHeader(dst, op)
-	dst = append(dst, status)
-	if len(msg) > 0xFFFF {
-		msg = msg[:0xFFFF]
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(msg)))
-	return append(dst, msg...)
-}
-
-// parseCtlReply decodes a control reply, returning the op-specific tail.
-// A non-zero status becomes an error carrying the server's message
-// verbatim, so sentinel texts (ErrTenantSuspended, ...) survive the hop.
-func parseCtlReply(frame []byte, wantOp byte) ([]byte, error) {
-	if len(frame) < brokerCtlOverhead+1 ||
-		binary.LittleEndian.Uint32(frame[0:4]) != brokerMagic ||
-		frame[4] != brokerVersion || frame[5] != wantOp {
-		return nil, errors.New("lrpc: malformed broker control reply")
-	}
-	r := &ctlReader{b: frame, off: brokerCtlOverhead + 1}
-	n := r.u16()
-	if r.bad || r.off+n > len(r.b) {
-		return nil, errors.New("lrpc: malformed broker control reply")
-	}
-	msg := string(frame[r.off : r.off+n])
-	if frame[brokerCtlOverhead] != 0 {
-		return nil, &RemoteError{Msg: msg, NotExecuted: true}
-	}
-	return frame[r.off+n:], nil
+// notAdmitted is an admission refusal, at the hello or by the policy
+// gate: wire status 2, its text prefixed with ErrNotAdmitted's so
+// errors.Is matches on the tenant.
+func notAdmitted(format string, a ...any) error {
+	return refusal(ErrNotAdmitted.Error() + ": " + fmt.Sprintf(format, a...))
 }
 
 // --- policy ---
@@ -559,7 +401,7 @@ type BrokerInfo struct {
 	Addr          string `json:"addr,omitempty"`
 }
 
-// brokerStatsBlob is the JSON payload of an opStats reply.
+// brokerStatsBlob is the stats procedure's JSON result.
 type brokerStatsBlob struct {
 	Info    BrokerInfo       `json:"info"`
 	Tenants []TenantSnapshot `json:"tenants"`
@@ -619,8 +461,9 @@ type BrokerOptions struct {
 	// QueueTimeout bounds how long a call may wait for a bulkhead slot
 	// before shedding with ErrQuotaExceeded. 0 selects 250ms.
 	QueueTimeout time.Duration
-	// MaxControlFrame bounds one control frame (policy documents ride
-	// in them). 0 selects 64 KiB.
+	// MaxControlFrame bounds a connection's first request, the one read
+	// before the peer is admitted (pushed policy documents ride in it).
+	// 0 selects 64 KiB.
 	MaxControlFrame int
 	// PolicyPoll is the interval at which an announced broker re-reads
 	// the registry policy document, picking up out-of-band updates.
@@ -702,8 +545,6 @@ type Broker struct {
 	closed   atomic.Bool
 	wg       sync.WaitGroup // tenant connections
 	serveErr chan error
-
-	helloRejects atomic.Uint64
 }
 
 // NewBroker builds a broker with no policy (admit everyone, unlimited)
@@ -1080,143 +921,113 @@ func promLabelEscape(s string) string {
 
 // --- connection handling ---
 
+// handleConn serves one broker connection on the one server loop. Its
+// first request decides what the connection is: a hello admits it as a
+// tenant's and the loop carries its calls; an admin request is answered
+// and the connection closed. The first request must arrive promptly.
 func (bk *Broker) handleConn(conn net.Conn) {
 	defer bk.wg.Done()
-	// The first frame decides what this connection is: a HELLO makes it
-	// a tenant data connection, stats/policy ops make it an admin
-	// connection. Either way it must arrive promptly.
+	cc := &countingConn{Conn: conn}
+	rt := &tenantRoute{bk: bk}
+	l := newConnLoop(cc, rt, ServeOptions{MaxInFlight: bk.opts.MaxInFlight, WriteTimeout: bk.opts.WriteTimeout})
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	frame, err := readLimitedFrame(conn, bk.opts.MaxControlFrame)
+	req, chain, err := l.next(bk.opts.MaxControlFrame)
 	if err != nil {
-		conn.Close()
+		conn.Close() // not a request: nothing to answer
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	pc, err := parseBrokerControl(frame)
+	var res []byte
+	switch {
+	case req.name != brokerCtlIface || req.oneWay || req.dir != 0 || chain:
+		// Never relay an unadmitted frame.
+		err = notAdmitted("the first request must be a two-way call to %q", brokerCtlIface)
+	case req.proc == brokerProcHello:
+		res, err = bk.admit(rt, req.args)
+	default:
+		res, err = bk.admin(req.proc, req.args)
+	}
 	if err != nil {
-		// Not (valid) control: refuse and drop. Never relay un-admitted
-		// frames.
-		bk.writeCtl(conn, appendCtlReply(nil, 0, 1, err.Error()))
-		conn.Close()
+		if !req.oneWay { // a one-way request has no reply path
+			status, body := failReply(err)
+			l.reply(req, status, body, nil)
+		}
+		l.shut()
 		return
 	}
-	if pc.op != brokerOpHello {
-		bk.serveAdmin(conn, pc)
+	l.reply(req, 0, res, nil)
+	if rt.ts == nil {
+		l.shut() // one admin request per connection
 		return
 	}
-	bk.serveTenant(conn, pc)
+	// The tenant's byte counts start after the hello's reply: admission
+	// traffic is the broker's, not the tenant's.
+	cc.ts, cc.stripe = rt.ts, rt.stripe
+	rt.ts.conns.Add(1)
+	defer rt.ts.conns.Add(-1)
+	l.serve()
 }
 
-func (bk *Broker) writeCtl(conn net.Conn, payload []byte) error {
-	conn.SetWriteDeadline(time.Now().Add(bk.opts.WriteTimeout))
-	err := writeFrame(conn, payload)
-	conn.SetWriteDeadline(time.Time{})
-	return err
-}
-
-// serveAdmin answers stats and policy control ops, one reply per
-// frame, until the peer hangs up.
-func (bk *Broker) serveAdmin(conn net.Conn, first *brokerControl) {
-	defer conn.Close()
-	pc := first
-	for {
-		var reply []byte
-		switch pc.op {
-		case brokerOpStats:
-			info, tenants := bk.Snapshot()
-			blob, err := json.Marshal(brokerStatsBlob{Info: info, Tenants: tenants})
-			if err != nil {
-				reply = appendCtlReply(nil, pc.op, 1, err.Error())
-				break
-			}
-			reply = appendCtlReply(nil, pc.op, 0, "")
-			reply = binary.LittleEndian.AppendUint32(reply, uint32(len(blob)))
-			reply = append(reply, blob...)
-		case brokerOpGetPolicy:
-			blob, err := json.Marshal(bk.policy.Load())
-			if err != nil {
-				reply = appendCtlReply(nil, pc.op, 1, err.Error())
-				break
-			}
-			reply = appendCtlReply(nil, pc.op, 0, "")
-			reply = binary.LittleEndian.AppendUint32(reply, uint32(len(blob)))
-			reply = append(reply, blob...)
-		case brokerOpSetPolicy:
-			var p BrokerPolicy
-			if err := json.Unmarshal(pc.blob, &p); err != nil {
-				reply = appendCtlReply(nil, pc.op, 1, "lrpc: bad policy document: "+err.Error())
-				break
-			}
-			if err := bk.SetPolicy(&p); err != nil {
-				reply = appendCtlReply(nil, pc.op, 1, err.Error())
-				break
-			}
-			reply = appendCtlReply(nil, pc.op, 0, "")
-			reply = binary.LittleEndian.AppendUint64(reply, bk.version.Load())
-		default:
-			reply = appendCtlReply(nil, pc.op, 1, "lrpc: unexpected broker control op")
-		}
-		if bk.writeCtl(conn, reply) != nil {
-			return
-		}
-		frame, err := readLimitedFrame(conn, bk.opts.MaxControlFrame)
-		if err != nil {
-			return
-		}
-		if pc, err = parseBrokerControl(frame); err != nil || pc.op == brokerOpHello {
-			return
-		}
+// admit runs a hello: identifiers bounded, the tenant known to the
+// policy, the token matched. An accepted hello fills in rt's tenant,
+// service and counter stripe. Suspended tenants still admit: suspension
+// is live policy, and a connection held open hears the un-suspension
+// without re-dialing. Every call meanwhile rejects with
+// ErrTenantSuspended.
+func (bk *Broker) admit(rt *tenantRoute, args []byte) ([]byte, error) {
+	var h brokerHelloArgs
+	if err := json.Unmarshal(args, &h); err != nil {
+		return nil, notAdmitted("malformed hello: %v", err)
 	}
-}
-
-// serveTenant admits one tenant connection and relays its frames.
-func (bk *Broker) serveTenant(conn net.Conn, hello *brokerControl) {
-	pol, ok := bk.policy.Load().lookup(hello.tenant)
+	if h.Tenant == "" || max(len(h.Tenant), len(h.Token), len(h.Service)) > brokerMaxIdent {
+		return nil, notAdmitted("malformed hello: the tenant must be 1 to %d bytes, the token and service at most %d",
+			brokerMaxIdent, brokerMaxIdent)
+	}
+	pol, ok := bk.policy.Load().lookup(h.Tenant)
 	if !ok {
-		bk.helloRejects.Add(1)
-		bk.writeCtl(conn, appendCtlReply(nil, brokerOpHello, 1,
-			fmt.Sprintf("%s: unknown tenant %q", ErrNotAdmitted.Error(), hello.tenant)))
-		conn.Close()
-		return
+		return nil, notAdmitted("unknown tenant %q", h.Tenant)
 	}
-	if pol.Token != "" && pol.Token != hello.token {
-		bk.helloRejects.Add(1)
-		bk.writeCtl(conn, appendCtlReply(nil, brokerOpHello, 1,
-			fmt.Sprintf("%s: bad token for tenant %q", ErrNotAdmitted.Error(), hello.tenant)))
-		conn.Close()
-		return
+	if pol.Token != "" && pol.Token != h.Token {
+		return nil, notAdmitted("bad token for tenant %q", h.Tenant)
 	}
-	// Suspended tenants still admit: suspension is live policy, and a
-	// connection held open hears the un-suspension without re-dialing.
-	// Every call meanwhile rejects with ErrTenantSuspended.
-	ts := bk.tenant(hello.tenant)
+	ts := bk.tenant(h.Tenant)
 	stripe := bk.connCtr.Add(1)
 	gen := bk.gen.Load()
-	lease := bk.leaseCtr.Add(1)
 	ts.admits.add(stripe, 1)
-	if hello.prevGen != 0 && hello.prevGen != gen {
+	if h.PrevGen != 0 && h.PrevGen != gen {
 		// Lease re-admission on a new broker generation: the tenant
 		// survived a broker restart and reattached.
 		ts.reattaches.add(stripe, 1)
 	}
-	reply := appendCtlReply(nil, brokerOpHello, 0, "")
-	reply = binary.LittleEndian.AppendUint64(reply, gen)
-	reply = binary.LittleEndian.AppendUint64(reply, lease)
-	reply = binary.LittleEndian.AppendUint64(reply, bk.version.Load())
-	if bk.writeCtl(conn, reply) != nil {
-		conn.Close()
-		return
+	rt.ts, rt.service, rt.stripe = ts, h.Service, stripe
+	return json.Marshal(brokerHelloResult{Gen: gen, Lease: bk.leaseCtr.Add(1), PolicyVersion: bk.version.Load()})
+}
+
+// admin answers one admin request: the stats snapshot, or the policy
+// document read or replaced.
+func (bk *Broker) admin(proc int, args []byte) ([]byte, error) {
+	switch proc {
+	case brokerProcStats:
+		info, tenants := bk.Snapshot()
+		return json.Marshal(brokerStatsBlob{Info: info, Tenants: tenants})
+	case brokerProcGetPolicy:
+		return json.Marshal(bk.policy.Load())
+	case brokerProcSetPolicy:
+		var p BrokerPolicy
+		if err := json.Unmarshal(args, &p); err != nil {
+			return nil, refusal("lrpc: bad policy document: " + err.Error())
+		}
+		if err := bk.SetPolicy(&p); err != nil {
+			return nil, err
+		}
+		return json.Marshal(bk.version.Load())
 	}
-	ts.conns.Add(1)
-	defer ts.conns.Add(-1)
-	serveConn(&countingConn{Conn: conn, ts: ts, stripe: stripe},
-		&tenantRoute{bk: bk, ts: ts, service: hello.service, stripe: stripe},
-		ServeOptions{MaxInFlight: bk.opts.MaxInFlight, WriteTimeout: bk.opts.WriteTimeout})
+	return nil, refusal(fmt.Sprintf("%s: no broker control procedure %d", ErrBadProcedure.Error(), proc))
 }
 
 // countingConn counts every byte an admitted tenant connection carries —
 // drained payloads and refused frames included — into the tenant's
-// BytesIn and BytesOut.
+// BytesIn and BytesOut. Until admission ts is nil and nothing counts.
 type countingConn struct {
 	net.Conn
 	ts     *tenantState
@@ -1225,14 +1036,18 @@ type countingConn struct {
 
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	c.ts.bytesIn.add(c.stripe, uint64(n))
+	if c.ts != nil {
+		c.ts.bytesIn.add(c.stripe, uint64(n))
+	}
 	return n, err
 }
 
 // Write counts before writing, so a reply is on the books by the time
 // the tenant can read it.
 func (c *countingConn) Write(p []byte) (int, error) {
-	c.ts.bytesOut.add(c.stripe, uint64(len(p)))
+	if c.ts != nil {
+		c.ts.bytesOut.add(c.stripe, uint64(len(p)))
+	}
 	return c.Conn.Write(p)
 }
 
@@ -1267,14 +1082,12 @@ func (r *tenantRoute) open(req *request) (target, error) {
 	// The loop drains it, so the stream stays framed.
 	if req.dir != 0 {
 		ts.bulkRejects.add(stripe, 1)
-		return nil, refusal(fmt.Sprintf("%s: bulk calls are not relayed; bind the backend's bulk plane directly",
-			ErrNotAdmitted.Error()))
+		return nil, notAdmitted("bulk calls are not relayed; bind the backend's bulk plane directly")
 	}
 	// The HELLO admitted one service; frames for anything else are
 	// refused (a tenant cannot widen its own admission).
 	if r.service != "" && req.name != r.service {
-		return nil, refusal(fmt.Sprintf("%s: tenant %q is admitted to %q, not %q",
-			ErrNotAdmitted.Error(), ts.name, r.service, req.name))
+		return nil, notAdmitted("tenant %q is admitted to %q, not %q", ts.name, r.service, req.name)
 	}
 	eff := ts.eff.Load()
 	if eff.suspended {
@@ -1320,8 +1133,7 @@ func (r *tenantRoute) open(req *request) (target, error) {
 		cu, capable := up.(brokerChainUpstream)
 		if !capable {
 			t.exit()
-			return nil, refusal(fmt.Sprintf("%s: upstream for %q cannot execute chains",
-				ErrNotAdmitted.Error(), req.name))
+			return nil, notAdmitted("upstream for %q cannot execute chains", req.name)
 		}
 		t.chainUp = cu
 	}
@@ -1389,72 +1201,65 @@ func (t *relay) done() {
 	t.exit()
 }
 
-// --- client-side control helpers ---
+// --- client-side control calls ---
 
-// brokerControlRoundTrip writes one control payload and reads the
-// reply's op-specific tail on a raw connection.
-func brokerControlRoundTrip(conn net.Conn, payload []byte, wantOp byte, timeout time.Duration) ([]byte, error) {
+// brokerCall makes one control call on a raw broker connection: one
+// request frame written, one reply frame read. Status 0 returns the
+// results; any other status a *RemoteError carrying the broker's text
+// and, for status 2, its vouch of non-execution.
+func brokerCall(conn net.Conn, proc int, args []byte, timeout time.Duration) ([]byte, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
 	conn.SetDeadline(time.Now().Add(timeout))
 	defer conn.SetDeadline(time.Time{})
-	if err := writeFrame(conn, payload); err != nil {
+	if _, err := conn.Write(appendRequestFrame(nil, 1, brokerCtlIface, uint32(proc), args, nil)); err != nil {
 		return nil, err
 	}
 	frame, err := readFrame(conn)
 	if err != nil {
 		return nil, err
 	}
-	return parseCtlReply(frame, wantOp)
-}
-
-// brokerHello admits this connection as a tenant; it returns the
-// broker's generation, the minted lease, and the policy version.
-func brokerHello(conn net.Conn, tenant, token, service string, prevGen, prevLease uint64, timeout time.Duration) (gen, lease, policyVersion uint64, err error) {
-	tail, err := brokerControlRoundTrip(conn,
-		appendBrokerHello(nil, tenant, token, service, prevGen, prevLease),
-		brokerOpHello, timeout)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if len(tail) < 24 {
-		return 0, 0, 0, errors.New("lrpc: short broker hello reply")
-	}
-	return binary.LittleEndian.Uint64(tail[0:8]),
-		binary.LittleEndian.Uint64(tail[8:16]),
-		binary.LittleEndian.Uint64(tail[16:24]), nil
-}
-
-func brokerBlobOp(addr string, payload []byte, wantOp byte, timeout time.Duration) ([]byte, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	tail, err := brokerControlRoundTrip(conn, payload, wantOp, timeout)
-	if err != nil {
-		return nil, err
-	}
-	if len(tail) < 4 {
+	if len(frame) < 9 {
 		return nil, errors.New("lrpc: short broker control reply")
 	}
-	n := int(binary.LittleEndian.Uint32(tail[0:4]))
-	if 4+n > len(tail) {
-		return nil, errors.New("lrpc: truncated broker control reply")
+	if status := frame[8]; status != 0 {
+		return nil, &RemoteError{Msg: string(frame[9:]), NotExecuted: status == 2}
 	}
-	return tail[4 : 4+n], nil
+	return frame[9:], nil
 }
 
-// BrokerStats fetches a broker's info and per-tenant snapshot over the
-// control protocol (the `lrpcstat tenants` backend).
-func BrokerStats(addr string, timeout time.Duration) (BrokerInfo, []TenantSnapshot, error) {
-	blob, err := brokerBlobOp(addr, appendCtlHeader(nil, brokerOpStats), brokerOpStats, timeout)
-	if err != nil {
-		return BrokerInfo{}, nil, err
+// brokerHello admits this connection as a tenant's.
+func brokerHello(conn net.Conn, h brokerHelloArgs, timeout time.Duration) (brokerHelloResult, error) {
+	args, _ := json.Marshal(h) // strings and integers: cannot fail
+	res, err := brokerCall(conn, brokerProcHello, args, timeout)
+	var r brokerHelloResult
+	if err == nil {
+		err = json.Unmarshal(res, &r)
 	}
+	return r, err
+}
+
+// brokerAdmin dials addr for one admin request and decodes its JSON
+// result into out.
+func brokerAdmin(addr string, proc int, args []byte, out any, timeout time.Duration) error {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	res, err := brokerCall(conn, proc, args, timeout)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(res, out)
+}
+
+// BrokerStats fetches a broker's info and per-tenant snapshot over its
+// control interface (the `lrpcstat tenants` backend).
+func BrokerStats(addr string, timeout time.Duration) (BrokerInfo, []TenantSnapshot, error) {
 	var st brokerStatsBlob
-	if err := json.Unmarshal(blob, &st); err != nil {
+	if err := brokerAdmin(addr, brokerProcStats, nil, &st, timeout); err != nil {
 		return BrokerInfo{}, nil, err
 	}
 	return st.Info, st.Tenants, nil
@@ -1462,42 +1267,24 @@ func BrokerStats(addr string, timeout time.Duration) (BrokerInfo, []TenantSnapsh
 
 // FetchBrokerPolicy fetches the broker's applied policy document.
 func FetchBrokerPolicy(addr string, timeout time.Duration) (*BrokerPolicy, error) {
-	blob, err := brokerBlobOp(addr, appendCtlHeader(nil, brokerOpGetPolicy), brokerOpGetPolicy, timeout)
-	if err != nil {
+	var p *BrokerPolicy
+	if err := brokerAdmin(addr, brokerProcGetPolicy, nil, &p, timeout); err != nil {
 		return nil, err
 	}
-	if string(blob) == "null" {
-		return nil, nil
-	}
-	var p BrokerPolicy
-	if err := json.Unmarshal(blob, &p); err != nil {
-		return nil, err
-	}
-	return &p, nil
+	return p, nil
 }
 
-// PushBrokerPolicy applies a policy document to a live broker over the
-// control protocol (the broker also writes it through to the registry
+// PushBrokerPolicy applies a policy document to a live broker over its
+// control interface (the broker also writes it through to the registry
 // when announced). It returns the applied version.
 func PushBrokerPolicy(addr string, p *BrokerPolicy, timeout time.Duration) (uint64, error) {
 	blob, err := json.Marshal(p)
 	if err != nil {
 		return 0, err
 	}
-	payload := appendCtlHeader(nil, brokerOpSetPolicy)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(blob)))
-	payload = append(payload, blob...)
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
+	var version uint64
+	if err := brokerAdmin(addr, brokerProcSetPolicy, blob, &version, timeout); err != nil {
 		return 0, err
 	}
-	defer conn.Close()
-	tail, err := brokerControlRoundTrip(conn, payload, brokerOpSetPolicy, timeout)
-	if err != nil {
-		return 0, err
-	}
-	if len(tail) < 8 {
-		return 0, errors.New("lrpc: short broker setpolicy reply")
-	}
-	return binary.LittleEndian.Uint64(tail[0:8]), nil
+	return version, nil
 }

@@ -1,75 +1,120 @@
 package lrpc
 
-// Native fuzz target for the broker control-frame parser — the
-// hostile-tenant surface: the first frame of any TCP connection to the
-// broker reaches parseBrokerControl verbatim. Invariants: never panic,
-// never hang, never size an allocation from an unvalidated length, and
-// on success be an exact inverse of the encoders (strict framing, no
-// trailing bytes tolerated).
+// Native fuzz target for a broker connection's first frame — the
+// hostile-peer surface: any TCP peer reaches the broker's admission and
+// control dispatch (Broker.handleConn) with a frame of its choosing. The
+// target drives handleConn over net.Pipe with one frame and checks what
+// comes back. Invariants: never panic or hang; a one-way or unparseable
+// frame is never answered; every refusal is status 2 and names
+// ErrNotAdmitted or ErrBadProcedure (or, for setpolicy, the policy
+// document it could not read); a hello result answers only a well-formed
+// hello, and no identifier beyond brokerMaxIdent is ever admitted.
 
 import (
-	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"net"
+	"os"
+	"strings"
 	"testing"
+	"time"
 )
 
-func FuzzParseBrokerControl(f *testing.F) {
-	// Seeds: every op well-formed, plus the boundary liars.
-	f.Add(appendBrokerHello(nil, "tenant", "s3cret", "Arith", 7, 9))
-	f.Add(appendBrokerHello(nil, "t", "", "", 0, 0))
-	f.Add(appendCtlHeader(nil, brokerOpStats))
-	f.Add(appendCtlHeader(nil, brokerOpGetPolicy))
-	setp := appendCtlHeader(nil, brokerOpSetPolicy)
-	setp = binary.LittleEndian.AppendUint32(setp, 2)
-	setp = append(setp, "{}"...)
-	f.Add(setp)
+func FuzzBrokerFirstFrame(f *testing.F) {
+	hello := func(h brokerHelloArgs) []byte {
+		b, _ := json.Marshal(h)
+		return b
+	}
+	ctl := func(procWord uint32, args []byte, h *BulkHandle) []byte {
+		return appendRequestFrame(nil, 1, brokerCtlIface, procWord, args, h)[4:]
+	}
+	// Seeds: every procedure well-formed, plus the boundary liars. The
+	// corpus under testdata holds first frames of the retired binary
+	// control dialect the control interface replaced.
+	f.Add(ctl(brokerProcHello, hello(brokerHelloArgs{Tenant: "tenant", Token: "s3cret", Service: "Arith", PrevGen: 7, PrevLease: 9}), nil))
+	f.Add(ctl(brokerProcHello, hello(brokerHelloArgs{Tenant: "t"}), nil))
+	f.Add(ctl(brokerProcStats, nil, nil))
+	f.Add(ctl(brokerProcGetPolicy, nil, nil))
+	f.Add(ctl(brokerProcSetPolicy, []byte("{}"), nil))
 	f.Add([]byte{})
-	f.Add([]byte("LBK1"))                                               // magic alone
-	f.Add(appendCtlHeader(nil, 99))                                     // unknown op
-	f.Add(append(appendCtlHeader(nil, brokerOpHello), 0xFF, 0xFF, 'a')) // ident liar
-	liarBlob := appendCtlHeader(nil, brokerOpSetPolicy)
-	liarBlob = binary.LittleEndian.AppendUint32(liarBlob, 1<<31)
-	f.Add(liarBlob)                                          // blob length beyond the frame
-	f.Add(append(appendCtlHeader(nil, brokerOpStats), 0xCC)) // trailing garbage
-	wrongVer := appendCtlHeader(nil, brokerOpHello)
-	wrongVer[4] = 2
-	f.Add(wrongVer)
+	f.Add(ctl(brokerProcHello, hello(brokerHelloArgs{Tenant: strings.Repeat("t", brokerMaxIdent+1)}), nil)) // ident liar
+	f.Add(ctl(99, nil, nil))                                                                                // unknown procedure
+	f.Add(ctl(brokerProcHello, append(hello(brokerHelloArgs{Tenant: "t"}), 0xCC), nil))                     // trailing garbage
+	f.Add(ctl(brokerProcHello|wireFlagOneWay, hello(brokerHelloArgs{Tenant: "t"}), nil))
+	f.Add(ctl(brokerProcHello, hello(brokerHelloArgs{Tenant: "t"}), NewBulkOut(make([]byte, 8))))
+	f.Add(ctl(wireFlagChain, nil, nil))
+	f.Add(appendRequestFrame(nil, 1, "Arith", 0, addArgs(1, 1), nil)[4:]) // a data call before any hello
+	f.Add(ctl(brokerProcSetPolicy, []byte("{"), nil))
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		pc, err := parseBrokerControl(frame)
-		if err != nil {
+		bk := NewBroker(BrokerOptions{MaxControlFrame: 4096, Seed: 1})
+		if err := bk.SetPolicy(&BrokerPolicy{AllowUnknown: true,
+			Tenants: map[string]TenantPolicy{"tenant": {Token: "s3cret"}}}); err != nil {
+			t.Fatal(err)
+		}
+		client, server := net.Pipe()
+		bk.wg.Add(1)
+		go bk.handleConn(server)
+		wrote := make(chan struct{})
+		go func() {
+			writeFrame(client, frame) // fails once the broker cuts or closes
+			close(wrote)
+		}()
+		client.SetReadDeadline(time.Now().Add(10 * time.Second))
+		reply, rerr := readFrame(client)
+		client.Close()
+		<-wrote
+		bk.Close() // waits for handleConn
+
+		if errors.Is(rerr, os.ErrDeadlineExceeded) {
+			t.Fatalf("broker neither answered nor closed: %v", rerr)
+		}
+		id, name, proc, oneWay, bulk, chain, args, perr := parseRequest(frame)
+		if perr == nil && bulk {
+			_, _, args, perr = parseBulkHeader(args)
+		}
+		if rerr != nil {
+			return // closed unanswered: always allowed
+		}
+		switch {
+		case len(frame) > 4096 || perr != nil:
+			t.Fatalf("an unreadable frame was answered: % x", reply)
+		case oneWay:
+			t.Fatalf("a one-way first frame was answered: % x", reply)
+		case len(reply) < 9 || binary.LittleEndian.Uint64(reply) != id:
+			t.Fatalf("reply % x does not answer call %d", reply, id)
+		}
+		status, body := reply[8], string(reply[9:])
+		if status != 0 {
+			if status != 2 || !(strings.HasPrefix(body, ErrNotAdmitted.Error()) ||
+				strings.HasPrefix(body, ErrBadProcedure.Error()) ||
+				proc == brokerProcSetPolicy && strings.HasPrefix(body, "lrpc: bad policy document")) {
+				t.Fatalf("refusal status %d %q, want status 2 naming ErrNotAdmitted or ErrBadProcedure", status, body)
+			}
 			return
 		}
-		// Parsed identifiers are bounded by the hard cap regardless of
-		// what the length fields claimed.
-		if len(pc.tenant) > brokerMaxIdent || len(pc.token) > brokerMaxIdent ||
-			len(pc.service) > brokerMaxIdent {
-			t.Fatalf("ident beyond cap: %d/%d/%d",
-				len(pc.tenant), len(pc.token), len(pc.service))
+		if name != brokerCtlIface || bulk || chain || !json.Valid(reply[9:]) {
+			t.Fatalf("status 0 %q for call %q proc %d (bulk %v chain %v)", body, name, proc, bulk, chain)
 		}
-		if len(pc.blob) > len(frame) {
-			t.Fatalf("blob larger than its frame: %d > %d", len(pc.blob), len(frame))
+		if proc != brokerProcHello {
+			return
 		}
-		// Strict framing: a frame that parses re-encodes to exactly the
-		// bytes that were parsed — no trailing slack, no field drift.
-		var re []byte
-		switch pc.op {
-		case brokerOpHello:
-			if pc.tenant == "" {
-				t.Fatal("hello admitted with empty tenant")
+		var h brokerHelloArgs
+		if err := json.Unmarshal(args, &h); err != nil || h.Tenant == "" ||
+			max(len(h.Tenant), len(h.Token), len(h.Service)) > brokerMaxIdent ||
+			h.Tenant == "tenant" && h.Token != "s3cret" {
+			t.Fatalf("hello %q admitted (%v)", args, err)
+		}
+		var r brokerHelloResult
+		if err := json.Unmarshal(reply[9:], &r); err != nil || r.Gen != bk.Generation() {
+			t.Fatalf("hello result %q (%v), want generation %d", body, err, bk.Generation())
+		}
+		_, tenants := bk.Snapshot()
+		for _, ts := range tenants {
+			if len(ts.Tenant) > brokerMaxIdent {
+				t.Fatalf("admitted a %d-byte tenant", len(ts.Tenant))
 			}
-			re = appendBrokerHello(nil, pc.tenant, pc.token, pc.service, pc.prevGen, pc.prevLease)
-		case brokerOpStats, brokerOpGetPolicy:
-			re = appendCtlHeader(nil, pc.op)
-		case brokerOpSetPolicy:
-			re = appendCtlHeader(nil, brokerOpSetPolicy)
-			re = binary.LittleEndian.AppendUint32(re, uint32(len(pc.blob)))
-			re = append(re, pc.blob...)
-		default:
-			t.Fatalf("parser accepted unknown op %d", pc.op)
-		}
-		if !bytes.Equal(re, frame) {
-			t.Fatalf("round-trip mismatch:\n in  % x\n out % x", frame, re)
 		}
 	})
 }

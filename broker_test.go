@@ -2,15 +2,17 @@ package lrpc
 
 // Behavior tests for the multi-tenant broker plane: admission, policy
 // enforcement (rate buckets, bulkheads, suspension, tokens), live
-// policy updates, service confinement, hostile first frames, and the
-// control protocol's parser. The crash/restart and registry-backed
+// policy updates, service confinement, and hostile first frames on the
+// control interface. The crash/restart and registry-backed
 // schedules live in broker_kill_test.go (package lrpc_test).
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -321,9 +323,9 @@ func TestBrokerServiceConfinement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	gen, _, _, err := brokerHello(conn, "sneaky", "", "Other", 0, 0, 2*time.Second)
-	if err != nil || gen == 0 {
-		t.Fatalf("hello: gen=%d err=%v", gen, err)
+	r, err := brokerHello(conn, brokerHelloArgs{Tenant: "sneaky", Service: "Other"}, 2*time.Second)
+	if err != nil || r.Gen == 0 {
+		t.Fatalf("hello: %+v err=%v", r, err)
 	}
 	// Send a request frame for a service the HELLO did not admit.
 	frame := appendRequestFrame(nil, 7, "Arith", 0, addArgs(1, 1), nil)
@@ -343,59 +345,149 @@ func TestBrokerServiceConfinement(t *testing.T) {
 	}
 }
 
-// TestBrokerHostileFirstFrames: garbage, truncation, and oversized
-// length headers on a fresh connection are refused without relaying a
-// byte; a frame beyond MaxControlFrame is cut before its body is read.
-func TestBrokerHostileFirstFrames(t *testing.T) {
-	_, addr := startBrokerRig(t, BrokerOptions{MaxControlFrame: 4096})
-	hostile := [][]byte{
-		[]byte("GET / HTTP/1.1\r\n\r\n"),
-		{},
-		{0x4C, 0x42, 0x4B, 0x31}, // magic alone
-		appendCtlHeader(nil, 99), // unknown op
-		appendBrokerHello(nil, "", "", "x", 0, 0), // empty tenant
-		append(appendCtlHeader(nil, brokerOpHello), // hostile ident length
-			0xFF, 0xFF, 'a'),
-	}
-	for i, payload := range hostile {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn.SetDeadline(time.Now().Add(2 * time.Second))
-		if err := writeFrame(conn, payload); err != nil {
-			t.Fatalf("frame %d write: %v", i, err)
-		}
-		// The broker must answer (an error control reply) and close — or
-		// just close — but never hang or relay.
-		buf := make([]byte, 4096)
-		for {
-			if _, err := conn.Read(buf); err != nil {
-				break
-			}
-		}
-		conn.Close()
-	}
-	// A length header beyond MaxControlFrame is rejected pre-read.
+// firstFrames writes raw as a new broker connection's first bytes and
+// reads until the broker closes it, returning the reply frames written
+// meanwhile. A broker that neither answers nor closes within the
+// deadline fails the test.
+func firstFrames(t *testing.T, addr string, raw []byte) [][]byte {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.SetDeadline(time.Now().Add(2 * time.Second))
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], 1<<30)
-	if _, err := conn.Write(hdr[:]); err != nil {
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(3 * time.Second))
+	if _, err := conn.Write(raw); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 16)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("broker kept reading a 1 GiB control frame announcement")
+	var replies [][]byte
+	for {
+		frame, err := readFrame(conn)
+		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("broker neither answered nor closed: %v", err)
+			}
+			return replies
+		}
+		replies = append(replies, frame)
 	}
-	conn.Close()
-	// A live tenant still works after the hostile parade.
+}
+
+// TestBrokerHostileFirstFrames: a connection's first frame is admitted
+// only as a two-way call to the control interface. Garbage, a hello in
+// the retired binary control dialect, a data call before any hello,
+// one-way, bulk and chain first frames and unknown control procedures
+// are refused — answered with one status-2 reply when the request is
+// parseable and two-way, else just closed — and never relayed; a length
+// header beyond MaxControlFrame is cut before its body is read. An
+// admin connection carries one request. A live tenant still calls after
+// the parade.
+func TestBrokerHostileFirstFrames(t *testing.T) {
+	_, addr := startBrokerRig(t, BrokerOptions{MaxControlFrame: 4096})
+	frame := func(payload []byte) []byte {
+		return append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
+	hello, _ := json.Marshal(brokerHelloArgs{Tenant: "hostile", Service: "Arith"})
+	ctl := func(procWord uint32, args []byte, h *BulkHandle) []byte {
+		return appendRequestFrame(nil, 1, brokerCtlIface, procWord, args, h)
+	}
+	// The first frame of a tenant built against the retired binary
+	// control dialect: u32 magic 0x314B424C, version 1, op hello,
+	// u16-prefixed tenant, token and service, u64 previous generation
+	// and lease.
+	oldHello := []byte("\x4c\x42\x4b\x31\x01\x01\x06\x00tenant\x00\x00\x05\x00Arith" + strings.Repeat("\x00", 16))
+	cases := []struct {
+		name  string
+		raw   []byte
+		reply error // the refusal's sentinel; nil when no reply may come
+	}{
+		{"raw garbage", []byte("GET / HTTP/1.1\r\n\r\n"), nil},
+		{"framed garbage", frame([]byte("GET / HTTP/1.1\r\n\r\n")), nil},
+		{"empty frame", frame(nil), nil},
+		{"binary control-dialect hello", frame(oldHello), nil},
+		{"data call before hello", appendRequestFrame(nil, 1, "Arith", 0, addArgs(1, 1), nil), ErrNotAdmitted},
+		{"one-way hello", ctl(brokerProcHello|wireFlagOneWay, hello, nil), nil},
+		{"bulk hello", ctl(brokerProcHello, hello, NewBulkOut(make([]byte, 8))), ErrNotAdmitted},
+		{"chain first", ctl(wireFlagChain, []byte("chain"), nil), ErrNotAdmitted},
+		{"unknown control procedure", ctl(99, nil, nil), ErrBadProcedure},
+		{"length beyond MaxControlFrame", binary.LittleEndian.AppendUint32(nil, 1<<30), nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			replies := firstFrames(t, addr, c.raw)
+			if c.reply == nil {
+				if len(replies) != 0 {
+					t.Fatalf("replies % x, want the connection closed unanswered", replies)
+				}
+				return
+			}
+			if len(replies) != 1 {
+				t.Fatalf("%d replies, want one refusal", len(replies))
+			}
+			r := replies[0]
+			if len(r) < 9 || binary.LittleEndian.Uint64(r) != 1 || r[8] != 2 ||
+				!strings.HasPrefix(string(r[9:]), c.reply.Error()) {
+				t.Fatalf("reply %q, want call 1 refused with status 2 and %q", r, c.reply)
+			}
+		})
+	}
+	t.Run("second admin request reads EOF", func(t *testing.T) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := brokerCall(conn, brokerProcStats, nil, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		conn.Write(ctl(brokerProcStats, nil, nil)) // may fail: the broker has closed
+		if frame, err := readFrame(conn); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("second admin request: reply %q, err %v; want the connection closed", frame, err)
+		}
+	})
 	s := brokerTenant(t, addr, "survivor", "")
 	if _, err := s.Call(0, addArgs(40, 2)); err != nil {
 		t.Fatalf("call after hostile frames: %v", err)
+	}
+}
+
+// TestBrokerMalformedHelloIsNotAdmitted: a hello the broker cannot
+// accept as well-formed reaches the tenant as ErrNotAdmitted carrying
+// the non-execution vouch, not as an unclassified failure.
+func TestBrokerMalformedHelloIsNotAdmitted(t *testing.T) {
+	_, addr := startBrokerRig(t, BrokerOptions{})
+	raw := func(t *testing.T, args []byte) error {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_, err = brokerCall(conn, brokerProcHello, args, 2*time.Second)
+		return err
+	}
+	valid, _ := json.Marshal(brokerHelloArgs{Tenant: "t", Service: "Arith"})
+	empty, _ := json.Marshal(brokerHelloArgs{Service: "Arith"})
+	cases := []struct {
+		name  string
+		hello func(t *testing.T) error
+	}{
+		{"257-byte tenant", func(t *testing.T) error {
+			_, err := SuperviseBroker(BrokerTenantOpts{
+				Tenant: strings.Repeat("t", brokerMaxIdent+1), Service: "Arith", BrokerAddrs: []string{addr},
+			})
+			return err
+		}},
+		{"empty tenant", func(t *testing.T) error { return raw(t, empty) }},
+		{"truncated hello args", func(t *testing.T) error { return raw(t, valid[:len(valid)/2]) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.hello(t)
+			if !errors.Is(err, ErrNotAdmitted) || !errors.Is(err, ErrNotExecuted) {
+				t.Fatalf("hello = %v, want ErrNotAdmitted with the ErrNotExecuted vouch", err)
+			}
+		})
 	}
 }
 
@@ -417,39 +509,6 @@ func TestBrokerMetricsText(t *testing.T) {
 	}
 	if !strings.Contains(out, "lrpc_broker_generation") {
 		t.Fatalf("metrics exposition missing broker series:\n%s", out)
-	}
-}
-
-// TestParseBrokerControl: the parser's strict-bounds contract, also
-// exercised continuously by FuzzParseBrokerControl.
-func TestParseBrokerControl(t *testing.T) {
-	valid := appendBrokerHello(nil, "tenant", "tok", "svc", 7, 9)
-	pc, err := parseBrokerControl(valid)
-	if err != nil || pc.op != brokerOpHello || pc.tenant != "tenant" ||
-		pc.token != "tok" || pc.service != "svc" || pc.prevGen != 7 || pc.prevLease != 9 {
-		t.Fatalf("valid hello parse: %+v, %v", pc, err)
-	}
-	if pc, err := parseBrokerControl(appendCtlHeader(nil, brokerOpStats)); err != nil || pc.op != brokerOpStats {
-		t.Fatalf("stats parse: %+v, %v", pc, err)
-	}
-	bad := [][]byte{
-		nil,
-		append([]byte(nil), valid[:5]...), // short header
-		append([]byte(nil), valid[:8]...), // truncated body
-		append(append([]byte(nil), valid...), 0, 0), // trailing garbage
-	}
-	// Corrupt the magic.
-	wrongMagic := append([]byte(nil), valid...)
-	wrongMagic[0] ^= 0xFF
-	bad = append(bad, wrongMagic)
-	// Hostile ident length pointing past the frame.
-	hostile := appendCtlHeader(nil, brokerOpHello)
-	hostile = append(hostile, 0xFF, 0x7F)
-	bad = append(bad, hostile)
-	for i, b := range bad {
-		if _, err := parseBrokerControl(b); err == nil {
-			t.Fatalf("malformed frame %d parsed cleanly: % x", i, b)
-		}
 	}
 }
 

@@ -20,11 +20,11 @@
 //	    observability layer reports.
 //
 //	lrpcstat tenants [-watch interval] ADDR
-//	    Query a running broker (see Broker / cmd/lrpcbroker) over its
-//	    control protocol and render the per-tenant table: policy in
-//	    force, connections, in-flight gauge, calls, quota sheds, and
-//	    reattach counts. With -watch, refetch and redraw on the given
-//	    interval.
+//	    Query a running broker (see Broker / cmd/lrpcbroker) with one
+//	    stats call on its control interface and render the per-tenant
+//	    table: policy in force, connections, in-flight gauge, calls,
+//	    quota sheds, and reattach counts. With -watch, refetch and
+//	    redraw on the given interval.
 //
 // For backward compatibility, invoking lrpcstat with .idl file arguments
 // and no mode word selects the idl mode.

@@ -30,7 +30,7 @@ import (
 // per-connection handler concurrency and applies write deadlines so a
 // stalled peer cannot pin goroutines forever.
 //
-// One loop, two routes. serveConn is the only server loop: it reads and
+// One loop, two routes. connLoop is the only server loop: it reads and
 // parses each frame, asks the connection's route to open it — on the
 // read loop, in request order, before a bulk payload is read or a
 // goroutine is spent — and serves what was opened: a lone short local
@@ -243,7 +243,7 @@ func (s *System) ServeNetworkOpts(l net.Listener, opts ServeOptions) error {
 		if err != nil {
 			return err
 		}
-		go serveConn(conn, &importRoute{s: s, maxBulk: opts.MaxBulkBytes, bindings: map[string]*Binding{}}, opts)
+		go newConnLoop(conn, &importRoute{s: s, maxBulk: opts.MaxBulkBytes, bindings: map[string]*Binding{}}, opts).serve()
 	}
 }
 
@@ -349,15 +349,13 @@ type target interface {
 // it: the text verbatim under wire status 2, the vouch of non-execution.
 func refusal(msg string) error { return &RemoteError{Msg: msg, NotExecuted: true} }
 
-// serveConn is the one TCP server loop, shared by ServeNetworkOpts and
-// the broker's admitted tenant connections; only the route differs.
-// Each frame is parsed, opened by the route, its bulk payload read, and
-// served within MaxInFlight: on the reader itself when it is alone and
-// short (connLoop.read), on a spawned goroutine otherwise. It returns
-// once the connection is torn down and every request it read has been
-// served.
-func serveConn(conn net.Conn, rt route, opts ServeOptions) {
-	l := &connLoop{
+// newConnLoop builds the one TCP server loop for conn, shared by
+// ServeNetworkOpts and the broker's connections; only the route differs.
+// Each frame is parsed (next), opened by the route, its bulk payload
+// read, and served within MaxInFlight: on the reader itself when it is
+// alone and short (connLoop.read), on a spawned goroutine otherwise.
+func newConnLoop(conn net.Conn, rt route, opts ServeOptions) *connLoop {
+	return &connLoop{
 		conn:    conn,
 		br:      bufio.NewReader(conn),
 		rt:      rt,
@@ -365,6 +363,11 @@ func serveConn(conn net.Conn, rt route, opts ServeOptions) {
 		sem:     make(chan struct{}, opts.MaxInFlight),
 		closing: make(chan struct{}),
 	}
+}
+
+// serve runs the loop. It returns once the connection is torn down and
+// every request it read has been served.
+func (l *connLoop) serve() {
 	l.read()
 	// This goroutine may have served a request while the stall watch
 	// handed the loop to another reader; that reader tears it down.
@@ -403,20 +406,9 @@ type connLoop struct {
 // stall watch handed the loop to a new reader.
 func (l *connLoop) read() {
 	for {
-		frame, err := readFrame(l.br)
+		req, chain, err := l.next(maxFrame)
 		if err != nil {
 			break
-		}
-		req := &request{}
-		var bulk, chain bool
-		req.callID, req.name, req.proc, req.oneWay, bulk, chain, req.args, err = parseRequest(frame)
-		if err != nil {
-			break
-		}
-		if bulk {
-			if req.dir, req.bulkLen, req.args, err = parseBulkHeader(req.args); err != nil {
-				break // framing is unrecoverable past a malformed bulk header
-			}
 		}
 		t, rerr := openRequest(l.rt, req, chain)
 		// A BulkIn payload travels on the stream right behind its frame:
@@ -473,6 +465,23 @@ func (l *connLoop) read() {
 	}
 	close(l.closing)
 	l.shut() // unblock any handler mid-write
+}
+
+// next reads and parses the loop's next request frame, of at most limit
+// bytes; chain reports the chain flag, for openRequest. An error leaves
+// the stream unframed: the connection cannot be read past it.
+func (l *connLoop) next(limit int) (*request, bool, error) {
+	frame, err := readLimitedFrame(l.br, limit)
+	if err != nil {
+		return nil, false, err
+	}
+	req := &request{}
+	var bulk, chain bool
+	req.callID, req.name, req.proc, req.oneWay, bulk, chain, req.args, err = parseRequest(frame)
+	if err == nil && bulk {
+		req.dir, req.bulkLen, req.args, err = parseBulkHeader(req.args)
+	}
+	return req, chain, err
 }
 
 // handle serves one opened request and writes its reply, then gives

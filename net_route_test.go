@@ -1,6 +1,6 @@
 package lrpc
 
-// The one TCP server loop (serveConn) under both of its routes: the
+// The one TCP server loop (connLoop) under both of its routes: the
 // System's import route behind ServeNetwork and the broker's tenant
 // route. The table runs every shape over both and states, per route,
 // what the loop must do with it.
@@ -85,7 +85,7 @@ func newRouteRig(t *testing.T, broker bool) *routeRig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := brokerHello(conn, "edge", "", "Arith", 0, 0, 2*time.Second); err != nil {
+		if _, err := brokerHello(conn, brokerHelloArgs{Tenant: "edge", Service: "Arith"}, 2*time.Second); err != nil {
 			t.Fatal(err)
 		}
 		return conn

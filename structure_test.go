@@ -129,11 +129,13 @@ var structureCaps = []structureCap{
 	}},
 
 	// onewire: one server loop parses requests and writes replies, one
+	// capped frame reader serves it and every other frame reader, one
 	// breaker gate, one spawn and one stall handoff, one write-deadline
 	// site (connWriter.arm) — and on the client, one write to the wait
 	// table (register), one completion (settle), and no reply channel.
 	{why: "a second server loop", max: 1, match: callTo("parseRequest")},
 	{why: "a second server loop", max: 1, match: callTo("writeReply")},
+	{why: "a second frame reader (readFrame and connLoop.next are the two)", max: 2, match: callTo("readLimitedFrame")},
 	{why: "a hand-copied breaker gate", max: 1, match: callTo("br.allow")},
 	{why: "a second spawn site in the server loop", max: 1, match: goCall("l.handle")},
 	{why: "a second stall-watch handoff", max: 1, match: goCall("l.read")},

@@ -159,9 +159,8 @@ func (s *BrokerSession) dialAdmitted() (net.Conn, error) {
 			lastErr = err
 			continue
 		}
-		gen, lease, pv, err := brokerHello(conn,
-			s.opts.Tenant, s.opts.Token, s.opts.Service,
-			s.gen.Load(), s.lease.Load(), s.opts.HelloTimeout)
+		r, err := brokerHello(conn, brokerHelloArgs{Tenant: s.opts.Tenant, Token: s.opts.Token,
+			Service: s.opts.Service, PrevGen: s.gen.Load(), PrevLease: s.lease.Load()}, s.opts.HelloTimeout)
 		if err != nil {
 			conn.Close()
 			lastErr = err
@@ -171,11 +170,11 @@ func (s *BrokerSession) dialAdmitted() (net.Conn, error) {
 			// generation can coexist with a live one, so keep sweeping.
 			continue
 		}
-		prev := s.gen.Swap(gen)
-		s.lease.Store(lease)
-		s.policyVer.Store(pv)
+		prev := s.gen.Swap(r.Gen)
+		s.lease.Store(r.Lease)
+		s.policyVer.Store(r.PolicyVersion)
 		s.admits.Add(1)
-		if prev != 0 && prev != gen {
+		if prev != 0 && prev != r.Gen {
 			s.reattaches.Add(1)
 		}
 		return conn, nil
