@@ -73,9 +73,10 @@ stress:
 # stays here are the race-detector loops over the tests that pin each
 # path's behaviour.
 #
-# onecore: the differential table that pins callAppend to the core.
+# onecore: the differential table that pins callAppend to the core, and
+# the sampling rule every plane's metrics decide by.
 onecore:
-	$(GO) test -race -count=3 -run 'TestDispatch' .
+	$(GO) test -race -count=3 -run 'TestDispatch|TestMetricsSampling' .
 
 # onecaller: the one table that holds every supervisor constructor to the
 # same edges.

@@ -67,7 +67,9 @@ func TestCallZeroAllocs(t *testing.T) {
 // when-on contract: with the recorder installed AND a tracer hooked up,
 // the successful fast path still allocates nothing — histograms are
 // atomic adds into pre-sized stripes, and trace events exist only on
-// uncommon paths, so no event is constructed here.
+// uncommon paths, so no event is constructed here. The measured calls
+// come after the sampling warm-up, so they cross both the timed and the
+// untimed branch.
 func TestCallZeroAllocsWithMetrics(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; alloc counts not meaningful")
@@ -84,7 +86,7 @@ func TestCallZeroAllocsWithMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := make([]byte, 8)
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 2*warmSpans; i++ {
 		if _, err := b.Call(2, args); err != nil {
 			t.Fatal(err)
 		}

@@ -4,9 +4,11 @@ package lrpc
 // and the one path deliberately written out beside it, callAppend: one
 // table of scenarios runs through every entry point that can express it,
 // and each entry point's outcome — result bytes, error class, and the
-// export's accounting afterwards — must equal CallAppend's. callAppend
-// is kept out of the core for speed (DESIGN §5.17); this table is what
-// keeps it from drifting, and it is repeated by `make onecore`.
+// export's accounting afterwards — must equal CallAppend's. The table
+// runs with metrics off and on each side of the sampling rule, where
+// the outcome must not change either. callAppend is kept out of the
+// core for speed (DESIGN §5.17); this table is what keeps it from
+// drifting, and it is repeated by `make onecore`.
 
 import (
 	"bytes"
@@ -230,9 +232,31 @@ func dispatchClass(err error) string {
 	return "unclassified: " + err.Error()
 }
 
-func runDispatchScenario(t *testing.T, sc dispatchScenario, en dispatchEntry) dispatchOutcome {
+// dispatchMetrics is the recorder state a pass of the table runs under:
+// off, on during warm-up (every call timed), and on past warm-up (about
+// one call in sampleEvery timed, so almost every run takes the untimed
+// branch).
+type dispatchMetrics int
+
+const (
+	metricsOff dispatchMetrics = iota
+	metricsWarm
+	metricsSampled
+)
+
+func (m dispatchMetrics) String() string {
+	return [...]string{"metrics off", "metrics in warm-up", "metrics past warm-up"}[m]
+}
+
+func runDispatchScenario(t *testing.T, sc dispatchScenario, en dispatchEntry, mode dispatchMetrics) dispatchOutcome {
 	t.Helper()
 	fx := newDispatchFixture(t)
+	if mode != metricsOff {
+		fx.exp.EnableMetrics()
+		if mode == metricsSampled {
+			fx.exp.metrics.Load().warm.Store(warmSpans)
+		}
+	}
 	call := en.open(t, fx)
 	var disarm func()
 	if sc.arm != nil {
@@ -258,17 +282,26 @@ func runDispatchScenario(t *testing.T, sc dispatchScenario, en dispatchEntry) di
 func TestDispatchCoreMatchesFastPath(t *testing.T) {
 	for _, sc := range dispatchScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			ref := runDispatchScenario(t, sc, dispatchEntries[0])
-			if ref.active != 0 || ref.outstanding != 0 || ref.admitted != 0 {
-				t.Fatalf("%s leaks: %+v", dispatchEntries[0].name, ref)
-			}
-			for _, en := range dispatchEntries[1:] {
-				if sc.needsPool && en.adopts {
-					continue
+			var off dispatchOutcome
+			for mode := metricsOff; mode <= metricsSampled; mode++ {
+				ref := runDispatchScenario(t, sc, dispatchEntries[0], mode)
+				if ref.active != 0 || ref.outstanding != 0 || ref.admitted != 0 {
+					t.Fatalf("%s leaks, %s: %+v", dispatchEntries[0].name, mode, ref)
 				}
-				if got := runDispatchScenario(t, sc, en); got != ref {
-					t.Errorf("%s differs from %s:\n got  %+v\n want %+v",
-						en.name, dispatchEntries[0].name, got, ref)
+				if mode == metricsOff {
+					off = ref
+				} else if ref != off {
+					t.Errorf("%s with %s differs from metrics off:\n got  %+v\n want %+v",
+						dispatchEntries[0].name, mode, ref, off)
+				}
+				for _, en := range dispatchEntries[1:] {
+					if sc.needsPool && en.adopts {
+						continue
+					}
+					if got := runDispatchScenario(t, sc, en, mode); got != ref {
+						t.Errorf("%s differs from %s, %s:\n got  %+v\n want %+v",
+							en.name, dispatchEntries[0].name, mode, got, ref)
+					}
 				}
 			}
 		})

@@ -157,11 +157,14 @@ func (e *Export) runHandler(p *Proc, c *Call) (err error) {
 	}
 	// Every dispatch plane funnels through here, so the handler span
 	// histogram covers the direct, context, network, and message paths
-	// alike. One nil-checked load when metrics are off.
-	if m := e.metrics.Load(); m != nil {
-		t := time.Now()
+	// alike, for the invocations their caller sampled (metrics.go). The
+	// stamps stay on the Call: callAppend's copy spans end and start at
+	// them.
+	if c.timed {
+		c.hStart = monoNow()
 		p.Handler(c)
-		m.handler.record(c.stripe, time.Since(t))
+		c.hEnd = monoNow()
+		e.metrics.Load().handler.record(c.stripe, time.Duration(c.hEnd-c.hStart))
 		return nil
 	}
 	p.Handler(c)

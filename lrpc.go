@@ -152,15 +152,27 @@ type Call struct {
 	// same counter stripes, so completion accounting never bounces a
 	// shared cache line between cores.
 	stripe uint32
+
+	// Latency sampling (metrics.go). skip counts the untimed calls left
+	// before this record times one; it outlives release, so the
+	// countdown runs across the invocations the record carries. timed
+	// marks this invocation as sampled, and the handler's start and end
+	// stamps, which also bound the copies, are left here by runHandler.
+	skip         uint32
+	timed        bool
+	hStart, hEnd int64
 }
 
 // callStripe round-robins the stripe assignment of freshly minted Calls.
 var callStripe atomic.Uint32
 
 // callPool recycles Call structures so the dispatch path allocates
-// nothing per invocation.
+// nothing per invocation. A fresh record joins the sampling countdown at
+// a random point: the minimum of two gaps, about the distance to the
+// next timed call seen from a random call, so records the pool drops
+// early still time one call in sampleEvery.
 var callPool = sync.Pool{New: func() any {
-	return &Call{stripe: callStripe.Add(1) & (numStripes - 1)}
+	return &Call{stripe: callStripe.Add(1) & (numStripes - 1), skip: min(sampleGap(), sampleGap())}
 }}
 
 // release returns the Call to the pool. Never called on a panicked
@@ -168,6 +180,7 @@ var callPool = sync.Pool{New: func() any {
 func (c *Call) release() {
 	c.args, c.astack, c.oob, c.resLen = nil, nil, nil, 0
 	c.bulkSegs, c.bulkFlat, c.bulkDir, c.bulkIn, c.bulkOut = nil, nil, 0, 0, 0
+	c.timed = false
 	callPool.Put(c)
 }
 
@@ -550,27 +563,32 @@ func (b *Binding) CallAppend(proc int, args, dst []byte) ([]byte, error) {
 // (dispatch_test.go) pins it to the core: one scenario table through
 // both, identical results, error classes and accounting required.
 func (b *Binding) callAppend(proc int, args, dst []byte, prio Priority) ([]byte, error) {
-	// One nil-checked atomic load decides whether this invocation is
-	// measured; when the recorder is absent the path reads no clock,
-	// takes no lock, and allocates nothing.
+	// The Call record comes first: it carries the sampling countdown
+	// (metrics.go), so whether this invocation is timed is settled before
+	// the first stamp. With the recorder absent, or present and the call
+	// not sampled, the path reads no clock, takes no lock, and allocates
+	// nothing.
+	c := callPool.Get().(*Call)
 	m := b.exp.metrics.Load()
-	var started time.Time
-	if m != nil {
-		started = time.Now()
+	var started int64
+	if m != nil && m.sample(c) {
+		started = monoNow()
 	}
 
 	p, pool, err := b.validate(proc, args)
 	if err != nil {
+		c.release()
 		b.traceValidateFail(proc, err)
 		return nil, err
 	}
 
 	// Admission control (resilience.go): one nil-checked load when off;
-	// one CAS when on and under the cap. A shed call never touches the
-	// Call pool or an A-stack.
+	// one CAS when on and under the cap. A shed call never touches an
+	// A-stack.
 	adm := b.exp.admission.Load()
 	if adm != nil {
 		if err := adm.enter(prio, time.Time{}, nil); err != nil {
+			c.release()
 			if err == ErrOverload {
 				b.recordShed(p, pool, err)
 			}
@@ -580,7 +598,6 @@ func (b *Binding) callAppend(proc int, args, dst []byte, prio Priority) ([]byte,
 
 	// Client stub: argument stack off the pool's per-P cache or
 	// lock-free ring, single copy in.
-	c := callPool.Get().(*Call)
 	buf, err := pool.get(b.Policy, nil, c.stripe)
 	if err != nil {
 		c.release()
@@ -589,14 +606,12 @@ func (b *Binding) callAppend(proc int, args, dst []byte, prio Priority) ([]byte,
 		}
 		return nil, err
 	}
-	var copySpan time.Duration
-	if m != nil {
-		t := time.Now()
-		prepareCall(c, p, buf.b, args) // copy A
-		copySpan = time.Since(t)
-	} else {
-		prepareCall(c, p, buf.b, args)
+	// Copy A is timed from here to runHandler's handler-start stamp.
+	var copyA int64
+	if c.timed {
+		copyA = monoNow()
 	}
+	prepareCall(c, p, buf.b, args)
 
 	// Domain transfer: the calling goroutine executes the server's
 	// procedure directly — no scheduler rendezvous. A handler panic is
@@ -609,22 +624,17 @@ func (b *Binding) callAppend(proc int, args, dst []byte, prio Priority) ([]byte,
 		return nil, herr
 	}
 
-	// Return: copy results to their final destination (copy F).
-	var out []byte
+	// Return: copy results to their final destination (copy F, timed
+	// from runHandler's handler-end stamp; its end closes the dispatch
+	// span too).
+	out := dst
 	if c.resLen > 0 {
-		src := c.oob
-		if src == nil {
-			src = c.astack[:c.resLen]
-		}
-		if m != nil {
-			t := time.Now()
-			out = append(dst, src...)
-			copySpan += time.Since(t)
-		} else {
-			out = append(dst, src...)
-		}
-	} else {
-		out = dst
+		out = append(dst, c.result()...)
+	}
+	if c.timed {
+		done := monoNow()
+		m.copySpan.record(c.stripe, time.Duration(c.hStart-copyA+done-c.hEnd))
+		m.dispatch.record(c.stripe, time.Duration(done-started))
 	}
 	pool.put(buf, c.stripe)
 	if adm != nil {
@@ -634,10 +644,6 @@ func (b *Binding) callAppend(proc int, args, dst []byte, prio Priority) ([]byte,
 	}
 
 	b.exp.calls.add(c.stripe, 1)
-	if m != nil {
-		m.copySpan.record(c.stripe, copySpan)
-		m.dispatch.record(c.stripe, time.Since(started))
-	}
 	c.release()
 	if b.exp.terminated.Load() {
 		// The server terminated while we were inside it: the call,
@@ -735,7 +741,7 @@ type invocation struct {
 	adm     *admission
 	c       *Call
 	m       *exportMetrics
-	started time.Time
+	started int64 // monoNow at entry, when c.timed
 
 	// Outcome, valid once finish returns nil. out is a private copy for
 	// a pool A-stack; for an adopted one it aliases the stack (or the
@@ -746,17 +752,21 @@ type invocation struct {
 
 // begin is the first half of the core, up to the domain transfer. It
 // runs on the caller's goroutine, so a rejected, shed or cancelled call
-// is a synchronous verdict that cost no Call record and no A-stack, and
-// after an error there is nothing to undo. A fired cancel channel
-// surfaces as errWaitCancelled; each caller words its own timeout.
+// is a synchronous verdict that holds no A-stack, and after an error
+// there is nothing to undo. A fired cancel channel surfaces as
+// errWaitCancelled; each caller words its own timeout.
 func (b *Binding) begin(inv *invocation) error {
-	// Stamped first: time spent queued for admission is dispatch latency.
+	// The Call record first, so the sampling decision precedes the stamp;
+	// stamped before admission, since time queued for it is dispatch
+	// latency.
+	c := callPool.Get().(*Call)
 	inv.m = b.exp.metrics.Load()
-	if inv.m != nil {
-		inv.started = time.Now()
+	if inv.m != nil && inv.m.sample(c) {
+		inv.started = monoNow()
 	}
 	p, pool, err := b.validate(inv.proc, inv.args)
 	if err != nil {
+		c.release()
 		b.traceValidateFail(inv.proc, err)
 		return err
 	}
@@ -765,6 +775,7 @@ func (b *Binding) begin(inv *invocation) error {
 	adm := b.exp.admission.Load()
 	if adm != nil {
 		if err := adm.enter(inv.prio, inv.deadline, inv.cancel); err != nil {
+			c.release()
 			if err == ErrOverload {
 				b.recordShed(p, pool, err)
 			}
@@ -773,13 +784,13 @@ func (b *Binding) begin(inv *invocation) error {
 	}
 	select {
 	case <-inv.cancel: // never ready when nil
+		c.release()
 		if adm != nil {
 			adm.exit()
 		}
 		return errWaitCancelled
 	default:
 	}
-	c := callPool.Get().(*Call)
 	if inv.astack != nil {
 		stageCall(c, p, inv.astack, inv.args)
 	} else {
@@ -834,12 +845,12 @@ func (b *Binding) finish(inv *invocation) error {
 		return herr
 	}
 	b.exp.calls.add(c.stripe, 1)
-	if inv.m != nil {
+	if c.timed {
 		span := &inv.m.dispatch
 		if inv.dir != 0 {
 			span = &inv.m.bulkSpan
 		}
-		span.record(c.stripe, time.Since(inv.started))
+		span.record(c.stripe, time.Duration(monoNow()-inv.started))
 	}
 	c.release()
 	if b.exp.terminated.Load() {

@@ -81,6 +81,9 @@ func (mb *MsgBinding) worker() {
 
 		astack := make([]byte, maxInt(len(serverArgs), DefaultAStackSize))
 		c := callPool.Get().(*Call)
+		if m := mb.exp.metrics.Load(); m != nil {
+			m.sample(c) // the handler span is this plane's only one
+		}
 		c.astack, c.args, c.oob, c.resLen = astack, serverArgs, nil, 0
 		// Dispatch through the containment path: a handler panic must not
 		// kill the worker (which would strand every queued caller) — it

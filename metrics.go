@@ -9,15 +9,21 @@ package lrpc
 // atomic.Pointer consulted with a single nil-checked load on the dispatch
 // path, so the layer costs nothing when off — Binding.Call stays 0 locks
 // / 0 allocs (asserted in concurrency_test.go and gated by
-// cmd/benchcheck) — and stays lock-free when on:
+// cmd/benchcheck) — and stays lock-free and cheap when on:
 //
+//   - latency is sampled (DESIGN §5.9): an export times its first
+//     warmSpans invocations, then about one in sampleEvery, chosen by a
+//     countdown on the Call record with a random gap; every other
+//     invocation reads no clock at all. The timed ones read one
+//     monotonic clock (monoNow);
 //   - latency histograms are log-bucketed atomic counters, striped across
 //     cache lines by the invocation's Call stripe (the stripedUint64
-//     pattern of astack.go), recording three spans per call: dispatch
-//     (the whole client-visible path), handler (the server procedure
-//     proper), and copy (argument/result staging);
+//     pattern of astack.go), recording three spans per timed call:
+//     dispatch (the whole client-visible path), handler (the server
+//     procedure proper), and copy (argument/result staging);
 //   - A-stack pool gauges (checkouts, overflow allocations, waits,
-//     drops) hang off each pool behind one atomic pointer;
+//     drops) hang off each pool behind one atomic pointer, and like the
+//     call counters they count every call, timed or not;
 //   - trace events cover the uncommon cases only (bind, validate-fail,
 //     stack-wait, abandon, panic, terminate, reconnect), so the
 //     successful fast path never constructs an event.
@@ -34,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"math/rand/v2"
 	"net/http"
 	"sort"
 	"strings"
@@ -312,6 +319,8 @@ type HistBucket struct {
 }
 
 // HistogramSnapshot is a point-in-time copy of one latency histogram.
+// Count is the number of timed invocations: all of an export's first
+// 1,024, then about one in 64 (see System.EnableMetrics).
 type HistogramSnapshot struct {
 	Count   uint64       `json:"count"`
 	SumNs   float64      `json:"sum_ns"` // approximate: bucket midpoints
@@ -370,11 +379,60 @@ func (h HistogramSnapshot) Max() time.Duration {
 // once by EnableMetrics; the dispatch path consults it with one atomic
 // load and, when nil, does not even read the clock.
 type exportMetrics struct {
+	// warm counts the invocations timed during warm-up. It has a cache
+	// line to itself: every sampled-or-not decision reads it, and it is
+	// written only until it reaches warmSpans.
+	_    [56]byte
+	warm atomic.Uint64
+	_    [56]byte
+
 	dispatch histogram // whole client-visible call path
 	handler  histogram // server procedure proper (all planes, via runHandler)
 	copySpan histogram // argument staging + result copy (stub copies A and F)
 	bulkSpan histogram // bulk-carrying dispatches end to end, payload movement included
 }
+
+// The sampling rule (DESIGN §5.9). An export times its first warmSpans
+// invocations, so a short run or a test sees every span; after that it
+// times about one invocation in sampleEvery.
+const (
+	warmSpans   = 1024
+	sampleEvery = 64
+)
+
+// sample decides whether c's invocation is timed, and marks it so in
+// c.timed for runHandler and the caller's own stamps. Every plane
+// decides here. Past warm-up an untimed call costs a load of the
+// read-shared warm-up line, one decrement and one predictable branch on
+// the Call record's countdown; when the countdown runs out, the call is
+// timed and the next gap drawn. The gap is random,
+// not a fixed stride, so a caller cycling through procedures in a
+// period that shares a factor with the stride cannot hide some of them.
+func (m *exportMetrics) sample(c *Call) bool {
+	if m.warm.Load() < warmSpans && m.warm.Add(1) <= warmSpans {
+		c.timed = true
+		return true
+	}
+	if c.skip > 0 {
+		c.skip--
+		return false
+	}
+	c.skip = sampleGap()
+	c.timed = true
+	return true
+}
+
+// sampleGap draws the number of untimed calls before the next timed one:
+// uniform on [0, 2*sampleEvery-2], so one call in sampleEvery on average.
+func sampleGap() uint32 { return rand.Uint32N(2*sampleEvery - 1) }
+
+// epoch anchors monoNow.
+var epoch = time.Now()
+
+// monoNow reads the monotonic clock in nanoseconds since epoch: the one
+// clock the dispatch path stamps with, and about half the cost of
+// time.Now, which reads the wall clock too.
+func monoNow() int64 { return int64(time.Since(epoch)) }
 
 // poolObs is the gauge block behind astackPool.obs: checkout traffic and
 // the uncommon pool events, striped like every other hot counter.
@@ -390,6 +448,12 @@ type poolObs struct {
 // future export of the system: per-export latency histograms and
 // per-pool gauges. Enabling is one-way and idempotent; it never blocks
 // in-flight calls — recorders appear to them at the next atomic load.
+//
+// Latency is sampled so metrics can stay on: each export times its first
+// 1,024 invocations, then about one in 64, and every other invocation
+// reads no clock. Past warm-up, HistogramSnapshot.Count counts the timed
+// calls and the percentiles are estimates from them; the call counters
+// and pool gauges stay exact.
 func (s *System) EnableMetrics() {
 	s.mu.Lock()
 	s.metricsOn = true

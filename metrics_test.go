@@ -171,6 +171,141 @@ func TestHistogramPercentiles(t *testing.T) {
 	}
 }
 
+// TestMetricsSampling pins the sampling rule (DESIGN §5.9): every span
+// of an export's first warmSpans invocations, then about one in
+// sampleEvery, chosen so that no procedure of a periodic caller goes
+// unseen, while the call counters and pool gauges stay exact.
+func TestMetricsSampling(t *testing.T) {
+	// within reports whether the timed calls among n past warm-up are
+	// one in sampleEvery, give or take a quarter.
+	within := func(timed, n uint64) bool {
+		want := float64(n) / sampleEvery
+		return float64(timed) >= 0.75*want && float64(timed) <= 1.25*want
+	}
+
+	t.Run("warm-up then one in 64", func(t *testing.T) {
+		sys := NewSystem()
+		sys.EnableMetrics()
+		e, err := sys.Export(arithInterface())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sys.Import("Arith")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := make([]byte, 0, 8)
+		for i := 0; i < warmSpans; i++ {
+			if _, err := b.CallAppend(2, nil, res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sn := e.MetricsSnapshot()
+		for _, h := range []HistogramSnapshot{sn.Dispatch, sn.Handler, sn.Copy} {
+			if h.Count != warmSpans {
+				t.Fatalf("warm-up timed %d of %d calls, want all: %+v", h.Count, warmSpans, sn)
+			}
+		}
+		const more = 64 << 10
+		for i := 0; i < more; i++ {
+			if _, err := b.CallAppend(2, nil, res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sn = e.MetricsSnapshot()
+		t.Logf("timed %d of %d calls past warm-up", sn.Dispatch.Count-warmSpans, more)
+		if timed := sn.Dispatch.Count - warmSpans; !within(timed, more) {
+			t.Errorf("timed %d of %d calls past warm-up, want %d ± 25%%", timed, more, more/sampleEvery)
+		}
+		if sn.Handler.Count != sn.Dispatch.Count || sn.Copy.Count != sn.Dispatch.Count {
+			t.Errorf("spans of one timed call disagree: dispatch %d, handler %d, copy %d",
+				sn.Dispatch.Count, sn.Handler.Count, sn.Copy.Count)
+		}
+		if sn.Calls != warmSpans+more || sn.Pools.Checkouts != warmSpans+more {
+			t.Errorf("calls %d, checkouts %d, want both exact: %d", sn.Calls, sn.Pools.Checkouts, warmSpans+more)
+		}
+	})
+
+	t.Run("alternating procedures both timed", func(t *testing.T) {
+		var timed [2]int
+		count := func(i int) Handler {
+			return func(c *Call) {
+				if c.timed {
+					timed[i]++
+				}
+			}
+		}
+		sys := NewSystem()
+		sys.EnableMetrics()
+		if _, err := sys.Export(&Interface{Name: "Alt", Procs: []Proc{
+			{Name: "Even", Handler: count(0)},
+			{Name: "Odd", Handler: count(1)},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		b, err := sys.Import("Alt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < warmSpans; i++ {
+			if _, err := b.CallAppend(i&1, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		timed = [2]int{}
+		for i := 0; i < 64<<10; i++ {
+			if _, err := b.CallAppend(i&1, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		total := timed[0] + timed[1]
+		t.Logf("timed calls per procedure: %v", timed)
+		for i, n := range timed {
+			if 10*n < 3*total {
+				t.Errorf("procedure %d got %d of %d timed calls, want at least 30%%", i, n, total)
+			}
+		}
+	})
+
+	t.Run("concurrent callers", func(t *testing.T) {
+		sys := NewSystem()
+		sys.EnableMetrics()
+		e, err := sys.Export(arithInterface())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sys.Import("Arith")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const callers, each = 4, 20000
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res := make([]byte, 0, 8)
+				for i := 0; i < each; i++ {
+					if _, err := b.CallAppend(2, nil, res); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		sn := e.MetricsSnapshot()
+		const n = callers * each
+		t.Logf("timed %d of %d calls", sn.Dispatch.Count, n)
+		if timed := sn.Dispatch.Count - warmSpans; sn.Dispatch.Count < warmSpans || !within(timed, n-warmSpans) {
+			t.Errorf("timed %d of %d calls, want %d + %d ± 25%%", sn.Dispatch.Count, n, warmSpans, (n-warmSpans)/sampleEvery)
+		}
+		if sn.Calls != n || sn.Pools.Checkouts != n {
+			t.Errorf("calls %d, checkouts %d, want both exact: %d", sn.Calls, sn.Pools.Checkouts, n)
+		}
+	})
+}
+
 // --- Tracer ---
 
 func TestTracerUncommonCaseEvents(t *testing.T) {

@@ -15,19 +15,21 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // structureCap is one guard: at most max sites in files (the whole
 // package when nil) where match holds, each inside function in when in
-// is set.
+// is set. With within set, only sites inside those functions count.
 type structureCap struct {
-	why   string // what one site too many would be
-	files []string
-	max   int
-	in    string
-	match func(n ast.Node) bool
+	why    string // what one site too many would be
+	files  []string
+	max    int
+	in     string
+	within []string
+	match  func(n ast.Node) bool
 }
 
 // callee renders the function a call names, as written: "c.begin",
@@ -108,6 +110,16 @@ var structureCaps = []structureCap{
 	// core, callAppend and the broker's per-tenant gate.
 	{why: "a hand-copied dispatch path", max: 3, match: callTo("runHandler")},
 	{why: "a hand-copied admission path", max: 3, match: callTo("adm.enter")},
+
+	// Sampled metrics (DESIGN §5.9): the dispatch path stamps only with
+	// monoNow, only on a sampled call, and three planes decide — the
+	// core's begin, callAppend and the message-passing worker.
+	{why: "a clock read other than monoNow on the dispatch path", files: []string{"lrpc.go", "fault.go"},
+		within: []string{"callAppend", "begin", "finish", "runHandler"}, match: func(n ast.Node) bool {
+			f, _ := callee(n)
+			return f == "time.Now" || f == "time.Since"
+		}},
+	{why: "a fourth sampling decision", max: 3, match: callTo("sample")},
 
 	// onecaller: capped-backoff doubling and the single-flight done
 	// channel live in the rebind core and NetClient.getConn only, and
@@ -214,6 +226,9 @@ func TestStructureCaps(t *testing.T) {
 				fn := ""
 				if fd, ok := d.(*ast.FuncDecl); ok {
 					fn = fd.Name.Name
+				}
+				if c.within != nil && !slices.Contains(c.within, fn) {
+					continue
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
 					if n != nil && c.match(n) {
