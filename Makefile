@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci fmtcheck vet build crossbuild test race stress onecore onecaller onewire oneslot shmtest haftest brokertest chaintest bench benchjson benchjson5 benchjson6 benchjson7 benchjson8 benchjson9 benchjson10 benchcheck fuzz staticcheck vulncheck
+.PHONY: ci fmtcheck vet build crossbuild test race stress onecore onecaller onewire oneslot oneasync shmtest haftest brokertest chaintest bench benchjson benchjson5 benchjson6 benchjson7 benchjson8 benchjson9 benchjson10 benchcheck fuzz staticcheck vulncheck
 
 # Formatting, vet, static analysis, build, tests (plain and -race), then
 # the perf gates: the whole merge bar in one command. The gates check the
@@ -14,7 +14,7 @@ GO ?= go
 # `make bench`) when the call path changes. The recipe line repeats the
 # test in which the broker's release-after-reply ordering used to show
 # as a flake in plain `go test`, so it cannot come back silently.
-ci: fmtcheck vet staticcheck vulncheck build crossbuild test race onecore onecaller onewire oneslot shmtest haftest brokertest chaintest benchcheck
+ci: fmtcheck vet staticcheck vulncheck build crossbuild test race onecore onecaller onewire oneslot oneasync shmtest haftest brokertest chaintest benchcheck
 	$(GO) test -count=3 -run 'TestBrokerAdmitAndCall' .
 
 # gofmt -l prints nonconforming files; any output is a failure.
@@ -93,6 +93,15 @@ onewire:
 # oneslot: the shm suite, the every-kind table included.
 oneslot:
 	$(GO) test -race -count=3 -run 'TestShm' .
+
+# oneasync: the future handshake and every plane's batch and async
+# tests, twenty times over, then again pinned to one CPU where taskset
+# exists (Linux), since there a waiter is far more often parked before
+# its completion arrives.
+ONEASYNC = 'TestFuture|TestBatch|TestCallAsync|TestShmBatch|TestShmCallAsync|TestNetBatch|TestNetAsync'
+oneasync:
+	$(GO) test -race -count=20 -run $(ONEASYNC) .
+	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -race -count=20 -run $(ONEASYNC) .; fi
 
 # The cross-process shared-memory integration suite, race-detector on.
 # The tests carry a linux build tag; on other platforms the packages

@@ -12,13 +12,17 @@ package lrpc
 //     caller's handle on an activation whose result it has not yet
 //     collected. Futures are pooled and collect-once — Wait both returns
 //     the result and recycles the record, so a steady-state async
-//     workload allocates nothing per call beyond the result copy.
+//     workload allocates nothing per call beyond the result copy. The
+//     completion token goes only to a waiter parked on it: collecting a
+//     call that already finished is one CAS, no channel operation.
 //   - A Batch is a submission queue over any transport's doorbell. The
 //     per-call cost the paper minimizes — one control transfer (and, on
 //     the shm plane, potentially one futex wake) per call — is amortized
 //     by staging N submissions and ringing the doorbell once: N ring
 //     entries then a single Bump on shm, N frames coalesced into one
 //     write on TCP, one dispatch pass on the caller's thread in-process.
+//     Entries are staged in place in the batch's one list, and an
+//     in-process flush allocates its results once, in one arena.
 //   - One-way calls drop the reply half entirely: no future, no reply
 //     slot, at-most-once execution with errors dropped (and counted) on
 //     the serving side. See DESIGN §5.13 for the exact semantics.
@@ -42,13 +46,18 @@ var ErrFutureSpent = errors.New("lrpc: future already collected (pooled futures 
 // right now": batch staging flushes and retries.
 var errWouldBlock = errors.New("lrpc: submission would block")
 
-// Future states. A checkout moves idle→pending; completion pending→done;
-// collection done→collected (and back to the pool); a caller that gives
-// up moves pending→abandoned, after which the completer recycles.
+// Future states. A checkout moves idle→pending. Completion moves
+// pending→ready when nobody waits, or parked→done when a waiter is
+// blocked on the token, which that waiter turns into ready once it holds
+// the token. Collection moves ready→collected (and back to the pool); a
+// caller that gives up moves pending→abandoned, after which the
+// completer recycles.
 const (
 	futIdle uint32 = iota
 	futPending
-	futDone
+	futParked // a waiter is blocked on ch
+	futReady  // completed, no token outstanding: collectable at once
+	futDone   // completed, token sent to the parked waiter
 	futCollected
 	futAbandoned
 )
@@ -56,7 +65,8 @@ const (
 // Future is the caller's handle on an asynchronous call: a pooled,
 // collect-once promise of the call's results. Obtain one from CallAsync
 // or Batch.Call; collect it with Wait (or Batch.Wait). A future is not
-// safe for concurrent use by multiple goroutines.
+// safe for concurrent use by multiple goroutines: a second goroutine
+// that waits while another is already blocked on it gets ErrFutureSpent.
 type Future struct {
 	state atomic.Uint32
 	ch    chan struct{} // capacity 1: the completion signal
@@ -94,10 +104,6 @@ func newFuture() *Future {
 		f.abandon = make(chan struct{})
 	default:
 	}
-	select {
-	case <-f.ch: // stale completion signal
-	default:
-	}
 	f.out, f.err = nil, nil
 	f.exp, f.sys, f.procName = nil, nil, ""
 	f.act.Store(nil)
@@ -118,61 +124,90 @@ func (f *Future) release() {
 // abandoned the future first, the result is dropped and the future
 // recycled here.
 //
-// Ordering matters: the channel token is sent last, after the state
-// flip, and a collector must consume the token before recycling —
-// that receive is the happens-before edge
-// proving the completer is finished with the record, so a fast waiter
-// can never return a future to the pool under the completer's feet.
+// Ordering matters: the results are written first, and each way out
+// ends with complete's last touch of the record — the CAS to futReady
+// when nobody is parked (a waiter that observes futReady may recycle at
+// once), or else the token send to the one parked waiter, whose receive
+// proves the completer is finished. The token goes only to a parked
+// waiter, so a future always returns to the pool with its channel empty.
+//
+// Only futAbandoned means nobody will collect. A parked waiter whose
+// stop fires backs out to futPending, and may do so between the two
+// CASes below; complete then goes round again rather than recycle a
+// record that waiter still holds.
 func (f *Future) complete(out []byte, err error) {
 	f.out, f.err = out, err
-	if f.state.CompareAndSwap(futPending, futDone) {
-		select {
-		case f.ch <- struct{}{}:
-		default:
+	for {
+		if f.state.CompareAndSwap(futPending, futReady) {
+			return
 		}
-		return
+		if h := completeBetweenCAS.Load(); h != nil {
+			(*h)(f)
+		}
+		if f.state.CompareAndSwap(futParked, futDone) {
+			f.ch <- struct{}{}
+			return
+		}
+		if f.state.Load() == futAbandoned {
+			f.out, f.err = nil, nil
+			f.release()
+			return
+		}
 	}
-	// Abandoned: nobody will collect. Recycle the record.
-	f.out, f.err = nil, nil
-	f.release()
+}
+
+// completeBetweenCAS, when set, runs inside complete after its
+// pending→ready CAS has failed, so a test can move a waiter in the
+// window between complete's two CASes. The fast path never loads it.
+var completeBetweenCAS atomic.Pointer[func(*Future)]
+
+// park blocks a waiter that observed futPending until the call completes
+// or stop closes, and reports false only for stop. A waiter that finds
+// the state moved on returns true at once for its caller to re-read it.
+// Backing out on stop races the completer: if the parked→pending CAS
+// loses, the completer already claimed the parked state and its token is
+// on the way, so the waiter takes it rather than strand it in ch.
+func (f *Future) park(stop <-chan struct{}) bool {
+	if !f.state.CompareAndSwap(futPending, futParked) {
+		return true
+	}
+	select {
+	case <-f.ch:
+	case <-stop:
+		if f.state.CompareAndSwap(futParked, futPending) {
+			return false
+		}
+		<-f.ch
+	}
+	f.state.Store(futReady)
+	return true
 }
 
 // await blocks until f completes or stop closes, reporting whether it
 // completed; a completed future is left for Wait to collect at once.
 func (f *Future) await(stop <-chan struct{}) bool {
-	select {
-	case <-f.ch:
-		f.ch <- struct{}{} // re-arm the token for Wait
-		return true
-	case <-stop:
-		return false
+	for f.state.Load() == futPending {
+		if !f.park(stop) {
+			return false
+		}
 	}
+	return true
 }
 
 // Done reports whether the call has completed and the result awaits
 // collection.
-func (f *Future) Done() bool { return f.state.Load() == futDone }
+func (f *Future) Done() bool { return f.state.Load() == futReady }
 
 // Err blocks until the call completes and returns its error without
 // collecting the result: Wait afterwards still returns the results (and
 // recycles the future). On a future that was already collected it
 // returns ErrFutureSpent.
 func (f *Future) Err() error {
-	for {
-		switch f.state.Load() {
-		case futDone:
-			return f.err
-		case futPending:
-			<-f.ch
-			// Re-arm the token so a subsequent Wait can collect.
-			select {
-			case f.ch <- struct{}{}:
-			default:
-			}
-		default:
-			return ErrFutureSpent
-		}
+	f.await(nil)
+	if f.state.Load() != futReady {
+		return ErrFutureSpent
 	}
+	return f.err
 }
 
 // Wait blocks until the call completes, returns its results, and
@@ -193,50 +228,21 @@ func (f *Future) WaitContext(ctx context.Context) ([]byte, error) {
 	}
 	for {
 		switch f.state.Load() {
-		case futDone:
-			if f.state.CompareAndSwap(futDone, futCollected) {
-				// Consume the completion token: its send is complete's
-				// final act, so this receive proves the completer is
-				// done with the record and recycling is safe.
-				<-f.ch
+		case futReady:
+			if f.state.CompareAndSwap(futReady, futCollected) {
 				out, err := f.out, f.err
-				// Rouse any concurrent (misused) second waiter so it
-				// observes the collected state instead of parking forever.
-				select {
-				case f.ch <- struct{}{}:
-				default:
-				}
 				f.release()
 				return out, err
 			}
 		case futPending:
-			select {
-			case <-f.ch:
-				// Token in hand: the completer has fully finished and
-				// the state is futDone. Claim without re-receiving.
-				if f.state.CompareAndSwap(futDone, futCollected) {
-					out, err := f.out, f.err
-					select {
-					case f.ch <- struct{}{}:
-					default:
-					}
-					f.release()
-					return out, err
-				}
-				// Lost the claim to a concurrent (misused) waiter that
-				// may be blocked on the token we just took — hand it on.
-				select {
-				case f.ch <- struct{}{}:
-				default:
-				}
-			case <-done:
-				if f.state.CompareAndSwap(futPending, futAbandoned) {
-					close(f.abandon)
-					f.noteAbandon(ctx.Err())
-					return nil, timeoutError(ctx.Err())
-				}
+			if !f.park(done) && f.state.CompareAndSwap(futPending, futAbandoned) {
+				close(f.abandon)
+				f.noteAbandon(ctx.Err())
+				return nil, timeoutError(ctx.Err())
 			}
 		default:
+			// Collected, or a concurrent (misused) second waiter holds
+			// it parked.
 			return nil, ErrFutureSpent
 		}
 	}
@@ -323,10 +329,13 @@ func (b *Binding) runAsync(proc int, args []byte, f *Future, opts CallOpts) {
 
 // batchBackend is one transport's submission plane. stage records (and,
 // for transports with real doorbells, posts) one entry without ringing;
-// flush makes everything staged visible with a single doorbell.
+// flush makes everything staged visible with a single doorbell. pending
+// is the batch's own entry list from the first entry not yet flushed;
+// only the in-process backend, which stages nothing, reads it (in
+// place, keeping no copy) — the others flush what stage already posted.
 type batchBackend interface {
 	stage(e *batchEnt) error
-	flush() error
+	flush(pending []batchEnt) error
 }
 
 // batchEnt is one staged submission and, after Batch.Wait, its outcome.
@@ -354,6 +363,7 @@ type batchEnt struct {
 type Batch struct {
 	be    batchBackend
 	ents  []batchEnt
+	sent  int            // ents[:sent] have been flushed
 	stats *atomic.Uint64 // per-client batch counter, may be nil
 }
 
@@ -368,15 +378,13 @@ func (b *Binding) NewBatch() *Batch {
 // future completes.
 func (bt *Batch) Call(proc int, args []byte) (*Future, error) {
 	f := newFuture()
-	e := batchEnt{proc: proc, args: args, fut: f}
-	if err := bt.be.stage(&e); err != nil {
+	if err := bt.add(batchEnt{proc: proc, args: args, fut: f}); err != nil {
 		// complete+Wait rather than bare release: the stage may have
 		// partially published the future before failing.
 		f.complete(nil, err)
 		f.Wait()
 		return nil, err
 	}
-	bt.ents = append(bt.ents, e)
 	return f, nil
 }
 
@@ -384,11 +392,18 @@ func (bt *Batch) Call(proc int, args []byte) (*Future, error) {
 // Execution errors are dropped and counted by the serving side — the
 // at-most-once contract of DESIGN §5.13.
 func (bt *Batch) OneWay(proc int, args []byte) error {
-	e := batchEnt{proc: proc, args: args, oneWay: true}
-	if err := bt.be.stage(&e); err != nil {
+	return bt.add(batchEnt{proc: proc, args: args, oneWay: true})
+}
+
+// add appends e to the entry list and stages it where it lies; an entry
+// the backend refuses is truncated off again.
+func (bt *Batch) add(e batchEnt) error {
+	bt.ents = append(bt.ents, e)
+	n := len(bt.ents) - 1
+	if err := bt.be.stage(&bt.ents[n]); err != nil {
+		bt.ents = bt.ents[:n]
 		return err
 	}
-	bt.ents = append(bt.ents, e)
 	return nil
 }
 
@@ -399,7 +414,9 @@ func (bt *Batch) Flush() error {
 	if bt.stats != nil {
 		bt.stats.Add(1)
 	}
-	return bt.be.flush()
+	pending := bt.ents[bt.sent:]
+	bt.sent = len(bt.ents)
+	return bt.be.flush(pending)
 }
 
 // Wait flushes, then collects every staged future in submission order —
@@ -429,7 +446,10 @@ func (bt *Batch) Wait() error {
 
 // Result returns entry i's outcome, valid after Wait. Entries number
 // every Call and OneWay in staging order; one-way entries report nil
-// results.
+// results. On the in-process plane the results of one flush share one
+// allocation, so keeping any one of them keeps that flush's results
+// alive; each is capped at its own length, so appending to one never
+// reaches its neighbour.
 func (bt *Batch) Result(i int) ([]byte, error) {
 	e := &bt.ents[i]
 	return e.out, e.err
@@ -438,11 +458,15 @@ func (bt *Batch) Result(i int) ([]byte, error) {
 // Len returns the number of staged entries.
 func (bt *Batch) Len() int { return len(bt.ents) }
 
-// Reset forgets the batch's entries (capacity is retained). Futures not
-// collected by Wait remain valid — Reset drops the batch's references,
-// not the callers'.
+// Reset forgets the batch's entries (capacity is retained). Entries
+// staged since the last flush are flushed first, so every future the
+// batch handed out still completes: futures not collected by Wait
+// remain valid — Reset drops the batch's references, not the callers'.
 func (bt *Batch) Reset() {
-	bt.ents = bt.ents[:0]
+	if bt.sent < len(bt.ents) {
+		bt.Flush()
+	}
+	bt.ents, bt.sent = bt.ents[:0], 0
 }
 
 // errBackend is the backend of a Batch built over an unavailable
@@ -450,17 +474,23 @@ func (bt *Batch) Reset() {
 // the transport's sentinel.
 type errBackend struct{ err error }
 
-func (e errBackend) stage(*batchEnt) error { return e.err }
-func (e errBackend) flush() error          { return e.err }
+func (e errBackend) stage(*batchEnt) error  { return e.err }
+func (e errBackend) flush([]batchEnt) error { return e.err }
 
 // inprocBatch is the in-process backend: staging is pure bookkeeping
 // and Flush is the single dispatch pass on the caller's thread — the
 // domain transfer of §3.2 repeated N times without returning to the
-// submitter between calls.
+// submitter between calls. It reads the batch's entries in place.
 type inprocBatch struct {
-	b    *Binding
-	ents []batchEnt // staged copies, dispatched and cleared per flush
+	b *Binding
+	// mean is the last flush's mean result length, which sizes the next
+	// flush's result arena.
+	mean int
 }
+
+// arenaMax caps one flush's result arena; results past it allocate
+// their own.
+const arenaMax = 64 << 10
 
 func (ib *inprocBatch) stage(e *batchEnt) error {
 	// Validate eagerly so a bad submission fails at stage time, matching
@@ -469,16 +499,33 @@ func (ib *inprocBatch) stage(e *batchEnt) error {
 		ib.b.traceValidateFail(e.proc, err)
 		return err
 	}
-	ib.ents = append(ib.ents, *e)
 	return nil
 }
 
-func (ib *inprocBatch) flush() error {
-	ents := ib.ents
-	ib.ents = ib.ents[:0]
-	for i := range ents {
-		e := &ents[i]
-		out, err := ib.b.callAppend(e.proc, e.args, nil, PriorityNormal)
+// flush dispatches pending in order. Every result is appended into a
+// fresh arena, one allocation for the whole flush, and capped at its own
+// length; a result that does not fit in what is left of the arena gets
+// its own allocation from append. The arena is never reused: each
+// result belongs to its caller, exactly as a separately allocated one
+// would.
+func (ib *inprocBatch) flush(pending []batchEnt) error {
+	var arena []byte
+	if ib.mean > 0 && ib.mean <= arenaMax {
+		arena = make([]byte, 0, min(len(pending)*ib.mean, arenaMax))
+	}
+	total := 0
+	for i := range pending {
+		e := &pending[i]
+		out, err := ib.b.callAppend(e.proc, e.args, arena[len(arena):], PriorityNormal)
+		n := len(out)
+		total += n
+		switch {
+		case n == 0:
+			out = nil
+		case n <= cap(arena)-len(arena):
+			arena = arena[:len(arena)+n]
+			out = out[:n:n]
+		}
 		if e.oneWay {
 			if err != nil {
 				ib.b.dropOneWayError(e.proc, err)
@@ -486,6 +533,9 @@ func (ib *inprocBatch) flush() error {
 			continue
 		}
 		e.fut.complete(out, err)
+	}
+	if len(pending) > 0 {
+		ib.mean = (total + len(pending) - 1) / len(pending)
 	}
 	return nil
 }

@@ -181,7 +181,7 @@ func (nb *netBatch) stage(e *batchEnt) error {
 	select {
 	case c.sem <- struct{}{}:
 	default:
-		if err := nb.flush(); err != nil {
+		if err := nb.flush(nil); err != nil {
 			return c.asyncObserve(probe, err)
 		}
 		select {
@@ -199,7 +199,7 @@ func (nb *netBatch) stage(e *batchEnt) error {
 	return nil
 }
 
-func (nb *netBatch) flush() error {
+func (nb *netBatch) flush(_ []batchEnt) error {
 	if len(nb.buf) == 0 {
 		return nil
 	}

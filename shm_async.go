@@ -234,7 +234,7 @@ func (sb *shmBatch) stage(e *batchEnt) error {
 	return nil
 }
 
-func (sb *shmBatch) flush() error {
+func (sb *shmBatch) flush([]batchEnt) error {
 	sb.flushStaged()
 	return nil
 }

@@ -170,6 +170,25 @@ var structureCaps = []structureCap{
 		return ok && id.Name == "netReply"
 	}},
 
+	// oneasync (DESIGN §5.13): a Future's completion token is sent by
+	// complete alone, to a parked waiter, and the in-process batch reads
+	// the Batch's one entry list instead of keeping a second one.
+	{why: "a Future token sent outside complete", max: 1, in: "complete", match: func(n ast.Node) bool {
+		s, ok := n.(*ast.SendStmt)
+		return ok && strings.HasSuffix(types.ExprString(s.Chan), ".ch") && types.ExprString(s.Value) == "struct{}{}"
+	}},
+	{why: "a second batch entry list in inprocBatch", match: func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != "inprocBatch" {
+			return false
+		}
+		st, ok := ts.Type.(*ast.StructType)
+		return ok && slices.ContainsFunc(st.Fields.List, func(f *ast.Field) bool {
+			at, ok := f.Type.(*ast.ArrayType)
+			return ok && at.Len == nil
+		})
+	}},
+
 	// oneslot: every shm call kind drives one slot lifecycle. A slot is
 	// taken in one place (acquire: the inflight reference and its two
 	// free-list receives), a request header written in one, a reply read
