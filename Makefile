@@ -4,16 +4,17 @@
 
 GO ?= go
 
-.PHONY: ci fmtcheck vet build crossbuild test race stress onecore onecaller onewire oneslot oneasync shmtest haftest brokertest chaintest bench benchjson benchjson5 benchjson6 benchjson7 benchjson8 benchjson9 benchjson10 benchcheck fuzz staticcheck vulncheck
+.PHONY: ci fmtcheck vet build crossbuild test race stress onecore onecaller onewire oneslot oneasync shmtest haftest brokertest chaintest bench benchjson6 benchjson9 benchjson10 benchcheck fuzz staticcheck vulncheck
 
 # Formatting, vet, static analysis, build, tests (plain and -race), then
-# the perf gates: the whole merge bar in one command. The gates check the
-# committed BENCH_pr4.json against the baseline and the committed
-# BENCH_pr5.json against the shm-speedup floor (both deterministic);
-# regenerate the artifacts with `make benchjson benchjson5` (or the full
-# `make bench`) when the call path changes. The recipe line repeats the
-# test in which the broker's release-after-reply ordering used to show
-# as a flake in plain `go test`, so it cannot come back silently.
+# the artifact gates: the whole merge bar in one command. The gates read
+# the committed failover, broker and chain artifacts (deterministic);
+# regenerate one with its `make benchjsonN` target when its rig's code
+# changes. The per-call numbers are `go run ./bench`'s, held to a run of
+# the parent commit with `go run ./bench -compare`, not to a committed
+# file. The recipe line repeats the test in which the broker's
+# release-after-reply ordering used to show as a flake in plain
+# `go test`, so it cannot come back silently.
 ci: fmtcheck vet staticcheck vulncheck build crossbuild test race onecore onecaller onewire oneslot oneasync shmtest haftest brokertest chaintest benchcheck
 	$(GO) test -count=3 -run 'TestBrokerAdmitAndCall' .
 
@@ -156,42 +157,20 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseChain$$' -fuzztime $(FUZZTIME) .
 
 # Full benchmark sweep with allocation counts (the wall-clock Null path
-# must report 0 allocs/op), then the multiprocessor throughput rig into a
-# fresh BENCH_pr4.json, checked against the recorded baseline.
+# must report 0 allocs/op), then the artifact gates. The per-call
+# latencies, batching and bulk bandwidth of every plane are
+# `go run ./bench`'s workloads (EXPERIMENTS.md, "One bench for the
+# per-call numbers").
 bench:
 	$(GO) test -bench 'BenchmarkWallClock' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkTable4|BenchmarkTable5' -run '^$$' .
-	$(MAKE) benchjson benchcheck
-
-# Regenerate the throughput artifact from a real run on this machine.
-# Artifacts carry a calibration anchor (calib_ns_per_op) and benchcheck
-# compares Null/calib ratios, which cancels host-speed drift between
-# recording moments; for trustworthy numbers on shared hardware, record
-# the baseline and the current artifact back-to-back in the same session.
-benchjson:
-	$(GO) run ./cmd/lrpcbench -procs 4 -dur 500ms -json throughput > BENCH_pr4.json
-
-# Regenerate the cross-transport artifact: Null/Add/BigIn through
-# in-process, shared-memory (separate OS processes), and TCP loopback.
-benchjson5:
-	$(GO) run ./cmd/lrpcbench -json shm > BENCH_pr5.json
+	$(MAKE) benchcheck
 
 # Regenerate the failover-convergence artifact: a live three-replica
 # registry with two servers, timing server-crash failover and
 # leader-kill write convergence, with the at-most-once ledger recorded.
 benchjson6:
 	$(GO) run ./cmd/lrpcbench -json failover > BENCH_pr6.json
-
-# Regenerate the batched-submission artifact: amortized Null latency at
-# batch sizes 1/8/64 across in-process, shared-memory, and TCP loopback.
-benchjson7:
-	$(GO) run ./cmd/lrpcbench -json batch > BENCH_pr7.json
-
-# Regenerate the bulk-bandwidth artifact: CallBulk payloads of 4 KiB to
-# 64 MiB through in-process, shared-memory, and TCP loopback, recording
-# bytes/sec per size.
-benchjson8:
-	$(GO) run ./cmd/lrpcbench -json bulk > BENCH_pr8.json
 
 # Regenerate the broker-isolation artifact: victim-tenant p99 latency
 # unloaded vs. under an aggressor flood the broker sheds, plus the
@@ -205,21 +184,14 @@ benchjson9:
 benchjson10:
 	$(GO) run ./cmd/lrpcbench -json chain > BENCH_pr10.json
 
-# Fail if the Null latency regressed >10% against the recorded baseline,
-# if the recorded shm-vs-TCP Null speedup is under its 5x floor, if the
-# failover artifact records a double execution or an off-scale
-# convergence time, if batch-64 shm submission amortizes to less than
-# 3x the per-call latency, or if shm bulk bandwidth falls below TCP's
-# at any payload of 1 MiB and above, or if the broker artifact records
-# a double execution, a victim p99 flood/unloaded ratio over 3x, or a
-# restart the victim never reattached from, or if the depth-4
-# server-side chain fails to beat the same pipeline issued as
-# sequential calls by 2x on shm or TCP.
+# Fail if the failover artifact records a double execution or an
+# off-scale convergence time, if the broker artifact records a double
+# execution, a victim p99 flood/unloaded ratio over 3x, or a restart the
+# victim never reattached from, or if the depth-4 server-side chain
+# fails to beat the same pipeline issued as sequential calls by 2x on
+# shm or TCP. One line per committed BENCH_*.json:
+# cmd/benchcheck's TestNoOrphanArtifacts holds the two lists equal.
 benchcheck:
-	$(GO) run ./cmd/benchcheck BENCH_baseline.json BENCH_pr4.json
-	$(GO) run ./cmd/benchcheck BENCH_pr5.json
 	$(GO) run ./cmd/benchcheck BENCH_pr6.json
-	$(GO) run ./cmd/benchcheck BENCH_pr7.json
-	$(GO) run ./cmd/benchcheck -min-bulk-bandwidth 1 BENCH_pr8.json
 	$(GO) run ./cmd/benchcheck BENCH_pr9.json
 	$(GO) run ./cmd/benchcheck -min-chain-speedup 2 BENCH_pr10.json

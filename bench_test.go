@@ -379,12 +379,11 @@ func BenchmarkWallClockLRPC(b *testing.B) {
 	}
 }
 
-// BenchmarkWallClockScaling is the Figure 2 analog on the real runtime:
-// aggregate Null throughput at GOMAXPROCS 1..4 through the lock-free
-// transfer path versus the message baseline under its global transfer
-// lock. The paper-comparable number is the "calls/s" metric; on a
-// multi-core host the LRPC curve rises with the processor count while the
-// global-lock curve stays flat.
+// BenchmarkWallClockScaling is the LRPC side of the Figure 2 analog on
+// the real runtime: aggregate Null throughput at GOMAXPROCS 1..4 through
+// the lock-free transfer path. The paper-comparable number is the
+// "calls/s" metric; on a multi-core host it rises with the processor
+// count. The global-lock side is the simulator's (lrpcbench figure2).
 func BenchmarkWallClockScaling(b *testing.B) {
 	maxProcs := 4
 	if n := runtime.NumCPU(); n < maxProcs {
@@ -406,25 +405,6 @@ func BenchmarkWallClockScaling(b *testing.B) {
 			})
 			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "calls/s")
 		})
-		b.Run(fmt.Sprintf("GlobalLock/procs-%d", procs), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			sys, _ := wallSystem(b)
-			mb, err := sys.ImportMessage("Bench", lrpc.MessageConfig{Workers: procs, GlobalLock: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer mb.Close()
-			b.ResetTimer()
-			start := time.Now()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := mb.Call(0, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "calls/s")
-		})
 	}
 }
 
@@ -433,47 +413,37 @@ func BenchmarkWallClockScaling(b *testing.B) {
 // complement. The gap to BenchmarkWallClockLRPC is the wall-clock analog
 // of the paper's factor of three.
 func BenchmarkWallClockMsgRPC(b *testing.B) {
-	configs := []struct {
-		name string
-		cfg  lrpc.MessageConfig
-	}{
-		{"FullCopy", lrpc.MessageConfig{Workers: runtime.GOMAXPROCS(0)}},
-		{"Restricted", lrpc.MessageConfig{Workers: runtime.GOMAXPROCS(0), Restricted: true}},
-		{"GlobalLock", lrpc.MessageConfig{Workers: runtime.GOMAXPROCS(0), GlobalLock: true}},
-	}
-	for _, c := range configs {
-		c := c
-		b.Run(c.name+"/Null", func(b *testing.B) {
-			sys, _ := wallSystem(b)
-			mb, err := sys.ImportMessage("Bench", c.cfg)
-			if err != nil {
+	cfg := lrpc.MessageConfig{Workers: runtime.GOMAXPROCS(0)}
+	b.Run("FullCopy/Null", func(b *testing.B) {
+		sys, _ := wallSystem(b)
+		mb, err := sys.ImportMessage("Bench", cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer mb.Close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := mb.Call(0, nil); err != nil {
 				b.Fatal(err)
 			}
-			defer mb.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+		}
+	})
+	b.Run("FullCopy/Null-parallel", func(b *testing.B) {
+		sys, _ := wallSystem(b)
+		mb, err := sys.ImportMessage("Bench", cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer mb.Close()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
 				if _, err := mb.Call(0, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(c.name+"/Null-parallel", func(b *testing.B) {
-			sys, _ := wallSystem(b)
-			mb, err := sys.ImportMessage("Bench", c.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer mb.Close()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := mb.Call(0, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+	})
 }
 
 // BenchmarkWallClockNetwork measures the real TCP cross-machine path over

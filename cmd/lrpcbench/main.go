@@ -1,20 +1,22 @@
 // Command lrpcbench regenerates every table and figure of the paper's
-// evaluation on the simulated Firefly, plus the wall-clock throughput
-// rig on the real Go runtime. With no arguments it runs every simulated
-// experiment; otherwise pass any of: table1 figure1 table2 table3 table4
-// table5 figure2 ablations mix workday structure faults throughput
-// failover batch bulk chain broker tcpload.
+// evaluation on the simulated Firefly, plus four wall-clock rigs on the
+// real Go runtime for the shapes `go run ./bench` does not drive. With
+// no arguments it runs every simulated experiment; otherwise pass any
+// of: table1 figure1 table2 table3 table4 table5 figure2 ablations mix
+// workday structure faults (simulated), failover chain broker tcpload
+// (wall clock).
 //
 //	lrpcbench                 # all simulated experiments
 //	lrpcbench table4 table5   # just Table 4 and Table 5
 //	lrpcbench -cpus 5 -machine microvax figure2
-//	lrpcbench -procs 4 -dur 500ms -json throughput > BENCH_pr2.json
-//	lrpcbench -json shm > BENCH_pr5.json
 //	lrpcbench -json failover > BENCH_pr6.json
-//	lrpcbench -json batch > BENCH_pr7.json
-//	lrpcbench -json bulk > BENCH_pr8.json
+//	lrpcbench -json broker > BENCH_pr9.json
 //	lrpcbench -json chain > BENCH_pr10.json
 //	lrpcbench -dur 2s tcpload
+//
+// The per-call latencies of the in-process, shm and TCP planes, batched
+// submission and bulk bandwidth are `go run ./bench`'s workloads, not
+// rigs here.
 //
 // The tcpload experiment drives the TCP server loop with the traffic a
 // single closed-loop caller never produces — callers multiplexed on one
@@ -23,24 +25,13 @@
 // each shape's call rate and latency percentiles.
 //
 // The chain experiment times the depth-4 dependent pipeline both ways
-// per transport — blocking sequential calls and one server-side
-// CallChain submission — and records the speedup of the server-side
-// chain over the sequential calls, the artifact cmd/benchcheck's
-// -min-chain-speedup gate reads.
-//
-// The bulk experiment sweeps CallBulk payloads (4 KiB to 64 MiB)
-// through the same three transports and records bytes/sec per size —
-// the artifact cmd/benchcheck's -min-bulk-bandwidth gate reads.
-//
-// The batch experiment sweeps batched submission (amortized Null ns/op
-// at batch sizes 1/8/64) across the same three transports, reusing the
-// shm experiment's server child.
-//
-// The shm experiment measures the same three calls (Null, Add, BigIn)
-// through three transports — in-process, shared memory between two OS
-// processes, and TCP loopback between the same two processes — by
-// re-execing this binary as the server side. On platforms without the
-// shm plane the shm row is omitted and the speedup reads zero.
+// per transport — in-process, shared memory between two OS processes,
+// and TCP loopback between the same two processes, by re-execing this
+// binary as the server side — as blocking sequential calls and as one
+// server-side CallChain submission, and records the speedup of the
+// server-side chain over the sequential calls, the artifact
+// cmd/benchcheck's -min-chain-speedup gate reads. On platforms without
+// the shm plane the shm row is omitted and its speedup reads zero.
 package main
 
 import (
@@ -62,18 +53,26 @@ import (
 	"lrpc/internal/machine"
 )
 
-// Environment markers for the re-exec'd server side of the shm
-// experiment: the child serves the Transport interface over both the
-// shm socket named by lrpcbenchShmSock and a TCP loopback listener,
-// prints "READY <tcpaddr>", and exits when its stdin closes.
+// Environment markers for the re-exec'd server side of the chain
+// experiment: the child serves the chain interface over both the shm
+// socket named by lrpcbenchShmSock and a TCP loopback listener, prints
+// "READY <tcpaddr>", and exits when its stdin closes.
 const (
 	lrpcbenchShmChild = "LRPCBENCH_SHM_CHILD"
 	lrpcbenchShmSock  = "LRPCBENCH_SHM_SOCK"
 )
 
+// simulated are the experiments on the simulated Firefly, the default
+// run; wallClock are the rigs on the real runtime, run only by name.
+var (
+	simulated = []string{"table1", "figure1", "table2", "table3", "table4", "table5", "figure2",
+		"ablations", "mix", "workday", "structure", "faults"}
+	wallClock = []string{"failover", "chain", "broker", "tcpload"}
+)
+
 func main() {
 	if os.Getenv(lrpcbenchShmChild) == "1" {
-		runTransportServer()
+		runChainServer()
 		return
 	}
 	cpus := flag.Int("cpus", 4, "processor count for figure2")
@@ -82,15 +81,13 @@ func main() {
 	sizes := flag.Int("sizes", 500_000, "calls for the figure1 size distribution")
 	seed := flag.Int64("seed", 1, "workload seed")
 	machineName := flag.String("machine", "cvax", "machine for figure2: cvax or microvax")
-	procs := flag.Int("procs", 4, "max GOMAXPROCS for the wall-clock throughput rig")
-	dur := flag.Duration("dur", 500*time.Millisecond, "sample duration per throughput point")
-	asJSON := flag.Bool("json", false, "emit throughput results as JSON (for BENCH_*.json)")
+	dur := flag.Duration("dur", 500*time.Millisecond, "sample duration per tcpload shape")
+	asJSON := flag.Bool("json", false, "emit the "+strings.Join(wallClock, ", ")+" results as JSON artifacts instead of tables")
 	flag.Parse()
 
 	which := flag.Args()
 	if len(which) == 0 {
-		which = []string{"table1", "figure1", "table2", "table3", "table4", "table5", "figure2",
-			"ablations", "mix", "workday", "structure", "faults"}
+		which = simulated
 	}
 
 	cfg := machine.CVAXFirefly()
@@ -128,239 +125,49 @@ func main() {
 			fmt.Println(experiments.StructureTaxTable(experiments.StructureTax(10_000, *seed)).Render())
 		case "faults":
 			fmt.Println(experiments.FaultsTable(experiments.Faults(*calls, *seed)).Render())
-		case "throughput":
-			r := experiments.WallClockThroughput(*procs, *dur)
-			if *asJSON {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(r); err != nil {
-					fmt.Fprintf(os.Stderr, "lrpcbench: %v\n", err)
-					os.Exit(1)
-				}
-			} else {
-				fmt.Println(experiments.ThroughputTable(r).Render())
-			}
-		case "shm":
-			r, err := runTransportBench()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lrpcbench: shm: %v\n", err)
-				os.Exit(1)
-			}
-			if *asJSON {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(r); err != nil {
-					fmt.Fprintf(os.Stderr, "lrpcbench: %v\n", err)
-					os.Exit(1)
-				}
-			} else {
-				fmt.Println(experiments.TransportsTable(r).Render())
-			}
-		case "batch":
-			r, err := runBatchBench()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lrpcbench: batch: %v\n", err)
-				os.Exit(1)
-			}
-			if *asJSON {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(r); err != nil {
-					fmt.Fprintf(os.Stderr, "lrpcbench: %v\n", err)
-					os.Exit(1)
-				}
-			} else {
-				fmt.Println(experiments.BatchTable(r).Render())
-			}
 		case "chain":
 			r, err := runChainBench()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lrpcbench: chain: %v\n", err)
-				os.Exit(1)
-			}
-			if *asJSON {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(r); err != nil {
-					fmt.Fprintf(os.Stderr, "lrpcbench: %v\n", err)
-					os.Exit(1)
-				}
-			} else {
-				fmt.Println(experiments.ChainTable(r).Render())
-			}
-		case "bulk":
-			r, err := runBulkBench()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lrpcbench: bulk: %v\n", err)
-				os.Exit(1)
-			}
-			if *asJSON {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(r); err != nil {
-					fmt.Fprintf(os.Stderr, "lrpcbench: %v\n", err)
-					os.Exit(1)
-				}
-			} else {
-				fmt.Println(experiments.BulkTable(r).Render())
-			}
+			emit(w, *asJSON, r, err, experiments.ChainTable)
 		case "failover":
 			r, err := experiments.Failover(*seed)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lrpcbench: failover: %v\n", err)
-				os.Exit(1)
-			}
-			if *asJSON {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(r); err != nil {
-					fmt.Fprintf(os.Stderr, "lrpcbench: %v\n", err)
-					os.Exit(1)
-				}
-			} else {
-				fmt.Println(experiments.FailoverTable(r).Render())
-			}
+			emit(w, *asJSON, r, err, experiments.FailoverTable)
 		case "tcpload":
 			r, err := experiments.TCPLoad(*dur)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lrpcbench: tcpload: %v\n", err)
-				os.Exit(1)
-			}
-			if *asJSON {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(r); err != nil {
-					fmt.Fprintf(os.Stderr, "lrpcbench: %v\n", err)
-					os.Exit(1)
-				}
-			} else {
-				fmt.Println(experiments.TCPLoadTable(r).Render())
-			}
+			emit(w, *asJSON, r, err, experiments.TCPLoadTable)
 		case "broker":
 			r, err := experiments.BrokerIsolation(*seed)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lrpcbench: broker: %v\n", err)
-				os.Exit(1)
-			}
-			if *asJSON {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(r); err != nil {
-					fmt.Fprintf(os.Stderr, "lrpcbench: %v\n", err)
-					os.Exit(1)
-				}
-			} else {
-				fmt.Println(experiments.BrokerTable(r).Render())
-			}
+			emit(w, *asJSON, r, err, experiments.BrokerTable)
 		default:
-			fmt.Fprintf(os.Stderr, "lrpcbench: unknown experiment %q\n", w)
+			fmt.Fprintf(os.Stderr, "lrpcbench: unknown experiment %q; valid: %s %s\n",
+				w, strings.Join(simulated, " "), strings.Join(wallClock, " "))
 			os.Exit(2)
 		}
 	}
 }
 
-// runBatchBench is the parent role of the batch experiment: the same
-// three transports as runTransportBench (re-execing this binary as the
-// serving process for shm and TCP), swept over batch sizes. The shm
-// session dials with a slot count covering the deepest batch so staging
-// never blocks on the pairwise allocation inside the measurement loop.
-func runBatchBench() (experiments.BatchResult, error) {
-	var points []experiments.BatchPoint
-	measure := func(name string, c experiments.AsyncClient) error {
-		ps, err := experiments.MeasureBatch(name, c)
-		if err != nil {
-			return err
-		}
-		points = append(points, ps...)
-		return nil
-	}
-
-	// In-process reference: one dispatch pass per flush, no boundary.
-	sys := lrpc.NewSystem()
-	if _, err := sys.Export(experiments.TransportInterface()); err != nil {
-		return experiments.BatchResult{}, err
-	}
-	b, err := sys.Import("Transport")
+// emit prints one wall-clock rig's result: the indented JSON artifact
+// with -json, the rendered table otherwise. A rig error exits 1.
+func emit[R any](name string, asJSON bool, r R, err error, table func(R) *experiments.Table) {
 	if err != nil {
-		return experiments.BatchResult{}, err
+		fmt.Fprintf(os.Stderr, "lrpcbench: %s: %v\n", name, err)
+		os.Exit(1)
 	}
-	if err := measure("inproc", b); err != nil {
-		return experiments.BatchResult{}, err
+	if !asJSON {
+		fmt.Println(table(r).Render())
+		return
 	}
-
-	// Server process: a real protection domain on the other side.
-	exe, err := os.Executable()
-	if err != nil {
-		return experiments.BatchResult{}, err
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(r); err != nil {
+		fmt.Fprintf(os.Stderr, "lrpcbench: %v\n", err)
+		os.Exit(1)
 	}
-	dir, err := os.MkdirTemp("", "lrpcbench-batch-")
-	if err != nil {
-		return experiments.BatchResult{}, err
-	}
-	defer os.RemoveAll(dir)
-	sock := filepath.Join(dir, "bench.sock")
-
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), lrpcbenchShmChild+"=1", lrpcbenchShmSock+"="+sock)
-	cmd.Stderr = os.Stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return experiments.BatchResult{}, err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return experiments.BatchResult{}, err
-	}
-	if err := cmd.Start(); err != nil {
-		return experiments.BatchResult{}, err
-	}
-	defer func() {
-		stdin.Close()
-		cmd.Wait()
-	}()
-	line, err := bufio.NewReader(stdout).ReadString('\n')
-	if err != nil {
-		return experiments.BatchResult{}, fmt.Errorf("server handshake: %w", err)
-	}
-	tcpAddr := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), "READY"))
-	if tcpAddr == "" {
-		return experiments.BatchResult{}, fmt.Errorf("server handshake: %q", line)
-	}
-
-	maxBatch := experiments.BatchSizes[len(experiments.BatchSizes)-1]
-	if c, err := lrpc.DialShmOpts(sock, "Transport", lrpc.ShmDialOptions{
-		Slots: maxBatch, Spin: 8192,
-	}); err != nil {
-		if !errors.Is(err, lrpc.ErrShmUnsupported) {
-			return experiments.BatchResult{}, fmt.Errorf("dial shm: %w", err)
-		}
-		fmt.Fprintln(os.Stderr, "lrpcbench: shm transport unsupported on this platform; omitting row")
-	} else {
-		err := measure("shm", c)
-		c.Close()
-		if err != nil {
-			return experiments.BatchResult{}, err
-		}
-	}
-
-	nc, err := lrpc.DialInterface("tcp", tcpAddr, "Transport")
-	if err != nil {
-		return experiments.BatchResult{}, fmt.Errorf("dial tcp: %w", err)
-	}
-	err = measure("tcp", nc)
-	nc.Close()
-	if err != nil {
-		return experiments.BatchResult{}, err
-	}
-
-	return experiments.FinishBatchResult(points), nil
 }
 
-// runChainBench is the parent role of the chain experiment: the same
-// three transports as runBatchBench (re-execing this binary as the
-// serving process for shm and TCP), each timing the depth-4 dependent
-// pipeline both ways — sequential calls and one server-side CallChain
-// submission.
+// runChainBench is the parent role of the chain experiment: measure
+// in-process, then spawn the server process and measure shm and TCP
+// against it, each timing the depth-4 dependent pipeline both ways —
+// sequential calls and one server-side CallChain submission.
 func runChainBench() (experiments.ChainResult, error) {
 	var points []experiments.ChainPoint
 	measure := func(name string, c experiments.ChainClient) error {
@@ -374,10 +181,10 @@ func runChainBench() (experiments.ChainResult, error) {
 
 	// In-process reference: the chain executor with no boundary at all.
 	sys := lrpc.NewSystem()
-	if _, err := sys.Export(experiments.TransportInterface()); err != nil {
+	if _, err := sys.Export(experiments.ChainInterface()); err != nil {
 		return experiments.ChainResult{}, err
 	}
-	b, err := sys.Import("Transport")
+	b, err := sys.Import(experiments.ChainInterfaceName)
 	if err != nil {
 		return experiments.ChainResult{}, err
 	}
@@ -424,7 +231,7 @@ func runChainBench() (experiments.ChainResult, error) {
 		return experiments.ChainResult{}, fmt.Errorf("server handshake: %q", line)
 	}
 
-	if c, err := lrpc.DialShmOpts(sock, "Transport", lrpc.ShmDialOptions{Spin: 8192}); err != nil {
+	if c, err := lrpc.DialShmOpts(sock, experiments.ChainInterfaceName, lrpc.ShmDialOptions{Spin: 8192}); err != nil {
 		if !errors.Is(err, lrpc.ErrShmUnsupported) {
 			return experiments.ChainResult{}, fmt.Errorf("dial shm: %w", err)
 		}
@@ -437,7 +244,7 @@ func runChainBench() (experiments.ChainResult, error) {
 		}
 	}
 
-	nc, err := lrpc.DialInterface("tcp", tcpAddr, "Transport")
+	nc, err := lrpc.DialInterface("tcp", tcpAddr, experiments.ChainInterfaceName)
 	if err != nil {
 		return experiments.ChainResult{}, fmt.Errorf("dial tcp: %w", err)
 	}
@@ -450,114 +257,12 @@ func runChainBench() (experiments.ChainResult, error) {
 	return experiments.FinishChainResult(points), nil
 }
 
-// runBulkBench is the parent role of the bulk experiment: the payload
-// sweep of internal/experiments/bulk.go through the same three
-// transports, re-execing this binary as the serving process for shm and
-// TCP. The shm session dials with a bulk region comfortably above the
-// largest payload so the sweep measures bandwidth, not allocator
-// contention at the region boundary.
-func runBulkBench() (experiments.BulkResult, error) {
-	var transports []experiments.BulkTransport
-	measure := func(name string, c experiments.BulkCaller) error {
-		t, err := experiments.MeasureBulk(name, c)
-		if err != nil {
-			return err
-		}
-		transports = append(transports, t)
-		return nil
-	}
-
-	// In-process reference: the by-reference path, no boundary at all.
+// runChainServer is the child role of the chain experiment: one process
+// exporting the chain interface over both same-machine planes, so the
+// parent can time an identical pipeline through each.
+func runChainServer() {
 	sys := lrpc.NewSystem()
-	if _, err := sys.Export(experiments.BulkInterface()); err != nil {
-		return experiments.BulkResult{}, err
-	}
-	b, err := sys.Import(experiments.BulkInterfaceName)
-	if err != nil {
-		return experiments.BulkResult{}, err
-	}
-	if err := measure("inproc", b); err != nil {
-		return experiments.BulkResult{}, err
-	}
-
-	// Server process: a real protection domain on the other side.
-	exe, err := os.Executable()
-	if err != nil {
-		return experiments.BulkResult{}, err
-	}
-	dir, err := os.MkdirTemp("", "lrpcbench-bulk-")
-	if err != nil {
-		return experiments.BulkResult{}, err
-	}
-	defer os.RemoveAll(dir)
-	sock := filepath.Join(dir, "bench.sock")
-
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), lrpcbenchShmChild+"=1", lrpcbenchShmSock+"="+sock)
-	cmd.Stderr = os.Stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return experiments.BulkResult{}, err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return experiments.BulkResult{}, err
-	}
-	if err := cmd.Start(); err != nil {
-		return experiments.BulkResult{}, err
-	}
-	defer func() {
-		stdin.Close()
-		cmd.Wait()
-	}()
-	line, err := bufio.NewReader(stdout).ReadString('\n')
-	if err != nil {
-		return experiments.BulkResult{}, fmt.Errorf("server handshake: %w", err)
-	}
-	tcpAddr := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), "READY"))
-	if tcpAddr == "" {
-		return experiments.BulkResult{}, fmt.Errorf("server handshake: %q", line)
-	}
-
-	maxPayload := experiments.BulkSizes[len(experiments.BulkSizes)-1]
-	if c, err := lrpc.DialShmOpts(sock, experiments.BulkInterfaceName, lrpc.ShmDialOptions{
-		Spin: 8192, BulkBytes: int64(maxPayload) + (16 << 20),
-	}); err != nil {
-		if !errors.Is(err, lrpc.ErrShmUnsupported) {
-			return experiments.BulkResult{}, fmt.Errorf("dial shm: %w", err)
-		}
-		fmt.Fprintln(os.Stderr, "lrpcbench: shm transport unsupported on this platform; omitting row")
-	} else {
-		err := measure("shm", c)
-		c.Close()
-		if err != nil {
-			return experiments.BulkResult{}, err
-		}
-	}
-
-	nc, err := lrpc.DialInterface("tcp", tcpAddr, experiments.BulkInterfaceName)
-	if err != nil {
-		return experiments.BulkResult{}, fmt.Errorf("dial tcp: %w", err)
-	}
-	err = measure("tcp", nc)
-	nc.Close()
-	if err != nil {
-		return experiments.BulkResult{}, err
-	}
-
-	return experiments.FinishBulkResult(transports), nil
-}
-
-// runTransportServer is the child role of the shm experiment: one
-// process exporting the Transport interface over both same-machine
-// planes, so the parent can time an identical round trip through each.
-func runTransportServer() {
-	sys := lrpc.NewSystem()
-	if _, err := sys.Export(experiments.TransportInterface()); err != nil {
-		fmt.Fprintf(os.Stderr, "lrpcbench child: %v\n", err)
-		os.Exit(1)
-	}
-	if _, err := sys.Export(experiments.BulkInterface()); err != nil {
+	if _, err := sys.Export(experiments.ChainInterface()); err != nil {
 		fmt.Fprintf(os.Stderr, "lrpcbench child: %v\n", err)
 		os.Exit(1)
 	}
@@ -588,91 +293,4 @@ func runTransportServer() {
 	os.Stdout.Sync()
 	// Parent exit (or parent Close of our stdin pipe) ends the child.
 	io.Copy(io.Discard, os.Stdin)
-}
-
-// runTransportBench is the parent role: measure in-process, then spawn
-// the server process and measure shm and TCP against it.
-func runTransportBench() (experiments.TransportResult, error) {
-	var points []experiments.TransportPoint
-
-	// In-process reference: same export shape, no protection boundary.
-	sys := lrpc.NewSystem()
-	if _, err := sys.Export(experiments.TransportInterface()); err != nil {
-		return experiments.TransportResult{}, err
-	}
-	b, err := sys.Import("Transport")
-	if err != nil {
-		return experiments.TransportResult{}, err
-	}
-	p, err := experiments.MeasureTransport("inproc", b.Call)
-	if err != nil {
-		return experiments.TransportResult{}, err
-	}
-	points = append(points, p)
-
-	// Server process: a real protection domain on the other side.
-	exe, err := os.Executable()
-	if err != nil {
-		return experiments.TransportResult{}, err
-	}
-	dir, err := os.MkdirTemp("", "lrpcbench-shm-")
-	if err != nil {
-		return experiments.TransportResult{}, err
-	}
-	defer os.RemoveAll(dir)
-	sock := filepath.Join(dir, "bench.sock")
-
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), lrpcbenchShmChild+"=1", lrpcbenchShmSock+"="+sock)
-	cmd.Stderr = os.Stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return experiments.TransportResult{}, err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return experiments.TransportResult{}, err
-	}
-	if err := cmd.Start(); err != nil {
-		return experiments.TransportResult{}, err
-	}
-	defer func() {
-		stdin.Close()
-		cmd.Wait()
-	}()
-	line, err := bufio.NewReader(stdout).ReadString('\n')
-	if err != nil {
-		return experiments.TransportResult{}, fmt.Errorf("server handshake: %w", err)
-	}
-	tcpAddr := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), "READY"))
-	if tcpAddr == "" {
-		return experiments.TransportResult{}, fmt.Errorf("server handshake: %q", line)
-	}
-
-	if c, err := lrpc.DialShmOpts(sock, "Transport", lrpc.ShmDialOptions{Spin: 8192}); err != nil {
-		if !errors.Is(err, lrpc.ErrShmUnsupported) {
-			return experiments.TransportResult{}, fmt.Errorf("dial shm: %w", err)
-		}
-		fmt.Fprintln(os.Stderr, "lrpcbench: shm transport unsupported on this platform; omitting row")
-	} else {
-		p, err := experiments.MeasureTransport("shm", c.Call)
-		c.Close()
-		if err != nil {
-			return experiments.TransportResult{}, err
-		}
-		points = append(points, p)
-	}
-
-	nc, err := lrpc.DialInterface("tcp", tcpAddr, "Transport")
-	if err != nil {
-		return experiments.TransportResult{}, fmt.Errorf("dial tcp: %w", err)
-	}
-	p, err = experiments.MeasureTransport("tcp", nc.Call)
-	nc.Close()
-	if err != nil {
-		return experiments.TransportResult{}, err
-	}
-	points = append(points, p)
-
-	return experiments.FinishTransportResult(points), nil
 }

@@ -330,9 +330,7 @@ func TestMessageTransport(t *testing.T) {
 	}
 	for _, cfg := range []MessageConfig{
 		{},
-		{GlobalLock: true},
-		{Restricted: true},
-		{GlobalLock: true, Restricted: true, Workers: 2},
+		{Workers: 2},
 	} {
 		mb, err := sys.ImportMessage("Arith", cfg)
 		if err != nil {

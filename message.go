@@ -10,13 +10,6 @@ type MessageConfig struct {
 	// Workers is the number of concrete server goroutines (the paper's
 	// receiver threads); 0 selects 8.
 	Workers int
-	// GlobalLock serializes the transfer path under one lock, the SRC
-	// RPC structure whose throughput stops scaling with processors
-	// (Figure 2).
-	GlobalLock bool
-	// Restricted selects the DASH-style two-copy path (one intermediate
-	// buffer) instead of the conventional four-copy path.
-	Restricted bool
 }
 
 // MsgBinding is a client binding over the message-passing baseline: the
@@ -27,8 +20,6 @@ type MessageConfig struct {
 type MsgBinding struct {
 	exp  *Export
 	reqs chan *message
-	lock *sync.Mutex // global transfer lock, when configured
-	cfg  MessageConfig
 	once sync.Once
 }
 
@@ -52,10 +43,7 @@ func (s *System) ImportMessage(name string, cfg MessageConfig) (*MsgBinding, err
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
-	mb := &MsgBinding{exp: e, reqs: make(chan *message), cfg: cfg}
-	if cfg.GlobalLock {
-		mb.lock = &sync.Mutex{}
-	}
+	mb := &MsgBinding{exp: e, reqs: make(chan *message)}
 	for i := 0; i < cfg.Workers; i++ {
 		go mb.worker()
 	}
@@ -105,24 +93,17 @@ func (mb *MsgBinding) worker() {
 		}
 		c.release()
 
-		if mb.cfg.GlobalLock {
-			mb.lock.Lock()
-		}
-		// Kernel path back: one or two intermediate copies.
-		out := kernelCopies(res, mb.cfg.Restricted)
-		if mb.cfg.GlobalLock {
-			mb.lock.Unlock()
-		}
-		msg.buf = out
+		// Kernel path back: two intermediate copies.
+		msg.buf = kernelCopies(res)
 		msg.reply <- msg
 	}
 }
 
 // Call performs one message-based RPC: marshal into a message (copy A),
-// pass it through the kernel path (copies B,C — or D when restricted),
-// rendezvous with a concrete server thread, and copy the reply out
-// (copy F). Contrast with Binding.Call, which runs the procedure on the
-// calling goroutine with one copy each way.
+// pass it through the kernel path (copies B,C), rendezvous with a
+// concrete server thread, and copy the reply out (copy F). Contrast with
+// Binding.Call, which runs the procedure on the calling goroutine with
+// one copy each way.
 func (mb *MsgBinding) Call(proc int, args []byte) ([]byte, error) {
 	if mb.exp.terminated.Load() {
 		return nil, ErrRevoked
@@ -141,14 +122,8 @@ func (mb *MsgBinding) Call(proc int, args []byte) ([]byte, error) {
 	req := make([]byte, len(args))
 	copy(req, args)
 
-	if mb.cfg.GlobalLock {
-		mb.lock.Lock()
-	}
 	// Kernel path: intermediate copies toward the server.
-	msg.buf = kernelCopies(req, mb.cfg.Restricted)
-	if mb.cfg.GlobalLock {
-		mb.lock.Unlock()
-	}
+	msg.buf = kernelCopies(req)
 
 	// Scheduler rendezvous: enqueue and block for the reply.
 	mb.reqs <- msg
@@ -177,16 +152,10 @@ func (mb *MsgBinding) Close() {
 }
 
 // kernelCopies performs the intermediate buffer copies of the
-// conventional path: sender -> kernel -> receiver (two copies), or the
-// restricted single direct copy.
-func kernelCopies(buf []byte, restricted bool) []byte {
+// conventional path: sender -> kernel -> receiver (two copies).
+func kernelCopies(buf []byte) []byte {
 	if len(buf) == 0 {
 		return buf
-	}
-	if restricted {
-		out := make([]byte, len(buf)) // copy D
-		copy(out, buf)
-		return out
 	}
 	k := make([]byte, len(buf)) // copy B
 	copy(k, buf)
