@@ -110,15 +110,19 @@ oneasync:
 # graceful skip, not a failure.
 #
 # The second line repeats the reply-protocol tests (no lost wake with a
-# one-probe spin window, exact reply-hint counts, a client scribbling on
+# one-yield spin window, exact reply-hint counts, a client scribbling on
 # its no-hint words): they assert counts, not timings, so every
 # repetition must agree. The lost-wake test gets forty runs (about 20 s):
 # the store→load race it guards showed in 3 of 680 -race runs, a rate
-# five repetitions never catch.
+# five repetitions never catch. The last two lines run the one-CPU side
+# of the wait policy, where shm waits skip the load probe and go
+# straight to sched_yield, pinned with taskset where it exists (Linux).
 shmtest:
 	$(GO) test -race -count=1 -run 'TestShm' ./internal/faultinject/ .
 	$(GO) test -race -count=5 -run 'TestShmNoHintMark|TestShmReplyHintCounts|TestShmHostileNoHintWord' .
 	$(GO) test -race -count=40 -run 'TestShmNoLostWake' .
+	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -race -count=5 -run 'TestShmNoLostWake|TestShmReplyHintCounts|TestShmNoHintMark' .; fi
+	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -count=3 ./internal/shmring/; fi
 
 # The high-availability suite: replicated-registry fault schedules
 # (kill-leader, partition, rolling restart, lease expiry, the mesh

@@ -9,6 +9,13 @@
 // shared futex (FUTEX_WAIT/FUTEX_WAKE without the private flag) so a
 // waiter in one process can be woken by a producer in another.
 //
+// A wait runs in three phases. It first polls with plain atomic loads
+// (Probe), which cost no syscall and leave the Go scheduler alone; this
+// phase runs only where the process may use more than one CPU, since on
+// one CPU the peer cannot move until this side gives the processor up.
+// It then spins with Yield, handing the processor to the peer, and
+// finally parks on the futex.
+//
 // Layout of a ring over a region (offsets in bytes, all fields
 // little-endian, region must be 64-byte aligned):
 //
@@ -210,6 +217,52 @@ func (r *Ring) WakeAll() {
 	futexWake(r.seq, 1<<30)
 }
 
+// probeBudget is how long Probe polls before giving up, set once at
+// init: 3 µs where this process may run on more than one CPU, and 0 on
+// one CPU, where loads cannot see a peer that is not running. It is a
+// time, not a count of loads, so a build whose loads are slower (the
+// race detector instruments each one) probes about as long.
+var probeBudget = probeTime(runtime.NumCPU())
+
+func probeTime(ncpu int) time.Duration {
+	if ncpu > 1 {
+		return 3 * time.Microsecond
+	}
+	return 0
+}
+
+// probeStride is how many loads Probe makes between reads of the clock.
+const probeStride = 32
+
+// Probe polls ready with plain loads, for up to the probe budget, and
+// reports whether it turned true. It calls neither runtime.Gosched nor
+// the kernel: Gosched wakes a spinning thread whenever a P is idle
+// (runtime wakep), which on a two-process ping-pong costs more than the
+// wait it polls for. It is the first phase of every wait on the plane;
+// a false return leaves the caller to its yielding spin.
+func Probe(ready func() bool) bool {
+	if probeBudget <= 0 {
+		return false
+	}
+	start := time.Now()
+	for {
+		for i := 0; i < probeStride; i++ {
+			if ready() {
+				return true
+			}
+		}
+		if time.Since(start) >= probeBudget {
+			return false
+		}
+	}
+}
+
+// ready reports whether a Pop would find a value, claiming nothing.
+func (r *Ring) ready() bool {
+	pos := r.deq.Load()
+	return r.slots[pos&r.mask].seq.Load() > pos
+}
+
 // Yield surrenders the processor between spin probes — first to
 // other goroutines in this process (the producer may be a sibling
 // goroutine), then to other OS processes (the producer may be the peer
@@ -217,18 +270,22 @@ func (r *Ring) WakeAll() {
 // second yield is what turns the spin phase into a fast handoff: the
 // kernel's round-robin runs the peer immediately instead of this side
 // burning its quantum and falling back to a futex park, which costs a
-// full sleep/wake context switch per direction.
+// full sleep/wake context switch per direction. Each Yield is a
+// sched_yield syscall, so the spin phase follows the load phase
+// (Probe) rather than replacing it.
 func Yield() {
 	runtime.Gosched()
 	osYield()
 }
 
-// PopWait pops, spinning `spin` iterations and then parking on the
-// futex in quanta of `wait`, until a value arrives or stop() reports
-// the consumer should give up. The pop→load-seq→re-pop→wait ordering
-// closes the lost-wakeup window: a producer that pushed after our last
-// failed Pop necessarily bumped seq, so the futex wait returns
-// immediately instead of sleeping through the doorbell.
+// PopWait pops, probing with loads (Probe), spinning `spin` yielding
+// iterations and then parking on the futex in quanta of `wait`, until a
+// value arrives or stop() reports the consumer should give up. With
+// spin 0 it neither probes nor spins: it parks at once. The
+// pop→load-seq→re-pop→wait ordering closes the lost-wakeup window: a
+// producer that pushed after our last failed Pop necessarily bumped
+// seq, so the futex wait returns immediately instead of sleeping
+// through the doorbell.
 func (r *Ring) PopWait(spin int, wait time.Duration, stop func() bool) (uint64, bool) {
 	for {
 		if v, ok := r.Pop(); ok {
@@ -236,6 +293,9 @@ func (r *Ring) PopWait(spin int, wait time.Duration, stop func() bool) (uint64, 
 		}
 		if stop != nil && stop() {
 			return 0, false
+		}
+		if spin > 0 {
+			Probe(r.ready)
 		}
 		for i := 0; i < spin; i++ {
 			if v, ok := r.Pop(); ok {

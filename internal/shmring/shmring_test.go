@@ -1,6 +1,7 @@
 package shmring
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -169,4 +170,152 @@ func TestPopWaitWake(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("consumer never woke after Bump")
 	}
+}
+
+// withBudget runs f with the probe budget set to n.
+func withBudget(t *testing.T, n time.Duration, f func()) {
+	t.Helper()
+	old := probeBudget
+	probeBudget = n
+	defer func() { probeBudget = old }()
+	f()
+}
+
+// TestProbeClaimsNothing: a probe that finds a value leaves it in the
+// ring for the Pop that follows.
+func TestProbeClaimsNothing(t *testing.T) {
+	r, err := Init(aligned(Size(4)), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withBudget(t, time.Microsecond, func() {
+		if Probe(r.ready) {
+			t.Fatal("probe of an empty ring reported a value")
+		}
+		r.Push(7)
+		if !Probe(r.ready) || !r.ready() {
+			t.Fatal("probe missed the value in the ring")
+		}
+	})
+	if v, ok := r.Pop(); !ok || v != 7 {
+		t.Fatalf("pop after probe = %d,%v; want 7,true", v, ok)
+	}
+	if r.ready() {
+		t.Fatal("ready on a drained ring")
+	}
+}
+
+// TestPopWaitSpinZeroNeverProbes: spin 0 parks at once, so a budget no
+// probe could finish still lets PopWait reach its second stop check.
+func TestPopWaitSpinZeroNeverProbes(t *testing.T) {
+	r, err := Init(aligned(Size(4)), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withBudget(t, 1<<62, func() {
+		var calls atomic.Int32
+		stop := func() bool { return calls.Add(1) >= 2 }
+		done := make(chan bool, 1)
+		go func() {
+			_, ok := r.PopWait(0, time.Millisecond, stop)
+			done <- ok
+		}()
+		select {
+		case ok := <-done:
+			if ok {
+				t.Fatal("PopWait on an empty ring returned a value")
+			}
+		case <-time.After(time.Second):
+			// Unblock the probe so the budget can be restored.
+			r.Push(1)
+			<-done
+			t.Fatal("PopWait(0, …) probed instead of parking")
+		}
+	})
+}
+
+// TestPopWaitProbeCatchesPush: a value pushed while the consumer is in
+// its probe phase is returned by the probe, before any yield or park —
+// stop, checked once before the probe and once before a park, is
+// called once.
+func TestPopWaitProbeCatchesPush(t *testing.T) {
+	r, err := Init(aligned(Size(4)), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withBudget(t, 1<<62, func() {
+		var calls atomic.Int32
+		entered := make(chan struct{})
+		stop := func() bool {
+			if calls.Add(1) == 1 {
+				close(entered)
+			}
+			return false
+		}
+		got := make(chan uint64, 1)
+		go func() {
+			v, _ := r.PopWait(1, time.Hour, stop)
+			got <- v
+		}()
+		<-entered
+		time.Sleep(5 * time.Millisecond) // the consumer is probing now
+		r.Push(42)
+		r.Bump()
+		select {
+		case v := <-got:
+			if v != 42 {
+				t.Fatalf("PopWait = %d, want 42", v)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the probing consumer never saw the push")
+		}
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("stop called %d times, want 1: the push was not taken by the probe", n)
+		}
+		if w := r.waiters.Load(); w != 0 {
+			t.Fatalf("waiters = %d after a probe hit", w)
+		}
+	})
+}
+
+// TestProbeBudgetFollowsCPUs: loads are spent only where the peer can
+// run beside this process.
+func TestProbeBudgetFollowsCPUs(t *testing.T) {
+	if (probeBudget == 0) != (runtime.NumCPU() == 1) {
+		t.Fatalf("probe budget %v with NumCPU %d", probeBudget, runtime.NumCPU())
+	}
+	if probeTime(1) != 0 || probeTime(2) == 0 {
+		t.Fatalf("probeTime(1) = %v, probeTime(2) = %v", probeTime(1), probeTime(2))
+	}
+}
+
+// TestProbeIsBoundedByTime: a probe that never sees its condition gives
+// up once its budget has passed on the clock, and not before, however
+// slow its loads are (the race detector instruments each one): with
+// loads of at least 20 µs a 2 ms budget ends within 100 loads and one
+// stride, where a probe bounded by a count of loads makes that count.
+func TestProbeIsBoundedByTime(t *testing.T) {
+	const budget, load = 2 * time.Millisecond, 20 * time.Microsecond
+	limit := int(budget/load) + probeStride
+	withBudget(t, budget, func() {
+		loads := 0
+		slow := func() bool {
+			loads++
+			for t0 := time.Now(); time.Since(t0) < load; {
+			}
+			return loads > limit
+		}
+		t0 := time.Now()
+		if Probe(slow) {
+			t.Fatalf("probe with a %v budget made more than %d loads of %v", budget, limit, load)
+		}
+		if took := time.Since(t0); took < budget {
+			t.Fatalf("probe with a %v budget gave up after %v", budget, took)
+		}
+	})
+	withBudget(t, 0, func() {
+		if Probe(func() bool { t.Error("probe with a zero budget loaded"); return true }) {
+			t.Fatal("probe with a zero budget reported true")
+		}
+	})
 }

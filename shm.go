@@ -1494,18 +1494,19 @@ func (c *ShmClient) recycle(id uint32) {
 	}
 }
 
-// awaitReply waits for slot id's reply: a bounded spin on the slot's
-// state (both domains run concurrently on distinct processors in the
-// best case; on a single processor the yields inside the spin hand the
-// CPU straight to the server domain), then a park on the per-slot
-// signal fed by the doorbell demultiplexer. A non-nil return has
-// already settled the caller's accounting: dead sessions release the
-// inflight reference here, timeouts hand the slot (and the inflight
-// reference) to an orphan watcher.
+// awaitReply waits for slot id's reply in three phases: a probe of the
+// slot's state with plain loads (shmring.Probe; with both domains on
+// distinct processors the reply usually lands within it), a bounded
+// spin whose yields hand a single processor straight to the server
+// domain, then a park on the per-slot signal fed by the doorbell
+// demultiplexer. A non-nil return has already settled the caller's
+// accounting: dead sessions release the inflight reference here,
+// timeouts hand the slot (and the inflight reference) to an orphan
+// watcher.
 //
 // The slot was posted with noHint at this call's ID, so while the caller
-// spins the server publishes the reply in the state word and nothing
-// else. Leaving the window stores zero and then re-reads the state,
+// probes or spins the server publishes the reply in the state word and
+// nothing else. Leaving the window stores zero and then re-reads the state,
 // mirroring the server's store of the state followed by its load of the
 // word: both stores are read-modify-writes (full barriers), so either this
 // re-read sees the reply or the server's load sees zero and pushes the hint
@@ -1514,6 +1515,7 @@ func (c *ShmClient) recycle(id uint32) {
 // once parked, when the word is already zero, so the orphan watcher of
 // an abandoned call is always hinted.
 func (c *ShmClient) awaitReply(ctx context.Context, id uint32, state *atomic.Uint32, noHint *atomic.Uint64) error {
+	shmring.Probe(func() bool { return state.Load() >= slotDoneOK })
 	for i := 0; i < c.opts.Spin; i++ {
 		if state.Load() >= slotDoneOK {
 			c.spinReplies.Add(1)

@@ -39,8 +39,10 @@ type ShmDialOptions struct {
 	// session. The server grants min(requested, MaxBulkBytes), rounded
 	// up to whole 64 KiB pages — read the outcome from BulkBytes().
 	BulkBytes int64
-	// Spin bounds the reply-polling iterations before a caller parks on
-	// its slot's signal channel. 0 selects 64.
+	// Spin bounds the yielding reply-polling iterations (each one
+	// check and a sched_yield) before a caller parks on its slot's
+	// signal channel. On a multi-CPU host they follow a fixed phase of
+	// plain loads that no option sets (DESIGN §5.11). 0 selects 64.
 	Spin int
 	// Tracer receives the client side's uncommon-case events
 	// (TraceShmBind, TraceShmPeerCrash). Optional.
@@ -92,8 +94,10 @@ type ShmServeOptions struct {
 	// shm analog of the paper's "as many threads as A-stacks" sizing,
 	// bounded because handlers run on the worker. 0 selects 2.
 	Workers int
-	// Spin bounds a worker's doorbell-polling iterations before it
-	// parks on the shared futex. 0 selects 64.
+	// Spin bounds a worker's yielding doorbell-polling iterations (each
+	// one pop and a sched_yield) before it parks on the shared futex. On
+	// a multi-CPU host they follow a fixed phase of plain loads that no
+	// option sets (DESIGN §5.11). 0 selects 64.
 	Spin int
 	// Admit, when non-nil, decides at bind time whether a tenant may
 	// import an interface over this plane: it receives the tenant

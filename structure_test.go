@@ -208,6 +208,13 @@ var structureCaps = []structureCap{
 	}},
 	{why: "a shm call entry in the stub", files: []string{"shm_stub.go"}, match: methodDecl("ShmClient", true,
 		"Call", "CallAppend", "CallContext", "CallChain", "CallChainContext", "CallBulk", "CallAsync", "CallChainAsync")},
+
+	// The shm wait policy (DESIGN §5.11, "Control transfer"): whether a
+	// wait probes with loads is decided once, by shmring from the CPU
+	// count, and the probe loop is written once there; the root package
+	// probes only in the sync caller's reply wait.
+	{why: "a second CPU-count decision beside shmring's", match: callTo("runtime.NumCPU")},
+	{why: "a second probe of a shm wait", max: 1, in: "awaitReply", match: callTo("shmring.Probe")},
 }
 
 // TestStructureCaps holds the root package to its structure caps.
