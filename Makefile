@@ -85,11 +85,15 @@ onecaller:
 	$(GO) test -race -count=3 -run 'TestSupervisorEdges' .
 
 # onewire: the TCP and broker suites, the route table and the every-kind
-# client table included, then the run-to-completion and deadline-rule
-# tests twenty times over.
+# client table included, then the run-to-completion, deadline-rule and
+# client read-role tests twenty times over, the read-role tests again
+# pinned to one CPU where taskset exists, since there a leading caller
+# and the background reader interleave differently.
+ONEWIRE_ROLE = TestNetCallerReadsOwnReply|TestNetIdleConnNoticesFIN|TestNetLeaderHandsOffPendingCall|TestNetMixedCallersSettle
 onewire:
 	$(GO) test -race -count=3 -run 'TestBroker|TestNet' .
-	$(GO) test -race -count=20 -run 'TestNetExpiredCallLeavesConnection|TestNetBlockedHandlerFreesConnection|TestNetLoneCallsRunOnReader|TestNetSlowProcedureSpawns|TestNetStallWatchParks|TestNetWriteDeadlineRule' .
+	$(GO) test -race -count=20 -run 'TestNetExpiredCallLeavesConnection|TestNetBlockedHandlerFreesConnection|TestNetLoneCallsRunOnReader|TestNetSlowProcedureSpawns|TestNetStallWatchParks|TestNetWriteDeadlineRule|$(ONEWIRE_ROLE)' .
+	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -race -count=20 -run '$(ONEWIRE_ROLE)' .; fi
 
 # oneslot: the shm suite, the every-kind table included.
 oneslot:

@@ -886,7 +886,7 @@ type NetClient struct {
 	closedCh chan struct{}
 
 	mu          sync.Mutex
-	w           *connWriter // the live connection; nil while there is none
+	w           *clientConn // the live connection; nil while there is none
 	gen         uint64      // connection generation, bumps on every redial
 	dialing     bool
 	dialDone    chan struct{}
@@ -896,6 +896,7 @@ type NetClient struct {
 	nextID      uint64
 	wait        map[uint64]pendingCall // written only by register
 	closed      bool
+	idle        time.Duration // the idle watch's interval: readIdle, stretched only by tests
 
 	calls      atomic.Uint64
 	failures   atomic.Uint64
@@ -908,6 +909,10 @@ type NetClient struct {
 	batches      atomic.Uint64
 	batchedCalls atomic.Uint64
 
+	// readerFrames counts the reply frames read by background readers,
+	// not by callers reading for themselves (DESIGN §5.19).
+	readerFrames atomic.Uint64
+
 	// br is the circuit breaker (resilience.go); nil unless
 	// DialOptions.BreakerThreshold armed it.
 	br *breaker
@@ -917,16 +922,17 @@ type NetClient struct {
 
 // pendingCall is one call's linkage record (§3.1), kept by value in
 // c.wait from its registration until someone claims it back out: the
-// read loop with its reply, connBroken or Close with the connection, a
-// caller leaving at its deadline, or a writer whose write failed.
+// connection's reader with its reply, connBroken or Close with the
+// connection, a caller leaving at its deadline, or a writer whose write
+// failed.
 // Whoever claims it settles it, exactly once.
 type pendingCall struct {
 	fut *Future // settled with the call's outcome
 	gen uint64  // the connection generation the request was written on
 	// bulk, when non-nil, is a synchronous bulk call's handle: a status-3
-	// reply's payload streams into it directly from the read loop, which
-	// is the only place the bytes behind the reply frame can be consumed
-	// in order.
+	// reply's payload streams into it directly from dispatch, which is
+	// the only place the bytes behind the reply frame can be consumed in
+	// order.
 	bulk *BulkHandle
 	// probe marks a call elected as the breaker's half-open probe: its
 	// settlement carries the probe's verdict to brObserve.
@@ -984,10 +990,10 @@ func newNetClient(conn net.Conn, name string, opts DialOptions) *NetClient {
 		opts:     opts,
 		sem:      make(chan struct{}, opts.MaxInFlight),
 		closedCh: make(chan struct{}),
-		w:        &connWriter{timeout: opts.WriteTimeout, conn: conn},
 		gen:      1,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		wait:     map[uint64]pendingCall{},
+		idle:     readIdle,
 	}
 	if opts.BreakerThreshold > 0 {
 		c.br = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.BreakerMaxCooldown)
@@ -995,7 +1001,7 @@ func newNetClient(conn net.Conn, name string, opts DialOptions) *NetClient {
 	if opts.Tracer != nil {
 		c.tracer.Store(&opts.Tracer)
 	}
-	go c.readLoop(c.w, 1)
+	c.attach(conn)
 	return c
 }
 
@@ -1081,48 +1087,218 @@ func (c *NetClient) Stats() NetClientStats {
 	return st
 }
 
-func (c *NetClient) readLoop(w *connWriter, gen uint64) {
-	br := bufio.NewReader(w.conn)
-	for {
-		frame, err := readFrame(br)
-		if err != nil {
-			c.connBroken(w, gen, err)
-			return
-		}
-		if len(frame) < 9 {
-			continue
-		}
-		p, ok := c.claim(binary.LittleEndian.Uint64(frame[0:8]))
-		var out []byte
-		var cerr, broken error
-		switch status, body := frame[8], frame[9:]; {
-		case status == 3:
-			// Bulk reply: the produced payload streams right behind the
-			// frame and is consumed here, into the claimed call's handle
-			// or the void, before the next frame can be parsed.
-			out, cerr, broken = bulkReply(br, p.bulk, body)
-		case !ok: // nobody to tell, and nothing behind the frame
-		case status == 0:
-			out = body
-			if h := p.bulk; h != nil && h.dir == BulkIn {
-				h.n = h.length()
-			}
-		default:
-			c.failures.Add(1)
-			if status == 4 {
-				cerr = parseChainError(body)
-			} else {
-				cerr = &RemoteError{Msg: string(body), NotExecuted: status == 2}
-			}
-		}
-		if ok {
-			c.settle(p, out, cerr)
-		}
-		if broken != nil {
-			c.connBroken(w, gen, broken)
+// clientConn is one connection of a NetClient: its writer, and the read
+// role over its one bufio.Reader (DESIGN §5.19). At most one goroutine at
+// a time holds the role and reads br: a synchronous caller reading for
+// its own reply (the leader), or the connection's one background reader.
+type clientConn struct {
+	connWriter
+	br   *bufio.Reader
+	gen  uint64        // the connection's generation (NetClient.gen)
+	kick chan struct{} // capacity 1: wakes the background reader to re-check role and dead
+
+	// Guarded by NetClient.mu, the wait table's lock, so the role changes
+	// hands in step with the calls registered and claimed.
+	role  readRole
+	asked bool      // a call that could lead registered while the role was taken
+	dead  bool      // retired by connBroken or Close; its background reader exits
+	left  time.Time // when the role last became free, for the idle watch
+}
+
+// readRole is who reads a client connection's replies.
+type readRole uint8
+
+const (
+	readFree       readRole = iota // nobody: no call pending, or a caller about to lead is writing
+	readLeader                     // a synchronous caller, until its own call settles
+	readBackground                 // the connection's background reader
+)
+
+// readIdle is how long a client connection's read role may lie free
+// before the background reader takes it and blocks in Read, so that an
+// idle connection still notices its peer's FIN and detaches (DESIGN
+// §5.19).
+const readIdle = time.Millisecond
+
+// attach makes conn the live connection, of generation c.gen, and starts
+// its background reader. c.mu is held, or c is not yet shared.
+func (c *NetClient) attach(conn net.Conn) {
+	cc := &clientConn{
+		connWriter: connWriter{timeout: c.opts.WriteTimeout, conn: conn},
+		br:         bufio.NewReader(conn),
+		gen:        c.gen,
+		kick:       make(chan struct{}, 1),
+		left:       time.Now(),
+	}
+	c.w = cc
+	go c.background(cc)
+}
+
+// wake nudges the background reader to re-check the role and dead.
+func (cc *clientConn) wake() {
+	select {
+	case cc.kick <- struct{}{}:
+	default:
+	}
+}
+
+// retire marks cc dead, which ends its background reader. c.mu is held.
+func (cc *clientConn) retire() {
+	cc.dead = true
+	cc.wake()
+}
+
+// lead takes cc's read role for a caller that has written its request,
+// if the role is free; the caller then reads (follow) until its own call
+// settles.
+func (c *NetClient) lead(cc *clientConn) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cc.role != readFree || cc.dead {
+		return false
+	}
+	cc.role = readLeader
+	return true
+}
+
+// follow is a leader's read: it dispatches every reply frame it reads,
+// to whichever call owns it, until f, its own call's future, settles.
+// A read error retires the connection as the background reader's would,
+// which settles f too.
+func (c *NetClient) follow(cc *clientConn, f *Future) {
+	for f.state.Load() == futPending {
+		if err := c.dispatch(cc); err != nil {
+			c.connBroken(cc, err)
 			return
 		}
 	}
+	c.mu.Lock()
+	c.letGo(cc)
+	c.mu.Unlock()
+}
+
+// letGo is the role holder's decision, under c.mu, once it has no reply
+// of its own to wait for: a leader leaving, or the background reader
+// after each frame. While calls are still pending the background reader
+// holds the role. With none the role is free, and the next synchronous
+// caller can lead — unless the background reader holds it and no caller
+// that could lead has registered since it took it (asked). Then it stays
+// in Read, the reader of deadline-carrying and async calls, which spares
+// each of them a wake and a timer re-arm. It reports whether the
+// background reader holds the role.
+func (c *NetClient) letGo(cc *clientConn) bool {
+	switch {
+	case cc.dead:
+		return false
+	case len(c.wait) > 0:
+		if cc.role != readBackground {
+			cc.role = readBackground
+			cc.wake()
+		}
+		return true
+	case cc.role == readBackground && !cc.asked:
+		return true
+	}
+	cc.role, cc.left, cc.asked = readFree, time.Now(), false
+	return false
+}
+
+// background is cc's background reader. It reads while it holds the
+// role — handed to it by a call that does not read for itself, or by a
+// leader leaving pending calls, or taken once the role has lain free for
+// readIdle — and exits when cc is retired.
+func (c *NetClient) background(cc *clientConn) {
+	idle := time.NewTimer(readIdle)
+	defer idle.Stop()
+	for c.awaitRole(cc, idle) {
+		for {
+			if err := c.dispatch(cc); err != nil {
+				c.connBroken(cc, err)
+				return
+			}
+			c.readerFrames.Add(1)
+			c.mu.Lock()
+			mine := c.letGo(cc)
+			c.mu.Unlock()
+			if !mine {
+				break
+			}
+		}
+	}
+}
+
+// awaitRole parks the background reader until it holds cc's read role,
+// and reports false once cc is retired. While the role is another's, or
+// was freed less than c.idle ago, the reader sleeps on idle and then
+// re-checks: the timer moves only when the reader parks, never per call,
+// and a stale tick costs one re-check.
+func (c *NetClient) awaitRole(cc *clientConn, idle *time.Timer) bool {
+	for {
+		c.mu.Lock()
+		wait := c.idle
+		switch {
+		case cc.dead:
+			c.mu.Unlock()
+			return false
+		case cc.role == readBackground:
+			c.mu.Unlock()
+			return true
+		case cc.role == readFree:
+			if wait -= time.Since(cc.left); wait <= 0 {
+				cc.role = readBackground
+				c.mu.Unlock()
+				return true
+			}
+		}
+		c.mu.Unlock()
+		idle.Reset(wait)
+		select {
+		case <-cc.kick:
+		case <-idle.C:
+		}
+	}
+}
+
+// dispatch reads one reply frame off cc and delivers it: claim → settle,
+// a status-3 reply's payload streamed into its owner's handle first. It
+// is the one reader of client reply frames, run by whoever holds cc's
+// read role. An error leaves the stream unframed: the connection cannot
+// be read past it.
+func (c *NetClient) dispatch(cc *clientConn) error {
+	frame, err := readFrame(cc.br)
+	if err != nil {
+		return err
+	}
+	if len(frame) < 9 {
+		return nil
+	}
+	p, ok := c.claim(binary.LittleEndian.Uint64(frame[0:8]))
+	var out []byte
+	var cerr, broken error
+	switch status, body := frame[8], frame[9:]; {
+	case status == 3:
+		// Bulk reply: the produced payload streams right behind the
+		// frame and is consumed here, into the claimed call's handle or
+		// the void, before the next frame can be parsed.
+		out, cerr, broken = bulkReply(cc.br, p.bulk, body)
+	case !ok: // nobody to tell, and nothing behind the frame
+	case status == 0:
+		out = body
+		if h := p.bulk; h != nil && h.dir == BulkIn {
+			h.n = h.length()
+		}
+	default:
+		c.failures.Add(1)
+		if status == 4 {
+			cerr = parseChainError(body)
+		} else {
+			cerr = &RemoteError{Msg: string(body), NotExecuted: status == 2}
+		}
+	}
+	if ok {
+		c.settle(p, out, cerr)
+	}
+	return broken
 }
 
 // bulkReply consumes a status-3 reply — body = u64 produced, results —
@@ -1171,15 +1347,16 @@ func bulkReply(r io.Reader, h *BulkHandle, body []byte) (out []byte, err, broken
 }
 
 // connBroken retires a dead connection: detach it (if it is still the
-// current one) and fail every call that was pipelined on it. Calls on
-// other generations are untouched.
-func (c *NetClient) connBroken(w *connWriter, gen uint64, _ error) {
+// current one), end its background reader, and fail every call that was
+// pipelined on it. Calls on other generations are untouched.
+func (c *NetClient) connBroken(w *clientConn, _ error) {
 	w.conn.Close()
 	c.mu.Lock()
-	if c.gen == gen && c.w == w {
+	if c.w == w {
 		c.w = nil
 	}
-	swept := c.sweep(gen)
+	w.retire()
+	swept := c.sweep(w.gen)
 	c.mu.Unlock()
 	// Settled outside the lock: a completion may fire a continuation
 	// that resubmits (and takes c.mu). The request may have reached the
@@ -1207,27 +1384,27 @@ func (c *NetClient) sweep(gen uint64) []pendingCall {
 // getConn returns the live connection, redialing if necessary. Each
 // invocation tolerates at most RedialAttempts failed dials before giving
 // up, so a call can never spin forever against a dead server.
-func (c *NetClient) getConn(ctx context.Context) (*connWriter, uint64, error) {
+func (c *NetClient) getConn(ctx context.Context) (*clientConn, error) {
 	fails := 0
 	c.mu.Lock()
 	for {
 		if c.closed {
 			c.mu.Unlock()
-			return nil, 0, ErrConnClosed
+			return nil, ErrConnClosed
 		}
 		if c.w != nil {
-			w, gen := c.w, c.gen
+			w := c.w
 			c.mu.Unlock()
-			return w, gen, nil
+			return w, nil
 		}
 		if c.opts.Dial == nil {
 			c.mu.Unlock()
-			return nil, 0, ErrConnClosed
+			return nil, ErrConnClosed
 		}
 		if fails >= c.opts.RedialAttempts {
 			lastErr := c.lastDialErr
 			c.mu.Unlock()
-			return nil, 0, fmt.Errorf("%w: redial failed %d times, last error: %v",
+			return nil, fmt.Errorf("%w: redial failed %d times, last error: %v",
 				ErrConnClosed, fails, lastErr)
 		}
 		if c.dialing {
@@ -1237,9 +1414,9 @@ func (c *NetClient) getConn(ctx context.Context) (*connWriter, uint64, error) {
 			select {
 			case <-done:
 			case <-ctx.Done():
-				return nil, 0, timeoutError(ctx.Err())
+				return nil, timeoutError(ctx.Err())
 			case <-c.closedCh:
-				return nil, 0, ErrConnClosed
+				return nil, ErrConnClosed
 			}
 			fails++ // count the observed round against our budget
 			c.mu.Lock()
@@ -1277,14 +1454,14 @@ func (c *NetClient) getConn(ctx context.Context) (*connWriter, uint64, error) {
 				c.dialing = false
 				c.mu.Unlock()
 				close(done)
-				return nil, 0, timeoutError(ctx.Err())
+				return nil, timeoutError(ctx.Err())
 			case <-c.closedCh:
 				t.Stop()
 				c.mu.Lock()
 				c.dialing = false
 				c.mu.Unlock()
 				close(done)
-				return nil, 0, ErrConnClosed
+				return nil, ErrConnClosed
 			}
 		}
 		conn, err := c.opts.Dial()
@@ -1303,11 +1480,10 @@ func (c *NetClient) getConn(ctx context.Context) (*connWriter, uint64, error) {
 			conn.Close()
 		} else {
 			c.gen++
-			c.w = &connWriter{timeout: c.opts.WriteTimeout, conn: conn}
+			c.attach(conn)
 			c.backoff = 0
 			c.reconnects.Add(1)
 			gen := c.gen
-			go c.readLoop(c.w, gen)
 			c.mu.Unlock()
 			c.emitReconnect(gen) // tracer callback runs outside the client lock
 			c.mu.Lock()
@@ -1381,23 +1557,29 @@ func (c *NetClient) CallChainContext(ctx context.Context, ch *Chain) ([]byte, er
 	return c.call(ctx, wireFlagChain, desc, nil)
 }
 
-// call is every synchronous entry: submit, then a wait on the call's
-// future or its deadline. At the deadline the caller claims its call
-// back and settles it as timed out; when the read loop claimed it first
-// — it may be mid-stream into a bulk handle's buffer — the caller waits
-// for that delivery instead, which the reply or the connection's death
-// bounds. h, when non-nil, streams a BulkIn payload behind the frame or
-// receives a BulkOut reply's payload.
+// call is every synchronous entry: submit, then a wait for the call's
+// reply. A call with no deadline — no Done channel — can block in Read,
+// so when the connection's read role is free it reads for itself
+// (DESIGN §5.19). Any other call waits on its future or its deadline. At
+// the deadline the caller claims its call back and settles it as timed
+// out; when the reader claimed it first — it may be mid-stream into a
+// bulk handle's buffer — the caller waits for that delivery instead,
+// which the reply or the connection's death bounds. h, when non-nil,
+// streams a BulkIn payload behind the frame or receives a BulkOut
+// reply's payload.
 func (c *NetClient) call(ctx context.Context, procWord uint32, args []byte, h *BulkHandle) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	c.calls.Add(1)
-	f, id, err := c.submit(ctx, procWord, args, h)
+	lead := ctx.Done() == nil
+	f, id, cc, err := c.submit(ctx, lead, procWord, args, h)
 	if err != nil {
 		return nil, err
 	}
-	if !f.await(ctx.Done()) {
+	if lead && c.lead(cc) {
+		c.follow(cc, f)
+	} else if !f.await(ctx.Done()) {
 		if p, mine := c.claim(id); mine {
 			c.timeouts.Add(1)
 			c.settle(p, nil, timeoutError(ctx.Err()))
@@ -1414,33 +1596,35 @@ func (c *NetClient) call(ctx context.Context, procWord uint32, args []byte, h *B
 // what the write did decides: a frame that reached the wire may have run
 // and fails with ErrConnClosed; one that did not is redialled and resent
 // while its payload can be replayed, and is ErrNotSent once it cannot.
-func (c *NetClient) submit(ctx context.Context, procWord uint32, args []byte, h *BulkHandle) (*Future, uint64, error) {
+// lead says the caller will read for its own reply when it can (see
+// register); cc is the connection the request went out on.
+func (c *NetClient) submit(ctx context.Context, lead bool, procWord uint32, args []byte, h *BulkHandle) (f *Future, id uint64, cc *clientConn, err error) {
 	probe, err := c.allow()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	// A buffer-backed payload can be replayed; a stream-backed source is
 	// consumed by its attempt and gets exactly one.
 	replayable := h == nil || h.src == nil
 	for attempt := 0; attempt < c.opts.RedialAttempts; attempt++ {
-		w, gen, err := c.reserve(ctx)
+		w, err := c.reserve(ctx)
 		if err != nil {
 			c.brObserve(probe, err)
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 		f := newFuture()
 		f.abandons = &c.timeouts
-		id, ok := c.register(pendingCall{fut: f, gen: gen, bulk: h, probe: probe})
+		id, ok := c.register(pendingCall{fut: f, gen: w.gen, bulk: h, probe: probe}, w, lead)
 		if !ok {
 			<-c.sem
 			f.release()
 			err := notSent(ErrConnClosed)
 			c.brObserve(probe, err)
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 		wrote, werr := c.writeRequest(ctx, w, id, procWord, args, h)
 		if werr == nil {
-			return f, id, nil
+			return f, id, w, nil
 		}
 		c.emitEvent(TraceWriteFail, werr)
 		err = fmt.Errorf("%w: send failed mid-request: %v", ErrConnClosed, werr)
@@ -1450,17 +1634,17 @@ func (c *NetClient) submit(ctx context.Context, procWord uint32, args []byte, h 
 		if p, mine := c.claim(id); mine {
 			c.settle(p, nil, err)
 		}
-		c.connBroken(w, gen, werr)
+		c.connBroken(w, werr)
 		f.Wait() // this settlement or a sweep's: either way, the write decides
 		if wrote || !replayable {
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 		// Nothing reached the wire: resending cannot double-execute
 		// anything.
 		c.retries.Add(1)
 	}
 	// Every attempt's failed write has already reached the breaker.
-	return nil, 0, notSent(fmt.Errorf("%w: request could not be sent after %d attempts",
+	return nil, 0, nil, notSent(fmt.Errorf("%w: request could not be sent after %d attempts",
 		ErrConnClosed, c.opts.RedialAttempts))
 }
 
@@ -1470,16 +1654,16 @@ func (c *NetClient) submit(ctx context.Context, procWord uint32, args []byte, h 
 // slot as often as ctx.Done(), and its write would fail with nothing
 // sent, which says nothing against the connection other calls share. On
 // an error the slot is given back and nothing was sent.
-func (c *NetClient) reserve(ctx context.Context) (*connWriter, uint64, error) {
+func (c *NetClient) reserve(ctx context.Context) (*clientConn, error) {
 	select {
 	case c.sem <- struct{}{}:
 	case <-c.closedCh:
-		return nil, 0, notSent(ErrConnClosed)
+		return nil, notSent(ErrConnClosed)
 	case <-ctx.Done():
 		c.timeouts.Add(1)
-		return nil, 0, timeoutError(ctx.Err())
+		return nil, timeoutError(ctx.Err())
 	}
-	w, gen, err := c.getConn(ctx)
+	w, err := c.getConn(ctx)
 	if d, ok := ctx.Deadline(); err == nil && ok && !time.Now().Before(d) {
 		err = timeoutError(context.DeadlineExceeded)
 	}
@@ -1489,15 +1673,20 @@ func (c *NetClient) reserve(ctx context.Context) (*connWriter, uint64, error) {
 	case err != nil:
 		err = notSent(err) // getConn fails strictly before any write
 	default:
-		return w, gen, nil
+		return w, nil
 	}
 	<-c.sem
-	return nil, 0, err
+	return nil, err
 }
 
-// register enters p in the wait table under a fresh call id: the one
-// write to c.wait. ok is false once the client is closed.
-func (c *NetClient) register(p pendingCall) (id uint64, ok bool) {
+// register enters p, a call about to be written on cc, in the wait
+// table under a fresh call id: the one write to c.wait. ok is false once
+// the client is closed. A call that will not read for itself (lead
+// false) hands a free read role to cc's background reader, so no
+// registered call is left without a reader; a call that can lead covers
+// its own until it has written and takes the role (NetClient.lead), or
+// finds it taken and marks it asked for.
+func (c *NetClient) register(p pendingCall, cc *clientConn, lead bool) (id uint64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -1505,6 +1694,14 @@ func (c *NetClient) register(p pendingCall) (id uint64, ok bool) {
 	}
 	c.nextID++
 	c.wait[c.nextID] = p
+	switch {
+	case cc.dead:
+	case cc.role != readFree:
+		cc.asked = cc.asked || lead
+	case !lead:
+		cc.role = readBackground
+		cc.wake()
+	}
 	return c.nextID, true
 }
 
@@ -1533,7 +1730,7 @@ func (c *NetClient) settle(p pendingCall, out []byte, err error) {
 // writeRequest writes one request frame, and a BulkIn handle's payload
 // behind it, under the call's own deadline when ctx has one. wrote
 // reports whether any byte of the frame made it into the connection.
-func (c *NetClient) writeRequest(ctx context.Context, w *connWriter, id uint64, procWord uint32, args []byte, h *BulkHandle) (wrote bool, err error) {
+func (c *NetClient) writeRequest(ctx context.Context, w *clientConn, id uint64, procWord uint32, args []byte, h *BulkHandle) (wrote bool, err error) {
 	bp := frameBufPool.Get().(*[]byte)
 	buf := appendRequestFrame((*bp)[:0], id, c.name, procWord, args, h)
 	due, _ := ctx.Deadline()
@@ -1658,7 +1855,7 @@ func (c *NetClient) CallBulk(proc int, args []byte, h *BulkHandle) ([]byte, erro
 }
 
 // CallBulkContext is CallBulk under a context. When a deadline fires
-// after the read loop has begun streaming the reply payload into the
+// after the connection's reader has begun streaming the reply payload into the
 // handle's buffer, the call waits for that stream to finish before
 // returning, so the buffer is never written after the caller regains
 // control.
@@ -1688,6 +1885,9 @@ func (c *NetClient) Close() error {
 	close(c.closedCh)
 	w := c.w
 	c.w = nil
+	if w != nil {
+		w.retire()
+	}
 	swept := c.sweep(0)
 	c.mu.Unlock()
 	for _, p := range swept {
@@ -1729,15 +1929,38 @@ func readFrame(r io.Reader) ([]byte, error) { return readLimitedFrame(r, maxFram
 // length header beyond max is rejected before a byte of body is read,
 // let alone allocated.
 func readLimitedFrame(r io.Reader, max int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := frameLen(r)
+	if err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n > max {
 		return nil, fmt.Errorf("lrpc: frame of %d bytes exceeds limit %d", n, max)
 	}
 	return readBody(r, n)
+}
+
+// frameLen reads a frame's length word. Both ends of a connection read
+// through a *bufio.Reader, and there the word is peeked in place rather
+// than copied into a buffer of its own, which would escape to the heap
+// through io.ReadFull: one allocation per frame. Any other reader (a
+// handshake's one frame off a bare conn) gets that buffer.
+func frameLen(r io.Reader) (int, error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		hdr, err := br.Peek(4)
+		if err != nil {
+			if len(hdr) > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF // as io.ReadFull reports a torn word
+			}
+			return 0, err
+		}
+		br.Discard(4)
+		return int(binary.LittleEndian.Uint32(hdr)), nil
+	}
+	hdr := make([]byte, 4)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, err
+	}
+	return int(binary.LittleEndian.Uint32(hdr)), nil
 }
 
 // readBody reads exactly n bytes — a frame body or a BulkIn payload.

@@ -7,9 +7,9 @@ package lrpc
 //
 //   - CallAsync is the synchronous path's submit without the wait: one
 //     pendingCall carrying a pooled *Future, which whoever claims it
-//     settles — the read loop in place, releasing the in-flight slot, so
-//     a continuation fired by the completion can resubmit without
-//     spawning a waiter goroutine.
+//     settles — the connection's reader in place, releasing the
+//     in-flight slot, so a continuation fired by the completion can
+//     resubmit without spawning a waiter goroutine.
 //   - CallOneWay sets wireFlagOneWay on the proc word and consumes no
 //     reply slot at all: no pendingCall, no in-flight window entry, no
 //     reply frame ever (the server drops and counts execution errors).
@@ -43,7 +43,7 @@ func (c *NetClient) callAsync(procWord uint32, args []byte) (*Future, error) {
 		return nil, err
 	}
 	c.asyncCalls.Add(1)
-	f, _, err := c.submit(context.Background(), procWord, args, nil)
+	f, _, _, err := c.submit(context.Background(), false, procWord, args, nil)
 	return f, err
 }
 
@@ -96,14 +96,14 @@ func (c *NetClient) CallOneWay(proc int, args []byte) error {
 		return err
 	}
 	ctx := context.Background()
-	w, gen, err := c.getConn(ctx)
+	w, err := c.getConn(ctx)
 	if err != nil {
 		return c.asyncObserve(probe, notSent(err))
 	}
 	wrote, werr := c.writeRequest(ctx, w, 0, uint32(proc)|wireFlagOneWay, args, nil)
 	if werr != nil {
 		c.emitEvent(TraceWriteFail, werr)
-		c.connBroken(w, gen, werr)
+		c.connBroken(w, werr)
 		c.brFailure()
 		if !wrote {
 			return notSent(werr)
@@ -131,8 +131,7 @@ func (c *NetClient) NewBatch() *Batch {
 // that connection, and a flush failure retires it wholesale.
 type netBatch struct {
 	c   *NetClient
-	w   *connWriter // the connection pinned at first stage; nil between batches
-	gen uint64      // generation of the pinned connection
+	w   *clientConn // the connection pinned at first stage; nil between batches
 	buf []byte      // staged frames, written back-to-back by flush
 	// probe records that a staged ONE-WAY entry was elected the
 	// breaker's half-open probe: with no reply to observe, the flush
@@ -158,11 +157,11 @@ func (nb *netBatch) stage(e *batchEnt) error {
 	// Pin a connection at the first staged entry: a batch is one
 	// coalesced write, so every frame in it must ride one generation.
 	if nb.w == nil {
-		w, gen, err := c.getConn(context.Background())
+		w, err := c.getConn(context.Background())
 		if err != nil {
 			return c.asyncObserve(probe, notSent(err))
 		}
-		nb.w, nb.gen = w, gen
+		nb.w = w
 	}
 	c.batchedCalls.Add(1)
 	if e.oneWay {
@@ -190,7 +189,7 @@ func (nb *netBatch) stage(e *batchEnt) error {
 			return c.asyncObserve(probe, notSent(ErrConnClosed))
 		}
 	}
-	id, ok := c.register(pendingCall{fut: e.fut, gen: nb.gen, probe: probe})
+	id, ok := c.register(pendingCall{fut: e.fut, gen: nb.w.gen, probe: probe}, nb.w, false)
 	if !ok {
 		<-c.sem
 		return c.asyncObserve(probe, notSent(ErrConnClosed))
@@ -204,7 +203,7 @@ func (nb *netBatch) flush(_ []batchEnt) error {
 		return nil
 	}
 	c := nb.c
-	w, gen := nb.w, nb.gen
+	w := nb.w
 	buf := nb.buf
 	nb.buf = nb.buf[:0]
 	if w == nil {
@@ -221,11 +220,11 @@ func (nb *netBatch) flush(_ []batchEnt) error {
 		return fmt.Errorf("%w: batch flush failed: %v", ErrConnClosed, err)
 	}
 	// Guard against a connection retired between staging and this write:
-	// if the read loop's connBroken swept this generation before our
+	// if a reader's connBroken swept this generation before our
 	// entries were registered, nobody would ever complete them — re-run
 	// the sweep, which is idempotent and claims map entries exactly once.
 	c.mu.Lock()
-	live := !c.closed && c.gen == gen
+	live := !c.closed && c.gen == w.gen
 	c.mu.Unlock()
 	if !live {
 		if nb.probe {
@@ -249,7 +248,7 @@ func (nb *netBatch) flush(_ []batchEnt) error {
 // so the next stage re-dials.
 func (nb *netBatch) retire(cause error) {
 	if nb.w != nil {
-		nb.c.connBroken(nb.w, nb.gen, cause)
+		nb.c.connBroken(nb.w, cause)
 	}
-	nb.w, nb.gen = nil, 0
+	nb.w = nil
 }

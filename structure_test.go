@@ -144,7 +144,9 @@ var structureCaps = []structureCap{
 	// capped frame reader serves it and every other frame reader, one
 	// breaker gate, one spawn and one stall handoff, one write-deadline
 	// site (connWriter.arm) — and on the client, one write to the wait
-	// table (register), one completion (settle), and no reply channel.
+	// table (register), one completion (settle), no reply channel, and
+	// one reader of reply frames (dispatch), which a leading caller and
+	// the background reader share (DESIGN §5.19).
 	{why: "a second server loop", max: 1, match: callTo("parseRequest")},
 	{why: "a second server loop", max: 1, match: callTo("writeReply")},
 	{why: "a second frame reader (readFrame and connLoop.next are the two)", max: 2, match: callTo("readLimitedFrame")},
@@ -165,6 +167,8 @@ var structureCaps = []structureCap{
 		return false
 	}},
 	{why: "a call finished outside settle", files: []string{"net.go", "net_async.go"}, max: 1, in: "settle", match: callTo("complete")},
+	{why: "a second client reply reader beside dispatch", files: []string{"net.go", "net_async.go"}, max: 1, in: "dispatch", match: callTo("readFrame")},
+	{why: "a second client reply reader beside dispatch", files: []string{"net.go", "net_async.go"}, max: 1, in: "dispatch", match: callTo("bulkReply")},
 	{why: "the per-call reply channel coming back", match: func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		return ok && id.Name == "netReply"
