@@ -57,10 +57,11 @@ crossbuild:
 test:
 	$(GO) test ./...
 
-# The resilience layer lives in the root package and internal/; both must
-# be race clean, including the 100-iteration fault-injection stress mesh.
+# The resilience layer lives in the root package and internal/, the
+# replicated registry and its fault schedules in registry/; all must be
+# race clean, including the 100-iteration fault-injection stress mesh.
 race:
-	$(GO) test -race -count=1 ./internal/... .
+	$(GO) test -race -count=1 ./internal/... ./registry .
 
 # Just the seeded fault-injection stress suite, for quick iteration.
 stress:
@@ -84,14 +85,16 @@ onecore:
 onecaller:
 	$(GO) test -race -count=3 -run 'TestSupervisorEdges' .
 
-# onewire: the TCP and broker suites, the route table and the every-kind
-# client table included, then the run-to-completion, deadline-rule and
-# client read-role tests twenty times over, the read-role tests again
-# pinned to one CPU where taskset exists, since there a leading caller
-# and the background reader interleave differently.
+# onewire: the TCP and broker suites, the route table, the every-kind
+# client table and the broker's crash-restart schedules (registry/)
+# included, then the run-to-completion, deadline-rule and client
+# read-role tests twenty times over, the read-role tests again pinned to
+# one CPU where taskset exists, since there a leading caller and the
+# background reader interleave differently.
 ONEWIRE_ROLE = TestNetCallerReadsOwnReply|TestNetIdleConnNoticesFIN|TestNetLeaderHandsOffPendingCall|TestNetMixedCallersSettle
 onewire:
 	$(GO) test -race -count=3 -run 'TestBroker|TestNet' .
+	$(GO) test -race -count=3 -run 'TestBroker' ./registry
 	$(GO) test -race -count=20 -run 'TestNetExpiredCallLeavesConnection|TestNetBlockedHandlerFreesConnection|TestNetLoneCallsRunOnReader|TestNetSlowProcedureSpawns|TestNetStallWatchParks|TestNetWriteDeadlineRule|$(ONEWIRE_ROLE)' .
 	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -race -count=20 -run '$(ONEWIRE_ROLE)' .; fi
 
@@ -130,20 +133,23 @@ shmtest:
 
 # The high-availability suite: replicated-registry fault schedules
 # (kill-leader, partition, rolling restart, lease expiry, the mesh
-# invariant) plus the at-most-once classification tests. Seeded, race
-# clean; timings are sized for a single-CPU host under -race.
+# invariant) in registry/, plus the at-most-once classification tests in
+# the root package. Seeded, race clean; timings are sized for a
+# single-CPU host under -race.
 haftest:
-	$(GO) test -race -count=1 -run 'TestHA|TestWrittenFrameNotRetried|TestRetryFailedCallsNeverRetriesWrittenFrame|TestNotSentClassification|TestNotExecutedVouch' .
+	$(GO) test -race -count=1 -run 'TestHA' ./registry
+	$(GO) test -race -count=1 -run 'TestWrittenFrameNotRetried|TestRetryFailedCallsNeverRetriesWrittenFrame|TestNotSentClassification|TestNotExecutedVouch' .
 
 # The multi-tenant broker suite: policy isolation (rate buckets,
 # bulkheads, suspension, token auth), the hostile first-frame and
-# malformed-hello tests, the async-plane breaker wiring, and the
-# crash-restart fault schedules (SIGKILL mid-traffic, lease expiry,
-# registry generation changes) with the at-most-once ledger audited.
-# The second line hammers the release-before-reply pin: 200 back-to-back
-# calls at MaxConcurrent: 1, twenty times over.
+# malformed-hello tests, the async-plane breaker wiring, and, in
+# registry/, the crash-restart fault schedules (SIGKILL mid-traffic,
+# lease expiry, registry generation changes) with the at-most-once
+# ledger audited. The last line hammers the release-before-reply pin:
+# 200 back-to-back calls at MaxConcurrent: 1, twenty times over.
 brokertest:
 	$(GO) test -race -count=1 -run 'TestBroker|TestAsyncBreaker' .
+	$(GO) test -race -count=1 -run 'TestBroker' ./registry
 	$(GO) test -count=20 -run 'TestBrokerBackToBackAtBulkhead' .
 
 # The continuation-chain suite: descriptor round-trips, the server-side

@@ -226,7 +226,7 @@ func (p *BrokerPolicy) clone() *BrokerPolicy {
 // broker death; readers take the highest Version among live documents.
 // It returns the registration's lease so a writer that replaces policy
 // can Unregister its previous document.
-func StoreBrokerPolicy(rc *RegistryClient, name string, p *BrokerPolicy) (uint64, error) {
+func StoreBrokerPolicy(rc Registry, name string, p *BrokerPolicy) (uint64, error) {
 	if p == nil {
 		return 0, errors.New("lrpc: nil broker policy")
 	}
@@ -239,7 +239,7 @@ func StoreBrokerPolicy(rc *RegistryClient, name string, p *BrokerPolicy) (uint64
 
 // LoadBrokerPolicy fetches the highest-versioned policy document stored
 // under name; ErrNoSuchName when none is stored.
-func LoadBrokerPolicy(rc *RegistryClient, name string) (*BrokerPolicy, error) {
+func LoadBrokerPolicy(rc Registry, name string) (*BrokerPolicy, error) {
 	eps, err := rc.Resolve(name)
 	if err != nil {
 		return nil, err
@@ -538,7 +538,7 @@ type Broker struct {
 	ups         map[string]*upstreamEntry
 	ln          *trackedListener
 	ann         *Announcement
-	rc          *RegistryClient
+	rc          Registry
 	policyLease uint64 // registry lease of the policy doc we wrote
 	pollStop    chan struct{}
 
@@ -691,7 +691,7 @@ func (bk *Broker) tenant(name string) *tenantState {
 // document (if any, and newer than the applied one) and starts the
 // policy poll loop. Call before Serve so no tenant admits under the
 // pre-announce generation.
-func (bk *Broker) Announce(rc *RegistryClient, ttl time.Duration, addr string) (*Announcement, error) {
+func (bk *Broker) Announce(rc Registry, ttl time.Duration, addr string) (*Announcement, error) {
 	a, err := AnnounceEndpoint(rc, bk.opts.Name, ttl, Endpoint{Plane: PlaneTCP, Addr: addr})
 	if err != nil {
 		return nil, err
@@ -716,7 +716,7 @@ func (bk *Broker) Announce(rc *RegistryClient, ttl time.Duration, addr string) (
 // pollPolicy picks up policy documents written by other processes
 // (StoreBrokerPolicy straight into the registry): live update without
 // restarting the broker, tenants, or backends.
-func (bk *Broker) pollPolicy(rc *RegistryClient, stop chan struct{}) {
+func (bk *Broker) pollPolicy(rc Registry, stop chan struct{}) {
 	defer bk.wg.Done()
 	t := time.NewTicker(bk.opts.PolicyPoll)
 	defer t.Stop()

@@ -36,11 +36,12 @@ import (
 	"time"
 
 	"lrpc"
+	"lrpc/registry"
 )
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "address the broker accepts tenants on")
-	registry := flag.String("registry", "", "comma-separated registry replica addresses (enables announce + stored policy)")
+	replicas := flag.String("registry", "", "comma-separated registry replica addresses (enables announce + stored policy)")
 	name := flag.String("name", lrpc.DefaultBrokerName, "registry name the broker announces under")
 	policyName := flag.String("policy-name", "", "registry name of the policy document (default NAME.policy)")
 	policyFile := flag.String("policy-file", "", "initial policy document (JSON BrokerPolicy)")
@@ -99,8 +100,8 @@ func main() {
 	}
 	fmt.Printf("lrpcbroker: listening on %s (generation %d)\n", addr, bk.Generation())
 
-	if *registry != "" {
-		rc := lrpc.NewRegistryClient(strings.Split(*registry, ","), lrpc.RegistryClientOpts{})
+	if *replicas != "" {
+		rc := registry.NewClient(strings.Split(*replicas, ","), registry.ClientOpts{})
 		defer rc.Close()
 		if _, err := bk.Announce(rc, *announceTTL, addr); err != nil {
 			fatal(fmt.Errorf("announce: %w", err))

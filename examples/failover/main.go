@@ -19,6 +19,7 @@ import (
 
 	"lrpc"
 	"lrpc/internal/faultinject"
+	"lrpc/registry"
 )
 
 func main() {
@@ -44,14 +45,14 @@ func main() {
 		addrs[i] = ln.Addr().String()
 		labels[addrs[i]] = fmt.Sprintf("replica-%d", i)
 	}
-	replicas := make([]*lrpc.RegistryReplica, n)
+	replicas := make([]*registry.Replica, n)
 	for i := range replicas {
 		me := fmt.Sprintf("replica-%d", i)
-		r, err := lrpc.StartRegistryReplica(i, addrs, lrpc.RegistryOpts{
+		r, err := registry.StartReplica(i, addrs, registry.Opts{
 			HeartbeatInterval:  25 * time.Millisecond,
 			ElectionTimeoutMin: 120 * time.Millisecond,
 			ElectionTimeoutMax: 240 * time.Millisecond,
-			Store:              lrpc.NewReplicaStore(),
+			Store:              registry.NewStore(),
 			Listener:           lns[i],
 			Seed:               int64(i) + 1,
 			DialPeer: func(peer int, addr string) (net.Conn, error) {
@@ -93,7 +94,7 @@ func main() {
 			log.Fatal(err)
 		}
 		labels[ns.Addr()] = label
-		rc := lrpc.NewRegistryClient(addrs, lrpc.RegistryClientOpts{
+		rc := registry.NewClient(addrs, registry.ClientOpts{
 			Dial: func(addr string) (net.Conn, error) {
 				return part.Dial(label, labelOf(addr), addr)
 			},
@@ -110,16 +111,18 @@ func main() {
 	defer nsB.Close()
 
 	// --- the client: one supervisor over all three registry endpoints ---
-	sup, err := lrpc.SuperviseReplicated("demo.echo", lrpc.ReplicatedOpts{
-		Registry: lrpc.RegistryClientOpts{
-			Dial: func(addr string) (net.Conn, error) {
-				return part.Dial("client", labelOf(addr), addr)
-			},
+	crc := registry.NewClient(addrs, registry.ClientOpts{
+		Dial: func(addr string) (net.Conn, error) {
+			return part.Dial("client", labelOf(addr), addr)
 		},
+	})
+	defer crc.Close()
+	sup, err := lrpc.SuperviseReplicated("demo.echo", lrpc.ReplicatedOpts{
+		Registry: crc,
 		DialTCP: func(addr string) (net.Conn, error) {
 			return part.Dial("client", labelOf(addr), addr)
 		},
-	}, addrs...)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -177,7 +180,7 @@ func main() {
 	fmt.Println("client: 5 calls ok during the election (data path does not block on the registry)")
 
 	// A write proves the survivors re-elected and still commit.
-	probe := lrpc.NewRegistryClient(addrs, lrpc.RegistryClientOpts{
+	probe := registry.NewClient(addrs, registry.ClientOpts{
 		Dial: func(addr string) (net.Conn, error) {
 			return part.Dial("client", labelOf(addr), addr)
 		},

@@ -1,6 +1,11 @@
 package lrpc
 
-import "time"
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"time"
+)
 
 // Hooks into the NetClient's read role (DESIGN §5.19) for the tests.
 
@@ -36,4 +41,59 @@ func stretchIdle(c *NetClient, d time.Duration) {
 	c.mu.Lock()
 	c.idle = d
 	c.mu.Unlock()
+}
+
+// mapRegistry is a Registry over one map, for the tests that drive the
+// announcers and supervisors without a replicated cluster (package
+// registry imports this one, so these tests cannot use it). Leases never
+// expire on their own.
+type mapRegistry struct {
+	mu    sync.Mutex
+	last  uint64
+	names map[string][]mapLease
+}
+
+type mapLease struct {
+	id  uint64
+	eps []Endpoint
+}
+
+// NewMapRegistry returns an empty in-memory Registry.
+func NewMapRegistry() Registry { return &mapRegistry{names: map[string][]mapLease{}} }
+
+func (m *mapRegistry) Register(name string, _ time.Duration, eps ...Endpoint) (uint64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.last++
+	m.names[name] = append(m.names[name], mapLease{m.last, append([]Endpoint(nil), eps...)})
+	return m.last, nil
+}
+
+func (m *mapRegistry) Renew(name string, lease uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !slices.ContainsFunc(m.names[name], func(l mapLease) bool { return l.id == lease }) {
+		return fmt.Errorf("%w: lease %d for %q", ErrLeaseExpired, lease, name)
+	}
+	return nil
+}
+
+func (m *mapRegistry) Unregister(name string, lease uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.names[name] = slices.DeleteFunc(m.names[name], func(l mapLease) bool { return l.id == lease })
+	return nil
+}
+
+func (m *mapRegistry) Resolve(name string) ([]Endpoint, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var eps []Endpoint
+	for _, l := range m.names[name] {
+		eps = append(eps, l.eps...)
+	}
+	if len(eps) == 0 {
+		return nil, fmt.Errorf("%w: %s", ErrNoSuchName, name)
+	}
+	return eps, nil
 }

@@ -1,10 +1,11 @@
 package lrpc
 
 // SuperviseReplicated is the availability capstone over the registry
-// plane: a supervisor that resolves a service through the replicated
-// registry, binds via the cheapest live plane (in-process → shared
-// memory → TCP, the TransparentBinding ladder), and fails over between
-// endpoints when its current one dies — while preserving §5.3's
+// plane: a supervisor that resolves a service through a Registry (the
+// replicated one is package lrpc/registry's Client), binds via the
+// cheapest live plane (in-process → shared memory → TCP, the
+// TransparentBinding ladder), and fails over between endpoints when its
+// current one dies — while preserving §5.3's
 // at-most-once contract. The failover classification is strict: a call
 // is re-sent to another endpoint only when its non-execution is provable
 // (ErrRevoked/ErrOverload/ErrNoAStacks from the local plane, ErrNotSent
@@ -23,11 +24,12 @@ import (
 	"time"
 )
 
-// ReplicatedOpts tunes SuperviseReplicated. The zero value works.
+// ReplicatedOpts tunes SuperviseReplicated. Registry is required; the
+// zero value of every other field works.
 type ReplicatedOpts struct {
-	// Registry tunes the embedded registry client (replica call budgets,
-	// fault-injected dialers).
-	Registry RegistryClientOpts
+	// Registry resolves the service's endpoints. The caller owns it and
+	// closes it after the supervisor.
+	Registry Registry
 	// Local, when set, lets the supervisor bind in-process: an endpoint
 	// with PlaneInproc resolves to Local.Import(name).
 	Local *System
@@ -38,8 +40,6 @@ type ReplicatedOpts struct {
 	// DialTCP overrides how TCP endpoints are dialed (default net.Dial)
 	// — the fault-injection joint for partitions and crashed servers.
 	DialTCP func(addr string) (net.Conn, error)
-	// ShmDial overrides how shm endpoints are dialed (default DialShm).
-	ShmDial func(path, name string) (*ShmClient, error)
 	// RebindAttempts bounds resolve-and-bind rounds per recovery (and
 	// call retries across failovers). 0 selects 20.
 	RebindAttempts int
@@ -91,8 +91,8 @@ type boundPlane struct {
 	alive func() bool
 }
 
-// ReplicatedSupervisor owns a service binding resolved through the
-// replicated registry and keeps it alive across server crashes, lease
+// ReplicatedSupervisor owns a service binding resolved through a
+// Registry and keeps it alive across server crashes, lease
 // expiries, and registry leader changes. Safe for concurrent use.
 //
 // It is the rebind core of supervise.go configured for many endpoints:
@@ -104,7 +104,6 @@ type ReplicatedSupervisor struct {
 
 	name string
 	opts ReplicatedOpts
-	rc   *RegistryClient
 
 	resolves  atomic.Uint64
 	failovers atomic.Uint64
@@ -124,21 +123,17 @@ func failoverVerdict(err error) verdict {
 	return surface
 }
 
-// SuperviseReplicated resolves name through the registry replicas at
-// registryAddrs, binds to the best live endpoint, and returns a
-// supervisor that fails over transparently. The initial resolve-and-bind
-// is synchronous and spends a full recovery round: an error means no
-// replica answered or no endpoint was reachable.
-func SuperviseReplicated(name string, opts ReplicatedOpts, registryAddrs ...string) (*ReplicatedSupervisor, error) {
-	if len(registryAddrs) == 0 {
-		return nil, errors.New("lrpc: SuperviseReplicated requires at least one registry address")
+// SuperviseReplicated resolves name through opts.Registry, binds to the
+// best live endpoint, and returns a supervisor that fails over
+// transparently. The initial resolve-and-bind is synchronous and spends
+// a full recovery round: an error means the registry did not answer or
+// no endpoint was reachable.
+func SuperviseReplicated(name string, opts ReplicatedOpts) (*ReplicatedSupervisor, error) {
+	if opts.Registry == nil {
+		return nil, errors.New("lrpc: SuperviseReplicated requires a Registry")
 	}
 	opts.fill()
-	s := &ReplicatedSupervisor{
-		name: name,
-		opts: opts,
-		rc:   NewRegistryClient(registryAddrs, opts.Registry),
-	}
+	s := &ReplicatedSupervisor{name: name, opts: opts}
 	s.rebinder = rebinder{
 		dial:           s.resolveAndBind,
 		alive:          func(c Caller) bool { return c.(*boundPlane).alive() },
@@ -152,7 +147,6 @@ func SuperviseReplicated(name string, opts ReplicatedOpts, registryAddrs ...stri
 		closeCh:        make(chan struct{}),
 	}
 	if err := s.round(context.Background()); err != nil {
-		s.rc.Close()
 		return nil, err
 	}
 	if opts.ProbeInterval > 0 {
@@ -160,10 +154,6 @@ func SuperviseReplicated(name string, opts ReplicatedOpts, registryAddrs ...stri
 	}
 	return s, nil
 }
-
-// Registry exposes the supervisor's registry client (shared leader
-// hints; useful for issuing Resolve/Status probes alongside calls).
-func (s *ReplicatedSupervisor) Registry() *RegistryClient { return s.rc }
 
 // Endpoint returns the endpoint the supervisor is currently bound to.
 func (s *ReplicatedSupervisor) Endpoint() Endpoint {
@@ -184,16 +174,15 @@ func (s *ReplicatedSupervisor) Stats() ReplicatedStats {
 }
 
 // Close stops the supervisor: the prober exits, the current transport is
-// released, and subsequent calls fail with ErrSupervisorClosed.
+// released, and subsequent calls fail with ErrSupervisorClosed. The
+// Registry is the caller's to close.
 func (s *ReplicatedSupervisor) Close() error {
-	if !s.shut() {
-		return nil
-	}
-	return s.rc.Close()
+	s.shut()
+	return nil
 }
 
-// resolveAndBind is the one-attempt dial func: resolve through any live
-// registry replica, rank the endpoints (in-process → shm → TCP, the
+// resolveAndBind is the one-attempt dial func: resolve through the
+// registry, rank the endpoints (in-process → shm → TCP, the
 // endpoint being replaced demoted to last resort), and bind the first
 // that answers. The core retries it under backoff — long enough for a
 // lease expiry or a registry election to converge under it.
@@ -202,7 +191,7 @@ func (s *ReplicatedSupervisor) resolveAndBind(old Caller) (Caller, error) {
 	if bp, ok := old.(*boundPlane); ok {
 		failed = bp.ep
 	}
-	eps, err := s.rc.Resolve(s.name)
+	eps, err := s.opts.Registry.Resolve(s.name)
 	s.resolves.Add(1)
 	if err != nil {
 		return nil, err
@@ -277,11 +266,7 @@ func (s *ReplicatedSupervisor) bindEndpoint(ep Endpoint) (*boundPlane, error) {
 		}
 		return &boundPlane{BindLocal(b), ep, func() bool { return !b.Revoked() }}, nil
 	case PlaneShm:
-		dial := s.opts.ShmDial
-		if dial == nil {
-			dial = DialShm
-		}
-		c, err := dial(ep.Addr, s.name)
+		c, err := DialShm(ep.Addr, s.name)
 		if err != nil {
 			return nil, err
 		}

@@ -11,12 +11,34 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"lrpc"
 	"lrpc/internal/faultinject"
 )
+
+// execRecorder counts handler executions per call id: the at-most-once
+// ledger.
+type execRecorder struct {
+	mu    sync.Mutex
+	execs map[uint64]int
+}
+
+func newExecRecorder() *execRecorder { return &execRecorder{execs: make(map[uint64]int)} }
+
+func (r *execRecorder) record(id uint64) {
+	r.mu.Lock()
+	r.execs[id]++
+	r.mu.Unlock()
+}
+
+func (r *execRecorder) count(id uint64) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.execs[id]
+}
 
 // blockingEchoSystem exports svc.block: the handler records the 8-byte
 // call id, signals entry, then parks until release — so a test can sever
@@ -113,9 +135,12 @@ func TestWrittenFrameNotRetried(t *testing.T) {
 // satellite regression. Even with RetryFailedCalls enabled, a frame
 // written to a now-dead endpoint is returned as an error — the
 // supervisor rebinds in the background but never re-executes it. The
-// NEXT call (a fresh frame) fails over transparently.
+// NEXT call (a fresh frame) fails over transparently. The registry is
+// an in-memory map: the verdict never depends on the registry's
+// replication, only on what reached the wire.
 func TestRetryFailedCallsNeverRetriesWrittenFrame(t *testing.T) {
-	c := newHACluster(t, 1, 5) // single replica: the propose fast path
+	part := faultinject.NewPartitioner()
+	reg := lrpc.NewMapRegistry()
 	rec := newExecRecorder()
 	entered := make(chan uint64, 4)
 	release := make(chan struct{})
@@ -126,26 +151,12 @@ func TestRetryFailedCallsNeverRetriesWrittenFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ns.Close()
-	labelOf := func(addr string) string {
-		if addr == ns.Addr() {
-			return "server"
-		}
-		return c.labelOf(addr)
-	}
-	src := lrpc.NewRegistryClient(c.addrs, lrpc.RegistryClientOpts{
-		CallTimeout: 400 * time.Millisecond,
-		OpTimeout:   5 * time.Second,
-		Dial: func(addr string) (net.Conn, error) {
-			return c.part.Dial("server", labelOf(addr), addr)
-		},
-	})
-	defer src.Close()
-	if _, err := ns.Announce(src, "svc.block", 2*time.Second); err != nil {
+	if _, err := ns.Announce(reg, "svc.block", 2*time.Second); err != nil {
 		t.Fatalf("announce: %v", err)
 	}
 
 	sup, err := lrpc.SuperviseReplicated("svc.block", lrpc.ReplicatedOpts{
-		Registry: c.registryClientOpts("client"),
+		Registry: reg,
 		Net: lrpc.DialOptions{
 			CallTimeout:    5 * time.Second,
 			RedialAttempts: 2,
@@ -153,13 +164,13 @@ func TestRetryFailedCallsNeverRetriesWrittenFrame(t *testing.T) {
 			BackoffMax:     10 * time.Millisecond,
 		},
 		DialTCP: func(addr string) (net.Conn, error) {
-			return c.part.Dial("client", labelOf(addr), addr)
+			return part.Dial("client", "server", addr)
 		},
 		RetryFailedCalls:     true, // even so: written frames stay dead
 		RebindAttempts:       20,
 		RebindBackoffInitial: 2 * time.Millisecond,
 		RebindBackoffMax:     20 * time.Millisecond,
-	}, c.addrs...)
+	})
 	if err != nil {
 		t.Fatalf("SuperviseReplicated: %v", err)
 	}
@@ -171,7 +182,7 @@ func TestRetryFailedCallsNeverRetriesWrittenFrame(t *testing.T) {
 		errCh <- err
 	}()
 	<-entered // frame 7 is executing on the server
-	c.part.Block("client", "server")
+	part.Block("client", "server")
 	err = <-errCh
 	if err == nil {
 		t.Fatal("call succeeded across a severed connection")
@@ -185,7 +196,7 @@ func TestRetryFailedCallsNeverRetriesWrittenFrame(t *testing.T) {
 
 	// Heal and drain: if anything were going to (wrongly) resend frame 7
 	// it can now reach the server.
-	c.part.Heal("client", "server")
+	part.Heal("client", "server")
 	close(release)
 	time.Sleep(300 * time.Millisecond)
 	if n := rec.count(7); n != 1 {

@@ -19,6 +19,7 @@ import (
 
 	"lrpc"
 	"lrpc/internal/faultinject"
+	"lrpc/registry"
 )
 
 // FailoverResult is the BENCH_pr6.json artifact.
@@ -73,7 +74,7 @@ func Failover(seed int64) (res FailoverResult, err error) {
 		return addr
 	}
 
-	replicas := make([]*lrpc.RegistryReplica, n)
+	replicas := make([]*registry.Replica, n)
 	defer func() {
 		for _, r := range replicas {
 			if r != nil {
@@ -83,14 +84,14 @@ func Failover(seed int64) (res FailoverResult, err error) {
 	}()
 	for i := range replicas {
 		me := fmt.Sprintf("replica-%d", i)
-		r, rerr := lrpc.StartRegistryReplica(i, addrs, lrpc.RegistryOpts{
+		r, rerr := registry.StartReplica(i, addrs, registry.Opts{
 			HeartbeatInterval:  20 * time.Millisecond,
 			ElectionTimeoutMin: 100 * time.Millisecond,
 			ElectionTimeoutMax: 200 * time.Millisecond,
 			PeerCallTimeout:    80 * time.Millisecond,
 			CommitTimeout:      2 * time.Second,
 			Listener:           lns[i],
-			Store:              lrpc.NewReplicaStore(),
+			Store:              registry.NewStore(),
 			Seed:               seed + int64(i),
 			DialPeer: func(peer int, addr string) (net.Conn, error) {
 				return part.Dial(me, labelOf(addr), addr)
@@ -106,7 +107,7 @@ func Failover(seed int64) (res FailoverResult, err error) {
 	var mu sync.Mutex
 	execs := map[uint64]int{}
 
-	mkServer := func(lab string) (*lrpc.NetServer, *lrpc.RegistryClient, error) {
+	mkServer := func(lab string) (*lrpc.NetServer, *registry.Client, error) {
 		sys := lrpc.NewSystem()
 		if _, xerr := sys.Export(&lrpc.Interface{
 			Name: "bench.echo",
@@ -131,7 +132,7 @@ func Failover(seed int64) (res FailoverResult, err error) {
 			return nil, nil, serr
 		}
 		labels[ns.Addr()] = lab
-		src := lrpc.NewRegistryClient(addrs, lrpc.RegistryClientOpts{
+		src := registry.NewClient(addrs, registry.ClientOpts{
 			CallTimeout: 300 * time.Millisecond,
 			OpTimeout:   8 * time.Second,
 			Seed:        seed + int64(len(lab)),
@@ -157,15 +158,17 @@ func Failover(seed int64) (res FailoverResult, err error) {
 	}
 	defer func() { nsB.Close(); rcB.Close() }()
 
-	sup, err := lrpc.SuperviseReplicated("bench.echo", lrpc.ReplicatedOpts{
-		Registry: lrpc.RegistryClientOpts{
-			CallTimeout: 300 * time.Millisecond,
-			OpTimeout:   8 * time.Second,
-			Seed:        seed + 100,
-			Dial: func(addr string) (net.Conn, error) {
-				return part.Dial("client", labelOf(addr), addr)
-			},
+	crc := registry.NewClient(addrs, registry.ClientOpts{
+		CallTimeout: 300 * time.Millisecond,
+		OpTimeout:   8 * time.Second,
+		Seed:        seed + 100,
+		Dial: func(addr string) (net.Conn, error) {
+			return part.Dial("client", labelOf(addr), addr)
 		},
+	})
+	defer crc.Close()
+	sup, err := lrpc.SuperviseReplicated("bench.echo", lrpc.ReplicatedOpts{
+		Registry: crc,
 		Net: lrpc.DialOptions{
 			CallTimeout:    500 * time.Millisecond,
 			RedialAttempts: 2,
@@ -179,7 +182,7 @@ func Failover(seed int64) (res FailoverResult, err error) {
 		RebindAttempts:       60,
 		RebindBackoffInitial: 2 * time.Millisecond,
 		RebindBackoffMax:     50 * time.Millisecond,
-	}, addrs...)
+	})
 	if err != nil {
 		return res, err
 	}
@@ -243,7 +246,7 @@ func Failover(seed int64) (res FailoverResult, err error) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	probe := lrpc.NewRegistryClient(addrs, lrpc.RegistryClientOpts{
+	probe := registry.NewClient(addrs, registry.ClientOpts{
 		CallTimeout: 300 * time.Millisecond,
 		OpTimeout:   15 * time.Second,
 		Seed:        seed + 300,

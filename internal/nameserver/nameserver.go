@@ -6,9 +6,9 @@
 // The store is deliberately generic: the LRPC run-time registers its clerk
 // records, the network RPC layer registers remote service addresses.
 //
-// This is the single-domain store; the replicated, leased registry plane
-// that survives server and registry crashes lives in the root package
-// (RegistryReplica / RegistryClient).
+// This is the single-domain store; the replicated, leased registry that
+// survives server and registry crashes is package lrpc/registry
+// (registry.Replica / registry.Client).
 package nameserver
 
 import (

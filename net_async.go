@@ -106,7 +106,7 @@ func (c *NetClient) CallOneWay(proc int, args []byte) error {
 		c.connBroken(w, werr)
 		c.brFailure()
 		if !wrote {
-			return notSent(werr)
+			return notSent(fmt.Errorf("%w: send failed: %v", ErrConnClosed, werr))
 		}
 		return fmt.Errorf("%w: send failed mid-request: %v", ErrConnClosed, werr)
 	}

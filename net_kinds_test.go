@@ -295,7 +295,9 @@ func TestNetEveryCallKindLeavesClientWhole(t *testing.T) {
 			case syncCall, asyncCall:
 				good = err == nil
 			case oneWayCall:
-				good = errors.Is(err, ErrNotSent)
+				// Unsent, and a lost connection like every other
+				// submission path's failed write.
+				good = errors.Is(err, ErrNotSent) && errors.Is(err, ErrConnClosed)
 			default:
 				good = errors.Is(err, ErrConnClosed)
 			}

@@ -218,7 +218,6 @@ type ShmServer struct {
 	mu        sync.Mutex
 	listeners map[*net.UnixListener]struct{}
 	sessions  map[*shmSession]struct{}
-	anns      []*Announcement
 	closed    bool
 
 	sessionsTotal  atomic.Uint64
@@ -316,12 +315,7 @@ func (sv *ShmServer) Close() error {
 	for s := range sv.sessions {
 		ss = append(ss, s)
 	}
-	anns := sv.anns
-	sv.anns = nil
 	sv.mu.Unlock()
-	for _, a := range anns {
-		_ = a.Close()
-	}
 	for _, l := range ls {
 		l.Close()
 	}
@@ -329,34 +323,6 @@ func (sv *ShmServer) Close() error {
 		s.serverClose()
 	}
 	return nil
-}
-
-// Announce registers name→this server's shm socket path in the
-// replicated registry under a lease with the given TTL and keeps it
-// renewed until the server closes — the shared-memory export path's
-// heartbeat into the registry plane. Extra endpoints (e.g. a TCP
-// fallback address) ride along in the same registration.
-func (sv *ShmServer) Announce(rc *RegistryClient, name, path string, ttl time.Duration, extra ...Endpoint) (*Announcement, error) {
-	sv.mu.Lock()
-	if sv.closed {
-		sv.mu.Unlock()
-		return nil, net.ErrClosed
-	}
-	sv.mu.Unlock()
-	eps := append([]Endpoint{{Plane: PlaneShm, Addr: path}}, extra...)
-	a, err := AnnounceEndpoint(rc, name, ttl, eps...)
-	if err != nil {
-		return nil, err
-	}
-	sv.mu.Lock()
-	if sv.closed {
-		sv.mu.Unlock()
-		_ = a.Close()
-		return nil, net.ErrClosed
-	}
-	sv.anns = append(sv.anns, a)
-	sv.mu.Unlock()
-	return a, nil
 }
 
 // handshake answers one bind request: validate the import, build and

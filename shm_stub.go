@@ -11,7 +11,6 @@ package lrpc
 import (
 	"context"
 	"net"
-	"time"
 )
 
 // ShmServer is unavailable on this platform; see shm.go (linux).
@@ -34,12 +33,6 @@ func (sv *ShmServer) Close() error { return nil }
 
 // Stats returns zeroes on this platform.
 func (sv *ShmServer) Stats() ShmServerStats { return ShmServerStats{} }
-
-// Announce fails with ErrShmUnsupported: there is no shm endpoint to
-// register on this platform (announce a TCP endpoint via NetServer).
-func (sv *ShmServer) Announce(rc *RegistryClient, name, path string, ttl time.Duration, extra ...Endpoint) (*Announcement, error) {
-	return nil, ErrShmUnsupported
-}
 
 // ListenShm fails with ErrShmUnsupported.
 func ListenShm(path string) (*net.UnixListener, error) { return nil, ErrShmUnsupported }

@@ -18,6 +18,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // structureCap is one guard: at most max sites in files (the whole
@@ -219,6 +220,45 @@ var structureCaps = []structureCap{
 	// probes only in the sync caller's reply wait.
 	{why: "a second CPU-count decision beside shmring's", match: callTo("runtime.NumCPU")},
 	{why: "a second probe of a shm wait", max: 1, in: "awaitReply", match: callTo("shmring.Probe")},
+
+	// The name service (DESIGN §5.12): the replicated registry is package
+	// lrpc/registry, a client of this one that serves through NetServer.
+	// Accepted connections are tracked for severing by ServeNetServer and
+	// Broker.Serve alone, and the only registry name declared here is the
+	// Registry interface the supervisors and announcers read.
+	{why: "a third serve-and-sever path beside ServeNetServer and Broker.Serve", max: 2, match: callTo("newTrackedListener")},
+	{why: "registry code back in the root package", match: func(n ast.Node) bool {
+		var name string
+		switch d := n.(type) {
+		case *ast.TypeSpec:
+			if _, ok := d.Type.(*ast.InterfaceType); ok && d.Name.Name == "Registry" {
+				return false
+			}
+			name = d.Name.Name
+		case *ast.FuncDecl:
+			if d.Recv != nil {
+				return false
+			}
+			name = d.Name.Name
+		default:
+			return false
+		}
+		// "Registry" or "Replica" as a word of the name: RegistryClient,
+		// NewReplicaStore and StartRegistryReplica, not ReplicatedOpts.
+		for _, word := range []string{"Registry", "Replica"} {
+			for rest := name; ; {
+				i := strings.Index(rest, word)
+				if i < 0 {
+					break
+				}
+				rest = rest[i+len(word):]
+				if rest == "" || unicode.IsUpper(rune(rest[0])) {
+					return true
+				}
+			}
+		}
+		return false
+	}},
 }
 
 // TestStructureCaps holds the root package to its structure caps.

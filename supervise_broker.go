@@ -2,7 +2,7 @@ package lrpc
 
 // SuperviseBroker: the tenant side of the broker plane. A BrokerSession
 // is a NetClient whose dial hook re-resolves the broker through the
-// replicated registry, re-dials, and re-admits with a HELLO before the
+// Registry, re-dials, and re-admits with a HELLO before the
 // connection carries data — so a SIGKILLed-and-restarted broker is
 // survived the same way SuperviseReplicated survives a crashed server:
 // the NetClient's redial machinery replays only frames that provably
@@ -34,9 +34,9 @@ type BrokerTenantOpts struct {
 	// BrokerAddrs are static broker addresses tried after (or instead
 	// of) registry resolution — registry-less deployments and tests.
 	BrokerAddrs []string
-	// Registry tunes the registry client when registry addresses are
-	// given to SuperviseBroker.
-	Registry RegistryClientOpts
+	// Registry, when set, resolves BrokerName before every dial. The
+	// caller owns it and closes it after the session.
+	Registry Registry
 	// Net tunes the underlying NetClient (timeouts, redial budget,
 	// breaker). Its Dial field is overwritten by the supervisor.
 	Net DialOptions
@@ -70,8 +70,6 @@ type BrokerSessionStats struct {
 // semantics (including at-most-once retry classification).
 type BrokerSession struct {
 	opts   BrokerTenantOpts
-	rc     *RegistryClient // nil without registry addresses
-	ownsRC bool
 	client *NetClient
 
 	gen        atomic.Uint64
@@ -82,12 +80,12 @@ type BrokerSession struct {
 }
 
 // SuperviseBroker builds a tenant session against the broker resolved
-// from the given registry replica set (and/or opts.BrokerAddrs). The
+// through opts.Registry (and/or opts.BrokerAddrs). The
 // first admission is synchronous: an error means no broker admitted the
 // tenant — including a policy refusal (unknown tenant, bad token),
 // which is permanent until policy changes and is surfaced rather than
 // retried.
-func SuperviseBroker(opts BrokerTenantOpts, registryAddrs ...string) (*BrokerSession, error) {
+func SuperviseBroker(opts BrokerTenantOpts) (*BrokerSession, error) {
 	if opts.Tenant == "" {
 		return nil, errors.New("lrpc: SuperviseBroker requires a tenant identity")
 	}
@@ -105,19 +103,14 @@ func SuperviseBroker(opts BrokerTenantOpts, registryAddrs ...string) (*BrokerSes
 			return net.DialTimeout("tcp", addr, opts.HelloTimeout)
 		}
 	}
-	if len(registryAddrs) == 0 && len(opts.BrokerAddrs) == 0 {
-		return nil, errors.New("lrpc: SuperviseBroker needs registry addresses or BrokerAddrs")
+	if opts.Registry == nil && len(opts.BrokerAddrs) == 0 {
+		return nil, errors.New("lrpc: SuperviseBroker needs a Registry or BrokerAddrs")
 	}
 	s := &BrokerSession{opts: opts}
-	if len(registryAddrs) > 0 {
-		s.rc = NewRegistryClient(registryAddrs, opts.Registry)
-		s.ownsRC = true
-	}
 	nopts := opts.Net
 	nopts.Dial = s.dialAdmitted
 	client, err := NewReconnectingClient(opts.Service, nopts)
 	if err != nil {
-		s.shutdownRC()
 		return nil, err
 	}
 	s.client = client
@@ -129,8 +122,8 @@ func SuperviseBroker(opts BrokerTenantOpts, registryAddrs ...string) (*BrokerSes
 // after.
 func (s *BrokerSession) candidates() []string {
 	var addrs []string
-	if s.rc != nil {
-		if eps, err := s.rc.Resolve(s.opts.BrokerName); err == nil {
+	if s.opts.Registry != nil {
+		if eps, err := s.opts.Registry.Resolve(s.opts.BrokerName); err == nil {
 			for _, ep := range eps {
 				if ep.Plane == PlaneTCP {
 					addrs = append(addrs, ep.Addr)
@@ -220,15 +213,5 @@ func (s *BrokerSession) Stats() BrokerSessionStats {
 	}
 }
 
-func (s *BrokerSession) shutdownRC() {
-	if s.ownsRC && s.rc != nil {
-		_ = s.rc.Close()
-	}
-}
-
-// Close tears the session down.
-func (s *BrokerSession) Close() error {
-	err := s.client.Close()
-	s.shutdownRC()
-	return err
-}
+// Close tears the session down. The Registry is the caller's to close.
+func (s *BrokerSession) Close() error { return s.client.Close() }

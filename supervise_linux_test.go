@@ -67,15 +67,15 @@ func TestReplicatedProbeSeesDeadShmSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ns.Close() })
-	addrs := startTestRegistry(t)
-	registerForever(t, addrs, "svc.null",
+	reg := registerForever(t, "svc.null",
 		Endpoint{Plane: PlaneShm, Addr: sock}, Endpoint{Plane: PlaneTCP, Addr: ns.Addr()})
 
 	log := NewTraceLog(16)
 	sup, err := SuperviseReplicated("svc.null", ReplicatedOpts{
+		Registry:      reg,
 		ProbeInterval: 5 * time.Millisecond,
 		Tracer:        log,
-	}, addrs...)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

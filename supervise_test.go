@@ -104,33 +104,16 @@ func openSupervise(t *testing.T, attempts int, backoff time.Duration) *supervise
 	return fx
 }
 
-// startTestRegistry runs a one-replica registry and returns its address
-// list; a lone replica elects itself within a few heartbeats.
-func startTestRegistry(t *testing.T) []string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := []string{ln.Addr().String()}
-	rep, err := StartRegistryReplica(0, addrs, RegistryOpts{HeartbeatInterval: 10 * time.Millisecond, Listener: ln})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rep.Stop)
-	return addrs
-}
-
-// registerForever registers eps under name with a lease that outlives
-// the test, so a killed server stays resolvable: the registry keeps
+// registerForever returns a registry that resolves name to eps for the
+// whole test, so a killed server stays resolvable: the registry keeps
 // answering and every bind attempt fails at the endpoint.
-func registerForever(t *testing.T, addrs []string, name string, eps ...Endpoint) {
+func registerForever(t *testing.T, name string, eps ...Endpoint) Registry {
 	t.Helper()
-	rc := NewRegistryClient(addrs, RegistryClientOpts{})
-	defer rc.Close()
-	if _, err := rc.Register(name, time.Hour, eps...); err != nil {
+	reg := NewMapRegistry()
+	if _, err := reg.Register(name, time.Hour, eps...); err != nil {
 		t.Fatalf("register %s: %v", name, err)
 	}
+	return reg
 }
 
 // openSuperviseReplicated binds in process, so kill is as synchronous as
@@ -145,13 +128,13 @@ func openSuperviseReplicated(t *testing.T, attempts int, backoff time.Duration) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := startTestRegistry(t)
-	registerForever(t, addrs, "svc.null",
+	reg := registerForever(t, "svc.null",
 		Endpoint{Plane: PlaneInproc}, Endpoint{Plane: PlaneTCP, Addr: "127.0.0.1:1"})
 
 	fx := newSupervisedFixture()
 	sup, err := SuperviseReplicated("svc.null", ReplicatedOpts{
-		Local: sys,
+		Registry: reg,
+		Local:    sys,
 		DialTCP: func(string) (net.Conn, error) {
 			fx.dialed()
 			return nil, errors.New("nobody serves this endpoint")
@@ -160,7 +143,7 @@ func openSuperviseReplicated(t *testing.T, attempts int, backoff time.Duration) 
 		RebindBackoffInitial: backoff,
 		RebindBackoffMax:     backoff,
 		ProbeInterval:        -1,
-	}, addrs...)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
