@@ -47,12 +47,15 @@ build:
 	$(GO) build ./...
 
 # The package must build and vet — tests included — where the shm plane
-# is a stub. Pure-Go cross-compilation, no network, no toolchain beyond
-# the one already here; it is also the check that the stub surface in
-# shm_stub.go is whole.
+# is a stub (darwin), and where the TCP read probe is too (windows, no
+# read(2) on a socket). Pure-Go cross-compilation, no network, no
+# toolchain beyond the one already here; it is also the check that the
+# stub surfaces in shm_stub.go and netprobe_other.go are whole.
 crossbuild:
 	GOOS=darwin $(GO) build ./...
 	GOOS=darwin $(GO) vet ./...
+	GOOS=windows $(GO) build ./...
+	GOOS=windows $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -90,13 +93,14 @@ onecaller:
 # included, then the run-to-completion, deadline-rule and client
 # read-role tests twenty times over, the read-role tests again pinned to
 # one CPU where taskset exists, since there a leading caller and the
-# background reader interleave differently.
-ONEWIRE_ROLE = TestNetCallerReadsOwnReply|TestNetIdleConnNoticesFIN|TestNetLeaderHandsOffPendingCall|TestNetMixedCallersSettle
+# background reader interleave differently — and with the probing-reader
+# tests, since there a TCP read's probe budget is 0.
+ONEWIRE_ROLE = TestNetCallerReadsOwnReply|TestNetIdleConnNoticesFIN|TestNetLeaderHandsOffPendingCall|TestNetMixedCallersSettle|TestNetIdleWatchIsShared
 onewire:
 	$(GO) test -race -count=3 -run 'TestBroker|TestNet' .
 	$(GO) test -race -count=3 -run 'TestBroker' ./registry
 	$(GO) test -race -count=20 -run 'TestNetExpiredCallLeavesConnection|TestNetBlockedHandlerFreesConnection|TestNetLoneCallsRunOnReader|TestNetSlowProcedureSpawns|TestNetStallWatchParks|TestNetWriteDeadlineRule|$(ONEWIRE_ROLE)' .
-	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -race -count=20 -run '$(ONEWIRE_ROLE)' .; fi
+	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -race -count=20 -run '$(ONEWIRE_ROLE)|TestNetProbe|TestNetResetRetiresConnection' .; fi
 
 # oneslot: the shm suite, the every-kind table included.
 oneslot:

@@ -745,6 +745,7 @@ func (bk *Broker) Start(addr string) (string, error) {
 // Serve accepts tenant and admin connections until the listener fails
 // or the broker is closed.
 func (bk *Broker) Serve(ln net.Listener) error {
+	defer holdPort(ln.Addr())()
 	tl := newTrackedListener(ln)
 	bk.mu.Lock()
 	if bk.closed.Load() {
@@ -927,7 +928,7 @@ func promLabelEscape(s string) string {
 // and the connection closed. The first request must arrive promptly.
 func (bk *Broker) handleConn(conn net.Conn) {
 	defer bk.wg.Done()
-	cc := &countingConn{Conn: conn}
+	cc := &countingConn{Conn: conn, r: connReader(conn)}
 	rt := &tenantRoute{bk: bk}
 	l := newConnLoop(cc, rt, ServeOptions{MaxInFlight: bk.opts.MaxInFlight, WriteTimeout: bk.opts.WriteTimeout})
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -1027,15 +1028,18 @@ func (bk *Broker) admin(proc int, args []byte) ([]byte, error) {
 
 // countingConn counts every byte an admitted tenant connection carries —
 // drained payloads and refused frames included — into the tenant's
-// BytesIn and BytesOut. Until admission ts is nil and nothing counts.
+// BytesIn and BytesOut. Until admission ts is nil and nothing counts. It
+// reads through conn's probing reader, so a broker connection's reads
+// probe as a served one's do.
 type countingConn struct {
 	net.Conn
+	r      io.Reader // connReader(Conn)
 	ts     *tenantState
 	stripe uint32
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
+	n, err := c.r.Read(p)
 	if c.ts != nil {
 		c.ts.bytesIn.add(c.stripe, uint64(n))
 	}

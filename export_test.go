@@ -35,6 +35,28 @@ func pendingCalls(c *NetClient) int {
 	return len(c.wait)
 }
 
+// backgroundHolds reports whether the background reader holds the read
+// role of c's live connection.
+func backgroundHolds(c *NetClient) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.w != nil && c.w.role == readBackground
+}
+
+// idleWatched reports whether the idle watch holds cc, a connection of c.
+func idleWatched(c *NetClient, cc *clientConn) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return cc.watched
+}
+
+// idleWatchRunning reports whether the process-wide idle watch ticks.
+func idleWatchRunning() bool {
+	idleWatch.mu.Lock()
+	defer idleWatch.mu.Unlock()
+	return idleWatch.running
+}
+
 // stretchIdle sets the interval after which c's background reader takes
 // a free read role, so that only hand-offs move the role.
 func stretchIdle(c *NetClient, d time.Duration) {

@@ -40,9 +40,11 @@ func futexWake(addr *atomic.Uint32, n int) {
 		0, 0, 0)
 }
 
-// osYield offers the processor to other runnable OS threads and
+// OSYield offers the processor to other runnable OS threads and
 // processes (sched_yield) — the half of Yield that runtime.Gosched
-// cannot do: the Go scheduler cannot run the other domain.
-func osYield() {
+// cannot do: the Go scheduler cannot run the other domain. It leaves the
+// Go scheduler alone, so a busy wait can call it between polls: a peer
+// runnable on this CPU runs, and with none it returns at once.
+func OSYield() {
 	syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0)
 }

@@ -26,7 +26,7 @@ func futexWait(addr *atomic.Uint32, val uint32, timeout time.Duration) {
 
 func futexWake(addr *atomic.Uint32, n int) {}
 
-// osYield degrades to a Go-scheduler yield where sched_yield is not
+// OSYield degrades to a Go-scheduler yield where sched_yield is not
 // available; the shm plane itself is Linux-only, so nothing
 // cross-process depends on this.
-func osYield() { runtime.Gosched() }
+func OSYield() { runtime.Gosched() }

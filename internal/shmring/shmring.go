@@ -217,12 +217,24 @@ func (r *Ring) WakeAll() {
 	futexWake(r.seq, 1<<30)
 }
 
+// spare is how many goroutines of this process may busy-wait at once:
+// one fewer than the CPUs it may run on, so one is always left to the
+// peer being waited for, and 0 on one CPU, where a busy wait only
+// delays that peer. It is the wait policy's one reading of the CPU
+// count, made once at init.
+var spare = runtime.NumCPU() - 1
+
+// Spare reports how many goroutines of this process may busy-wait at
+// once (spare). Probe's budget follows it, and so do the TCP plane's
+// read probes in package lrpc.
+func Spare() int { return spare }
+
 // probeBudget is how long Probe polls before giving up, set once at
 // init: 3 µs where this process may run on more than one CPU, and 0 on
 // one CPU, where loads cannot see a peer that is not running. It is a
 // time, not a count of loads, so a build whose loads are slower (the
 // race detector instruments each one) probes about as long.
-var probeBudget = probeTime(runtime.NumCPU())
+var probeBudget = probeTime(spare + 1)
 
 func probeTime(ncpu int) time.Duration {
 	if ncpu > 1 {
@@ -275,7 +287,7 @@ func (r *Ring) ready() bool {
 // (Probe) rather than replacing it.
 func Yield() {
 	runtime.Gosched()
-	osYield()
+	OSYield()
 }
 
 // PopWait pops, probing with loads (Probe), spinning `spin` yielding

@@ -287,6 +287,9 @@ func TestProbeBudgetFollowsCPUs(t *testing.T) {
 	if probeTime(1) != 0 || probeTime(2) == 0 {
 		t.Fatalf("probeTime(1) = %v, probeTime(2) = %v", probeTime(1), probeTime(2))
 	}
+	if Spare() != runtime.NumCPU()-1 {
+		t.Fatalf("Spare() = %d with NumCPU %d", Spare(), runtime.NumCPU())
+	}
 }
 
 // TestProbeIsBoundedByTime: a probe that never sees its condition gives

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -238,6 +239,7 @@ func (s *System) ServeNetwork(l net.Listener) error {
 // ServeNetworkOpts is ServeNetwork with explicit limits.
 func (s *System) ServeNetworkOpts(l net.Listener, opts ServeOptions) error {
 	opts.fill()
+	defer holdPort(l.Addr())()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -313,6 +315,16 @@ func (c *trackedConn) Close() error {
 	return c.Conn.Close()
 }
 
+// SyscallConn is the wrapped conn's, so a served connection's reads
+// probe its socket (connReader) as a bare one's do.
+func (c *trackedConn) SyscallConn() (syscall.RawConn, error) {
+	sc, ok := c.Conn.(syscall.Conn)
+	if !ok {
+		return nil, errors.ErrUnsupported
+	}
+	return sc.SyscallConn()
+}
+
 // request is one parsed request frame, handed by the server loop to a
 // route and then to the target the route opened.
 type request struct {
@@ -357,7 +369,7 @@ func refusal(msg string) error { return &RemoteError{Msg: msg, NotExecuted: true
 func newConnLoop(conn net.Conn, rt route, opts ServeOptions) *connLoop {
 	return &connLoop{
 		conn:    conn,
-		br:      bufio.NewReader(conn),
+		br:      bufio.NewReader(connReader(conn)),
 		rt:      rt,
 		w:       connWriter{timeout: opts.WriteTimeout, conn: conn},
 		sem:     make(chan struct{}, opts.MaxInFlight),
@@ -1099,10 +1111,13 @@ type clientConn struct {
 
 	// Guarded by NetClient.mu, the wait table's lock, so the role changes
 	// hands in step with the calls registered and claimed.
-	role  readRole
-	asked bool      // a call that could lead registered while the role was taken
-	dead  bool      // retired by connBroken or Close; its background reader exits
-	left  time.Time // when the role last became free, for the idle watch
+	role    readRole
+	asked   bool      // a call that could lead registered while the role was taken
+	dead    bool      // retired by connBroken or Close; its background reader exits
+	left    time.Time // when the role last became free, for the idle watch
+	watched bool      // in idleWatch.conns
+
+	unhold func() // releases the connection's local port from localPorts
 }
 
 // readRole is who reads a client connection's replies.
@@ -1115,22 +1130,109 @@ const (
 )
 
 // readIdle is how long a client connection's read role may lie free
-// before the background reader takes it and blocks in Read, so that an
-// idle connection still notices its peer's FIN and detaches (DESIGN
-// §5.19).
+// before the idle watch hands it to the background reader, which blocks
+// in Read, so that an idle connection still notices its peer's FIN and
+// detaches (DESIGN §5.19). It is the watch's period too.
 const readIdle = time.Millisecond
+
+// idleWatch is the process-wide idle watch of client connections: every
+// readIdle it hands each connection whose read role has lain free past
+// its client's idle interval to that connection's background reader. It
+// holds only connections whose role is free or went free within its
+// last tick, and parks once it holds none, so a connection costs no wake
+// of its own.
+var idleWatch = &roleWatcher{}
+
+type roleWatcher struct {
+	mu      sync.Mutex
+	conns   []idleConn
+	running bool
+}
+
+type idleConn struct {
+	c  *NetClient
+	cc *clientConn
+}
+
+// add puts cc, whose read role has just gone free, in the watch and
+// starts the watch if it has parked. c.mu is held: the watch never takes
+// a client's lock while it holds its own.
+func (w *roleWatcher) add(c *NetClient, cc *clientConn) {
+	cc.watched = true
+	w.mu.Lock()
+	w.conns = append(w.conns, idleConn{c, cc})
+	if !w.running {
+		w.running = true
+		go w.tick()
+	}
+	w.mu.Unlock()
+}
+
+func (w *roleWatcher) tick() {
+	t := time.NewTicker(readIdle)
+	defer t.Stop()
+	for range t.C {
+		w.mu.Lock()
+		scan := w.conns
+		w.conns = nil
+		w.mu.Unlock()
+		kept := scan[:0]
+		for _, e := range scan {
+			if e.c.idleCheck(e.cc) {
+				kept = append(kept, e)
+			}
+		}
+		clear(scan[len(kept):])
+		w.mu.Lock()
+		w.conns = append(kept, w.conns...)
+		if len(w.conns) == 0 {
+			w.running = false
+			w.mu.Unlock()
+			return
+		}
+		w.mu.Unlock()
+	}
+}
+
+// idleCheck is the idle watch's visit to cc. A role free for c.idle goes
+// to the background reader; one free for less stays watched, and so does
+// one a leader took after it was freed within the last tick — callers
+// leading one after another free it every call, and dropping the
+// connection would only restart the watch. A role held since before
+// that, or a retired connection, leaves the watch until the role next
+// goes free (letGo).
+func (c *NetClient) idleCheck(cc *clientConn) (keep bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case cc.dead || cc.role == readBackground:
+	case cc.role == readLeader:
+		if time.Since(cc.left) < readIdle {
+			return true
+		}
+	case time.Since(cc.left) < c.idle:
+		return true
+	default:
+		cc.role = readBackground
+		cc.wake()
+	}
+	cc.watched = false
+	return false
+}
 
 // attach makes conn the live connection, of generation c.gen, and starts
 // its background reader. c.mu is held, or c is not yet shared.
 func (c *NetClient) attach(conn net.Conn) {
 	cc := &clientConn{
 		connWriter: connWriter{timeout: c.opts.WriteTimeout, conn: conn},
-		br:         bufio.NewReader(conn),
+		br:         bufio.NewReader(connReader(conn)),
 		gen:        c.gen,
 		kick:       make(chan struct{}, 1),
 		left:       time.Now(),
+		unhold:     holdPort(conn.LocalAddr()),
 	}
 	c.w = cc
+	idleWatch.add(c, cc)
 	go c.background(cc)
 }
 
@@ -1145,6 +1247,7 @@ func (cc *clientConn) wake() {
 // retire marks cc dead, which ends its background reader. c.mu is held.
 func (cc *clientConn) retire() {
 	cc.dead = true
+	cc.unhold()
 	cc.wake()
 }
 
@@ -1200,17 +1303,19 @@ func (c *NetClient) letGo(cc *clientConn) bool {
 		return true
 	}
 	cc.role, cc.left, cc.asked = readFree, time.Now(), false
+	if !cc.watched {
+		idleWatch.add(c, cc)
+	}
 	return false
 }
 
 // background is cc's background reader. It reads while it holds the
-// role — handed to it by a call that does not read for itself, or by a
-// leader leaving pending calls, or taken once the role has lain free for
-// readIdle — and exits when cc is retired.
+// role — handed to it by a call that does not read for itself, by a
+// leader leaving pending calls, or by the idle watch once the role has
+// lain free for the client's idle interval — and exits when cc is
+// retired.
 func (c *NetClient) background(cc *clientConn) {
-	idle := time.NewTimer(readIdle)
-	defer idle.Stop()
-	for c.awaitRole(cc, idle) {
+	for c.awaitRole(cc) {
 		for {
 			if err := c.dispatch(cc); err != nil {
 				c.connBroken(cc, err)
@@ -1228,34 +1333,20 @@ func (c *NetClient) background(cc *clientConn) {
 }
 
 // awaitRole parks the background reader until it holds cc's read role,
-// and reports false once cc is retired. While the role is another's, or
-// was freed less than c.idle ago, the reader sleeps on idle and then
-// re-checks: the timer moves only when the reader parks, never per call,
-// and a stale tick costs one re-check.
-func (c *NetClient) awaitRole(cc *clientConn, idle *time.Timer) bool {
+// and reports false once cc is retired. Whoever hands it the role, or
+// retires cc, wakes it (clientConn.wake); it keeps no timer of its own.
+func (c *NetClient) awaitRole(cc *clientConn) bool {
 	for {
 		c.mu.Lock()
-		wait := c.idle
-		switch {
-		case cc.dead:
-			c.mu.Unlock()
-			return false
-		case cc.role == readBackground:
-			c.mu.Unlock()
-			return true
-		case cc.role == readFree:
-			if wait -= time.Since(cc.left); wait <= 0 {
-				cc.role = readBackground
-				c.mu.Unlock()
-				return true
-			}
-		}
+		dead, mine := cc.dead, cc.role == readBackground
 		c.mu.Unlock()
-		idle.Reset(wait)
-		select {
-		case <-cc.kick:
-		case <-idle.C:
+		switch {
+		case dead:
+			return false
+		case mine:
+			return true
 		}
+		<-cc.kick
 	}
 }
 

@@ -184,6 +184,53 @@ func TestNetLeaderHandsOffPendingCall(t *testing.T) {
 	}
 }
 
+// TestNetIdleWatchIsShared: one process-wide idle watch serves every
+// client connection. It hands each connection left idle to its
+// background reader, lets go of a connection once the role is taken or
+// the connection retired, and parks once it holds none — so eight
+// connections whose callers lead cost no timer of their own, and eight
+// closed ones leave nothing ticking.
+func TestNetIdleWatchIsShared(t *testing.T) {
+	addr, stop := startServer(t)
+	defer stop()
+	var cs []*NetClient
+	for i := 0; i < 8; i++ {
+		c, err := DialInterface("tcp", addr, "Arith")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Call(2, nil); err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, c)
+	}
+	for _, c := range cs {
+		waitFor(t, func() bool { return backgroundHolds(c) })
+		if cc := liveConn(c); idleWatched(c, cc) {
+			t.Fatal("the idle watch kept a connection whose role it handed to the background reader")
+		}
+	}
+	// A call while the background reader holds the role frees it again,
+	// and the watch takes the connection back (and, with the idle
+	// interval stretched, keeps it).
+	stretchIdle(cs[0], time.Hour)
+	if _, err := cs[0].Call(2, nil); err != nil {
+		t.Fatal(err)
+	}
+	cc := liveConn(cs[0])
+	waitFor(t, func() bool { return idleWatched(cs[0], cc) })
+	var ccs []*clientConn
+	for _, c := range cs {
+		ccs = append(ccs, liveConn(c))
+		c.Close()
+	}
+	for i, cc := range ccs {
+		waitFor(t, func() bool { return !idleWatched(cs[i], cc) })
+	}
+	waitFor(t, func() bool { return !idleWatchRunning() })
+}
+
 // TestNetMixedCallersSettle: eight goroutines share one NetClient, mixing
 // calls with and without a deadline, CallAsync, batches and one-way
 // calls, while the server severs the connection mid-run. Every future

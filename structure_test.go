@@ -221,6 +221,11 @@ var structureCaps = []structureCap{
 	{why: "a second CPU-count decision beside shmring's", match: callTo("runtime.NumCPU")},
 	{why: "a second probe of a shm wait", max: 1, in: "awaitReply", match: callTo("shmring.Probe")},
 
+	// The TCP read probe (DESIGN §5.20): the socket is read raw in one
+	// place, the probing reader under both of the TCP plane's buffered
+	// readers, and its budget reads shmring's CPU decision (above).
+	{why: "a second raw socket read beside the probing reader", max: 1, in: "readNow", match: callTo("syscall.Read")},
+
 	// The name service (DESIGN §5.12): the replicated registry is package
 	// lrpc/registry, a client of this one that serves through NetServer.
 	// Accepted connections are tracked for severing by ServeNetServer and
