@@ -50,7 +50,8 @@ build:
 # is a stub (darwin), and where the TCP read probe is too (windows, no
 # read(2) on a socket). Pure-Go cross-compilation, no network, no
 # toolchain beyond the one already here; it is also the check that the
-# stub surfaces in shm_stub.go and netprobe_other.go are whole.
+# stub surfaces in shm_stub.go and netprobe_other.go (newProbingReader,
+# parkNext) are whole.
 crossbuild:
 	GOOS=darwin $(GO) build ./...
 	GOOS=darwin $(GO) vet ./...
@@ -94,8 +95,10 @@ onecaller:
 # read-role tests twenty times over, the read-role tests again pinned to
 # one CPU where taskset exists, since there a leading caller and the
 # background reader interleave differently — and with the probing-reader
-# tests, since there a TCP read's probe budget is 0.
-ONEWIRE_ROLE = TestNetCallerReadsOwnReply|TestNetIdleConnNoticesFIN|TestNetLeaderHandsOffPendingCall|TestNetMixedCallersSettle|TestNetIdleWatchIsShared
+# tests, since there a TCP read's probe budget is 0. The role tests
+# include the one watch's (server loops and idle connections on one
+# goroutine) and the read it hands an idle connection, which parks.
+ONEWIRE_ROLE = TestNetCallerReadsOwnReply|TestNetIdleConnNoticesFIN|TestNetLeaderHandsOffPendingCall|TestNetMixedCallersSettle|TestNetIdleWatchIsShared|TestNetOneWatch|TestNetProbeIdleHandoffParks
 onewire:
 	$(GO) test -race -count=3 -run 'TestBroker|TestNet' .
 	$(GO) test -race -count=3 -run 'TestBroker' ./registry
@@ -125,12 +128,15 @@ oneasync:
 # its no-hint words): they assert counts, not timings, so every
 # repetition must agree. The lost-wake test gets forty runs (about 20 s):
 # the store→load race it guards showed in 3 of 680 -race runs, a rate
-# five repetitions never catch. The last two lines run the one-CPU side
-# of the wait policy, where shm waits skip the load probe and go
-# straight to sched_yield, pinned with taskset where it exists (Linux).
+# five repetitions never catch. Parked waiters keep no timer, so the
+# close that wakes a parked demultiplexer repeats with them. The last two
+# lines run the one-CPU side of the wait policy, where shm waits skip the
+# load probe and go straight to sched_yield, pinned with taskset where it
+# exists (Linux); the shmring line includes the park that only a wake
+# ends (TestPopWaitParksUntilWoken).
 shmtest:
 	$(GO) test -race -count=1 -run 'TestShm' ./internal/faultinject/ .
-	$(GO) test -race -count=5 -run 'TestShmNoHintMark|TestShmReplyHintCounts|TestShmHostileNoHintWord' .
+	$(GO) test -race -count=5 -run 'TestShmNoHintMark|TestShmReplyHintCounts|TestShmHostileNoHintWord|TestShmCloseWakesParkedDemux' .
 	$(GO) test -race -count=40 -run 'TestShmNoLostWake' .
 	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -race -count=5 -run 'TestShmNoLostWake|TestShmReplyHintCounts|TestShmNoHintMark' .; fi
 	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -count=3 ./internal/shmring/; fi

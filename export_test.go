@@ -43,19 +43,15 @@ func backgroundHolds(c *NetClient) bool {
 	return c.w != nil && c.w.role == readBackground
 }
 
-// idleWatched reports whether the idle watch holds cc, a connection of c.
+// idleWatched reports whether the watch holds cc, a connection of c.
 func idleWatched(c *NetClient, cc *clientConn) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return cc.watched
 }
 
-// idleWatchRunning reports whether the process-wide idle watch ticks.
-func idleWatchRunning() bool {
-	idleWatch.mu.Lock()
-	defer idleWatch.mu.Unlock()
-	return idleWatch.running
-}
+// watchRunning reports whether the process-wide watch ticks.
+func watchRunning() bool { return netWatch.running.Load() }
 
 // stretchIdle sets the interval after which c's background reader takes
 // a free read role, so that only hand-offs move the role.

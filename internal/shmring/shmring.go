@@ -293,11 +293,15 @@ func Yield() {
 // PopWait pops, probing with loads (Probe), spinning `spin` yielding
 // iterations and then parking on the futex in quanta of `wait`, until a
 // value arrives or stop() reports the consumer should give up. With
-// spin 0 it neither probes nor spins: it parks at once. The
+// spin 0 it neither probes nor spins: it parks at once. With wait 0 the
+// park has no timeout: only a Bump or WakeAll ends it, so a consumer
+// whose stop can turn true must have WakeAll follow that store. The
 // pop→load-seq→re-pop→wait ordering closes the lost-wakeup window: a
 // producer that pushed after our last failed Pop necessarily bumped
 // seq, so the futex wait returns immediately instead of sleeping
-// through the doorbell.
+// through the doorbell. The same holds for stop: seq is loaded before
+// the last stop check, so a WakeAll after a store that check missed
+// changes seq and the wait returns at once.
 func (r *Ring) PopWait(spin int, wait time.Duration, stop func() bool) (uint64, bool) {
 	for {
 		if v, ok := r.Pop(); ok {

@@ -172,6 +172,48 @@ func TestPopWaitWake(t *testing.T) {
 	}
 }
 
+// TestPopWaitParksUntilWoken: a consumer parked with wait 0 keeps no
+// timer — it calls stop no more while it lies parked — and the WakeAll
+// that follows stop turning true ends its wait.
+func TestPopWaitParksUntilWoken(t *testing.T) {
+	r, err := Init(aligned(Size(4)), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int32
+	var stopped atomic.Bool
+	stop := func() bool {
+		calls.Add(1)
+		return stopped.Load()
+	}
+	done := make(chan bool, 1)
+	go func() {
+		_, ok := r.PopWait(1, 0, stop)
+		done <- ok
+	}()
+	for deadline := time.Now().Add(5 * time.Second); r.waiters.Load() == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the consumer never parked")
+		}
+	}
+	parked := calls.Load()
+	for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if n := calls.Load(); n != parked {
+			t.Fatalf("the parked consumer called stop %d more times: its wait re-arms", n-parked)
+		}
+	}
+	stopped.Store(true)
+	r.WakeAll()
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("PopWait on an empty ring returned a value")
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("the parked consumer still waits 100ms after stop and WakeAll")
+	}
+}
+
 // withBudget runs f with the probe budget set to n.
 func withBudget(t *testing.T, n time.Duration, f func()) {
 	t.Helper()

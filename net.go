@@ -381,7 +381,7 @@ func newConnLoop(conn net.Conn, rt route, opts ServeOptions) *connLoop {
 // every request it read has been served.
 func (l *connLoop) serve() {
 	l.read()
-	// This goroutine may have served a request while the stall watch
+	// This goroutine may have served a request while the watch
 	// handed the loop to another reader; that reader tears it down.
 	<-l.closing
 	l.wg.Wait()
@@ -390,7 +390,7 @@ func (l *connLoop) serve() {
 // connLoop is one connection's server loop. Exactly one goroutine at a
 // time is its reader. The reader serves a lone short request itself,
 // which spends no goroutine and no scheduler handoff on it; when such a
-// request runs long after all, the stall watch starts a new reader so
+// request runs long after all, the watch starts a new reader so
 // the requests behind it are not blocked.
 type connLoop struct {
 	conn net.Conn
@@ -406,16 +406,16 @@ type connLoop struct {
 	closeOnce sync.Once
 	// run is odd while the reader serves a request itself: the reader
 	// increments it before serving and advances it with a CAS after. The
-	// stall watch advances a count that stayed odd across a tick; the
+	// watch advances a count that stayed odd across a tick; the
 	// reader's failed CAS then tells it the loop has a new reader.
 	run     atomic.Uint64
-	watched atomic.Bool // in stallWatch.loops
-	seen    uint64      // run at the watch's previous scan; guarded by stallWatch.mu
+	watched atomic.Bool // in netWatch.loops
+	seen    uint64      // run at the watch's previous scan; guarded by netWatch.mu
 }
 
 // read is the loop's reader. It returns when the read side fails, having
 // torn the connection down, or after serving a request during which the
-// stall watch handed the loop to a new reader.
+// watch handed the loop to a new reader.
 func (l *connLoop) read() {
 	for {
 		req, chain, err := l.next(maxFrame)
@@ -469,10 +469,10 @@ func (l *connLoop) read() {
 			continue
 		}
 		v := l.run.Add(1)
-		stallWatch.enter(l)
+		netWatch.enter(l)
 		l.handle(req, t)
 		if !l.run.CompareAndSwap(v, v+1) {
-			return // the stall watch started a new reader while this one served
+			return // the watch started a new reader while this one served
 		}
 	}
 	close(l.closing)
@@ -544,23 +544,32 @@ func (l *connLoop) shut() { l.closeOnce.Do(func() { l.conn.Close() }) }
 // inlineMax is the longest a procedure's last run may have taken for the
 // server loop to serve its next request on the connection's reader
 // (DESIGN §5.18). It bounds what a request read behind an inline one
-// waits, except right after a procedure turns slow, when the stall watch
+// waits, except right after a procedure turns slow, when the watch
 // bounds it at two ticks.
 const inlineMax = 50 * time.Microsecond
 
-// stallTick is the stall watch's period: a request its reader has served
-// for one to two ticks is handed off.
-const stallTick = time.Millisecond
+// watchTick is the watch's period: a request its reader has served for
+// one to two ticks is handed off, and a client connection's read role
+// that has lain free for a tick goes to its background reader.
+const watchTick = time.Millisecond
 
-// stallWatch is the process-wide stall watch (DESIGN §5.18). It scans
-// only the loops whose reader has served a request itself since its
-// previous scan, and parks once none has.
-var stallWatch = &watcher{}
+// netWatch is the TCP plane's one process-wide watch, a goroutine that
+// ticks over two lists: the server loops whose reader has served a
+// request itself since the previous scan (DESIGN §5.18), and the client
+// connections whose read role is free or went free within the last tick
+// (§5.19). It parks once both are empty, so at rest nothing ticks.
+var netWatch = &watch{}
 
-type watcher struct {
+type watch struct {
 	mu      sync.Mutex
 	loops   []*connLoop
+	conns   []idleConn
 	running atomic.Bool
+}
+
+type idleConn struct {
+	c  *NetClient
+	cc *clientConn
 }
 
 // watchParking, when set, runs between the watch's last scan and its
@@ -572,7 +581,7 @@ var watchParking atomic.Pointer[func()]
 // Each of its two loads pairs with a store of the watch's (DESIGN §5.11):
 // either the reader sees watched or running fall and restores it, or the
 // watch's load after that store sees the new count.
-func (w *watcher) enter(l *connLoop) {
+func (w *watch) enter(l *connLoop) {
 	if !l.watched.Load() {
 		w.mu.Lock()
 		if !l.watched.Load() {
@@ -581,13 +590,29 @@ func (w *watcher) enter(l *connLoop) {
 		}
 		w.mu.Unlock()
 	}
+	w.start()
+}
+
+// add puts cc, whose read role has just gone free, in the watch and
+// starts the watch if it has parked. c.mu is held: the watch never takes
+// a client's lock while it holds its own.
+func (w *watch) add(c *NetClient, cc *clientConn) {
+	cc.watched = true
+	w.mu.Lock()
+	w.conns = append(w.conns, idleConn{c, cc})
+	w.mu.Unlock()
+	w.start()
+}
+
+// start starts the watch if it has parked.
+func (w *watch) start() {
 	if !w.running.Load() && w.running.CompareAndSwap(false, true) {
 		go w.tick()
 	}
 }
 
-func (w *watcher) tick() {
-	t := time.NewTicker(stallTick)
+func (w *watch) tick() {
+	t := time.NewTicker(watchTick)
 	defer t.Stop()
 	for range t.C {
 		if w.scan() {
@@ -596,10 +621,11 @@ func (w *watcher) tick() {
 		if f := watchParking.Load(); f != nil {
 			(*f)()
 		}
-		// Park. A reader whose increment the scan missed may have found
-		// running still true and started nothing; the re-scan after the
-		// store sees its count and resumes the watch, unless that reader
-		// has already started one.
+		// Park. A reader whose increment the scan missed, or a client
+		// that added a connection after it, may have found running still
+		// true and started nothing; the re-scan after the store sees
+		// either and resumes the watch, unless one has already started
+		// another.
 		w.running.Store(false)
 		if !w.scan() || !w.running.CompareAndSwap(false, true) {
 			return
@@ -607,12 +633,32 @@ func (w *watcher) tick() {
 	}
 }
 
-// scan starts a new reader for every loop whose reader has served one
-// request since the previous scan, drops the loops idle since then, and
-// reports whether any loop is still in the set.
-func (w *watcher) scan() bool {
+// scan makes one pass over both lists and reports whether either still
+// holds anything. Loops are scanned under w.mu; connections are visited
+// outside it, since a visit takes the client's lock.
+func (w *watch) scan() bool {
+	w.mu.Lock()
+	w.scanLoops()
+	conns := w.conns
+	w.conns = nil
+	w.mu.Unlock()
+	kept := conns[:0]
+	for _, e := range conns {
+		if e.c.idleCheck(e.cc) {
+			kept = append(kept, e)
+		}
+	}
+	clear(conns[len(kept):])
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.conns = append(kept, w.conns...)
+	return len(w.loops) > 0 || len(w.conns) > 0
+}
+
+// scanLoops starts a new reader for every loop whose reader has served
+// one request since the previous scan, and drops the loops idle since
+// then. w.mu is held.
+func (w *watch) scanLoops() {
 	for i := 0; i < len(w.loops); i++ {
 		l := w.loops[i]
 		v := l.run.Load()
@@ -636,7 +682,6 @@ func (w *watcher) scan() bool {
 		w.loops = w.loops[:last]
 		i--
 	}
-	return len(w.loops) > 0
 }
 
 // openRequest applies the rules every route shares, then asks the route.
@@ -908,7 +953,7 @@ type NetClient struct {
 	nextID      uint64
 	wait        map[uint64]pendingCall // written only by register
 	closed      bool
-	idle        time.Duration // the idle watch's interval: readIdle, stretched only by tests
+	idle        time.Duration // how long a free read role waits to be handed over: watchTick, stretched only by tests
 
 	calls      atomic.Uint64
 	failures   atomic.Uint64
@@ -1005,7 +1050,7 @@ func newNetClient(conn net.Conn, name string, opts DialOptions) *NetClient {
 		gen:      1,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		wait:     map[uint64]pendingCall{},
-		idle:     readIdle,
+		idle:     watchTick,
 	}
 	if opts.BreakerThreshold > 0 {
 		c.br = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.BreakerMaxCooldown)
@@ -1106,6 +1151,7 @@ func (c *NetClient) Stats() NetClientStats {
 type clientConn struct {
 	connWriter
 	br   *bufio.Reader
+	src  io.Reader     // what br reads: the conn's probing reader, or the conn
 	gen  uint64        // the connection's generation (NetClient.gen)
 	kick chan struct{} // capacity 1: wakes the background reader to re-check role and dead
 
@@ -1114,8 +1160,8 @@ type clientConn struct {
 	role    readRole
 	asked   bool      // a call that could lead registered while the role was taken
 	dead    bool      // retired by connBroken or Close; its background reader exits
-	left    time.Time // when the role last became free, for the idle watch
-	watched bool      // in idleWatch.conns
+	left    time.Time // when the role last became free, for the watch
+	watched bool      // in netWatch.conns
 
 	unhold func() // releases the connection's local port from localPorts
 }
@@ -1129,76 +1175,14 @@ const (
 	readBackground                 // the connection's background reader
 )
 
-// readIdle is how long a client connection's read role may lie free
-// before the idle watch hands it to the background reader, which blocks
-// in Read, so that an idle connection still notices its peer's FIN and
-// detaches (DESIGN §5.19). It is the watch's period too.
-const readIdle = time.Millisecond
-
-// idleWatch is the process-wide idle watch of client connections: every
-// readIdle it hands each connection whose read role has lain free past
-// its client's idle interval to that connection's background reader. It
-// holds only connections whose role is free or went free within its
-// last tick, and parks once it holds none, so a connection costs no wake
-// of its own.
-var idleWatch = &roleWatcher{}
-
-type roleWatcher struct {
-	mu      sync.Mutex
-	conns   []idleConn
-	running bool
-}
-
-type idleConn struct {
-	c  *NetClient
-	cc *clientConn
-}
-
-// add puts cc, whose read role has just gone free, in the watch and
-// starts the watch if it has parked. c.mu is held: the watch never takes
-// a client's lock while it holds its own.
-func (w *roleWatcher) add(c *NetClient, cc *clientConn) {
-	cc.watched = true
-	w.mu.Lock()
-	w.conns = append(w.conns, idleConn{c, cc})
-	if !w.running {
-		w.running = true
-		go w.tick()
-	}
-	w.mu.Unlock()
-}
-
-func (w *roleWatcher) tick() {
-	t := time.NewTicker(readIdle)
-	defer t.Stop()
-	for range t.C {
-		w.mu.Lock()
-		scan := w.conns
-		w.conns = nil
-		w.mu.Unlock()
-		kept := scan[:0]
-		for _, e := range scan {
-			if e.c.idleCheck(e.cc) {
-				kept = append(kept, e)
-			}
-		}
-		clear(scan[len(kept):])
-		w.mu.Lock()
-		w.conns = append(kept, w.conns...)
-		if len(w.conns) == 0 {
-			w.running = false
-			w.mu.Unlock()
-			return
-		}
-		w.mu.Unlock()
-	}
-}
-
-// idleCheck is the idle watch's visit to cc. A role free for c.idle goes
-// to the background reader; one free for less stays watched, and so does
-// one a leader took after it was freed within the last tick — callers
-// leading one after another free it every call, and dropping the
-// connection would only restart the watch. A role held since before
+// idleCheck is the watch's visit to cc. A role free for c.idle goes to
+// the background reader, which blocks in Read so that an idle connection
+// still notices its peer's FIN and detaches. No reply is due, so its
+// read parks at once rather than probing (parkNext); nobody reads cc
+// while the role is free. A role free for less stays watched, and so
+// does one a leader took after it was freed within the last tick —
+// callers leading one after another free it every call, and dropping
+// the connection would only restart the watch. A role held since before
 // that, or a retired connection, leaves the watch until the role next
 // goes free (letGo).
 func (c *NetClient) idleCheck(cc *clientConn) (keep bool) {
@@ -1207,12 +1191,13 @@ func (c *NetClient) idleCheck(cc *clientConn) (keep bool) {
 	switch {
 	case cc.dead || cc.role == readBackground:
 	case cc.role == readLeader:
-		if time.Since(cc.left) < readIdle {
+		if time.Since(cc.left) < watchTick {
 			return true
 		}
 	case time.Since(cc.left) < c.idle:
 		return true
 	default:
+		parkNext(cc.src)
 		cc.role = readBackground
 		cc.wake()
 	}
@@ -1223,16 +1208,18 @@ func (c *NetClient) idleCheck(cc *clientConn) (keep bool) {
 // attach makes conn the live connection, of generation c.gen, and starts
 // its background reader. c.mu is held, or c is not yet shared.
 func (c *NetClient) attach(conn net.Conn) {
+	src := connReader(conn)
 	cc := &clientConn{
 		connWriter: connWriter{timeout: c.opts.WriteTimeout, conn: conn},
-		br:         bufio.NewReader(connReader(conn)),
+		br:         bufio.NewReader(src),
+		src:        src,
 		gen:        c.gen,
 		kick:       make(chan struct{}, 1),
 		left:       time.Now(),
 		unhold:     holdPort(conn.LocalAddr()),
 	}
 	c.w = cc
-	idleWatch.add(c, cc)
+	netWatch.add(c, cc)
 	go c.background(cc)
 }
 
@@ -1304,14 +1291,14 @@ func (c *NetClient) letGo(cc *clientConn) bool {
 	}
 	cc.role, cc.left, cc.asked = readFree, time.Now(), false
 	if !cc.watched {
-		idleWatch.add(c, cc)
+		netWatch.add(c, cc)
 	}
 	return false
 }
 
 // background is cc's background reader. It reads while it holds the
 // role — handed to it by a call that does not read for itself, by a
-// leader leaving pending calls, or by the idle watch once the role has
+// leader leaving pending calls, or by the watch once the role has
 // lain free for the client's idle interval — and exits when cc is
 // retired.
 func (c *NetClient) background(cc *clientConn) {

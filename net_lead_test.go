@@ -151,7 +151,7 @@ func TestNetIdleConnNoticesFIN(t *testing.T) {
 
 // TestNetLeaderHandsOffPendingCall: a leader whose own reply arrives
 // while another call is still pending hands the read role to the
-// background reader, which reads that call's reply. With the idle watch
+// background reader, which reads that call's reply. With the watch
 // stretched out of reach, a leader that let the role go free instead
 // would strand the call, which the bounded wait reports.
 func TestNetLeaderHandsOffPendingCall(t *testing.T) {
@@ -184,7 +184,7 @@ func TestNetLeaderHandsOffPendingCall(t *testing.T) {
 	}
 }
 
-// TestNetIdleWatchIsShared: one process-wide idle watch serves every
+// TestNetIdleWatchIsShared: one process-wide watch serves every
 // client connection. It hands each connection left idle to its
 // background reader, lets go of a connection once the role is taken or
 // the connection retired, and parks once it holds none — so eight
@@ -208,7 +208,7 @@ func TestNetIdleWatchIsShared(t *testing.T) {
 	for _, c := range cs {
 		waitFor(t, func() bool { return backgroundHolds(c) })
 		if cc := liveConn(c); idleWatched(c, cc) {
-			t.Fatal("the idle watch kept a connection whose role it handed to the background reader")
+			t.Fatal("the watch kept a connection whose role it handed to the background reader")
 		}
 	}
 	// A call while the background reader holds the role frees it again,
@@ -228,21 +228,21 @@ func TestNetIdleWatchIsShared(t *testing.T) {
 	for i, cc := range ccs {
 		waitFor(t, func() bool { return !idleWatched(cs[i], cc) })
 	}
-	waitFor(t, func() bool { return !idleWatchRunning() })
+	waitFor(t, func() bool { return !watchRunning() })
 }
 
 // TestNetMixedCallersSettle: eight goroutines share one NetClient, mixing
 // calls with and without a deadline, CallAsync, batches and one-way
 // calls, while the server severs the connection mid-run. Every future
 // settles, the wait table ends empty, and no goroutine outlives the
-// client. It runs with the idle watch, and again with only hand-offs to
+// client. It runs with the watch, and again with only hand-offs to
 // move the role, where a call left without a reader would never settle:
 // the run is bounded by a timer, not left to hang.
 func TestNetMixedCallersSettle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		idle time.Duration
-	}{{"idle watch", readIdle}, {"hand-offs only", time.Hour}} {
+	}{{"idle watch", watchTick}, {"hand-offs only", time.Hour}} {
 		t.Run(tc.name, func(t *testing.T) { mixedCallers(t, tc.idle) })
 	}
 }

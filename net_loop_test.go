@@ -1,9 +1,9 @@
 package lrpc
 
-// The server loop's run-to-completion path (connLoop, stallWatch) and
+// The server loop's run-to-completion path (connLoop, netWatch) and
 // the one connection writer (connWriter): a lone short request runs on
 // its connection's reader, a slow procedure spawns, a blocked request
-// never blocks the connection, the stall watch parks when idle and still
+// never blocks the connection, the watch parks when idle and still
 // hands off, and the write deadline follows its rule.
 
 import (
@@ -154,15 +154,15 @@ func TestNetBlockedHandlerFreesConnection(t *testing.T) {
 	}
 }
 
-// watchedLoop is the loop in the stall watch's set whose peer is c's
+// watchedLoop is the loop in the watch's set whose peer is c's
 // live connection, or nil.
 func watchedLoop(c *NetClient) *connLoop {
 	c.mu.Lock()
 	local := c.w.conn.LocalAddr().String()
 	c.mu.Unlock()
-	stallWatch.mu.Lock()
-	defer stallWatch.mu.Unlock()
-	for _, l := range stallWatch.loops {
+	netWatch.mu.Lock()
+	defer netWatch.mu.Unlock()
+	for _, l := range netWatch.loops {
 		if l.conn != nil && l.conn.RemoteAddr().String() == local {
 			return l
 		}
@@ -171,7 +171,7 @@ func watchedLoop(c *NetClient) *connLoop {
 }
 
 // serverLoop finds the server loop whose peer is c's live connection. A
-// loop is in the stall watch's set from a request its reader serves until
+// loop is in the watch's set from a request its reader serves until
 // a tick without one, so each try first calls proc, a short procedure.
 func serverLoop(t *testing.T, c *NetClient, proc int, args []byte) *connLoop {
 	t.Helper()
@@ -224,7 +224,7 @@ func onReader(t *testing.T, c *NetClient, l *connLoop, n, proc int, args []byte)
 // served on its reader — 1,000 calls advance the loop's count by 2,000,
 // and a spawned call would advance it by none — while a broker
 // tenant connection, whose target is an upstream round trip, never is:
-// its loop never joins the stall watch's set.
+// its loop never joins the watch's set.
 func TestNetLoneCallsRunOnReader(t *testing.T) {
 	addr, stop := startServer(t)
 	defer stop()
@@ -245,7 +245,7 @@ func TestNetLoneCallsRunOnReader(t *testing.T) {
 			t.Fatal(err)
 		}
 		if watchedLoop(tc) != nil {
-			t.Fatal("a broker tenant loop joined the stall watch's set: a relay ran on the reader")
+			t.Fatal("a broker tenant loop joined the watch's set: a relay ran on the reader")
 		}
 	}
 }
@@ -306,7 +306,7 @@ func TestNetSlowProcedureSpawns(t *testing.T) {
 	}
 }
 
-// watchParked polls, without sleeping, until the stall watch has parked
+// watchParked polls, without sleeping, until the watch has parked
 // and, with gone, until its goroutine has exited.
 func watchParked(t *testing.T, within time.Duration, gone bool) {
 	t.Helper()
@@ -315,16 +315,16 @@ func watchParked(t *testing.T, within time.Duration, gone bool) {
 	if gone {
 		buf = make([]byte, 1<<20)
 	}
-	for stallWatch.running.Load() ||
-		gone && strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*watcher).tick") {
+	for netWatch.running.Load() ||
+		gone && strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*watch).tick") {
 		if time.Now().After(deadline) {
-			t.Fatalf("the stall watch still runs %v after its connections went idle", within)
+			t.Fatalf("the watch still runs %v after its connections went idle", within)
 		}
 		runtime.Gosched()
 	}
 }
 
-// TestNetStallWatchParks: an idle server leaves no stall watch running,
+// TestNetStallWatchParks: an idle server leaves no watch running,
 // and a watch that has parked — or is parking at that instant — still
 // hands a blocked lone request off. Even rounds begin once the watch has
 // parked, so the reader restarts it. Odd rounds begin inside the watch,
@@ -336,7 +336,7 @@ func TestNetStallWatchParks(t *testing.T) {
 	if _, err := r.client.Call(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	watchParked(t, 250*stallTick, true)
+	watchParked(t, 250*watchTick, true)
 	defer watchParking.Store(nil)
 
 	for i := 0; i < 500; i++ {
@@ -349,7 +349,7 @@ func TestNetStallWatchParks(t *testing.T) {
 			}()
 		}
 		if i%2 == 0 {
-			watchParked(t, 250*stallTick, false)
+			watchParked(t, 250*watchTick, false)
 			block()
 			r.waitEntered(t)
 		} else {
@@ -369,14 +369,14 @@ func TestNetStallWatchParks(t *testing.T) {
 			watchParking.Store(&hook)
 			// Wake the watch with an idle loop of its own: it drops the
 			// loop at its next scan, parks, and runs the hook.
-			stallWatch.enter(&connLoop{})
+			netWatch.enter(&connLoop{})
 			select {
 			case ok := <-entered:
 				if !ok {
 					t.Fatalf("round %d: the blocking request never reached its handler", i)
 				}
 			case <-time.After(5 * time.Second):
-				t.Fatalf("round %d: the stall watch never parked", i)
+				t.Fatalf("round %d: the watch never parked", i)
 			}
 			watchParking.Store(nil)
 		}
@@ -385,6 +385,41 @@ func TestNetStallWatchParks(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatalf("round %d: blocked call = %v", i, err)
 		}
+	}
+}
+
+// TestNetOneWatch: a server loop serving on its reader and an idle
+// client connection in the same process are held by one watch
+// goroutine, which parks once both are idle.
+func TestNetOneWatch(t *testing.T) {
+	addr, stop := startServer(t)
+	defer stop()
+	c, err := DialInterface("tcp", addr, "Arith")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stretchIdle(c, time.Hour) // the connection stays in the watch while idle
+	cc := liveConn(c)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if _, err := c.Call(2, nil); err != nil {
+			t.Fatal(err)
+		}
+		if watchedLoop(c) != nil && idleWatched(c, cc) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the server loop and the idle connection were never in the watch together")
+		}
+	}
+	buf := make([]byte, 1<<20)
+	if n := strings.Count(string(buf[:runtime.Stack(buf, true)]), "lrpc.(*watch).tick("); n != 1 {
+		t.Fatalf("%d watch goroutines hold a server loop and a client connection, want 1", n)
+	}
+	stretchIdle(c, watchTick)
+	watchParked(t, 250*watchTick, true)
+	if idleWatched(c, cc) || !backgroundHolds(c) {
+		t.Fatal("the watch parked before it handed the idle connection to its background reader")
 	}
 }
 

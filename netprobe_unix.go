@@ -104,6 +104,14 @@ func (r *probingReader) readFD(fd uintptr) bool {
 	return false
 }
 
+// parkNext makes r's next wait park without probing, as if its last
+// probe had missed. Nobody may be reading r.
+func parkNext(r io.Reader) {
+	if p, ok := r.(*probingReader); ok {
+		p.missed = true
+	}
+}
+
 // peerLocal reports whether the peer is in this process. A yes is kept:
 // the peer's port stays held as long as the peer, and so this
 // connection, lives. A no is asked again, since a peer's server may

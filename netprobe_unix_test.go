@@ -7,10 +7,12 @@ package lrpc
 // probe answers never parks.
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"os"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -224,6 +226,49 @@ func TestNetProbeMissSkipsNext(t *testing.T) {
 	read("the read after a missed probe", 1, 2)
 	answer = true
 	read("the read after that, answered inside its probe", 2, 2)
+}
+
+// TestNetProbeIdleHandoffParks: the read the watch hands to an idle
+// client connection's background reader parks without probing, since no
+// reply is due; a frame then read makes the reader's next read probe
+// again.
+func TestNetProbeIdleHandoffParks(t *testing.T) {
+	if maxProbers == 0 {
+		t.Skip("one CPU: TCP reads do not probe")
+	}
+	a, b := tcpPair(t)
+	var probes atomic.Int32
+	h := func(p *probingReader) {
+		if p.conn == a {
+			probes.Add(1)
+		}
+	}
+	probeStarting.Store(&h)
+	defer probeStarting.Store(nil)
+	c := NewNetClient(a, "Arith")
+	defer c.Close()
+	src := liveConn(c).src
+	parked := func(n uint64) func() bool {
+		return func() bool { got, _ := readParks(src); return got == n }
+	}
+	waitFor(t, parked(1))
+	if !backgroundHolds(c) {
+		t.Fatal("the watch never handed the idle connection's read role to the background reader")
+	}
+	if n := probes.Load(); n != 0 {
+		t.Fatalf("the handed-over read probed %d times before it parked, want 0", n)
+	}
+	// A reply frame nobody waits for: the reader reads it, keeps the
+	// role, and its next read probes, misses and parks.
+	frame := make([]byte, 4+9)
+	binary.LittleEndian.PutUint32(frame, 9)
+	if _, err := b.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, parked(2))
+	if n := probes.Load(); n != 1 {
+		t.Fatalf("the read after a frame probed %d times, want 1", n)
+	}
 }
 
 // TestNetProbeSkipsPeerInProcess: a listener ServeNetwork serves and a

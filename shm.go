@@ -99,11 +99,6 @@ const (
 	// handshake
 	shmReplySize = 256
 	shmByeByte   = byte('B')
-
-	// park quanta: parked waiters re-arm this often, bounding both the
-	// idle wakeup rate and the worst-case shutdown latency.
-	shmServerParkQuantum = 50 * time.Millisecond
-	shmClientParkQuantum = 50 * time.Millisecond
 )
 
 // shmLayout is the deterministic geometry of a segment, computed
@@ -565,11 +560,12 @@ func (ss *shmSession) teardown(clean bool) {
 
 // worker pops doorbells and dispatches. The pop spins briefly (the
 // server "spinning on a shared variable" while the call is in flight),
-// then parks on the shared futex.
+// then parks on the shared futex with no timer: a doorbell wakes it, or
+// teardown's WakeAll once stop is set.
 func (ss *shmSession) worker() {
 	defer ss.wg.Done()
 	for {
-		v, ok := ss.c2s.PopWait(ss.sv.opts.Spin, shmServerParkQuantum, ss.stop.Load)
+		v, ok := ss.c2s.PopWait(ss.sv.opts.Spin, 0, ss.stop.Load)
 		if !ok {
 			return
 		}
@@ -1680,7 +1676,8 @@ func (c *ShmClient) handleHint(v uint64) {
 // synchronous reply taken inside the caller's spin window never enters
 // the ring at all (roundTrip); one taken on the window's edge may leave
 // a hint behind — stale signals are possible and every waiter re-checks
-// its slot.
+// its slot. Its futex park keeps no timer: markDead's WakeAll, after it
+// closes dead, is what ends it at shutdown.
 func (c *ShmClient) demux() {
 	defer close(c.demuxDone)
 	stop := func() bool {
@@ -1701,7 +1698,7 @@ func (c *ShmClient) demux() {
 			}
 			continue
 		}
-		v, ok := c.s2c.PopWait(16, shmClientParkQuantum, stop)
+		v, ok := c.s2c.PopWait(16, 0, stop)
 		if !ok {
 			return
 		}

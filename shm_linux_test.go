@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -209,6 +210,44 @@ func TestShmServerCloseRevokesClient(t *testing.T) {
 	if c.Stats().PeerCrashed {
 		t.Fatal("clean server shutdown classified as a peer crash")
 	}
+}
+
+// TestShmCloseWakesParkedDemux: the reply demultiplexer, parked on the
+// futex for a parked caller, keeps no timer; the server's close wakes it
+// (markDead's WakeAll), so it exits, the caller fails and the
+// segment is unmapped while the server's handler still runs.
+func TestShmCloseWakesParkedDemux(t *testing.T) {
+	hold := make(chan struct{})
+	defer close(hold)
+	sv, sock, _ := startShm(t, shmTestIface("Shm", hold), ShmServeOptions{})
+	c, err := DialShmOpts(sock, "Shm", ShmDialOptions{Spin: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Call(2, nil) // Hold: blocked until the test returns
+		done <- err
+	}()
+	buf := make([]byte, 1<<20)
+	shmWaitFor(t, 5*time.Second, func() bool {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "(*ShmClient).demux") && strings.Contains(g, "shmring.futexWait") {
+				return true
+			}
+		}
+		return false
+	}, func() string { return "the demultiplexer never parked on the futex" })
+	sv.Close()
+	if err := <-done; !errors.Is(err, ErrCallFailed) {
+		t.Fatalf("parked call across the server's close = %v, want ErrCallFailed", err)
+	}
+	shmWaitFor(t, 5*time.Second, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.unmapped
+	}, func() string { return "the segment is still mapped: the demultiplexer never woke" })
 }
 
 func TestShmTornDoorbell(t *testing.T) {

@@ -154,6 +154,7 @@ var structureCaps = []structureCap{
 	{why: "a hand-copied breaker gate", max: 1, match: callTo("br.allow")},
 	{why: "a second spawn site in the server loop", max: 1, match: goCall("l.handle")},
 	{why: "a second stall-watch handoff", max: 1, match: goCall("l.read")},
+	{why: "a second ticker beside the one watch's", files: []string{"net.go"}, max: 1, in: "tick", match: callTo("time.NewTicker")},
 	{why: "a lock → deadline → write → clear sequence pasted back", files: []string{"net.go", "net_async.go"}, max: 1, match: callTo("SetWriteDeadline")},
 	{why: "a second pending-call registration", files: []string{"net.go", "net_async.go"}, max: 1, in: "register", match: func(n ast.Node) bool {
 		a, ok := n.(*ast.AssignStmt)
@@ -217,9 +218,14 @@ var structureCaps = []structureCap{
 	// The shm wait policy (DESIGN §5.11, "Control transfer"): whether a
 	// wait probes with loads is decided once, by shmring from the CPU
 	// count, and the probe loop is written once there; the root package
-	// probes only in the sync caller's reply wait.
+	// probes only in the sync caller's reply wait. A parked waiter keeps
+	// no timer: close and peer death wake it, so every PopWait waits 0.
 	{why: "a second CPU-count decision beside shmring's", match: callTo("runtime.NumCPU")},
 	{why: "a second probe of a shm wait", max: 1, in: "awaitReply", match: callTo("shmring.Probe")},
+	{why: "a parked shm waiter that re-arms on a timer instead of being woken", match: func(n ast.Node) bool {
+		_, call := callee(n)
+		return callTo("PopWait")(n) && (len(call.Args) != 3 || types.ExprString(call.Args[1]) != "0")
+	}},
 
 	// The TCP read probe (DESIGN §5.20): the socket is read raw in one
 	// place, the probing reader under both of the TCP plane's buffered
