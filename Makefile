@@ -129,16 +129,21 @@ oneasync:
 # repetition must agree. The lost-wake test gets forty runs (about 20 s):
 # the store→load race it guards showed in 3 of 680 -race runs, a rate
 # five repetitions never catch. Parked waiters keep no timer, so the
-# close that wakes a parked demultiplexer repeats with them. The last two
+# close that wakes a parked demultiplexer repeats with them, and so do
+# sixteen callers waiting on two slots for the lock-free free-slot stack's
+# wake-up token. The third line closes a session, from either side, under
+# eight callers twenty times: the reference count must drain before the
+# client unmaps. The last two
 # lines run the one-CPU side of the wait policy, where shm waits skip the
 # load probe and go straight to sched_yield, pinned with taskset where it
 # exists (Linux); the shmring line includes the park that only a wake
 # ends (TestPopWaitParksUntilWoken).
 shmtest:
 	$(GO) test -race -count=1 -run 'TestShm' ./internal/faultinject/ .
-	$(GO) test -race -count=5 -run 'TestShmNoHintMark|TestShmReplyHintCounts|TestShmHostileNoHintWord|TestShmCloseWakesParkedDemux' .
+	$(GO) test -race -count=5 -run 'TestShmNoHintMark|TestShmReplyHintCounts|TestShmHostileNoHintWord|TestShmCloseWakesParkedDemux|TestShmSlotWaitersAllWake' .
+	$(GO) test -race -count=20 -run 'TestShmCloseDrainsInflight' .
 	$(GO) test -race -count=40 -run 'TestShmNoLostWake' .
-	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -race -count=5 -run 'TestShmNoLostWake|TestShmReplyHintCounts|TestShmNoHintMark' .; fi
+	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -race -count=5 -run 'TestShmNoLostWake|TestShmReplyHintCounts|TestShmNoHintMark|TestShmSlotWaitersAllWake' .; fi
 	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -count=3 ./internal/shmring/; fi
 
 # The high-availability suite: replicated-registry fault schedules

@@ -144,6 +144,14 @@ func shmU64(seg []byte, off int) *atomic.Uint64 {
 	return (*atomic.Uint64)(unsafe.Pointer(&seg[off]))
 }
 
+// shmPut32 and shmPut64 write a slot header word with a plain store. They
+// serve the words a later store of the slot's state word publishes: the
+// request header before slotPosted, the reply header before the done
+// state (DESIGN §5.11, "No lock on the client's call path").
+func shmPut32(seg []byte, off int, v uint32) { *(*uint32)(unsafe.Pointer(&seg[off])) = v }
+
+func shmPut64(seg []byte, off int, v uint64) { *(*uint64)(unsafe.Pointer(&seg[off])) = v }
+
 // --- error codes on the shared reply path ---
 
 // shmErrCode classifies a flat (non-chain) failure for the slot's code
@@ -623,7 +631,7 @@ func (ss *shmSession) dispatch(v uint64) {
 			ErrTooLarge, resLen, ss.lay.slotSize)
 	}
 	if err == nil && dir == uint32(BulkOut) {
-		shmU64(ss.seg, base+slotOffBulkLen).Store(uint64(produced))
+		shmPut64(ss.seg, base+slotOffBulkLen, uint64(produced))
 	}
 	done := slotDoneOK
 	if err != nil {
@@ -634,29 +642,30 @@ func (ss *shmSession) dispatch(v uint64) {
 		var ce *ChainError
 		if errors.As(err, &ce) {
 			body := appendChainError(payload[:0], ce, ss.lay.slotSize)
-			shmU32(ss.seg, base+slotOffResLen).Store(uint32(len(body)))
-			shmU32(ss.seg, base+slotOffCode).Store(shmErrCodeChain)
+			shmPut32(ss.seg, base+slotOffResLen, uint32(len(body)))
+			shmPut32(ss.seg, base+slotOffCode, shmErrCodeChain)
 		} else {
 			text := err.Error()
 			if len(text) > ss.lay.slotSize {
 				text = text[:ss.lay.slotSize]
 			}
 			copy(payload, text)
-			shmU32(ss.seg, base+slotOffResLen).Store(uint32(len(text)))
-			shmU32(ss.seg, base+slotOffCode).Store(shmErrCode(err))
+			shmPut32(ss.seg, base+slotOffResLen, uint32(len(text)))
+			shmPut32(ss.seg, base+slotOffCode, shmErrCode(err))
 		}
 	} else {
-		shmU32(ss.seg, base+slotOffResLen).Store(uint32(resLen))
-		shmU32(ss.seg, base+slotOffCode).Store(0)
+		shmPut32(ss.seg, base+slotOffResLen, uint32(resLen))
+		shmPut32(ss.seg, base+slotOffCode, 0)
 	}
-	// The state word is the reply: a spinning synchronous caller polls it
-	// and wants nothing more, and says so by posting with the slot's
-	// no-hint word at its own call ID. The word is read once, after the
-	// state is published (awaitReply has the ordering argument), and
-	// decides only whether a ring entry follows: zero, or a mark left by
-	// an earlier occupant, means this call is hinted. It is
-	// client-writable, like the ID it is compared with, so a lying client
-	// can withhold nothing but its own wake-up.
+	// The state word is the reply, and its Swap publishes the plain stores
+	// of the reply header above (DESIGN §5.11). A spinning synchronous
+	// caller polls it and wants nothing more, and says so by posting with
+	// the slot's no-hint word at its own call ID. The word is read once,
+	// after the state is published (awaitReply has the ordering
+	// argument), and decides only whether a ring entry follows: zero, or
+	// a mark left by an earlier occupant, means this call is hinted. It
+	// is client-writable, like the ID it is compared with, so a lying
+	// client can withhold nothing but its own wake-up.
 	//
 	// Swap, not Store: the load below must not pass it (the store→load
 	// pair with awaitReply). Under the race detector a sync/atomic Store
@@ -829,7 +838,22 @@ type ShmClient struct {
 	c2s  *shmring.Ring
 	s2c  *shmring.Ring
 
-	free   chan uint32
+	// The call path takes no lock (DESIGN §5.11): refs, the free-slot
+	// stack and the segment's own words are all it shares.
+	//
+	// The free slots, the A-stack queue of §3.1 on the client's side of
+	// the wall: a LIFO stack, so a lone caller reuses one hot slot. freeTop
+	// packs a tag, bumped by every change, above the top slot's index + 1
+	// (0: empty), so a stale compare-and-swap always fails (no ABA);
+	// freeNext[id] links slot id to the index + 1 below it. A caller that
+	// finds the stack empty, or callers waiting, counts itself in
+	// freeWaiters and sleeps on freeToken, which holds at most one token
+	// (acquire, recycle).
+	freeTop     atomic.Uint64
+	freeNext    []atomic.Uint32
+	freeWaiters atomic.Int32
+	freeToken   chan struct{}
+
 	sigs   []chan struct{}
 	callID atomic.Uint64
 
@@ -862,10 +886,14 @@ type ShmClient struct {
 	crashed    atomic.Bool
 	demuxDone  chan struct{}
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	inflight int
-	closed   bool
+	// refs counts the references calls hold on the mapping (begin, end).
+	// refClosing is set once, by Close or markDead; after it no reference
+	// is taken, and the end that leaves the bit alone closes drained,
+	// which the reaper waits for before it unmaps.
+	refs    atomic.Int64
+	drained chan struct{}
+
+	mu       sync.Mutex // Close's epoch store against the reaper's unmap
 	unmapped bool
 
 	calls       atomic.Uint64
@@ -990,21 +1018,22 @@ func DialShmOpts(path, name string, opts ShmDialOptions) (*ShmClient, error) {
 		lay:       lay,
 		c2s:       c2s,
 		s2c:       s2c,
-		free:      make(chan uint32, nslots),
+		freeNext:  make([]atomic.Uint32, nslots),
+		freeToken: make(chan struct{}, 1),
 		sigs:      make([]chan struct{}, nslots),
 		kinds:     make([]atomic.Uint32, nslots),
 		futs:      make([]atomic.Pointer[Future], nslots),
 		kick:      make(chan struct{}, 1),
 		dead:      make(chan struct{}),
 		demuxDone: make(chan struct{}),
+		drained:   make(chan struct{}),
 	}
 	if bulkBytes > 0 {
 		c.bulk = newShmBulkAlloc(int(bulkBytes/bulkPageSize), nslots)
 		c.bulkHeld = make([]atomic.Bool, nslots)
 	}
-	c.cond = sync.NewCond(&c.mu)
-	for i := 0; i < nslots; i++ {
-		c.free <- uint32(i)
+	for i := nslots - 1; i >= 0; i-- {
+		c.pushFree(uint32(i))
 		c.sigs[i] = make(chan struct{}, 1)
 	}
 	// Arm the ring epoch: a crash leaves it set, which is how the
@@ -1118,7 +1147,7 @@ func (c *ShmClient) call(ctx context.Context, r shmReq, dst []byte) ([]byte, err
 // prepare runs the steps every call kind takes before its slot is posted
 // — check, acquire, stage, header — and settles the accounting of
 // whichever fails. On success the caller holds slot id, staged under
-// callID, and one inflight reference.
+// callID, and one reference.
 func (c *ShmClient) prepare(ctx context.Context, r shmReq, block bool) (id uint32, callID uint64, err error) {
 	if err := c.check(r); err != nil {
 		c.failures.Add(1)
@@ -1183,35 +1212,56 @@ func (c *ShmClient) check(r shmReq) error {
 	return nil
 }
 
-// acquire is the one slot take: an inflight reference, then a free slot
-// — the A-stack queue of §3.1, a local channel receive on the client's
-// side of the wall — with the stale wakeup a prior occupant may have left
+// acquire is the one slot take: a reference, then a free slot popped off
+// the stack, with the stale wakeup a prior occupant may have left
 // drained. block=false returns errWouldBlock rather than wait (batch
 // staging flushes and retries); a blocking take gives up when the session
 // dies or ctx ends.
+//
+// A caller that finds the stack empty, or callers already waiting,
+// counts itself a waiter and sleeps on the token; the first waiter pops
+// once more before it sleeps. A recycle pushes and then reads the count,
+// and only a push onto an empty stack sends: either that waiter's pop sees
+// the slot or the push sees the waiter. Pushes onto a non-empty stack send
+// nothing, so a woken waiter that takes a slot passes the token on while
+// slots and waiters remain. The channel wakes its sleepers in turn, and a
+// caller that comes back for another slot queues behind them instead of
+// taking the one it has just returned.
 func (c *ShmClient) acquire(ctx context.Context, block bool) (uint32, error) {
 	if err := c.begin(); err != nil {
 		c.failures.Add(1)
 		return 0, err
 	}
 	var id uint32
-	select {
-	case id = <-c.free:
-	default:
+	ok := false
+	if c.freeWaiters.Load() == 0 {
+		id, ok = c.popFree()
+	}
+	if !ok {
 		if !block {
 			c.end()
 			return 0, errWouldBlock
 		}
-		select {
-		case id = <-c.free:
-		case <-c.dead:
-			c.failures.Add(1)
-			c.end()
-			return 0, c.deadErr(false)
-		case <-ctx.Done():
-			c.timeouts.Add(1)
-			c.end()
-			return 0, timeoutError(ctx.Err())
+		if c.freeWaiters.Add(1) == 1 {
+			id, ok = c.popFree()
+		}
+		for ; !ok; id, ok = c.popFree() {
+			select {
+			case <-c.freeToken:
+			case <-c.dead:
+				c.freeWaiters.Add(-1)
+				c.failures.Add(1)
+				c.end()
+				return 0, c.deadErr(false)
+			case <-ctx.Done():
+				c.freeWaiters.Add(-1)
+				c.timeouts.Add(1)
+				c.end()
+				return 0, timeoutError(ctx.Err())
+			}
+		}
+		if c.freeWaiters.Add(-1) > 0 && uint32(c.freeTop.Load()) != 0 {
+			c.wakeWaiter()
 		}
 	}
 	select {
@@ -1249,9 +1299,9 @@ func (c *ShmClient) stage(id uint32, r shmReq) error {
 		}
 	}
 	copy(c.seg[base+slotPayloadOff:base+slotPayloadOff+c.lay.slotSize], args)
-	shmU32(c.seg, base+slotOffArgLen).Store(uint32(len(args)))
+	shmPut32(c.seg, base+slotOffArgLen, uint32(len(args)))
 	if dir != 0 {
-		shmU32(c.seg, base+slotOffBulkDir).Store(dir)
+		shmPut32(c.seg, base+slotOffBulkDir, dir)
 	}
 	return nil
 }
@@ -1288,20 +1338,21 @@ func (c *ShmClient) stageBulk(id uint32, base int, h *BulkHandle) error {
 		}
 	}
 	c.writeBulkDesc(base, runs)
-	shmU64(c.seg, base+slotOffBulkLen).Store(uint64(in))
-	shmU64(c.seg, base+slotOffBulkCap).Store(uint64(size))
+	shmPut64(c.seg, base+slotOffBulkLen, uint64(in))
+	shmPut64(c.seg, base+slotOffBulkCap, uint64(size))
 	return nil
 }
 
 // header is the one request-header write: the procedure, a cleared
-// reply, and a fresh call ID, which it returns.
+// reply, and a fresh call ID, which it returns. Like stage's, its stores
+// are plain: the post's store of slotPosted publishes them.
 func (c *ShmClient) header(id uint32, proc int) uint64 {
 	base := c.lay.slotBase(id)
 	callID := c.callID.Add(1)
-	shmU32(c.seg, base+slotOffProc).Store(uint32(proc))
-	shmU32(c.seg, base+slotOffResLen).Store(0)
-	shmU32(c.seg, base+slotOffCode).Store(0)
-	shmU64(c.seg, base+slotOffCallID).Store(callID)
+	shmPut32(c.seg, base+slotOffProc, uint32(proc))
+	shmPut32(c.seg, base+slotOffResLen, 0)
+	shmPut32(c.seg, base+slotOffCode, 0)
+	shmPut64(c.seg, base+slotOffCallID, callID)
 	return callID
 }
 
@@ -1321,15 +1372,14 @@ func (c *ShmClient) header(id uint32, proc int) uint64 {
 func (c *ShmClient) roundTrip(ctx context.Context, id uint32, callID uint64) error {
 	base := c.lay.slotBase(id)
 	state := shmU32(c.seg, base+slotOffState)
-	noHint := shmU64(c.seg, base+slotOffNoHint)
-	noHint.Store(callID)
+	shmPut64(c.seg, base+slotOffNoHint, callID)
 	state.Store(slotPosted)
 	if err := c.ringDoorbell(uint64(id)); err != nil {
 		c.failures.Add(1)
 		c.end()
 		return err
 	}
-	return c.awaitReply(ctx, id, state, noHint)
+	return c.awaitReply(ctx, id, state, shmU64(c.seg, base+slotOffNoHint))
 }
 
 // reply is the one reply read, once slot id's state word says done. body
@@ -1411,8 +1461,8 @@ func (c *ShmClient) ringDoorbell(v uint64) error {
 
 // abandon detaches the caller from a posted slot at its deadline. The
 // slot stays checked out — the server may still be writing it — and an
-// orphan watcher inherits both the slot and the caller's inflight
-// reference, recycling them when the reply lands (or the session dies).
+// orphan watcher inherits both the slot and the caller's reference,
+// recycling them when the reply lands (or the session dies).
 func (c *ShmClient) abandon(id uint32, state *atomic.Uint32) {
 	go func() {
 		for {
@@ -1437,21 +1487,57 @@ func (c *ShmClient) abandon(id uint32, state *atomic.Uint32) {
 // held and clearing its bulk direction — the single funnel every
 // completion path (sync, async, one-way, orphaned) drains through, so
 // pages can never leak with their slot. Plain calls skip the allocator
-// lock via the bulkHeld fast check.
+// lock via the bulkHeld fast check. A push onto an empty stack wakes a
+// waiter, if any (acquire).
 func (c *ShmClient) recycle(id uint32) {
 	base := c.lay.slotBase(id)
 	// The direction word is cleared unconditionally: a chain posts
 	// bulkDirChain with no bulk pages (and possibly no bulk region at
 	// all), and a stale direction would route the slot's next occupant
-	// down the wrong dispatch path.
-	shmU32(c.seg, base+slotOffBulkDir).Store(0)
+	// down the wrong dispatch path. The next post publishes the clear.
+	shmPut32(c.seg, base+slotOffBulkDir, 0)
 	if c.bulk != nil && c.bulkHeld[id].Load() {
 		c.bulk.release(id)
 		c.bulkHeld[id].Store(false)
 	}
 	shmU32(c.seg, base+slotOffState).Store(slotIdle)
+	if c.pushFree(id) && c.freeWaiters.Load() > 0 {
+		c.wakeWaiter()
+	}
+}
+
+// pushFree puts slot id on top of the free stack and reports whether
+// the stack was empty before.
+func (c *ShmClient) pushFree(id uint32) (wasEmpty bool) {
+	for {
+		top := c.freeTop.Load()
+		c.freeNext[id].Store(uint32(top))
+		if c.freeTop.CompareAndSwap(top, (top>>32+1)<<32|uint64(id+1)) {
+			return uint32(top) == 0
+		}
+	}
+}
+
+// popFree takes the slot on top of the free stack; false when it is
+// empty.
+func (c *ShmClient) popFree() (uint32, bool) {
+	for {
+		top := c.freeTop.Load()
+		i := uint32(top)
+		if i == 0 {
+			return 0, false
+		}
+		if c.freeTop.CompareAndSwap(top, (top>>32+1)<<32|uint64(c.freeNext[i-1].Load())) {
+			return i - 1, true
+		}
+	}
+}
+
+// wakeWaiter leaves the one token for a caller sleeping in acquire; a
+// token already there wakes one just as well.
+func (c *ShmClient) wakeWaiter() {
 	select {
-	case c.free <- id:
+	case c.freeToken <- struct{}{}:
 	default:
 	}
 }
@@ -1462,9 +1548,8 @@ func (c *ShmClient) recycle(id uint32) {
 // spin whose yields hand a single processor straight to the server
 // domain, then a park on the per-slot signal fed by the doorbell
 // demultiplexer. A non-nil return has already settled the caller's
-// accounting: dead sessions release the inflight reference here,
-// timeouts hand the slot (and the inflight reference) to an orphan
-// watcher.
+// accounting: dead sessions release the reference here, timeouts hand
+// the slot (and the reference) to an orphan watcher.
 //
 // The slot was posted with noHint at this call's ID, so while the caller
 // probes or spins the server publishes the reply in the state word and
@@ -1521,7 +1606,7 @@ func (c *ShmClient) awaitReply(ctx context.Context, id uint32, state *atomic.Uin
 		case <-ctx.Done():
 			c.timeouts.Add(1)
 			// The orphan watcher inherits this caller's parked
-			// registration along with its inflight reference.
+			// registration along with its reference.
 			c.abandon(id, state)
 			return timeoutError(ctx.Err())
 		}
@@ -1717,7 +1802,9 @@ func (c *ShmClient) watchdog() {
 
 // markDead transitions the session to dead exactly once: in-flight
 // calls resolve, the demultiplexer exits, and a reaper unmaps the
-// segment after the last reference drains.
+// segment after the last reference drains. The closing bit goes up
+// before dead closes: whoever sees dead closed finds begin refusing, so
+// from the sweep on the reference count only falls.
 func (c *ShmClient) markDead(crash bool) {
 	c.deadOnce.Do(func() {
 		if crash {
@@ -1726,6 +1813,7 @@ func (c *ShmClient) markDead(crash bool) {
 				t.TraceEvent(TraceEvent{Kind: TraceShmPeerCrash, Iface: c.name, Err: ErrRevoked})
 			}
 		}
+		c.shut()
 		close(c.dead)
 		c.s2c.WakeAll() // unpark the demultiplexer
 		go c.reap()
@@ -1738,48 +1826,62 @@ func (c *ShmClient) markDead(crash bool) {
 func (c *ShmClient) reap() {
 	<-c.demuxDone
 	// Resolve async and one-way submissions still holding slots before
-	// waiting out the inflight count: each holds a reference that only
+	// waiting out the reference count: each holds a reference that only
 	// its retirement releases, so the sweep must run first or the wait
 	// below never drains. It may race straggling spinners and posters;
 	// retire's claim keeps retirement exactly-once (shm_async.go).
 	for id := 0; id < c.lay.nslots; id++ {
 		c.retire(uint32(id), true)
 	}
+	<-c.drained
 	c.mu.Lock()
-	for c.inflight > 0 {
-		c.cond.Wait()
-	}
-	if !c.unmapped {
-		c.unmapped = true
-		syscall.Munmap(c.seg)
-	}
+	c.unmapped = true
+	syscall.Munmap(c.seg)
 	c.mu.Unlock()
 }
 
+// refClosing is the closing bit of ShmClient.refs, far above any count
+// of references.
+const refClosing = int64(1) << 62
+
+// begin takes a reference on the mapping, unless the session is closing.
+// The compare-and-swap never counts a refused caller, so once the bit is
+// up the count only falls.
 func (c *ShmClient) begin() error {
-	c.mu.Lock()
-	if c.closed || c.unmapped {
-		c.mu.Unlock()
-		return c.deadErr(false)
+	for {
+		r := c.refs.Load()
+		if r&refClosing != 0 {
+			return c.deadErr(false)
+		}
+		if c.refs.CompareAndSwap(r, r+1) {
+			return nil
+		}
 	}
-	select {
-	case <-c.dead:
-		c.mu.Unlock()
-		return c.deadErr(false)
-	default:
-	}
-	c.inflight++
-	c.mu.Unlock()
-	return nil
 }
 
+// end drops a reference; the one that leaves only the closing bit
+// releases the reaper.
 func (c *ShmClient) end() {
-	c.mu.Lock()
-	c.inflight--
-	if c.inflight == 0 {
-		c.cond.Broadcast()
+	if c.refs.Add(-1) == refClosing {
+		close(c.drained)
 	}
-	c.mu.Unlock()
+}
+
+// shut sets the closing bit, once; with no reference held it releases
+// the reaper itself.
+func (c *ShmClient) shut() {
+	for {
+		r := c.refs.Load()
+		if r&refClosing != 0 {
+			return
+		}
+		if c.refs.CompareAndSwap(r, r|refClosing) {
+			if r == 0 {
+				close(c.drained)
+			}
+			return
+		}
+	}
 }
 
 // deadErr maps a dead session onto the plane's exceptions: a call that
@@ -1800,17 +1902,15 @@ func (c *ShmClient) deadErr(posted bool) error {
 // and unmap once in-flight calls drain. Calls after Close fail with
 // ErrConnClosed.
 func (c *ShmClient) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.userClosed.Swap(true) {
 		return nil
 	}
-	c.closed = true
-	c.userClosed.Store(true)
+	c.shut()
 	// Disarm before bye: if the process dies between these two writes
 	// the server still classifies the detach correctly. The store
 	// happens under the lock the reaper unmaps under, so a session the
 	// server already tore down cannot fault here.
+	c.mu.Lock()
 	if !c.unmapped {
 		shmU32(c.seg, shmOffClientEpoch).Store(0)
 	}

@@ -74,7 +74,7 @@ func (c *ShmClient) submit(r shmReq, fut *Future, block, ring bool) error {
 	}
 	switch err := c.post(id, fut, ring); err {
 	case nil, errSweptPosted:
-		// The inflight reference belongs to retire now. If the dead sweep
+		// The reference belongs to retire now. If the dead sweep
 		// already claimed the submission, the future carries the outcome:
 		// success from the caller's point of view.
 		return nil

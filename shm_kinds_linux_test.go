@@ -318,9 +318,7 @@ func TestShmEveryCallKindLeavesSessionWhole(t *testing.T) {
 	}
 	// whole reports whether the session is back to rest, and how it looks.
 	whole := func() (bool, string) {
-		c.mu.Lock()
-		inflight := c.inflight
-		c.mu.Unlock()
+		inflight := c.refs.Load()
 		c.bulk.mu.Lock()
 		nfree, used := c.bulk.nfree, 0
 		for _, u := range c.bulk.used {
@@ -330,9 +328,9 @@ func TestShmEveryCallKindLeavesSessionWhole(t *testing.T) {
 		}
 		c.bulk.mu.Unlock()
 		parked := c.parked.Load()
-		return len(c.free) == c.Slots() && nfree == len(c.bulk.used) && used == 0 && inflight == 0 && parked == 0,
+		return freeSlots(c) == c.Slots() && nfree == len(c.bulk.used) && used == 0 && inflight == 0 && parked == 0,
 			fmt.Sprintf("free slots %d/%d, free pages %d/%d (%d marked used), inflight %d, parked %d",
-				len(c.free), c.Slots(), nfree, len(c.bulk.used), used, inflight, parked)
+				freeSlots(c), c.Slots(), nfree, len(c.bulk.used), used, inflight, parked)
 	}
 
 	for _, k := range kinds {

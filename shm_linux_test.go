@@ -20,6 +20,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -69,6 +70,18 @@ func startShm(t *testing.T, iface *Interface, opts ShmServeOptions) (*ShmServer,
 	go sv.Serve(l)
 	t.Cleanup(func() { sv.Close() })
 	return sv, sock, exp
+}
+
+// freeSlots counts the slots on c's free stack. It walks the links, so
+// it reads true only while no call takes or returns a slot; a walk that
+// races one stops past the slot count rather than follow a stale link
+// forever.
+func freeSlots(c *ShmClient) int {
+	n := 0
+	for i := uint32(c.freeTop.Load()); i != 0 && n <= c.Slots(); i = c.freeNext[i-1].Load() {
+		n++
+	}
+	return n
 }
 
 func TestShmRoundTrip(t *testing.T) {
@@ -845,4 +858,207 @@ func TestShmHostileNoHintWord(t *testing.T) {
 		st := sv.Stats()
 		return st.ActiveSessions == 1 && st.SegmentsReclaimed == 2
 	}, func() string { return fmt.Sprintf("%+v", sv.Stats()) })
+}
+
+// --- the client's call path: one reference count, the free-slot stack ---
+
+// TestShmSlotWaitersAllWake: 16 callers share a session of two slots,
+// whose calls stall 0–20 µs in the handler, so at almost any moment most
+// of the callers wait on the empty free-slot stack, and a third of them
+// give up at 50 ms deadlines, in the wait or with the call posted. Every call returns — with its own results, or for a
+// deadline caller with ErrCallTimeout — and the session ends at rest:
+// both slots free, no reference held, no caller parked or waiting. A
+// wake-up lost on the way to a waiter strands it beside a free slot; the
+// progress check turns that hang into a failure within seconds (a
+// deadline caller times out and goes on, so each caller is watched).
+func TestShmSlotWaitersAllWake(t *testing.T) {
+	_, sock, _ := startShm(t, shmStallIface("Stall"), ShmServeOptions{})
+	c, err := DialShmOpts(sock, "Stall", ShmDialOptions{Slots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const callers, per = 16, 2000
+	var wg sync.WaitGroup
+	var timeouts atomic.Int64
+	var returned [callers]atomic.Int64
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			defer returned[g].Store(-1) // done
+			rng := rand.New(rand.NewSource(int64(29 + g)))
+			args := make([]byte, 12)
+			for i := 0; i < per; i++ {
+				binary.LittleEndian.PutUint32(args[0:], uint32(g))
+				binary.LittleEndian.PutUint32(args[4:], uint32(i))
+				binary.LittleEndian.PutUint32(args[8:], uint32(rng.Intn(21)))
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				if g%3 == 0 {
+					ctx, cancel = context.WithTimeout(ctx, 50*time.Millisecond)
+				}
+				out, err := c.CallContext(ctx, 0, args)
+				cancel()
+				returned[g].Add(1)
+				switch {
+				case err == nil && bytes.Equal(out, args):
+				case g%3 == 0 && errors.Is(err, ErrCallTimeout):
+					timeouts.Add(1)
+				default:
+					t.Errorf("caller %d call %d = %x, %v (want %x)", g, i, out, err, args)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var last [callers]int64
+	stuck := -1
+	for stuck < 0 {
+		select {
+		case <-done:
+			stuck = callers
+		case <-time.After(5 * time.Second):
+			for g := range last {
+				n := returned[g].Load()
+				if n >= 0 && n == last[g] {
+					stuck = g
+				}
+				last[g] = n
+			}
+		}
+	}
+	if stuck < callers {
+		state := fmt.Sprintf("free slots %d, refs %d, waiters %d", freeSlots(c), c.refs.Load(), c.freeWaiters.Load())
+		c.Close() // release the stranded callers so the test can end
+		<-done
+		t.Fatalf("caller %d returned no call in 5 s: %s", stuck, state)
+	}
+	shmWaitFor(t, 5*time.Second, func() bool {
+		return freeSlots(c) == c.Slots() && c.refs.Load() == 0 && c.parked.Load() == 0 && c.freeWaiters.Load() == 0
+	}, func() string {
+		return fmt.Sprintf("free slots %d/%d, refs %d, parked %d, waiters %d",
+			freeSlots(c), c.Slots(), c.refs.Load(), c.parked.Load(), c.freeWaiters.Load())
+	})
+	if st := c.Stats(); st.Calls != callers*per || st.Timeouts != uint64(timeouts.Load()) || st.Failures != 0 {
+		t.Fatalf("client stats %+v, %d timeouts seen", st, timeouts.Load())
+	}
+	t.Logf("%d deadline calls timed out", timeouts.Load())
+}
+
+// TestShmCloseDrainsInflight closes a session under 8 callers mid-stream,
+// from the client's side and from the server's. Every call returns its
+// results or the plane's close or death exception, the server reclaims
+// the one segment once, and the client unmaps only after the last
+// reference ends: from the moment the mapping is gone the count holds
+// the closing bit alone. A caller that touched the segment after the
+// unmap would fault the test binary.
+func TestShmCloseDrainsInflight(t *testing.T) {
+	for _, closer := range []string{"ShmClient", "ShmServer"} {
+		t.Run(closer, func(t *testing.T) {
+			sv, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{})
+			c, err := DialShmOpts(sock, "Shm", ShmDialOptions{Slots: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			const callers = 8
+			var calls atomic.Int64
+			errs := make(chan error, callers)
+			var wg sync.WaitGroup
+			for g := 0; g < callers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					msg := []byte(fmt.Sprintf("caller %d", g))
+					for {
+						out, err := c.Call(0, msg)
+						if err == nil && !bytes.Equal(out, msg) {
+							err = fmt.Errorf("echoed %q", out)
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+						calls.Add(1)
+					}
+				}(g)
+			}
+			// The watcher samples the count and the mapping until the
+			// callers are done.
+			stop := make(chan struct{})
+			early := make(chan int64, 1)
+			go func() {
+				for {
+					c.mu.Lock()
+					unmapped, refs := c.unmapped, c.refs.Load()
+					c.mu.Unlock()
+					if unmapped && refs != refClosing {
+						early <- refs
+						return
+					}
+					select {
+					case <-stop:
+						close(early)
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
+			}()
+			shmWaitFor(t, 5*time.Second, func() bool { return calls.Load() >= 500 },
+				func() string { return fmt.Sprintf("%d calls", calls.Load()) })
+			if closer == "ShmClient" {
+				c.Close()
+			} else {
+				sv.Close()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if !errors.Is(err, ErrConnClosed) && !errors.Is(err, ErrRevoked) && !errors.Is(err, ErrCallFailed) {
+					t.Errorf("call across %s.Close = %v", closer, err)
+				}
+			}
+			shmWaitFor(t, 5*time.Second, func() bool {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				return c.unmapped
+			}, func() string { return fmt.Sprintf("still mapped, refs %#x", c.refs.Load()) })
+			close(stop)
+			if refs, ok := <-early; ok {
+				t.Fatalf("segment unmapped with refs %#x, want only the closing bit %#x", refs, refClosing)
+			}
+			shmWaitFor(t, 5*time.Second, func() bool { return sv.Stats().SegmentsReclaimed >= 1 },
+				func() string { return fmt.Sprintf("%+v", sv.Stats()) })
+			if st := sv.Stats(); st.SegmentsReclaimed != 1 || st.ActiveSessions != 0 {
+				t.Fatalf("server stats %+v, want one segment reclaimed", st)
+			}
+		})
+	}
+}
+
+// TestShmCallAppendAllocs pins ShmClient.CallAppend into a caller's
+// buffer at zero allocations, both processes' halves counted (the server
+// runs in this one).
+func TestShmCallAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	_, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{})
+	c, err := DialShm(sock, "Shm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	args, dst := []byte("ping"), make([]byte, 0, 64)
+	allocs := testing.AllocsPerRun(2000, func() {
+		if out, err := c.CallAppend(0, args, dst[:0]); err != nil || string(out) != "ping" {
+			t.Fatalf("CallAppend = %q, %v", out, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ShmClient.CallAppend: %.3f allocs/op, want 0", allocs)
+	}
 }

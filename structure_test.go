@@ -77,6 +77,16 @@ func methodOnCall(last, method string) func(ast.Node) bool {
 	}
 }
 
+// plainStoreTo matches a plain store of a shm segment word,
+// shmPut32/shmPut64(seg, …last, v).
+func plainStoreTo(last string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		f, call := callee(n)
+		return (f == "shmPut32" || f == "shmPut64") && len(call.Args) == 3 &&
+			strings.HasSuffix(types.ExprString(call.Args[1]), last)
+	}
+}
+
 // assign matches an assignment with operator tok whose left side ends in
 // lhs and whose right side is rhs.
 func assign(tok token.Token, lhs, rhs string) func(ast.Node) bool {
@@ -196,17 +206,27 @@ var structureCaps = []structureCap{
 	}},
 
 	// oneslot: every shm call kind drives one slot lifecycle. A slot is
-	// taken in one place (acquire: the inflight reference and its two
-	// free-list receives), a request header written in one, a reply read
-	// in one, an async slot claimed in two (retire, and unpostSlot for a
-	// submission the peer never saw); the call entries are written once,
-	// in shm_common.go, so shm_stub.go stubs the drivers and no entry.
+	// taken in one place (acquire: the reference and the one receive of
+	// the free-slot wait token), a request header written in one, a reply
+	// read in one, an async slot claimed in two (retire, and unpostSlot
+	// for a submission the peer never saw); the call entries are written
+	// once, in shm_common.go, so shm_stub.go stubs the drivers and no
+	// entry. The call path takes no lock (DESIGN §5.11): the reference
+	// count, the slot stack and the segment's words are all it shares.
 	{why: "a second slot acquisition", max: 1, match: callTo("c.begin")},
-	{why: "a second slot acquisition", max: 2, match: func(n ast.Node) bool {
+	{why: "a second slot acquisition", max: 1, in: "acquire", match: func(n ast.Node) bool {
 		u, ok := n.(*ast.UnaryExpr)
-		return ok && u.Op == token.ARROW && types.ExprString(u.X) == "c.free"
+		return ok && u.Op == token.ARROW && types.ExprString(u.X) == "c.freeToken"
 	}},
-	{why: "a second request-header writer", max: 1, match: methodOnCall("slotOffCallID", "Store")},
+	{why: "a second request-header writer", max: 1, match: func(n ast.Node) bool {
+		return methodOnCall("slotOffCallID", "Store")(n) || plainStoreTo("slotOffCallID")(n)
+	}},
+	{why: "a lock on the shm client's call path", files: []string{"shm.go", "shm_async.go"},
+		within: []string{"begin", "end", "acquire", "prepare", "stage", "stageBulk", "header",
+			"roundTrip", "awaitReply", "reply", "collectBulk", "recycle", "call", "post", "retire"},
+		match: func(n ast.Node) bool {
+			return callTo("Lock")(n) || callTo("Unlock")(n) || callTo("Wait")(n) || callTo("Broadcast")(n)
+		}},
 	{why: "a second reply reader", max: 1, match: methodOnCall("slotOffResLen", "Load")},
 	{why: "a third async slot claim", max: 2, match: func(n ast.Node) bool {
 		f, call := callee(n)
