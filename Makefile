@@ -148,9 +148,11 @@ shmtest:
 
 # The high-availability suite: replicated-registry fault schedules
 # (kill-leader, partition, rolling restart, lease expiry, the mesh
-# invariant) in registry/, plus the at-most-once classification tests in
-# the root package. Seeded, race clean; timings are sized for a
-# single-CPU host under -race.
+# invariant) and the two hostile-peer tests (out-of-range consensus
+# messages against a live follower, a follower lying about its log) in
+# registry/, plus the at-most-once classification tests in the root
+# package. Seeded, race clean; timings are sized for a single-CPU host
+# under -race.
 haftest:
 	$(GO) test -race -count=1 -run 'TestHA' ./registry
 	$(GO) test -race -count=1 -run 'TestWrittenFrameNotRetried|TestRetryFailedCallsNeverRetriesWrittenFrame|TestNotSentClassification|TestNotExecutedVouch' .
@@ -175,8 +177,9 @@ brokertest:
 chaintest:
 	$(GO) test -race -count=1 -run 'TestChain|TestShmChain|TestBrokerChain' ./internal/faultinject/ .
 
-# Native Go fuzzing over the wire parsers (net_fuzz_test.go) and the
-# broker's first frame (broker_fuzz_test.go). Short budgets so it's
+# Native Go fuzzing over the wire parsers (net_fuzz_test.go), the
+# broker's first frame (broker_fuzz_test.go) and the registry's bodies
+# against a live replica (registry/wire_test.go). Short budgets so it's
 # usable as a pre-commit smoke test; raise FUZZTIME for a real session.
 FUZZTIME ?= 10s
 fuzz:
@@ -184,6 +187,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzBrokerFirstFrame$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseChain$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzRegistryBodies$$' -fuzztime $(FUZZTIME) ./registry
 
 # Full benchmark sweep with allocation counts (the wall-clock Null path
 # must report 0 allocs/op), then the artifact gates. The per-call

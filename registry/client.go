@@ -149,37 +149,32 @@ func (rc *Client) addrIndex(addr string) int {
 	return -1
 }
 
-// op drives one registry operation to completion: call the preferred
-// replica, follow not-leader hints, sweep the rest, pause for elections,
-// repeat until the budget runs out. anyReplica marks read operations
-// whose regErrReply answers are only authoritative once every reachable
-// replica agrees (a lagging follower may not have applied a name yet).
-func (rc *Client) op(proc int, req []byte, anyReplica bool) ([]byte, error) {
+// op drives one registry operation to completion and returns the
+// replica's regOK reply: call the preferred replica, follow not-leader
+// hints, sweep the rest, pause for elections, repeat until the budget
+// runs out. anyReplica marks read operations whose regErrReply answers
+// are only authoritative once every reachable replica agrees (a lagging
+// follower may not have applied a name yet).
+func (rc *Client) op(proc int, req regMsg, anyReplica bool) (regMsg, error) {
 	deadline := time.Now().Add(rc.opts.OpTimeout)
 	var lastErr error
 	for {
-		var softReply []byte // notFound answer pending cluster agreement
+		soft := false // notFound answer pending cluster agreement
 		order := rc.sweepOrder()
 		for k := 0; k < len(order); k++ {
 			i := order[k]
-			body, err := rc.callReplica(i, proc, req)
+			rep, err := rc.callReplica(i, proc, req)
 			if err != nil {
 				lastErr = err
 				continue
 			}
-			if len(body) < 1 {
-				lastErr = fmt.Errorf("lrpc: registry %s: empty reply", rc.addrs[i])
-				continue
-			}
-			switch body[0] {
+			switch rep.Status {
 			case regOK:
 				rc.setPref(i)
-				return body[1:], nil
+				return rep, nil
 			case regNotLeader:
-				rd := newRegReader(body[1:])
-				hint := rd.str()
 				lastErr = fmt.Errorf("%w (replica %s)", ErrNotLeader, rc.addrs[i])
-				if j := rc.addrIndex(hint); j >= 0 && k+1 < len(order) && order[k+1] != j {
+				if j := rc.addrIndex(rep.Leader); j >= 0 && k+1 < len(order) && order[k+1] != j {
 					// Chase the hint next instead of sweeping in order.
 					for m := k + 1; m < len(order); m++ {
 						if order[m] == j {
@@ -189,43 +184,52 @@ func (rc *Client) op(proc int, req []byte, anyReplica bool) ([]byte, error) {
 					}
 				}
 			case regErrReply:
-				rd := newRegReader(body[1:])
-				code := rd.u8()
-				msg := rd.str()
-				err := regErrFromCode(code, msg)
-				if anyReplica && code == regErrNotFound {
-					softReply = body
+				err := regErrFromCode(rep.Code, rep.Err)
+				if anyReplica && rep.Code == regErrNotFound {
+					soft = true
 					lastErr = err
 					continue // another replica may be further ahead
 				}
-				return nil, err
+				return regMsg{}, err
 			default:
-				lastErr = fmt.Errorf("lrpc: registry %s: unknown reply status %d", rc.addrs[i], body[0])
+				lastErr = fmt.Errorf("lrpc: registry %s: unknown reply status %d", rc.addrs[i], rep.Status)
 			}
 		}
-		if softReply != nil {
+		if soft {
 			// Every reachable replica answered, none had the name.
-			return nil, lastErr
+			return regMsg{}, lastErr
 		}
 		if !time.Now().Add(sweepPause).Before(deadline) {
 			if lastErr == nil {
 				lastErr = errors.New("lrpc: registry operation timed out")
 			}
-			return nil, fmt.Errorf("%w: %w", lrpc.ErrRegistryUnavailable, lastErr)
+			return regMsg{}, fmt.Errorf("%w: %w", lrpc.ErrRegistryUnavailable, lastErr)
 		}
 		time.Sleep(sweepPause)
 	}
 }
 
-func (rc *Client) callReplica(i, proc int, req []byte) ([]byte, error) {
+// callReplica sends req to replica i and decodes its reply. A reply that
+// is not a registry document counts against that replica alone, as a
+// failed call does.
+func (rc *Client) callReplica(i, proc int, req regMsg) (regMsg, error) {
 	c, err := rc.client(rc.addrs[i])
 	if err != nil {
-		return nil, err
+		return regMsg{}, err
 	}
-	return c.Call(proc, req)
+	body, _ := json.Marshal(req) // strings, integers and endpoints: cannot fail
+	res, err := c.Call(proc, body)
+	if err != nil {
+		return regMsg{}, err
+	}
+	var rep regMsg
+	if err := json.Unmarshal(res, &rep); err != nil {
+		return regMsg{}, fmt.Errorf("lrpc: registry %s: malformed reply: %v", rc.addrs[i], err)
+	}
+	return rep, nil
 }
 
-func regErrFromCode(code byte, msg string) error {
+func regErrFromCode(code int, msg string) error {
 	switch code {
 	case regErrLeaseExpired:
 		return fmt.Errorf("%w: %s", lrpc.ErrLeaseExpired, msg)
@@ -239,38 +243,20 @@ func regErrFromCode(code byte, msg string) error {
 // Register binds name to eps cluster-wide under a fresh lease with the
 // given TTL (0 disables expiry) and returns the lease id.
 func (rc *Client) Register(name string, ttl time.Duration, eps ...lrpc.Endpoint) (uint64, error) {
-	var w regWriter
-	w.str(name)
-	w.u64(uint64(ttl))
-	w.eps(eps)
-	body, err := rc.op(regProcRegister, w.b, false)
-	if err != nil {
-		return 0, err
-	}
-	rd := newRegReader(body)
-	lease := rd.u64()
-	if rd.bad {
-		return 0, errors.New("lrpc: malformed register reply")
-	}
-	return lease, nil
+	rep, err := rc.op(regProcRegister, regMsg{Name: name, TTL: ttl, Eps: eps}, false)
+	return rep.Lease, err
 }
 
 // Unregister withdraws the lease's binding cluster-wide.
 func (rc *Client) Unregister(name string, lease uint64) error {
-	var w regWriter
-	w.str(name)
-	w.u64(lease)
-	_, err := rc.op(regProcUnregister, w.b, false)
+	_, err := rc.op(regProcUnregister, regMsg{Name: name, Lease: lease}, false)
 	return err
 }
 
 // Renew extends the lease's TTL from now. lrpc.ErrLeaseExpired means the
 // cluster already expired it; the holder must re-register.
 func (rc *Client) Renew(name string, lease uint64) error {
-	var w regWriter
-	w.str(name)
-	w.u64(lease)
-	_, err := rc.op(regProcRenew, w.b, false)
+	_, err := rc.op(regProcRenew, regMsg{Name: name, Lease: lease}, false)
 	return err
 }
 
@@ -278,18 +264,8 @@ func (rc *Client) Renew(name string, lease uint64) error {
 // registration order. Any replica's applied state may answer;
 // lrpc.ErrNoSuchName is returned only after every reachable replica agreed.
 func (rc *Client) Resolve(name string) ([]lrpc.Endpoint, error) {
-	var w regWriter
-	w.str(name)
-	body, err := rc.op(regProcResolve, w.b, true)
-	if err != nil {
-		return nil, err
-	}
-	rd := newRegReader(body)
-	eps := rd.eps()
-	if rd.bad {
-		return nil, errors.New("lrpc: malformed resolve reply")
-	}
-	return eps, nil
+	rep, err := rc.op(regProcResolve, regMsg{Name: name}, true)
+	return rep.Eps, err
 }
 
 // ReplicaStatus queries one replica directly (no leader chase) — the
@@ -299,21 +275,12 @@ func (rc *Client) ReplicaStatus(addr string) (*Status, error) {
 	if i < 0 {
 		return nil, fmt.Errorf("lrpc: %q is not a configured registry replica", addr)
 	}
-	body, err := rc.callReplica(i, regProcStatus, nil)
+	rep, err := rc.callReplica(i, regProcStatus, regMsg{})
 	if err != nil {
 		return nil, err
 	}
-	if len(body) < 1 || body[0] != regOK {
+	if rep.Status != regOK || rep.Replica == nil {
 		return nil, fmt.Errorf("lrpc: registry %s: bad status reply", addr)
 	}
-	rd := newRegReader(body[1:])
-	blob := rd.blob()
-	if rd.bad {
-		return nil, errors.New("lrpc: malformed status reply")
-	}
-	var st Status
-	if err := json.Unmarshal(blob, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return rep.Replica, nil
 }

@@ -30,7 +30,6 @@
 package registry
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -63,14 +62,14 @@ const (
 	regProcStatus
 )
 
-// Client-facing reply status (first byte of every reply body).
+// Client-facing reply status (regMsg.Status).
 const (
 	regOK        = 0
-	regNotLeader = 1 // payload: leader address hint (possibly empty)
-	regErrReply  = 2 // payload: error code byte + text
+	regNotLeader = 1 // Leader: the leader's address hint (possibly empty)
+	regErrReply  = 2 // Code and Err
 )
 
-// Error codes inside regErrReply replies.
+// Error codes inside regErrReply replies (regMsg.Code).
 const (
 	regErrOther = iota
 	regErrLeaseExpired
@@ -86,14 +85,15 @@ const (
 )
 
 // regEntry is one replicated log entry. The name map of every replica is
-// a pure function of the committed prefix of these.
+// a pure function of the committed prefix of these. AppendEntries
+// carries entries as they are in the log.
 type regEntry struct {
-	term  uint64
-	kind  byte
-	name  string
-	lease uint64
-	ttl   time.Duration
-	eps   []lrpc.Endpoint
+	Term  uint64          `json:"term"`
+	Kind  byte            `json:"kind"`
+	Name  string          `json:"name,omitempty"`
+	Lease uint64          `json:"lease,omitempty"`
+	TTL   time.Duration   `json:"ttl,omitempty"`
+	Eps   []lrpc.Endpoint `json:"eps,omitempty"`
 }
 
 // Replica roles.
@@ -414,19 +414,13 @@ func (r *Replica) run() {
 
 // appendArgs is one replication RPC's frozen view of the leader state.
 type appendArgs struct {
-	peer     int
-	term     uint64
-	prev     int
-	prevTerm uint64
-	entries  []regEntry
-	commit   int
+	peer int
+	appendMsg
 }
 
 type voteArgs struct {
-	peer     int
-	term     uint64
-	lastIdx  int
-	lastTerm uint64
+	peer int
+	voteMsg
 }
 
 func (r *Replica) tick() {
@@ -502,7 +496,7 @@ func (r *Replica) persistLocked() {
 func (r *Replica) lastLogLocked() (idx int, term uint64) {
 	idx = len(r.log)
 	if idx > 0 {
-		term = r.log[idx-1].term
+		term = r.log[idx-1].Term
 	}
 	return idx, term
 }
@@ -522,7 +516,7 @@ func (r *Replica) voteArgsLocked() []voteArgs {
 	var out []voteArgs
 	for p := range r.addrs {
 		if p != r.id {
-			out = append(out, voteArgs{peer: p, term: r.term, lastIdx: lastIdx, lastTerm: lastTerm})
+			out = append(out, voteArgs{p, voteMsg{Term: r.term, Cand: r.id, LastIdx: lastIdx, LastTerm: lastTerm}})
 		}
 	}
 	return out
@@ -551,7 +545,7 @@ func (r *Replica) becomeLeaderLocked(now time.Time) {
 	// A no-op barrier entry: committing it commits every prior-term entry
 	// beneath it (the leader may only count replicas for entries of its
 	// own term).
-	r.appendEntryLocked(regEntry{kind: etNoop})
+	r.appendEntryLocked(regEntry{Kind: etNoop})
 	r.kickReplication()
 }
 
@@ -583,7 +577,7 @@ func (r *Replica) failWaitersLocked() {
 // appendEntryLocked appends one entry to the leader's log and returns
 // its index.
 func (r *Replica) appendEntryLocked(e regEntry) int {
-	e.term = r.term
+	e.Term = r.term
 	r.log = append(r.log, e)
 	r.persistLocked()
 	r.advanceCommitLocked() // a single-replica cluster commits immediately
@@ -599,33 +593,31 @@ func (r *Replica) appendArgsLocked(p int) appendArgs {
 	prev := next - 1
 	var prevTerm uint64
 	if prev > 0 {
-		prevTerm = r.log[prev-1].term
+		prevTerm = r.log[prev-1].Term
 	}
 	// Copy the tail: the follower-side conflict rule may truncate and
 	// overwrite this backing array if we ever step down mid-send.
 	entries := append([]regEntry(nil), r.log[next-1:]...)
-	return appendArgs{peer: p, term: r.term, prev: prev, prevTerm: prevTerm,
-		entries: entries, commit: r.commit}
+	return appendArgs{p, appendMsg{Term: r.term, Leader: r.id, Prev: prev, PrevTerm: prevTerm,
+		Entries: entries, Commit: r.commit}}
 }
 
 func (r *Replica) sendAppend(a appendArgs) {
-	res, err := r.peerCall(a.peer, regProcAppendEntries, encodeAppendReq(r.id, a))
+	var rep appendMsg
+	ok := r.peerCall(a.peer, regProcAppendEntries, &a.appendMsg, &rep, a.Prev+len(a.Entries))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.inflight[a.peer] = false
-	if r.closed || err != nil || r.role != roleLeader || r.term != a.term {
+	if r.closed || !ok || r.role != roleLeader || r.term != a.Term {
 		return
 	}
-	term, ok, match, derr := decodeAppendReply(res)
-	if derr != nil {
-		return
-	}
-	if term > r.term {
-		r.stepDownLocked(term, -1)
+	if rep.Term > r.term {
+		r.stepDownLocked(rep.Term, -1)
 		return
 	}
 	r.lastAck[a.peer] = time.Now()
-	if ok {
+	match := rep.Match
+	if rep.OK {
 		if match > r.matchIdx[a.peer] {
 			r.matchIdx[a.peer] = match
 		}
@@ -649,21 +641,18 @@ func (r *Replica) sendAppend(a appendArgs) {
 }
 
 func (r *Replica) sendVote(a voteArgs) {
-	res, err := r.peerCall(a.peer, regProcRequestVote, encodeVoteReq(r.id, a))
+	var rep voteMsg
+	ok := r.peerCall(a.peer, regProcRequestVote, &a.voteMsg, &rep, 0)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed || err != nil || r.role != roleCandidate || r.term != a.term {
+	if r.closed || !ok || r.role != roleCandidate || r.term != a.Term {
 		return
 	}
-	term, granted, derr := decodeVoteReply(res)
-	if derr != nil {
+	if rep.Term > r.term {
+		r.stepDownLocked(rep.Term, -1)
 		return
 	}
-	if term > r.term {
-		r.stepDownLocked(term, -1)
-		return
-	}
-	if granted {
+	if rep.Granted {
 		r.votes[a.peer] = true
 		if len(r.votes) > len(r.addrs)/2 {
 			r.becomeLeaderLocked(time.Now())
@@ -687,7 +676,7 @@ func (r *Replica) advanceCommitLocked() {
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(ms)))
 	quorum := ms[len(ms)/2]
-	if quorum > r.commit && r.log[quorum-1].term == r.term {
+	if quorum > r.commit && r.log[quorum-1].Term == r.term {
 		r.commit = quorum
 		r.applyLocked()
 	}
@@ -700,23 +689,23 @@ func (r *Replica) applyLocked() {
 		idx := r.applied + 1
 		e := r.log[idx-1]
 		var lease uint64
-		switch e.kind {
+		switch e.Kind {
 		case etRegister:
 			lease = uint64(idx) // log position: unique for all time once committed
-			r.names[e.name] = append(r.names[e.name], provider{lease: lease, ttl: e.ttl, eps: e.eps})
+			r.names[e.Name] = append(r.names[e.Name], provider{lease: lease, ttl: e.TTL, eps: e.Eps})
 			r.lastRenew[lease] = time.Now()
 		case etUnregister, etExpire:
-			r.removeProviderLocked(e.name, e.lease)
-			delete(r.lastRenew, e.lease)
-			delete(r.pendingExpire, e.lease)
-			if e.kind == etExpire {
+			r.removeProviderLocked(e.Name, e.Lease)
+			delete(r.lastRenew, e.Lease)
+			delete(r.pendingExpire, e.Lease)
+			if e.Kind == etExpire {
 				r.expiries.Add(1)
-				r.trace(lrpc.TraceLeaseExpire, e.name, fmt.Sprintf("lease-%d", e.lease))
+				r.trace(lrpc.TraceLeaseExpire, e.Name, fmt.Sprintf("lease-%d", e.Lease))
 			}
 		}
 		r.applied = idx
 		for _, w := range r.waiters[idx] {
-			w.ch <- regApply{ok: e.term == w.term, lease: lease}
+			w.ch <- regApply{ok: e.Term == w.term, lease: lease}
 		}
 		delete(r.waiters, idx)
 	}
@@ -753,7 +742,7 @@ func (r *Replica) checkLeasesLocked(now time.Time) {
 			}
 			if now.Sub(last) > p.ttl {
 				r.pendingExpire[p.lease] = true
-				r.appendEntryLocked(regEntry{kind: etExpire, name: name, lease: p.lease})
+				r.appendEntryLocked(regEntry{Kind: etExpire, Name: name, Lease: p.lease})
 			}
 		}
 	}
@@ -788,11 +777,94 @@ func (r *Replica) leaderHintLocked() string {
 	return ""
 }
 
+// --- wire messages ---
+
+// Every registry call carries one JSON document each way, as the
+// broker's control calls do: the registry runs once per binding, not
+// once per call, so it has no codec of its own. voteMsg and appendMsg
+// are the consensus RPCs' requests and replies, regMsg the client
+// operations'.
+
+// voteMsg is RequestVote's request (Term, Cand, LastIdx, LastTerm) and
+// reply (Term, Granted).
+type voteMsg struct {
+	Term     uint64 `json:"term"`
+	Cand     int    `json:"cand,omitempty"`
+	LastIdx  int    `json:"last_idx,omitempty"`
+	LastTerm uint64 `json:"last_term,omitempty"`
+	Granted  bool   `json:"granted,omitempty"`
+}
+
+// appendMsg is AppendEntries' request (Term, Leader, Prev, PrevTerm,
+// Entries, Commit) and reply (Term, OK, Match).
+type appendMsg struct {
+	Term     uint64     `json:"term"`
+	Leader   int        `json:"leader,omitempty"`
+	Prev     int        `json:"prev,omitempty"`
+	PrevTerm uint64     `json:"prev_term,omitempty"`
+	Entries  []regEntry `json:"entries,omitempty"`
+	Commit   int        `json:"commit,omitempty"`
+	OK       bool       `json:"ok,omitempty"`
+	Match    int        `json:"match,omitempty"`
+}
+
+// regMsg is the request and reply of Register (Name, TTL, Eps → Lease),
+// Unregister and Renew (Name, Lease), Resolve (Name → Eps) and Status
+// (→ Replica). Every reply carries Status; a regNotLeader one the
+// leader hint, a regErrReply one Code and Err.
+type regMsg struct {
+	Name    string          `json:"name,omitempty"`
+	TTL     time.Duration   `json:"ttl,omitempty"`
+	Lease   uint64          `json:"lease,omitempty"`
+	Eps     []lrpc.Endpoint `json:"eps,omitempty"`
+	Status  int             `json:"status,omitempty"`
+	Leader  string          `json:"leader,omitempty"`
+	Code    int             `json:"code,omitempty"`
+	Err     string          `json:"err,omitempty"`
+	Replica *Status         `json:"replica,omitempty"`
+}
+
+// peerMsg is a consensus message, request or reply.
+type peerMsg interface {
+	// valid reports whether the message may touch the state of a
+	// replica in a cluster of members; bound is the highest match the
+	// answered request allows (0 for a request, which carries none).
+	valid(members, bound int) bool
+}
+
+func (m *voteMsg) valid(members, _ int) bool { return m.Cand >= 0 && m.Cand < members }
+
+func (m *appendMsg) valid(members, bound int) bool {
+	if m.Prev < 0 || m.Commit < 0 || m.Leader < 0 || m.Leader >= members || m.Match < 0 || m.Match > bound {
+		return false
+	}
+	for _, e := range m.Entries {
+		if e.Kind > etExpire {
+			return false
+		}
+	}
+	return true
+}
+
+// decodePeer is the one gate between the wire and the consensus state:
+// a consensus message that does not decode, or is out of range, is
+// dropped before it reaches the log or the leader's indices.
+func decodePeer(b []byte, m peerMsg, members, bound int) bool {
+	return json.Unmarshal(b, m) == nil && m.valid(members, bound)
+}
+
+// reply sets v as the call's results. The registry's messages hold
+// integers, strings, endpoints and finite floats, which always marshal.
+func reply(c *lrpc.Call, v any) {
+	b, _ := json.Marshal(v)
+	c.SetResults(b)
+}
+
 // --- consensus RPC handlers ---
 
 func (r *Replica) handleRequestVote(c *lrpc.Call) {
-	term, cand, lastIdx, lastTerm, err := decodeVoteReq(c.Args())
-	if err != nil {
+	var a voteMsg
+	if !decodePeer(c.Args(), &a, len(r.addrs), 0) {
 		return
 	}
 	r.mu.Lock()
@@ -800,33 +872,33 @@ func (r *Replica) handleRequestVote(c *lrpc.Call) {
 		r.mu.Unlock()
 		return
 	}
-	if term > r.term {
-		r.term = term
+	if a.Term > r.term {
+		r.term = a.Term
 		r.votedFor = -1
 		r.role = roleFollower
 		r.leader = -1
 		r.persistLocked()
 	}
 	granted := false
-	if term == r.term && (r.votedFor == -1 || r.votedFor == int32(cand)) {
+	if a.Term == r.term && (r.votedFor == -1 || r.votedFor == int32(a.Cand)) {
 		myIdx, myTerm := r.lastLogLocked()
 		// The up-to-date restriction: never elect a leader missing
 		// entries we know to be committed.
-		if lastTerm > myTerm || (lastTerm == myTerm && lastIdx >= myIdx) {
+		if a.LastTerm > myTerm || (a.LastTerm == myTerm && a.LastIdx >= myIdx) {
 			granted = true
-			r.votedFor = int32(cand)
+			r.votedFor = int32(a.Cand)
 			r.persistLocked()
 			r.resetElectionLocked(time.Now())
 		}
 	}
 	curTerm := r.term
 	r.mu.Unlock()
-	c.SetResults(encodeVoteReply(curTerm, granted))
+	reply(c, voteMsg{Term: curTerm, Granted: granted})
 }
 
 func (r *Replica) handleAppendEntries(c *lrpc.Call) {
-	term, leaderID, prev, prevTerm, entries, leaderCommit, err := decodeAppendReq(c.Args())
-	if err != nil {
+	var a appendMsg
+	if !decodePeer(c.Args(), &a, len(r.addrs), 0) {
 		return
 	}
 	r.mu.Lock()
@@ -834,33 +906,35 @@ func (r *Replica) handleAppendEntries(c *lrpc.Call) {
 		r.mu.Unlock()
 		return
 	}
-	if term < r.term {
-		curTerm, floor := r.term, len(r.log)
+	if a.Term < r.term {
+		// A stale leader steps down on the term alone; it reads no match.
+		curTerm := r.term
 		r.mu.Unlock()
-		c.SetResults(encodeAppendReply(curTerm, false, floor))
+		reply(c, appendMsg{Term: curTerm})
 		return
 	}
-	if term > r.term || r.role != roleFollower {
-		r.stepDownLocked(term, leaderID)
+	if a.Term > r.term || r.role != roleFollower {
+		r.stepDownLocked(a.Term, a.Leader)
 	}
-	r.leader = leaderID
+	r.leader = a.Leader
 	r.resetElectionLocked(time.Now())
-	if prev > len(r.log) || (prev > 0 && r.log[prev-1].term != prevTerm) {
+	prev := a.Prev
+	if prev > len(r.log) || (prev > 0 && r.log[prev-1].Term != a.PrevTerm) {
 		floor := len(r.log)
 		if prev-1 < floor {
 			floor = prev - 1
 		}
 		curTerm := r.term
 		r.mu.Unlock()
-		c.SetResults(encodeAppendReply(curTerm, false, floor))
+		reply(c, appendMsg{Term: curTerm, Match: floor})
 		return
 	}
 	idx := prev
 	changed := false
-	for _, e := range entries {
+	for _, e := range a.Entries {
 		idx++
 		if idx <= len(r.log) {
-			if r.log[idx-1].term == e.term {
+			if r.log[idx-1].Term == e.Term {
 				continue
 			}
 			// Conflict: a divergent uncommitted suffix dies here.
@@ -873,9 +947,9 @@ func (r *Replica) handleAppendEntries(c *lrpc.Call) {
 	if changed {
 		r.persistLocked()
 	}
-	last := prev + len(entries)
-	if leaderCommit > r.commit {
-		nc := leaderCommit
+	last := prev + len(a.Entries)
+	if a.Commit > r.commit {
+		nc := a.Commit
 		if nc > last {
 			nc = last // only trust what this RPC verified
 		}
@@ -886,83 +960,71 @@ func (r *Replica) handleAppendEntries(c *lrpc.Call) {
 	}
 	curTerm := r.term
 	r.mu.Unlock()
-	c.SetResults(encodeAppendReply(curTerm, true, last))
+	reply(c, appendMsg{Term: curTerm, OK: true, Match: last})
 }
 
 // --- client-facing handlers ---
 
+// request decodes a client operation's arguments; a malformed request is
+// answered here and reports false.
+func request(c *lrpc.Call) (regMsg, bool) {
+	var m regMsg
+	if err := json.Unmarshal(c.Args(), &m); err != nil {
+		reply(c, regErr(regErrOther, "malformed request: "+err.Error()))
+		return m, false
+	}
+	return m, true
+}
+
 func (r *Replica) handleRegister(c *lrpc.Call) {
-	rd := newRegReader(c.Args())
-	name := rd.str()
-	ttl := time.Duration(rd.u64())
-	eps := rd.eps()
-	if rd.bad {
-		c.SetResults(regErrResult(regErrOther, "malformed register request"))
-		return
-	}
-	idx, w, errReply := r.propose(regEntry{kind: etRegister, name: name, ttl: ttl, eps: eps})
-	if errReply != nil {
-		c.SetResults(errReply)
-		return
-	}
-	if res := r.awaitCommit(idx, w); res.ok {
-		var wr regWriter
-		wr.u8(regOK)
-		wr.u64(res.lease)
-		c.SetResults(wr.b)
-	} else {
-		c.SetResults(r.notLeaderResult())
+	if m, ok := request(c); ok {
+		r.write(c, regEntry{Kind: etRegister, Name: m.Name, TTL: m.TTL, Eps: m.Eps})
 	}
 }
 
 func (r *Replica) handleUnregister(c *lrpc.Call) {
-	rd := newRegReader(c.Args())
-	name := rd.str()
-	lease := rd.u64()
-	if rd.bad {
-		c.SetResults(regErrResult(regErrOther, "malformed unregister request"))
-		return
-	}
-	idx, w, errReply := r.propose(regEntry{kind: etUnregister, name: name, lease: lease})
-	if errReply != nil {
-		c.SetResults(errReply)
-		return
-	}
-	if res := r.awaitCommit(idx, w); res.ok {
-		c.SetResults([]byte{regOK})
-	} else {
-		c.SetResults(r.notLeaderResult())
+	if m, ok := request(c); ok {
+		r.write(c, regEntry{Kind: etUnregister, Name: m.Name, Lease: m.Lease})
 	}
 }
 
+// write commits a client command and answers the call: the lease on
+// success, "not leader" when this replica cannot promise the commit.
+func (r *Replica) write(c *lrpc.Call, e regEntry) {
+	if idx, w, ok := r.propose(e); ok {
+		if res := r.awaitCommit(idx, w); res.ok {
+			reply(c, regMsg{Lease: res.lease})
+			return
+		}
+	}
+	reply(c, r.notLeader())
+}
+
 // propose appends a client command on the leader and parks a waiter for
-// its commit; on a non-leader (or stale-leader) replica it returns the
-// redirect reply instead.
-func (r *Replica) propose(e regEntry) (int, *regWaiter, []byte) {
+// its commit; on a non-leader (or stale-leader) replica it reports false.
+func (r *Replica) propose(e regEntry) (int, *regWaiter, bool) {
 	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		// Answer like a non-leader so the client sweeps to a live replica
-		// instead of treating a dying process as a terminal verdict.
-		return 0, nil, r.notLeaderResultLocked()
-	}
-	if r.role != roleLeader || !r.leaderFreshLocked(now) {
-		return 0, nil, r.notLeaderResultLocked()
+	// A closed replica answers like a non-leader, so the client sweeps to
+	// a live replica instead of treating a dying process as a terminal
+	// verdict.
+	if r.closed || r.role != roleLeader || !r.leaderFreshLocked(now) {
+		return 0, nil, false
 	}
 	idx := r.appendEntryLocked(e)
 	w := &regWaiter{term: r.term, ch: make(chan regApply, 1)}
 	if r.applied >= idx {
 		// Single-replica cluster: the entry applied inside the append.
 		lease := uint64(0)
-		if e.kind == etRegister {
+		if e.Kind == etRegister {
 			lease = uint64(idx)
 		}
 		w.ch <- regApply{ok: true, lease: lease}
-		return idx, w, nil
+		return idx, w, true
 	}
 	r.waiters[idx] = append(r.waiters[idx], w)
-	return idx, w, nil
+	return idx, w, true
 }
 
 // awaitCommit waits out a parked write. A timeout reads as "not leader":
@@ -996,26 +1058,19 @@ func (r *Replica) awaitCommit(idx int, w *regWaiter) regApply {
 }
 
 func (r *Replica) handleRenew(c *lrpc.Call) {
-	rd := newRegReader(c.Args())
-	name := rd.str()
-	lease := rd.u64()
-	if rd.bad {
-		c.SetResults(regErrResult(regErrOther, "malformed renew request"))
+	m, ok := request(c)
+	if !ok {
 		return
 	}
+	reply(c, r.renew(m.Name, m.Lease))
+}
+
+func (r *Replica) renew(name string, lease uint64) regMsg {
 	now := time.Now()
 	r.mu.Lock()
-	if r.closed {
-		reply := r.notLeaderResultLocked()
-		r.mu.Unlock()
-		c.SetResults(reply)
-		return
-	}
-	if r.role != roleLeader || !r.leaderFreshLocked(now) {
-		reply := r.notLeaderResultLocked()
-		r.mu.Unlock()
-		c.SetResults(reply)
-		return
+	defer r.mu.Unlock()
+	if r.closed || r.role != roleLeader || !r.leaderFreshLocked(now) {
+		return r.notLeaderLocked()
 	}
 	live := false
 	for _, p := range r.names[name] {
@@ -1025,36 +1080,28 @@ func (r *Replica) handleRenew(c *lrpc.Call) {
 		}
 	}
 	if !live || r.pendingExpire[lease] {
-		r.mu.Unlock()
-		c.SetResults(regErrResult(regErrLeaseExpired, fmt.Sprintf("lease %d for %q", lease, name)))
-		return
+		return regErr(regErrLeaseExpired, fmt.Sprintf("lease %d for %q", lease, name))
 	}
 	r.lastRenew[lease] = now
-	r.mu.Unlock()
-	c.SetResults([]byte{regOK})
+	return regMsg{}
 }
 
 func (r *Replica) handleResolve(c *lrpc.Call) {
-	rd := newRegReader(c.Args())
-	name := rd.str()
-	if rd.bad {
-		c.SetResults(regErrResult(regErrOther, "malformed resolve request"))
+	m, ok := request(c)
+	if !ok {
 		return
 	}
 	r.mu.Lock()
 	var eps []lrpc.Endpoint
-	for _, p := range r.names[name] {
+	for _, p := range r.names[m.Name] {
 		eps = append(eps, p.eps...)
 	}
 	r.mu.Unlock()
 	if len(eps) == 0 {
-		c.SetResults(regErrResult(regErrNotFound, name))
+		reply(c, regErr(regErrNotFound, m.Name))
 		return
 	}
-	var wr regWriter
-	wr.u8(regOK)
-	wr.eps(eps)
-	c.SetResults(wr.b)
+	reply(c, regMsg{Eps: eps})
 }
 
 // Status is a replica's self-report, used by convergence checks
@@ -1109,46 +1156,36 @@ func (r *Replica) Status() Status {
 }
 
 func (r *Replica) handleStatus(c *lrpc.Call) {
-	blob, err := json.Marshal(r.Status())
-	if err != nil {
-		c.SetResults(regErrResult(regErrOther, err.Error()))
-		return
-	}
-	var wr regWriter
-	wr.u8(regOK)
-	wr.bytes(blob)
-	c.SetResults(wr.b)
+	st := r.Status()
+	reply(c, regMsg{Replica: &st})
 }
 
-func (r *Replica) notLeaderResult() []byte {
+func (r *Replica) notLeader() regMsg {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.notLeaderResultLocked()
+	return r.notLeaderLocked()
 }
 
-func (r *Replica) notLeaderResultLocked() []byte {
-	var wr regWriter
-	wr.u8(regNotLeader)
-	wr.str(r.leaderHintLocked())
-	return wr.b
+func (r *Replica) notLeaderLocked() regMsg {
+	return regMsg{Status: regNotLeader, Leader: r.leaderHintLocked()}
 }
 
-func regErrResult(code byte, msg string) []byte {
-	var wr regWriter
-	wr.u8(regErrReply)
-	wr.u8(code)
-	wr.str(msg)
-	return wr.b
+func regErr(code int, msg string) regMsg {
+	return regMsg{Status: regErrReply, Code: code, Err: msg}
 }
 
 // --- peer RPC plumbing ---
 
-func (r *Replica) peerCall(peer, proc int, req []byte) ([]byte, error) {
+// peerCall sends req to a peer and decodes its answer into rep through
+// decodePeer; false means no usable answer.
+func (r *Replica) peerCall(peer, proc int, req any, rep peerMsg, bound int) bool {
 	c, err := r.peerClient(peer)
 	if err != nil {
-		return nil, err
+		return false
 	}
-	return c.Call(proc, req)
+	body, _ := json.Marshal(req) // integers and log entries: cannot fail
+	res, err := c.Call(proc, body)
+	return err == nil && decodePeer(res, rep, len(r.addrs), bound)
 }
 
 // peerClient lazily builds the reconnecting client for a peer; redials,
@@ -1186,230 +1223,4 @@ func (r *Replica) peerClient(peer int) (*lrpc.NetClient, error) {
 	}
 	r.peers[peer] = c
 	return c, nil
-}
-
-// --- wire encoding ---
-
-// regWriter builds little-endian request/reply bodies.
-type regWriter struct{ b []byte }
-
-func (w *regWriter) u8(v byte) { w.b = append(w.b, v) }
-
-func (w *regWriter) u32(v uint32) {
-	w.b = binary.LittleEndian.AppendUint32(w.b, v)
-}
-
-func (w *regWriter) u64(v uint64) {
-	w.b = binary.LittleEndian.AppendUint64(w.b, v)
-}
-
-func (w *regWriter) str(s string) {
-	if len(s) > 0xFFFF {
-		s = s[:0xFFFF]
-	}
-	w.b = binary.LittleEndian.AppendUint16(w.b, uint16(len(s)))
-	w.b = append(w.b, s...)
-}
-
-func (w *regWriter) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.b = append(w.b, b...)
-}
-
-func (w *regWriter) eps(eps []lrpc.Endpoint) {
-	w.u32(uint32(len(eps)))
-	for _, e := range eps {
-		w.str(e.Plane)
-		w.str(e.Addr)
-	}
-}
-
-// regReader decodes the same, failing closed: any truncation flips bad
-// and every later read returns zero values.
-type regReader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func newRegReader(b []byte) *regReader { return &regReader{b: b} }
-
-func (r *regReader) take(n int) []byte {
-	if r.bad || r.off+n > len(r.b) {
-		r.bad = true
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *regReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *regReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *regReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *regReader) str() string {
-	b := r.take(2)
-	if b == nil {
-		return ""
-	}
-	return string(r.take(int(binary.LittleEndian.Uint16(b))))
-}
-
-func (r *regReader) blob() []byte {
-	n := r.u32()
-	if r.bad || int(n) > len(r.b)-r.off {
-		r.bad = true
-		return nil
-	}
-	return append([]byte(nil), r.take(int(n))...)
-}
-
-func (r *regReader) eps() []lrpc.Endpoint {
-	n := r.u32()
-	if r.bad || n > 1<<16 {
-		r.bad = true
-		return nil
-	}
-	out := make([]lrpc.Endpoint, 0, n)
-	for i := uint32(0); i < n && !r.bad; i++ {
-		out = append(out, lrpc.Endpoint{Plane: r.str(), Addr: r.str()})
-	}
-	if r.bad {
-		return nil
-	}
-	return out
-}
-
-func encodeVoteReq(from int, a voteArgs) []byte {
-	var w regWriter
-	w.u64(a.term)
-	w.u32(uint32(from))
-	w.u64(uint64(a.lastIdx))
-	w.u64(a.lastTerm)
-	return w.b
-}
-
-func decodeVoteReq(b []byte) (term uint64, cand, lastIdx int, lastTerm uint64, err error) {
-	r := newRegReader(b)
-	term = r.u64()
-	cand = int(r.u32())
-	lastIdx = int(r.u64())
-	lastTerm = r.u64()
-	if r.bad {
-		return 0, 0, 0, 0, errors.New("lrpc: malformed vote request")
-	}
-	return term, cand, lastIdx, lastTerm, nil
-}
-
-func encodeVoteReply(term uint64, granted bool) []byte {
-	var w regWriter
-	w.u64(term)
-	if granted {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	return w.b
-}
-
-func decodeVoteReply(b []byte) (term uint64, granted bool, err error) {
-	r := newRegReader(b)
-	term = r.u64()
-	granted = r.u8() == 1
-	if r.bad {
-		return 0, false, errors.New("lrpc: malformed vote reply")
-	}
-	return term, granted, nil
-}
-
-func encodeAppendReq(from int, a appendArgs) []byte {
-	var w regWriter
-	w.u64(a.term)
-	w.u32(uint32(from))
-	w.u64(uint64(a.prev))
-	w.u64(a.prevTerm)
-	w.u64(uint64(a.commit))
-	w.u32(uint32(len(a.entries)))
-	for _, e := range a.entries {
-		w.u64(e.term)
-		w.u8(e.kind)
-		w.str(e.name)
-		w.u64(e.lease)
-		w.u64(uint64(e.ttl))
-		w.eps(e.eps)
-	}
-	return w.b
-}
-
-func decodeAppendReq(b []byte) (term uint64, leader, prev int, prevTerm uint64, entries []regEntry, commit int, err error) {
-	r := newRegReader(b)
-	term = r.u64()
-	leader = int(r.u32())
-	prev = int(r.u64())
-	prevTerm = r.u64()
-	commit = int(r.u64())
-	n := r.u32()
-	if r.bad || n > 1<<20 {
-		return 0, 0, 0, 0, nil, 0, errors.New("lrpc: malformed append request")
-	}
-	entries = make([]regEntry, 0, n)
-	for i := uint32(0); i < n; i++ {
-		e := regEntry{
-			term:  r.u64(),
-			kind:  r.u8(),
-			name:  r.str(),
-			lease: r.u64(),
-			ttl:   time.Duration(r.u64()),
-		}
-		e.eps = r.eps()
-		if r.bad {
-			return 0, 0, 0, 0, nil, 0, errors.New("lrpc: malformed append entry")
-		}
-		entries = append(entries, e)
-	}
-	return term, leader, prev, prevTerm, entries, commit, nil
-}
-
-func encodeAppendReply(term uint64, ok bool, match int) []byte {
-	var w regWriter
-	w.u64(term)
-	if ok {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.u64(uint64(match))
-	return w.b
-}
-
-func decodeAppendReply(b []byte) (term uint64, ok bool, match int, err error) {
-	r := newRegReader(b)
-	term = r.u64()
-	ok = r.u8() == 1
-	match = int(r.u64())
-	if r.bad {
-		return 0, false, 0, errors.New("lrpc: malformed append reply")
-	}
-	return term, ok, match, nil
 }
