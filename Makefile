@@ -178,7 +178,8 @@ chaintest:
 	$(GO) test -race -count=1 -run 'TestChain|TestShmChain|TestBrokerChain' ./internal/faultinject/ .
 
 # Native Go fuzzing over the wire parsers (net_fuzz_test.go), the
-# broker's first frame (broker_fuzz_test.go) and the registry's bodies
+# failure record (failure_test.go), the broker's first frame
+# (broker_fuzz_test.go) and the registry's bodies
 # against a live replica (registry/wire_test.go). Short budgets so it's
 # usable as a pre-commit smoke test; raise FUZZTIME for a real session.
 FUZZTIME ?= 10s
@@ -187,6 +188,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzBrokerFirstFrame$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseChain$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzFailureRecord$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzRegistryBodies$$' -fuzztime $(FUZZTIME) ./registry
 
 # Full benchmark sweep with allocation counts (the wall-clock Null path

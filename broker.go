@@ -25,9 +25,9 @@ package lrpc
 //     replicated registry and applied live — no tenant or backend
 //     restarts; SetPolicy writes through, a poll loop picks up
 //     out-of-band updates;
-//   - every rejection the broker issues is wire status 2 — the vouch of
-//     non-execution — so the at-most-once classification of failover.go
-//     holds across the extra hop.
+//   - every rejection the broker issues is a failure record with
+//     executed 0 — the vouch of non-execution — so the at-most-once
+//     classification of failover.go holds across the extra hop.
 //
 // Same-machine tenants can bypass the relay entirely: the shm bind
 // handshake (shm.go) carries the same tenant identity and ShmServer
@@ -63,10 +63,10 @@ var (
 	// ErrQuotaExceeded reports a call shed by the broker's per-tenant
 	// policy: the tenant's token bucket was empty or its concurrency
 	// bulkhead (and wait queue) was full. The broker vouches the call
-	// never reached a handler (wire status 2), so it is always safe to
-	// retry — after backing off, since the quota that shed it is still
-	// in force. errors.Is(err, ErrQuotaExceeded) matches across the
-	// wire.
+	// never reached a handler (a failure record with executed 0), so it
+	// is always safe to retry — after backing off, since the quota that
+	// shed it is still in force. errors.Is(err, ErrQuotaExceeded) matches
+	// across the wire.
 	ErrQuotaExceeded = errors.New("lrpc: tenant quota exceeded")
 
 	// ErrTenantSuspended reports a call (or admission) rejected because
@@ -94,8 +94,8 @@ const PlanePolicy = "policy"
 // A broker connection speaks the one wire protocol (net.go) from its
 // first byte. Its first request is a plain two-way call to the control
 // interface, brokerCtlIface, read under MaxControlFrame. Anything else
-// is refused with status 2 (ErrNotAdmitted; ErrBadProcedure for an
-// unknown procedure), or unanswered when it cannot be parsed or is
+// is refused — a failure record with executed 0 under ErrNotAdmitted's
+// code, ErrBadProcedure's for an unknown procedure — or unanswered when it cannot be parsed or is
 // one-way, and the connection closed. The arguments and results are
 // JSON, like the policy and stats documents:
 //
@@ -136,10 +136,10 @@ type brokerHelloResult struct {
 }
 
 // notAdmitted is an admission refusal, at the hello or by the policy
-// gate: wire status 2, its text prefixed with ErrNotAdmitted's so
-// errors.Is matches on the tenant.
+// gate: a refusal wrapping ErrNotAdmitted, so errors.Is matches on the
+// tenant.
 func notAdmitted(format string, a ...any) error {
-	return refusal(ErrNotAdmitted.Error() + ": " + fmt.Sprintf(format, a...))
+	return refusal(fmt.Errorf("%w: %s", ErrNotAdmitted, fmt.Sprintf(format, a...)))
 }
 
 // --- policy ---
@@ -950,8 +950,7 @@ func (bk *Broker) handleConn(conn net.Conn) {
 	}
 	if err != nil {
 		if !req.oneWay { // a one-way request has no reply path
-			status, body := failReply(err)
-			l.reply(req, status, body, nil)
+			l.failReply(req, err)
 		}
 		l.shut()
 		return
@@ -1016,14 +1015,14 @@ func (bk *Broker) admin(proc int, args []byte) ([]byte, error) {
 	case brokerProcSetPolicy:
 		var p BrokerPolicy
 		if err := json.Unmarshal(args, &p); err != nil {
-			return nil, refusal("lrpc: bad policy document: " + err.Error())
+			return nil, refusal(fmt.Errorf("lrpc: bad policy document: %v", err))
 		}
 		if err := bk.SetPolicy(&p); err != nil {
 			return nil, err
 		}
 		return json.Marshal(bk.version.Load())
 	}
-	return nil, refusal(fmt.Sprintf("%s: no broker control procedure %d", ErrBadProcedure.Error(), proc))
+	return nil, refusal(fmt.Errorf("%w: no broker control procedure %d", ErrBadProcedure, proc))
 }
 
 // countingConn counts every byte an admitted tenant connection carries —
@@ -1097,7 +1096,7 @@ func (r *tenantRoute) open(req *request) (target, error) {
 	if eff.suspended {
 		ts.suspendedRejects.add(stripe, 1)
 		r.shed(ErrTenantSuspended)
-		return nil, refusal(fmt.Sprintf("%s: tenant %q", ErrTenantSuspended.Error(), ts.name))
+		return nil, refusal(fmt.Errorf("%w: tenant %q", ErrTenantSuspended, ts.name))
 	}
 	// Rate gate: a chain is charged one token per stage, all or nothing —
 	// N dependent calls in one frame cost what N frames would, and a shed
@@ -1106,8 +1105,8 @@ func (r *tenantRoute) open(req *request) (target, error) {
 	if eff.bucket != nil && !eff.bucket.takeN(time.Now().UnixNano(), cost) {
 		ts.quotaSheds.add(stripe, 1)
 		r.shed(ErrQuotaExceeded)
-		return nil, refusal(fmt.Sprintf("%s: tenant %q over its %g calls/sec rate",
-			ErrQuotaExceeded.Error(), ts.name, eff.pol.RatePerSec))
+		return nil, refusal(fmt.Errorf("%w: tenant %q over its %g calls/sec rate",
+			ErrQuotaExceeded, ts.name, eff.pol.RatePerSec))
 	}
 	if eff.adm != nil {
 		deadline := time.Now().Add(r.bk.opts.QueueTimeout)
@@ -1115,19 +1114,19 @@ func (r *tenantRoute) open(req *request) (target, error) {
 		case aerr == nil:
 		case errors.Is(aerr, ErrRevoked):
 			ts.suspendedRejects.add(stripe, 1)
-			return nil, refusal(fmt.Sprintf("%s: tenant %q", ErrTenantSuspended.Error(), ts.name))
+			return nil, refusal(fmt.Errorf("%w: tenant %q", ErrTenantSuspended, ts.name))
 		default: // ErrOverload: the bulkhead is full
 			ts.quotaSheds.add(stripe, 1)
 			r.shed(ErrQuotaExceeded)
-			return nil, refusal(fmt.Sprintf("%s: tenant %q at its %d-call concurrency bulkhead",
-				ErrQuotaExceeded.Error(), ts.name, eff.pol.MaxConcurrent))
+			return nil, refusal(fmt.Errorf("%w: tenant %q at its %d-call concurrency bulkhead",
+				ErrQuotaExceeded, ts.name, eff.pol.MaxConcurrent))
 		}
 	}
 	t := &relay{r: r, adm: eff.adm}
 	up, err := r.bk.upstreamFor(req.name)
 	if err != nil {
 		t.exit()
-		return nil, refusal(err.Error())
+		return nil, refusal(err)
 	}
 	t.up = up
 	if req.stages != nil {
@@ -1181,16 +1180,16 @@ func (t *relay) serve(req *request) ([]byte, []byte, error) {
 		}
 		return res, nil, nil
 	}
-	// A relayed *RemoteError or *ChainError crosses verbatim (failReply):
-	// the tenant's at-most-once classification needs the backend's vouch
-	// intact. A failure that provably never reached the backend keeps the
-	// broker's vouch; anything else — including a broker→backend
-	// connection lost with the frame written — stays status 1, because
-	// the backend may have executed it.
+	// A relayed *RemoteError or *ChainError crosses verbatim
+	// (appendFailure): the tenant's at-most-once classification needs the
+	// backend's vouch intact. A failure that provably never reached the
+	// backend keeps the broker's vouch; anything else — including a
+	// broker→backend connection lost with the frame written — is relayed
+	// as executed, because the backend may have executed it.
 	if !errors.As(err, new(*RemoteError)) && !errors.As(err, new(*ChainError)) && !notExecuted(err) {
 		err = fmt.Errorf("lrpc: broker upstream: %w", err)
 	}
-	if status, _ := failReply(err); status != 2 {
+	if !notExecuted(err) {
 		ts.errorsN.add(stripe, 1)
 	}
 	return nil, nil, err
@@ -1209,8 +1208,8 @@ func (t *relay) done() {
 
 // brokerCall makes one control call on a raw broker connection: one
 // request frame written, one reply frame read. Status 0 returns the
-// results; any other status a *RemoteError carrying the broker's text
-// and, for status 2, its vouch of non-execution.
+// results; a failure decodes as on any call (replyError), to a
+// *RemoteError carrying the broker's text, vouch and sentinel.
 func brokerCall(conn net.Conn, proc int, args []byte, timeout time.Duration) ([]byte, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
@@ -1228,7 +1227,7 @@ func brokerCall(conn net.Conn, proc int, args []byte, timeout time.Duration) ([]
 		return nil, errors.New("lrpc: short broker control reply")
 	}
 	if status := frame[8]; status != 0 {
-		return nil, &RemoteError{Msg: string(frame[9:]), NotExecuted: status == 2}
+		return nil, replyError(status, frame[9:], false)
 	}
 	return frame[9:], nil
 }

@@ -5,9 +5,9 @@ package lrpc
 // control dispatch (Broker.handleConn) with a frame of its choosing. The
 // target drives handleConn over net.Pipe with one frame and checks what
 // comes back. Invariants: never panic or hang; a one-way or unparseable
-// frame is never answered; every refusal is status 2 and names
-// ErrNotAdmitted or ErrBadProcedure (or, for setpolicy, the policy
-// document it could not read); a hello result answers only a well-formed
+// frame is never answered; every refusal is a failure record vouching
+// executed 0 under ErrNotAdmitted's or ErrBadProcedure's code (or, for
+// setpolicy, naming the policy document it could not read); a hello result answers only a well-formed
 // hello, and no identifier beyond brokerMaxIdent is ever admitted.
 
 import (
@@ -87,10 +87,11 @@ func FuzzBrokerFirstFrame(f *testing.F) {
 		}
 		status, body := reply[8], string(reply[9:])
 		if status != 0 {
-			if status != 2 || !(strings.HasPrefix(body, ErrNotAdmitted.Error()) ||
-				strings.HasPrefix(body, ErrBadProcedure.Error()) ||
-				proc == brokerProcSetPolicy && strings.HasPrefix(body, "lrpc: bad policy document")) {
-				t.Fatalf("refusal status %d %q, want status 2 naming ErrNotAdmitted or ErrBadProcedure", status, body)
+			if !(isRefusal(status, reply[9:], ErrNotAdmitted) ||
+				isRefusal(status, reply[9:], ErrBadProcedure) ||
+				proc == brokerProcSetPolicy && isRefusal(status, reply[9:], nil) &&
+					strings.HasPrefix(body[12:], "lrpc: bad policy document")) {
+				t.Fatalf("refusal status %d %q, want a refusal under ErrNotAdmitted or ErrBadProcedure", status, body)
 			}
 			return
 		}

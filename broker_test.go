@@ -337,10 +337,10 @@ func TestBrokerServiceConfinement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reply) < 9 || binary.LittleEndian.Uint64(reply[0:8]) != 7 || reply[8] != 2 {
+	if len(reply) < 9 || binary.LittleEndian.Uint64(reply[0:8]) != 7 || !isRefusal(reply[8], reply[9:], ErrNotAdmitted) {
 		t.Fatalf("confinement reply % x", reply)
 	}
-	if msg := string(reply[9:]); !strings.HasPrefix(msg, ErrNotAdmitted.Error()) {
+	if msg := string(reply[21:]); !strings.HasPrefix(msg, ErrNotAdmitted.Error()) {
 		t.Fatalf("confinement message %q", msg)
 	}
 }
@@ -377,7 +377,8 @@ func firstFrames(t *testing.T, addr string, raw []byte) [][]byte {
 // only as a two-way call to the control interface. Garbage, a hello in
 // the retired binary control dialect, a data call before any hello,
 // one-way, bulk and chain first frames and unknown control procedures
-// are refused — answered with one status-2 reply when the request is
+// are refused — answered with one refusal (status 4, executed 0, the
+// sentinel's code) when the request is
 // parseable and two-way, else just closed — and never relayed; a length
 // header beyond MaxControlFrame is cut before its body is read. An
 // admin connection carries one request. A live tenant still calls after
@@ -425,9 +426,8 @@ func TestBrokerHostileFirstFrames(t *testing.T) {
 				t.Fatalf("%d replies, want one refusal", len(replies))
 			}
 			r := replies[0]
-			if len(r) < 9 || binary.LittleEndian.Uint64(r) != 1 || r[8] != 2 ||
-				!strings.HasPrefix(string(r[9:]), c.reply.Error()) {
-				t.Fatalf("reply %q, want call 1 refused with status 2 and %q", r, c.reply)
+			if len(r) < 9 || binary.LittleEndian.Uint64(r) != 1 || !isRefusal(r[8], r[9:], c.reply) {
+				t.Fatalf("reply %q, want call 1 refused, not executed, under %q", r, c.reply)
 			}
 		})
 	}

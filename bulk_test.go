@@ -15,6 +15,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 )
 
 // bulkTestIface exercises every handler-side bulk accessor:
@@ -262,6 +263,49 @@ func TestBulkTCPOversizedResults(t *testing.T) {
 	// The connection is still alive.
 	if _, err := c.Call(2, []byte("still here")); err != nil {
 		t.Fatalf("call after oversized results: %v", err)
+	}
+}
+
+// TestChainOversizedResultVouch: a chain whose final result outgrows
+// MaxOOBSize ran every stage, and its failure record says so over TCP
+// and through a broker: no stage that ran is vouched as not run, so a
+// caller resuming from the vouch runs nothing twice.
+func TestChainOversizedResultVouch(t *testing.T) {
+	nc, err := DialInterface("tcp", startBulkServer(t), "Bulk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	sys := NewSystem()
+	if _, err := sys.Export(bulkTestIface()); err != nil {
+		t.Fatal(err)
+	}
+	b, err := sys.Import("Bulk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bk := NewBroker(BrokerOptions{})
+	bk.SetUpstream("Bulk", LocalUpstream(b))
+	addr, err := bk.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bk.Close() })
+	bs, err := SuperviseBroker(BrokerTenantOpts{Tenant: "t", Service: "Bulk", BrokerAddrs: []string{addr},
+		Net: DialOptions{CallTimeout: 5 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bs.Close() })
+	for name, call := range map[string]func(*Chain) ([]byte, error){"tcp": nc.CallChain, "broker": bs.CallChain} {
+		_, err := call(NewChain().Add(2, nil).Add(4, nil)) // Sink, then Over
+		var ce *ChainError
+		if !errors.As(err, &ce) || ce.Stage != 1 || ce.Executed != 2 {
+			t.Errorf("%s: oversized chain result = %v, want stage 1 with 2 executed", name, err)
+		}
+		if !errors.Is(err, ErrTooLarge) || errors.Is(err, ErrNotExecuted) {
+			t.Errorf("%s: oversized chain result classified %v", name, err)
+		}
 	}
 }
 

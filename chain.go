@@ -36,7 +36,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 )
 
@@ -63,11 +62,6 @@ const chainHdrSize = len(chainMagic) + 2
 // bulkDirChain marks a shm slot carrying a chain descriptor instead
 // of plain arguments (the next value after bulk.go's bulkDirSpill).
 const bulkDirChain = 4
-
-// shmErrCodeChain is the shm reply code for a chain failure: the slot
-// payload carries an encoded ChainError (appendChainError) instead of
-// bare error text. The flat path emits only the sentinel codes below it.
-const shmErrCodeChain = 7
 
 // ChainStage is one link of a Chain: call Proc with the stage's
 // arguments. For stage 0 the arguments are Prefix verbatim; for every
@@ -139,16 +133,6 @@ func (ch *Chain) check() error {
 		}
 	}
 	return nil
-}
-
-// encodedChainSize returns the descriptor size appendChain will
-// produce.
-func encodedChainSize(stages []ChainStage) int {
-	n := chainHdrSize
-	for _, st := range stages {
-		n += chainStageOverhead + len(st.Prefix)
-	}
-	return n
 }
 
 // appendChain appends the chain descriptor's canonical wire form.
@@ -260,14 +244,14 @@ func (e *ChainError) Is(target error) bool {
 	return target == ErrNotExecuted && e.Executed == 0
 }
 
-// wireSentinels is the one sentinel↔code table of the wire: the error
-// classification carried by a chain failure body on every transport
-// and by the shm plane's flat error reply, index+1 == wire code (0 is
-// "plain text"). Append-only: codes are shared between client and
-// server builds.
+// wireSentinels is the one sentinel↔code table of the wire: the
+// classification every failure record carries (appendFailure), on every
+// plane, index+1 == wire code (0 is "plain text"). Append-only: codes
+// are shared between client and server builds.
 var wireSentinels = []error{
 	ErrRevoked, ErrCallFailed, ErrBadProcedure, ErrOverload,
 	ErrTooLarge, ErrNoAStacks, ErrCallTimeout, ErrQuotaExceeded,
+	ErrNotExported, ErrTenantSuspended, ErrNotAdmitted,
 }
 
 // wireErrCode classifies a failure for the wire.
@@ -280,56 +264,70 @@ func wireErrCode(err error) uint32 {
 	return 0
 }
 
-// wireErrFromCode rebuilds an error from its wire classification,
-// preserving the sentinel identity (errors.Is keeps working across the
-// hop) and the server's text.
-func wireErrFromCode(code uint32, text string) error {
-	if code == 0 || int(code) > len(wireSentinels) {
-		return &RemoteError{Msg: text}
+// wireFailure is err's classification on the wire, its sentinel code and
+// text: a relayed *RemoteError's own, verbatim, so a refusal crossing a
+// second hop is not re-prefixed, and any other error's by wireErrCode.
+func wireFailure(err error) (code uint32, text string) {
+	var re *RemoteError
+	switch {
+	case errors.As(err, &re):
+		return re.code, re.Msg
+	case err != nil:
+		return wireErrCode(err), err.Error()
 	}
-	s := wireSentinels[code-1]
-	if text == "" || text == s.Error() {
-		return s
-	}
-	return fmt.Errorf("%w: %s", s, strings.TrimPrefix(text, s.Error()+": "))
+	return 0, ""
 }
 
-// appendChainError encodes a chain failure's wire body: u32 stage,
-// u32 executed, u32 code, error text. maxLen > 0 bounds the total
-// encoding (a shm slot cannot grow); the text is truncated to fit.
-func appendChainError(dst []byte, ce *ChainError, maxLen int) []byte {
-	text := ""
-	if ce.Err != nil {
-		text = ce.Err.Error()
+// appendFailure encodes a failed call as the one failure record every
+// plane sends: u32 stage, u32 executed, u32 code, error text. A chain's
+// *ChainError gives its stage and executed-through vouch; any other
+// failure is stage 0, with executed 0 exactly when notExecuted vouches
+// that no handler ran (a relayed *RemoteError's own vouch). The code and
+// text are wireFailure's. maxLen > 0 bounds the total encoding (a shm
+// slot cannot grow); the text is truncated to fit.
+func appendFailure(dst []byte, err error, maxLen int) []byte {
+	stage, executed := 0, 1
+	var ce *ChainError
+	if errors.As(err, &ce) {
+		stage, executed, err = ce.Stage, ce.Executed, ce.Err
+	} else if notExecuted(err) {
+		executed = 0
 	}
+	code, text := wireFailure(err)
 	if maxLen > 0 && 12+len(text) > maxLen {
-		keep := maxLen - 12
-		if keep < 0 {
-			keep = 0
-		}
-		text = text[:keep]
+		text = text[:max(maxLen-12, 0)]
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(ce.Stage))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(ce.Executed))
-	dst = binary.LittleEndian.AppendUint32(dst, wireErrCode(ce.Err))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(stage))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(executed))
+	dst = binary.LittleEndian.AppendUint32(dst, code)
 	return append(dst, text...)
 }
 
-// parseChainError decodes appendChainError's body back into a
-// ChainError. A malformed body degrades to a RemoteError carrying the
-// raw text, never an error dropped on the floor.
-func parseChainError(body []byte) error {
+// parseFailure decodes appendFailure's record: a chain's (chain set) into
+// a *ChainError whose Err is the stage's *RemoteError, any other call's
+// into a *RemoteError carrying the vouch. A record its call could not
+// have produced — short, a plain call's stage other than 0, a vouch past
+// the stage — degrades to a *RemoteError saying so, never an error
+// dropped on the floor.
+func parseFailure(body []byte, chain bool) error {
 	if len(body) < 12 {
-		return &RemoteError{Msg: fmt.Sprintf("malformed chain error (%d bytes)", len(body))}
+		return &RemoteError{Msg: fmt.Sprintf("malformed failure record (%d bytes)", len(body))}
 	}
 	stage := int(binary.LittleEndian.Uint32(body[0:4]))
 	executed := int(binary.LittleEndian.Uint32(body[4:8]))
-	code := binary.LittleEndian.Uint32(body[8:12])
-	if stage < 0 || stage > MaxChainStages || executed < 0 || executed > stage+1 {
-		return &RemoteError{Msg: fmt.Sprintf("malformed chain error (stage %d, executed %d)", stage, executed)}
+	re := &RemoteError{Msg: string(body[12:]), code: binary.LittleEndian.Uint32(body[8:12])}
+	limit := 0
+	if chain {
+		limit = MaxChainStages
 	}
-	return &ChainError{Stage: stage, Executed: executed,
-		Err: wireErrFromCode(code, string(body[12:]))}
+	if stage < 0 || stage > limit || executed < 0 || executed > stage+1 {
+		return &RemoteError{Msg: fmt.Sprintf("malformed failure record (stage %d, executed %d)", stage, executed)}
+	}
+	if chain {
+		return &ChainError{Stage: stage, Executed: executed, Err: re}
+	}
+	re.NotExecuted = executed == 0
+	return re
 }
 
 // --- the executor ---
@@ -359,11 +357,11 @@ func (b *Binding) stageStackSize(proc int) int {
 // execChain runs every stage of a parsed chain inside the server's
 // domain: one pass through the invocation core per stage — validate,
 // admission, runHandler with panic containment, per-export accounting
-// — with no A-stack pool round-trips: the chain owns two scratch stacks
-// the core adopts in alternation, the previous stage's result feeding
-// the next stage's arguments with one copy (the chain's copy A). The
-// returned result aliases executor-owned scratch; callers copy it out
-// (their copy F) before the next chain runs.
+// — with no A-stack pool round-trips: each run allocates two scratch
+// stacks the core adopts in alternation, the previous stage's result
+// feeding the next stage's arguments with one copy (the chain's copy A).
+// The returned result aliases this run's scratch, which nothing else
+// holds, so callers return it as it is.
 //
 // A non-nil deadline is checked between stages: a chain never
 // abandons a running handler mid-stage (the captured-thread rule of
@@ -456,27 +454,32 @@ func (b *Binding) CallChainContext(ctx context.Context, ch *Chain) ([]byte, erro
 	if cerr != nil {
 		return nil, cerr
 	}
-	// Copy F: the executor's scratch is recycled by the next chain.
-	return append([]byte(nil), out...), nil
+	return out, nil
 }
 
 // CallChainAsync submits the chain for execution off the calling
 // goroutine and returns a pooled Future resolving to the final
 // stage's result. The future contract matches CallAsync (async.go):
-// collect exactly once with Wait or WaitContext.
+// collect exactly once with Wait or WaitContext. A waiter that abandons
+// the future leaves the running chain an orphan, as CallAsync's does.
 func (b *Binding) CallChainAsync(ch *Chain) (*Future, error) {
 	if err := ch.check(); err != nil {
 		return nil, err
 	}
 	f := newFuture()
 	f.exp, f.sys, f.procName = b.exp, b.sys, "chain"
+	// The activation record, published before the first stage so an
+	// abandoning waiter always finds it (runAsync's, for the whole chain).
+	act := &activation{done: make(chan struct{})}
+	f.act.Store(act)
 	go func() {
 		out, cerr := b.execChain(ch.stages, time.Time{})
+		close(act.done)
 		if cerr != nil {
 			f.complete(nil, cerr)
 			return
 		}
-		f.complete(append([]byte(nil), out...), nil)
+		f.complete(out, nil)
 	}()
 	return f, nil
 }

@@ -1,7 +1,7 @@
 package lrpc
 
 // Behavior tests for the continuation-chain plane: descriptor and
-// error-body wire round-trips, the server-side executor's data flow
+// failure-record wire round-trips, the server-side executor's data flow
 // and vouch semantics (panic at stage K, deadline expiry between
 // stages, Terminate mid-chain), the chain path over TCP (status-4
 // replies included), the async and transparent-binding surfaces, and
@@ -120,7 +120,7 @@ func TestChainDescriptorRejections(t *testing.T) {
 func TestChainErrorWire(t *testing.T) {
 	for _, sentinel := range wireSentinels {
 		ce := &ChainError{Stage: 3, Executed: 4, Err: sentinel}
-		back := parseChainError(appendChainError(nil, ce, 0))
+		back := parseFailure(appendFailure(nil, ce, 0), true)
 		var got *ChainError
 		if !errors.As(back, &got) {
 			t.Fatalf("%v: decoded to %T", sentinel, back)
@@ -132,7 +132,7 @@ func TestChainErrorWire(t *testing.T) {
 	// An unclassified error degrades to RemoteError text but keeps the
 	// stage vouch.
 	ce := &ChainError{Stage: 1, Executed: 1, Err: errors.New("handler-specific detail")}
-	back := parseChainError(appendChainError(nil, ce, 0))
+	back := parseFailure(appendFailure(nil, ce, 0), true)
 	var got *ChainError
 	if !errors.As(back, &got) || got.Stage != 1 || got.Executed != 1 ||
 		!strings.Contains(got.Err.Error(), "handler-specific detail") {
@@ -148,17 +148,22 @@ func TestChainErrorWire(t *testing.T) {
 	// Truncation bound for shm slots: the encoded body never exceeds
 	// maxLen and still parses.
 	long := &ChainError{Stage: 2, Executed: 3, Err: errors.New(strings.Repeat("x", 500))}
-	body := appendChainError(nil, long, 64)
+	body := appendFailure(nil, long, 64)
 	if len(body) > 64 {
 		t.Fatalf("bounded encode is %d bytes", len(body))
 	}
-	if back := parseChainError(body); !errors.As(back, &got) || got.Stage != 2 {
+	if back := parseFailure(body, true); !errors.As(back, &got) || got.Stage != 2 {
 		t.Fatalf("truncated body decoded to %v", back)
 	}
+	// A plain call's record is cut the same way: 12 header bytes, 52 of text.
+	var re *RemoteError
+	if back := parseFailure(appendFailure(nil, long.Err, 64), false); !errors.As(back, &re) || len(re.Msg) != 52 {
+		t.Fatalf("truncated plain record decoded to %#v", back)
+	}
 	// Malformed bodies degrade to RemoteError, never a dropped error.
-	for _, blob := range [][]byte{nil, {1, 2, 3}, appendChainError(nil, &ChainError{Stage: 200, Executed: 9}, 0)} {
+	for _, blob := range [][]byte{nil, {1, 2, 3}, appendFailure(nil, &ChainError{Stage: 200, Executed: 9}, 0)} {
 		var re *RemoteError
-		if err := parseChainError(blob); !errors.As(err, &re) {
+		if err := parseFailure(blob, true); !errors.As(err, &re) {
 			t.Errorf("malformed body %x decoded to %v", blob, err)
 		}
 	}
@@ -361,6 +366,43 @@ func TestChainAsyncInProcess(t *testing.T) {
 	}
 }
 
+// TestChainAsyncAbandonLeavesOrphan: a chain future abandoned while a
+// stage's handler is pinned leaves the running chain an orphan, as an
+// abandoned CallAsync does, and the reaper closes its books once the
+// chain returns.
+func TestChainAsyncAbandonLeavesOrphan(t *testing.T) {
+	sys := NewSystem()
+	iface, gate := gatedInterface("Gated")
+	e, err := sys.Export(iface)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sys.Import("Gated")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := b.CallChainAsync(NewChain().Add(0, nil).Add(0, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := f.WaitContext(ctx); !errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("abandoned chain: got %v, want ErrCallTimeout", err)
+	}
+	if a, so, eo := e.Abandoned(), sys.Orphans(), e.Orphans(); a != 1 || so != 1 || eo != 1 {
+		t.Fatalf("Abandoned %d, System.Orphans %d, Export.Orphans %d; want 1, 1, 1 while a stage is pinned", a, so, eo)
+	}
+	close(gate)
+	waitFor(t, func() bool {
+		reaped, _ := sys.ReapOrphans()
+		return reaped == 1
+	})
+	if got := sys.Orphans(); got != 0 {
+		t.Errorf("Orphans after reap = %d, want 0", got)
+	}
+}
+
 // TestChainTransparentBinding: the chain entry points are the chosen
 // plane's own, promoted through the binding — in process and over TCP
 // here, over shm in TestShmTransparentBindingThreeWay.
@@ -536,6 +578,39 @@ func TestBrokerChainRelay(t *testing.T) {
 	}
 }
 
+// TestBrokerChainUpstreamTimeoutVouch: a chain whose upstream call
+// timed out at the broker may have run every stage at the backend, and
+// the tenant's record says so: the timeout's class, stage 1 of 2, both
+// possibly executed — never a vouch that the later stage did not run.
+func TestBrokerChainUpstreamTimeoutVouch(t *testing.T) {
+	up, err := DialInterface("tcp", startChainNet(t), "Pipe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { up.Close() })
+	bk := NewBroker(BrokerOptions{ForwardTimeout: 20 * time.Millisecond})
+	bk.SetUpstream("Pipe", up)
+	addr, err := bk.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bk.Close() })
+	s, err := SuperviseBroker(BrokerTenantOpts{
+		Tenant: "team-a", Service: "Pipe", BrokerAddrs: []string{addr},
+		Net: DialOptions{CallTimeout: 2 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	_, err = s.CallChain(NewChain().Add(0, []byte("a")).Add(3, nil)) // Echo, then Slow
+	var ce *ChainError
+	if !errors.As(err, &ce) || ce.Stage != 1 || ce.Executed != 2 ||
+		!errors.Is(err, ErrCallTimeout) || errors.Is(err, ErrNotExecuted) {
+		t.Fatalf("chain timed out upstream = %v, want stage 1 with 2 possibly executed", err)
+	}
+}
+
 // TestBrokerChainQuotaCharging: the broker charges a chain's full
 // stage count against the tenant's token bucket before relaying — a
 // depth-4 chain spends four tokens, and a chain deeper than the burst
@@ -591,7 +666,8 @@ func TestBrokerChainQuotaCharging(t *testing.T) {
 }
 
 // TestBrokerChainMalformedDescriptor: a garbage chain frame is refused
-// at the broker (status 2) without charging or reaching the upstream.
+// at the broker (a refusal, executed 0) without charging or reaching the
+// upstream.
 func TestBrokerChainMalformedDescriptor(t *testing.T) {
 	_, addr := startBrokerRig(t, BrokerOptions{})
 	s := brokerTenant(t, addr, "team-a", "")

@@ -112,11 +112,14 @@ type ReplicatedSupervisor struct {
 // failoverVerdict is the multi-endpoint classification: a call is sent
 // to another endpoint only when its non-execution is provable. A timeout
 // or a mid-call connection loss may have executed, so it is surfaced —
-// and the endpoint, now suspect, is replaced in the background.
+// and the endpoint, now suspect, is replaced in the background. A
+// failure the endpoint itself reported (peerAnswered) is only surfaced.
 func failoverVerdict(err error) verdict {
 	switch {
 	case notExecuted(err):
 		return resend
+	case peerAnswered(err):
+		return surface
 	case errors.Is(err, ErrCallTimeout), errors.Is(err, ErrConnClosed), errors.Is(err, ErrCallFailed):
 		return suspect
 	}

@@ -262,9 +262,10 @@ func TestNotSentClassification(t *testing.T) {
 	}
 }
 
-// TestNotExecutedVouch: wire status 2 — the server's explicit promise
-// that the handler never ran — surfaces as a RemoteError matching
-// ErrNotExecuted, for both an unknown interface and a revoked export.
+// TestNotExecutedVouch: a failure record with executed 0 — the server's
+// explicit promise that the handler never ran — surfaces as a
+// RemoteError matching ErrNotExecuted, for both an unknown interface and
+// a revoked export.
 func TestNotExecutedVouch(t *testing.T) {
 	sys := lrpc.NewSystem()
 	exp, err := sys.Export(&lrpc.Interface{

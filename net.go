@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -50,10 +49,15 @@ import (
 //	frame   = u32 length, payload
 //	request = u64 callID, u16 nameLen, name, u32 proc, args
 //	reply   = u64 callID, u8 status, body   (status 0: body = results;
-//	                                         status 1: body = error text;
-//	                                         status 2: body = error text,
-//	                                         and the server vouches the
-//	                                         handler never ran)
+//	                                         status 4: body = the failure
+//	                                         record, below)
+//
+// Status 4 carries every failure, of a plain call or a chain, as the one
+// failure record every plane sends (appendFailure/parseFailure, chain.go):
+// u32 stage, u32 executed, u32 sentinel code, error text. A plain call is
+// stage 0, and executed 0 is the server's vouch that the handler never
+// ran. Statuses 1 (error text) and 2 (error text and the vouch) are read
+// from older servers only; no current server sends them.
 //
 // The top bit of the proc word is the one-way flag (wireFlagOneWay): a
 // request carrying it receives NO reply frame — the handler still runs
@@ -77,9 +81,8 @@ import (
 // dependent calls the server executes entirely in its own domain, one
 // frame in, one reply out. The proc bits are unused (each stage names
 // its own procedure inside the descriptor). A chain reply is status 0
-// (body = the final stage's results) or status 4 ("chain failed":
-// body = u32 failing stage, u32 executed-through vouch, u32 sentinel
-// code, error text — appendChainError/parseChainError), so at-most-once
+// (body = the final stage's results) or status 4, whose failure record
+// names the failing stage and the executed-through vouch, so at-most-once
 // classification stays exact per stage even across the wire.
 
 // ErrConnClosed reports a call on a closed network binding, or a call
@@ -99,25 +102,32 @@ var ErrNotSent = errors.New("lrpc: request never sent")
 
 // ErrNotExecuted matches remote rejections the server vouches happened
 // before the handler ran — revoked or unknown interfaces, admission
-// overload, A-stack exhaustion (wire status 2). Like ErrNotSent
+// overload, A-stack exhaustion (a failure record with executed 0). Like
+// ErrNotSent
 // failures, these are safe for a failover layer to retry elsewhere:
 // errors.Is(err, ErrNotExecuted) is the test, and errors.As still
 // yields the *RemoteError carrying the server's text.
 var ErrNotExecuted = errors.New("lrpc: call rejected before execution")
 
 // notExecuted reports whether err proves the call never reached a
-// handler, so that vouching for it on the wire (status 2) or re-sending
+// handler, so that vouching for it on the wire (executed 0) or re-sending
 // it elsewhere cannot break at-most-once. It is the one list of such
-// failures: rejectStatus, the broker's relay and the replicated
+// failures: appendFailure, the broker's relay and the replicated
 // supervisor's fail-over all ask it. Each sees only part of the union
 // (a server's own dispatch cannot produce the client-side sentinels; a
 // policy refusal that crossed a wire already carries the vouch); the
-// rest is vacuous there, not unsafe. A chain that stopped part-way did
-// run its earlier stages: only its own vouch (Executed == 0) counts.
+// rest is vacuous there, not unsafe. A failure a peer reported carries
+// its own vouch, and only that counts: a chain that stopped part-way did
+// run its earlier stages (Executed == 0 vouches none), and a remote
+// failure's code names its cause, not whether a handler ran.
 func notExecuted(err error) bool {
 	var ce *ChainError
 	if errors.As(err, &ce) {
 		return ce.Executed == 0
+	}
+	var re *RemoteError
+	if errors.As(err, &re) {
+		return re.NotExecuted
 	}
 	return errors.Is(err, ErrNotExecuted) || // a server's wire vouch
 		errors.Is(err, ErrRevoked) || // binding revoked before dispatch
@@ -143,31 +153,29 @@ func (e *notSentError) Is(target error) bool { return target == ErrNotSent }
 func notSent(cause error) error { return &notSentError{cause: cause} }
 
 // RemoteError is an error the remote side reported in its reply: the
-// request crossed the wire, the server rejected or failed it, and the
-// failure text came back. Because a reply was received, the peer is
-// provably alive — the circuit breaker counts RemoteError as success.
+// request crossed the wire (TCP, shm or a broker hop), the server
+// rejected or failed it, and its failure record came back. Because a
+// reply was received, the peer is provably alive — the circuit breaker
+// counts RemoteError as success.
 type RemoteError struct {
 	Msg string // the remote error text, verbatim
-	// NotExecuted records the server's vouch (wire status 2) that the
-	// rejection happened before the handler ran.
+	// NotExecuted records the server's vouch (a failure record with
+	// executed 0) that the rejection happened before the handler ran.
 	NotExecuted bool
+	code        uint32 // the record's sentinel code (wireSentinels)
 }
 
 func (e *RemoteError) Error() string { return "lrpc: remote: " + e.Msg }
 
-// Is lets errors.Is(err, ErrNotExecuted) see through the wrapper, and
-// lets the broker-plane policy sentinels match across the wire: the
-// broker prefixes its rejection text with the sentinel's Error() string,
-// so a tenant can errors.Is(err, ErrQuotaExceeded) on a RemoteError that
-// crossed one (or, via a relay, several) hops.
+// Is lets errors.Is(err, ErrNotExecuted) see the server's vouch, and
+// errors.Is(err, ErrOverload) — or any sentinel of the wire table — see
+// the record's code, so a caller classifies a failure that crossed one
+// (or, via a relay, several) hops as it would a local one.
 func (e *RemoteError) Is(target error) bool {
-	switch target {
-	case ErrNotExecuted:
+	if target == ErrNotExecuted {
 		return e.NotExecuted
-	case ErrQuotaExceeded, ErrTenantSuspended, ErrNotAdmitted:
-		return strings.HasPrefix(e.Msg, target.Error())
 	}
-	return false
+	return e.code > 0 && int(e.code) <= len(wireSentinels) && wireSentinels[e.code-1] == target
 }
 
 // maxFrame bounds a single network frame.
@@ -358,8 +366,10 @@ type target interface {
 }
 
 // refusal is a route's pre-dispatch rejection as the client will see
-// it: the text verbatim under wire status 2, the vouch of non-execution.
-func refusal(msg string) error { return &RemoteError{Msg: msg, NotExecuted: true} }
+// it: err's text and sentinel code under the vouch of non-execution.
+func refusal(err error) error {
+	return &RemoteError{Msg: err.Error(), NotExecuted: true, code: wireErrCode(err)}
+}
 
 // newConnLoop builds the one TCP server loop for conn, shared by
 // ServeNetworkOpts and the broker's connections; only the route differs.
@@ -448,8 +458,7 @@ func (l *connLoop) read() {
 				l.rt.trace(TraceOneWayDrop, req.name, rerr)
 				continue
 			}
-			status, body := failReply(rerr)
-			l.reply(req, status, body, nil)
+			l.failReply(req, rerr)
 			continue
 		}
 		// Serve bounded: once MaxInFlight requests are running the reader
@@ -511,16 +520,16 @@ func (l *connLoop) handle(req *request, t target) {
 		return // the connection died while we ran; drop the reply
 	default:
 	}
-	switch {
-	case err != nil:
-		status, body := failReply(err)
-		l.reply(req, status, body, nil)
-	case len(res) > MaxOOBSize:
+	if err == nil && len(res) > MaxOOBSize {
 		// An oversized result frame would trip the client's maxFrame
 		// guard and kill the whole pipelined connection; fail this one
 		// call cleanly instead. Results beyond MaxOOBSize need the bulk
 		// plane (CallBulk with BulkOut).
-		l.reply(req, 1, []byte(oversizedResults(len(res))), nil)
+		err = oversizedResults(len(res))
+	}
+	switch {
+	case err != nil:
+		l.failReply(req, err)
 	case req.dir == BulkOut:
 		l.reply(req, 3, res, bulkOut)
 	default:
@@ -537,6 +546,22 @@ func (l *connLoop) reply(req *request, status byte, body, bulk []byte) {
 		l.rt.trace(TraceWriteFail, req.name, err)
 		l.shut()
 	}
+}
+
+// failReply answers a failed request: status 4 and its failure record.
+// A chain's record is a *ChainError's. Any other failure of a chain —
+// an oversized final result, a relay's upstream lost mid-chain — vouches
+// that no stage ran only when notExecuted proves it, and otherwise that
+// every stage may have run, so no caller resumes a stage that did.
+func (l *connLoop) failReply(req *request, err error) {
+	if n := len(req.stages); n > 0 && !errors.As(err, new(*ChainError)) {
+		ce := &ChainError{Stage: n - 1, Executed: n, Err: err}
+		if notExecuted(err) {
+			ce.Stage, ce.Executed = 0, 0
+		}
+		err = ce
+	}
+	l.reply(req, 4, appendFailure(nil, err, 0), nil)
 }
 
 func (l *connLoop) shut() { l.closeOnce.Do(func() { l.conn.Close() }) }
@@ -685,7 +710,7 @@ func (w *watch) scanLoops() {
 }
 
 // openRequest applies the rules every route shares, then asks the route.
-// A chain's reply (or status-4 vouch) is its at-most-once contract, so
+// A chain's reply (or its failure record) is its at-most-once contract, so
 // it cannot be one-way, and bulk payloads move on the bulk plane, not
 // inside a descriptor. The descriptor is parsed here, before the route,
 // so a route can price a chain by its stages and a malformed one is
@@ -696,34 +721,15 @@ func openRequest(rt route, req *request, chain bool) (target, error) {
 			return nil, errors.New("lrpc: a chain call cannot be one-way")
 		}
 		if req.dir != 0 {
-			return nil, refusal("lrpc: a chain call cannot carry a bulk payload")
+			return nil, refusal(errors.New("lrpc: a chain call cannot carry a bulk payload"))
 		}
 		stages, err := parseChain(req.args)
 		if err != nil {
-			return nil, refusal(err.Error())
+			return nil, refusal(err)
 		}
 		req.stages = stages
 	}
 	return rt.open(req)
-}
-
-// failReply maps a failed request onto the wire: status 4 and the
-// structured body for a chain's *ChainError, a relayed *RemoteError's
-// text and vouch verbatim (so a route's refusal is status 2), and
-// anything else classified by rejectStatus.
-func failReply(err error) (byte, []byte) {
-	var ce *ChainError
-	if errors.As(err, &ce) {
-		return 4, appendChainError(nil, ce, 0)
-	}
-	var re *RemoteError
-	if errors.As(err, &re) {
-		if re.NotExecuted {
-			return 2, []byte(re.Msg)
-		}
-		return 1, []byte(re.Msg)
-	}
-	return rejectStatus(err), []byte(err.Error())
 }
 
 // importRoute is the System's route: each interface a connection names
@@ -741,16 +747,16 @@ func (r *importRoute) open(req *request) (target, error) {
 		}
 		if req.bulkLen > r.maxBulk {
 			r.trace(TraceBulkReject, req.name, ErrTooLarge)
-			return nil, refusal(fmt.Sprintf("%s: %d-byte bulk payload exceeds the server's %d-byte limit",
-				ErrTooLarge.Error(), req.bulkLen, r.maxBulk))
+			return nil, refusal(fmt.Errorf("%w: %d-byte bulk payload exceeds the server's %d-byte limit",
+				ErrTooLarge, req.bulkLen, r.maxBulk))
 		}
 	}
 	b, ok := r.bindings[req.name]
 	if !ok {
 		nb, err := r.s.Import(req.name)
 		if err != nil {
-			// Never dispatched: rejectStatus vouches non-execution so a
-			// failover layer may retry it elsewhere.
+			// Never dispatched: its failure record vouches
+			// non-execution, so a failover layer may retry it elsewhere.
 			return nil, err
 		}
 		r.bindings[req.name] = nb
@@ -824,19 +830,6 @@ func (b *Binding) execute(req *request) ([]byte, []byte, error) {
 
 // done is a no-op: a binding holds nothing per request.
 func (b *Binding) done() {}
-
-// rejectStatus classifies a dispatch failure for the wire: rejections
-// the run-time raises before a handler runs — revoked binding, admission
-// overload, A-stack exhaustion — earn status 2 (the server's vouch of
-// non-execution); anything else, notably ErrCallFailed from a handler
-// that crashed mid-run, stays status 1 because the handler may have had
-// side effects.
-func rejectStatus(err error) byte {
-	if notExecuted(err) {
-		return 2
-	}
-	return 1
-}
 
 // DialOptions tunes a NetClient. The zero value selects defaults.
 type DialOptions struct {
@@ -994,6 +987,9 @@ type pendingCall struct {
 	// probe marks a call elected as the breaker's half-open probe: its
 	// settlement carries the probe's verdict to brObserve.
 	probe bool
+	// chain marks a chain request: its failure record decodes to a
+	// *ChainError.
+	chain bool
 }
 
 // DialInterface connects to a remote System at addr (as served by
@@ -1108,12 +1104,10 @@ func (c *NetClient) brObserve(probe bool, err error) {
 	if c.br == nil {
 		return
 	}
-	var remote *RemoteError
-	var chain *ChainError
 	switch {
-	// A *ChainError is a reply too (status 4): the peer provably
+	// A failure record — a chain's too — is a reply: the peer provably
 	// answered, whatever happened mid-chain.
-	case err == nil, errors.As(err, &remote), errors.As(err, &chain):
+	case err == nil, peerAnswered(err):
 		if c.br.success() {
 			c.emitEvent(TraceBreakerClose, nil)
 		}
@@ -1367,16 +1361,21 @@ func (c *NetClient) dispatch(cc *clientConn) error {
 		}
 	default:
 		c.failures.Add(1)
-		if status == 4 {
-			cerr = parseChainError(body)
-		} else {
-			cerr = &RemoteError{Msg: string(body), NotExecuted: status == 2}
-		}
+		cerr = replyError(status, body, p.chain)
 	}
 	if ok {
 		c.settle(p, out, cerr)
 	}
 	return broken
+}
+
+// replyError decodes a failed reply: status 4's failure record, or the
+// bare text of status 1 and 2 (with 2's vouch) from an older server.
+func replyError(status byte, body []byte, chain bool) error {
+	if status == 4 {
+		return parseFailure(body, chain)
+	}
+	return &RemoteError{Msg: string(body), NotExecuted: status == 2}
 }
 
 // bulkReply consumes a status-3 reply — body = u64 produced, results —
@@ -1692,7 +1691,7 @@ func (c *NetClient) submit(ctx context.Context, lead bool, procWord uint32, args
 		}
 		f := newFuture()
 		f.abandons = &c.timeouts
-		id, ok := c.register(pendingCall{fut: f, gen: w.gen, bulk: h, probe: probe}, w, lead)
+		id, ok := c.register(pendingCall{fut: f, gen: w.gen, bulk: h, probe: probe, chain: procWord&wireFlagChain != 0}, w, lead)
 		if !ok {
 			<-c.sem
 			f.release()
@@ -2136,9 +2135,9 @@ func parseBulkHeader(args []byte) (BulkDir, int64, []byte, error) {
 	return dir, n, args[bulkReqHdrSize:], nil
 }
 
-// oversizedResults is the error text for handler results beyond
-// MaxOOBSize on a plane that cannot frame them.
-func oversizedResults(n int) string {
-	return fmt.Sprintf("%s: %d result bytes exceed MaxOOBSize (%d); use CallBulk with a BulkOut handle",
-		ErrTooLarge.Error(), n, MaxOOBSize)
+// oversizedResults is the failure of handler results beyond MaxOOBSize
+// on a plane that cannot frame them.
+func oversizedResults(n int) error {
+	return fmt.Errorf("%w: %d result bytes exceed MaxOOBSize (%d); use CallBulk with a BulkOut handle",
+		ErrTooLarge, n, MaxOOBSize)
 }

@@ -28,8 +28,8 @@ type netOutcome int
 
 const (
 	netOK       netOutcome = iota
-	netFailed              // status 1: the handler failed
-	netRefused             // status 2: refused with the vouch of non-execution
+	netFailed              // status 1, as an older server sends: the handler failed
+	netRefused             // status 2, as an older server sends: refused with the vouch of non-execution
 	netChainErr            // status 4: a chain failed at stage 1
 	netDeadline            // the reply waits until the caller's deadline has passed
 	netSevered             // the peer closes the connection once the request is read
@@ -88,7 +88,7 @@ func (p *scriptedPeer) serve(conn net.Conn) {
 		case netRefused:
 			writeReply(w, id, 2, []byte("refused"), nil)
 		case netChainErr:
-			writeReply(w, id, 4, appendChainError(nil, &ChainError{Stage: 1, Executed: 1, Err: errors.New("stage failed")}, 0), nil)
+			writeReply(w, id, 4, appendFailure(nil, &ChainError{Stage: 1, Executed: 1, Err: errors.New("stage failed")}, 0), nil)
 		case netClosed:
 			// Hold the reply until the client's Close ends the connection.
 		default:

@@ -201,8 +201,8 @@ func TestNetRouteEdges(t *testing.T) {
 			if _, err := conn.Write(append(frame, payload...)); err != nil {
 				t.Fatal(err)
 			}
-			if id, status, _ := readReply(t, conn); id != 5 || status != 2 {
-				t.Fatalf("chain+bulk reply id %d status %d, want id 5 status 2", id, status)
+			if id, status, body := readReply(t, conn); id != 5 || !isRefusal(status, body, nil) {
+				t.Fatalf("chain+bulk reply id %d status %d % x, want id 5 refused, not executed", id, status, body)
 			}
 			addThenReply(t, conn)
 		}},

@@ -35,7 +35,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -96,6 +95,11 @@ const (
 	slotDoneOK  = uint32(3)
 	slotDoneErr = uint32(4)
 
+	// slotCodeFailure is a failed call's reply code word: the payload is
+	// its failure record (appendFailure, chain.go). Codes 1–6 (a sentinel
+	// code over bare text) are read from older servers only.
+	slotCodeFailure = uint32(7)
+
 	// handshake
 	shmReplySize = 256
 	shmByeByte   = byte('B')
@@ -151,31 +155,6 @@ func shmU64(seg []byte, off int) *atomic.Uint64 {
 func shmPut32(seg []byte, off int, v uint32) { *(*uint32)(unsafe.Pointer(&seg[off])) = v }
 
 func shmPut64(seg []byte, off int, v uint64) { *(*uint64)(unsafe.Pointer(&seg[off])) = v }
-
-// --- error codes on the shared reply path ---
-
-// shmErrCode classifies a flat (non-chain) failure for the slot's code
-// word through the shared wire table (wireSentinels, chain.go). Only
-// the codes below shmErrCodeChain are emitted: that value marks a
-// structured chain body, so a sentinel numbered at or above it travels
-// as plain text instead.
-func shmErrCode(err error) uint32 {
-	if code := wireErrCode(err); code < shmErrCodeChain {
-		return code
-	}
-	return 0
-}
-
-// shmDecodeErr maps one slot's error reply onto a Go error: a chain
-// reply (shmErrCodeChain, chain.go) carries the structured chain-error
-// body with the failing stage and executed-through vouch; every other
-// code is a wire-table code plus the server's text.
-func shmDecodeErr(code uint32, body []byte) error {
-	if code == shmErrCodeChain {
-		return parseChainError(body)
-	}
-	return wireErrFromCode(code, string(body))
-}
 
 // --- segment creation ---
 
@@ -332,9 +311,14 @@ func (sv *ShmServer) Close() error {
 // map the segment, pass its fd, then serve the session on this
 // goroutine (which becomes the crash watchdog).
 func (sv *ShmServer) handshake(conn *net.UnixConn) {
-	fail := func(msg string) {
+	// A refused bind answers with its text and, in bytes 4–8, its
+	// sentinel code (wireSentinels), so the client's error matches the
+	// local Import failure under errors.Is.
+	fail := func(err error) {
+		code, msg := wireFailure(err)
 		reply := make([]byte, shmReplySize)
 		reply[0] = 1
+		binary.LittleEndian.PutUint32(reply[4:8], code)
 		if len(msg) > shmReplySize-26 {
 			msg = msg[:shmReplySize-26]
 		}
@@ -350,11 +334,11 @@ func (sv *ShmServer) handshake(conn *net.UnixConn) {
 		return
 	}
 	if len(frame) < 30 || binary.LittleEndian.Uint64(frame[0:8]) != shmMagic {
-		fail("lrpc: bad shm bind request")
+		fail(errors.New("lrpc: bad shm bind request"))
 		return
 	}
 	if v := binary.LittleEndian.Uint32(frame[8:12]); v != shmVersion {
-		fail(fmt.Sprintf("lrpc: shm version %d unsupported", v))
+		fail(fmt.Errorf("lrpc: shm version %d unsupported", v))
 		return
 	}
 	slots := int(binary.LittleEndian.Uint32(frame[12:16]))
@@ -362,7 +346,7 @@ func (sv *ShmServer) handshake(conn *net.UnixConn) {
 	bulkBytes := int64(binary.LittleEndian.Uint64(frame[20:28]))
 	nameLen := int(binary.LittleEndian.Uint16(frame[28:30]))
 	if len(frame) < 30+nameLen {
-		fail("lrpc: truncated shm bind request")
+		fail(errors.New("lrpc: truncated shm bind request"))
 		return
 	}
 	name := string(frame[30 : 30+nameLen])
@@ -372,12 +356,12 @@ func (sv *ShmServer) handshake(conn *net.UnixConn) {
 	tenant := ""
 	if rest := frame[30+nameLen:]; len(rest) > 0 {
 		if len(rest) < 2 {
-			fail("lrpc: truncated shm bind request")
+			fail(errors.New("lrpc: truncated shm bind request"))
 			return
 		}
 		tl := int(binary.LittleEndian.Uint16(rest[0:2]))
 		if tl > brokerMaxIdent || len(rest) != 2+tl {
-			fail("lrpc: malformed tenant field in shm bind request")
+			fail(errors.New("lrpc: malformed tenant field in shm bind request"))
 			return
 		}
 		tenant = string(rest[2 : 2+tl])
@@ -386,7 +370,7 @@ func (sv *ShmServer) handshake(conn *net.UnixConn) {
 	// tenant costs the server one reply frame, not a segment.
 	if sv.opts.Admit != nil {
 		if aerr := sv.opts.Admit(tenant, name); aerr != nil {
-			fail(aerr.Error())
+			fail(aerr)
 			return
 		}
 	}
@@ -403,8 +387,8 @@ func (sv *ShmServer) handshake(conn *net.UnixConn) {
 	// failure, never a silent clamp: a clamped slot would truncate the
 	// arguments of calls the client sized against what it asked for.
 	if slotSize > sv.opts.MaxSlotSize {
-		fail(fmt.Sprintf("%s: requested %d-byte slots exceed the server's %d-byte maximum",
-			ErrTooLarge.Error(), slotSize, sv.opts.MaxSlotSize))
+		fail(fmt.Errorf("%w: requested %d-byte slots exceed the server's %d-byte maximum",
+			ErrTooLarge, slotSize, sv.opts.MaxSlotSize))
 		return
 	}
 	// The bulk grant, by contrast, is a negotiation: the client checks
@@ -425,14 +409,14 @@ func (sv *ShmServer) handshake(conn *net.UnixConn) {
 	// caller never gets a segment — there is no per-call name check.
 	b, err := sv.sys.Import(name)
 	if err != nil {
-		fail(err.Error())
+		fail(err)
 		return
 	}
 
 	lay := shmLayoutFor(slots, slotSize, int(bulkBytes))
 	f, seg, err := newShmSegment(lay.segSize)
 	if err != nil {
-		fail(err.Error())
+		fail(err)
 		return
 	}
 	shmU64(seg, shmOffMagic).Store(shmMagic)
@@ -487,7 +471,7 @@ func (sv *ShmServer) handshake(conn *net.UnixConn) {
 	}
 	f.Close()
 	syscall.Munmap(seg)
-	fail(fmt.Sprintf("lrpc: shm session setup: %v", err))
+	fail(fmt.Errorf("lrpc: shm session setup: %v", err))
 }
 
 // shmSession is the server side of one client process's segment.
@@ -636,23 +620,9 @@ func (ss *shmSession) dispatch(v uint64) {
 	done := slotDoneOK
 	if err != nil {
 		done = slotDoneErr
-		// A chain failure carries structure — the failing stage and the
-		// executed-through vouch — so its body is the chain error wire
-		// form under its own code, not flat text.
-		var ce *ChainError
-		if errors.As(err, &ce) {
-			body := appendChainError(payload[:0], ce, ss.lay.slotSize)
-			shmPut32(ss.seg, base+slotOffResLen, uint32(len(body)))
-			shmPut32(ss.seg, base+slotOffCode, shmErrCodeChain)
-		} else {
-			text := err.Error()
-			if len(text) > ss.lay.slotSize {
-				text = text[:ss.lay.slotSize]
-			}
-			copy(payload, text)
-			shmPut32(ss.seg, base+slotOffResLen, uint32(len(text)))
-			shmPut32(ss.seg, base+slotOffCode, shmErrCode(err))
-		}
+		body := appendFailure(payload[:0], err, ss.lay.slotSize)
+		shmPut32(ss.seg, base+slotOffResLen, uint32(len(body)))
+		shmPut32(ss.seg, base+slotOffCode, slotCodeFailure)
 	} else {
 		shmPut32(ss.seg, base+slotOffResLen, uint32(resLen))
 		shmPut32(ss.seg, base+slotOffCode, 0)
@@ -781,8 +751,8 @@ func (ss *shmSession) dispatchBulk(base int, dir uint32, proc int, payload []byt
 // an LBC1 descriptor, and the whole dependent pipeline executes in this
 // domain (execChain, chain.go) before the single reply doorbell rings
 // back — the paper's domain-crossing elimination applied to N dependent
-// calls at once. A failure surfaces as a *ChainError so dispatch writes
-// the structured body under shmErrCodeChain.
+// calls at once. A failure surfaces as a *ChainError, whose failure
+// record dispatch writes.
 func (ss *shmSession) dispatchChain(payload []byte, argLen int) (int, error) {
 	stages, perr := parseChain(payload[:argLen])
 	if perr != nil {
@@ -796,8 +766,9 @@ func (ss *shmSession) dispatchChain(payload []byte, argLen int) (int, error) {
 	if len(out) > ss.lay.slotSize {
 		// The slot is the only reply channel; an oversized final result
 		// is the size exception, same as a plain shm call's oob case.
-		return 0, fmt.Errorf("%w: %d result bytes exceed the %d-byte slot",
-			ErrTooLarge, len(out), ss.lay.slotSize)
+		// Every stage ran, so the record says so.
+		return 0, &ChainError{Stage: len(stages) - 1, Executed: len(stages), Err: fmt.Errorf(
+			"%w: %d result bytes exceed the %d-byte slot", ErrTooLarge, len(out), ss.lay.slotSize)}
 	}
 	return copy(payload, out), nil
 }
@@ -964,7 +935,7 @@ func DialShmOpts(path, name string, opts ShmDialOptions) (*ShmClient, error) {
 			n = shmReplySize - 26
 		}
 		conn.Close()
-		return nil, remoteBindError(string(reply[26 : 26+n]))
+		return nil, &RemoteError{Msg: string(reply[26 : 26+n]), code: binary.LittleEndian.Uint32(reply[4:8])}
 	}
 	nslots := int(binary.LittleEndian.Uint32(reply[4:8]))
 	slotSize := int(binary.LittleEndian.Uint32(reply[8:12]))
@@ -1047,23 +1018,6 @@ func DialShmOpts(path, name string, opts ShmDialOptions) (*ShmClient, error) {
 	return c, nil
 }
 
-// remoteBindError maps a handshake rejection back onto the canonical
-// sentinel when the text matches one, so DialShm("missing name") is
-// errors.Is-comparable with the local Import failure.
-func remoteBindError(text string) error {
-	for _, sent := range []error{ErrNotExported, ErrRevoked, ErrTooLarge,
-		ErrNotAdmitted, ErrTenantSuspended, ErrQuotaExceeded} {
-		s := sent.Error()
-		if text == s {
-			return sent
-		}
-		if strings.HasPrefix(text, s+":") {
-			return fmt.Errorf("%w%s", sent, text[len(s):])
-		}
-	}
-	return &RemoteError{Msg: text}
-}
-
 func parseSegmentFd(oob []byte) (int, error) {
 	msgs, err := syscall.ParseSocketControlMessage(oob)
 	if err != nil {
@@ -1128,15 +1082,14 @@ func (c *ShmClient) call(ctx context.Context, r shmReq, dst []byte) ([]byte, err
 	if err := c.roundTrip(ctx, id, callID); err != nil {
 		return nil, err
 	}
-	body, code, ok := c.reply(id)
+	body, err := c.reply(id)
 	var out []byte
-	if ok {
+	if err == nil {
 		out = append(dst, body...) // the single result copy out
 		if r.h != nil {
 			err = c.collectBulk(id, r.h)
 		}
 	} else {
-		err = shmDecodeErr(code, body)
 		c.failures.Add(1)
 	}
 	c.recycle(id)
@@ -1382,19 +1335,25 @@ func (c *ShmClient) roundTrip(ctx context.Context, id uint32, callID uint64) err
 	return c.awaitReply(ctx, id, state, shmU64(c.seg, base+slotOffNoHint))
 }
 
-// reply is the one reply read, once slot id's state word says done. body
-// aliases the shared A-stack, its length clamped to the slot, and is
-// valid until the slot is recycled; ok is false for an error reply,
-// whose body decodes under code.
-func (c *ShmClient) reply(id uint32) (body []byte, code uint32, ok bool) {
+// reply is the one reply read, once slot id's state word says done. The
+// results alias the shared A-stack, their length clamped to the slot, and
+// are valid until the slot is recycled. A failed call's payload is its
+// failure record, a chain's when the slot's dir word says it carried one;
+// an older server's sentinel code over bare text is read as that text.
+func (c *ShmClient) reply(id uint32) ([]byte, error) {
 	base := c.lay.slotBase(id)
-	code = shmU32(c.seg, base+slotOffCode).Load()
 	n := int(shmU32(c.seg, base+slotOffResLen).Load())
 	if n > c.lay.slotSize {
 		n = c.lay.slotSize
 	}
-	ok = shmU32(c.seg, base+slotOffState).Load() == slotDoneOK
-	return c.seg[base+slotPayloadOff : base+slotPayloadOff+n], code, ok
+	body := c.seg[base+slotPayloadOff : base+slotPayloadOff+n]
+	if shmU32(c.seg, base+slotOffState).Load() == slotDoneOK {
+		return body, nil
+	}
+	if code := shmU32(c.seg, base+slotOffCode).Load(); code != slotCodeFailure {
+		return nil, &RemoteError{Msg: string(body), code: code}
+	}
+	return nil, parseFailure(body, shmU32(c.seg, base+slotOffBulkDir).Load() == bulkDirChain)
 }
 
 // collectBulk settles h after an ok reply. BulkIn moved the whole

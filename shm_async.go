@@ -167,19 +167,18 @@ func (c *ShmClient) retire(id uint32, dead bool) {
 	var out []byte
 	var err error
 	if landed {
-		body, code, ok := c.reply(id)
+		body, rerr := c.reply(id)
 		switch {
-		case ok:
+		case rerr == nil:
 			if f != nil && len(body) > 0 {
 				out = append([]byte(nil), body...) // the single result copy out
 			}
 		case f != nil:
-			err = shmDecodeErr(code, body)
+			err = rerr
 		default:
 			c.oneWayDrops.Add(1)
 			if t := c.opts.Tracer; t != nil {
-				t.TraceEvent(TraceEvent{Kind: TraceOneWayDrop, Iface: c.name,
-					Err: shmDecodeErr(code, body)})
+				t.TraceEvent(TraceEvent{Kind: TraceOneWayDrop, Iface: c.name, Err: rerr})
 			}
 		}
 	} else if f != nil {

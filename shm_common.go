@@ -103,8 +103,9 @@ type ShmServeOptions struct {
 	// import an interface over this plane: it receives the tenant
 	// identity from the bind request ("" for clients that sent none)
 	// and the interface name, and a non-nil return rejects the bind
-	// with the error's text (sentinel prefixes — ErrNotAdmitted,
-	// ErrTenantSuspended — survive to the client's errors.Is). This is
+	// with the error's text and sentinel code, so a wrapped sentinel —
+	// ErrNotAdmitted, ErrTenantSuspended — survives to the client's
+	// errors.Is. This is
 	// the shm half of the broker plane's admission story: same-machine
 	// tenants are vetted once at bind time and then run the fast path,
 	// while per-call quota enforcement stays on the brokered TCP plane.

@@ -132,6 +132,15 @@ func TestShmBindErrors(t *testing.T) {
 	if _, err := c.Call(3, nil); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized results = %v, want ErrTooLarge", err)
 	}
+	// A bind refused by the Admit hook with a broker refusal keeps its
+	// sentinel, and its text crosses once, not re-prefixed.
+	_, gated, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{Admit: func(tenant, _ string) error {
+		return notAdmitted("tenant %q", tenant)
+	}})
+	_, err = DialShmOpts(gated, "Shm", ShmDialOptions{Tenant: "x"})
+	if want := `lrpc: remote: lrpc: tenant not admitted: tenant "x"`; !errors.Is(err, ErrNotAdmitted) || err.Error() != want {
+		t.Fatalf("refused bind = %v, want ErrNotAdmitted and %q", err, want)
+	}
 }
 
 func TestShmConcurrent(t *testing.T) {
@@ -491,8 +500,9 @@ func TestShmChainVouchAcrossSlot(t *testing.T) {
 	// exception with every stage vouched executed (the work ran; only
 	// the reply could not cross).
 	_, err = c.CallChain(NewChain().Add(0, nil).Add(3, nil))
-	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversized chain result: %v", err)
+	if !errors.As(err, &ce) || ce.Stage != 1 || ce.Executed != 2 ||
+		!errors.Is(err, ErrTooLarge) || errors.Is(err, ErrNotExecuted) {
+		t.Fatalf("oversized chain result: %v, want stage 1 with 2 executed", err)
 	}
 	// A descriptor that cannot fit the slot is refused client-side.
 	huge := NewChain().Add(0, make([]byte, c.SlotSize()))

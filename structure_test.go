@@ -3,7 +3,8 @@ package lrpc
 // The structure guards. Each path the package writes once — the
 // invocation core's dispatch (DESIGN §5.17), supervised recovery
 // (§5.10), the TCP server loop and client (§5.15, §5.13), the shm
-// client's slot lifecycle (§5.11) — has a cap on the sites that would
+// client's slot lifecycle (§5.11), the failure record every plane
+// sends — has a cap on the sites that would
 // mean a second, hand-copied path. The root package's non-test files are
 // parsed and sites matched on the syntax tree by their callee or
 // operand, so comments and string literals never count.
@@ -184,6 +185,28 @@ var structureCaps = []structureCap{
 	{why: "the per-call reply channel coming back", match: func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		return ok && id.Name == "netReply"
+	}},
+
+	// One failure record (DESIGN §5.17): a failed call crosses every wire
+	// as the record appendFailure writes — from the TCP server loop's
+	// failReply and the shm server's dispatch, nowhere else — classified
+	// against the one sentinel table, wireSentinels, and never matched to
+	// a sentinel by its text.
+	{why: "a failure reply written beside failReply", files: []string{"net.go"}, max: 1, in: "failReply", match: callTo("appendFailure")},
+	{why: "a failure reply written beside the shm server's dispatch", files: []string{"shm.go"}, max: 1, in: "dispatch", match: callTo("appendFailure")},
+	{why: "a third failure-record writer", max: 2, match: callTo("appendFailure")},
+	{why: "a sentinel matched by its text", match: func(n ast.Node) bool {
+		f, call := callee(n)
+		if f != "strings.HasPrefix" && f != "strings.TrimPrefix" && f != "strings.CutPrefix" {
+			return false
+		}
+		return slices.ContainsFunc(call.Args, func(a ast.Expr) bool {
+			return strings.Contains(types.ExprString(a), ".Error()")
+		})
+	}},
+	{why: "a second sentinel table beside wireSentinels", max: 1, match: func(n ast.Node) bool {
+		cl, ok := n.(*ast.CompositeLit)
+		return ok && cl.Type != nil && types.ExprString(cl.Type) == "[]error"
 	}},
 
 	// oneasync (DESIGN §5.13): a Future's completion token is sent by

@@ -55,16 +55,26 @@ const (
 )
 
 // revokedVerdict is the single-endpoint classification: ErrRevoked never
-// reached a handler; ErrCallFailed means the domain died under the call.
+// reached a handler; ErrCallFailed means the domain died under the call,
+// unless a peer reported it (peerAnswered).
 func revokedVerdict(err error) verdict {
 	switch {
 	case errors.Is(err, ErrRevoked):
 		return resend
+	case peerAnswered(err):
+		return surface
 	case errors.Is(err, ErrCallFailed):
 		return suspect
 	}
 	return surface
 }
+
+// peerAnswered reports a failure the peer sent back as a failure record
+// (a *RemoteError, alone or as a chain stage's cause): the peer is alive
+// and the binding is not in question — brObserve's reasoning — so a
+// remote handler's panic or a relay's upstream timeout is surfaced, not
+// answered with a rebind that would fail the binding's other calls.
+func peerAnswered(err error) bool { return errors.As(err, new(*RemoteError)) }
 
 // rebinder is the supervised-recovery core: it owns the current Caller
 // and replaces it when it dies. Calls go through the current Caller; a

@@ -10,6 +10,7 @@ package lrpc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -225,5 +226,91 @@ func TestSupervisorEdges(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestVerdictsSurfacePeerReports: a failure the peer sent back in a
+// failure record — a remote handler's panic, a relay's upstream timeout,
+// alone or as a chain stage's cause — is surfaced by both verdicts: the
+// peer answered, so the binding is not in question. The same sentinels
+// raised in this process still mark the binding suspect, and a vouched
+// refusal is still resent.
+func TestVerdictsSurfacePeerReports(t *testing.T) {
+	wire := func(err error, chain bool) error { return parseFailure(appendFailure(nil, err, 0), chain) }
+	for _, sentinel := range []error{ErrCallFailed, ErrCallTimeout} {
+		local := fmt.Errorf("%w: cause", sentinel)
+		for _, err := range []error{wire(local, false), wire(&ChainError{Stage: 1, Executed: 2, Err: local}, true)} {
+			if !errors.Is(err, sentinel) {
+				t.Fatalf("%v does not match %v", err, sentinel)
+			}
+			if v := failoverVerdict(err); v != surface {
+				t.Errorf("failoverVerdict(%v) = %d, want surface", err, v)
+			}
+			if v := revokedVerdict(err); v != surface {
+				t.Errorf("revokedVerdict(%v) = %d, want surface", err, v)
+			}
+		}
+		if v := failoverVerdict(local); v != suspect {
+			t.Errorf("failoverVerdict(local %v) = %d, want suspect", local, v)
+		}
+	}
+	if v := revokedVerdict(fmt.Errorf("%w: domain died", ErrCallFailed)); v != suspect {
+		t.Errorf("revokedVerdict(local ErrCallFailed) = %d, want suspect", v)
+	}
+	if v := failoverVerdict(wire(ErrOverload, false)); v != resend {
+		t.Errorf("failoverVerdict(remote overload) = %d, want resend", v)
+	}
+	if v := revokedVerdict(wire(ErrRevoked, false)); v != resend {
+		t.Errorf("revokedVerdict(remote revoked) = %d, want resend", v)
+	}
+}
+
+// TestReplicatedSurfacesRemotePanic: over TCP a handler's panic comes
+// back as a failure record matching ErrCallFailed, and the supervisor
+// neither resends it (RetryFailedCalls is set) nor rebinds, which would
+// close the connection under a call still running on it: the server
+// answered, so it is alive.
+func TestReplicatedSurfacesRemotePanic(t *testing.T) {
+	var panics atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	sys := NewSystem()
+	if _, err := sys.Export(&Interface{Name: "svc.faulty", Procs: []Proc{
+		{Name: "Panic", Handler: func(c *Call) { panics.Add(1); panic("handler fault") }},
+		{Name: "Park", Handler: func(c *Call) { close(entered); <-release; c.ResultsBuf(0) }},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	ns, err := StartNetServer(sys, "127.0.0.1:0", ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ns.Close() })
+	sup, err := SuperviseReplicated("svc.faulty", ReplicatedOpts{
+		Registry:         registerForever(t, "svc.faulty", Endpoint{Plane: PlaneTCP, Addr: ns.Addr()}),
+		RetryFailedCalls: true,
+		ProbeInterval:    -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	before := sup.Stats().Rebinds
+
+	parked := make(chan error, 1)
+	go func() { _, err := sup.Call(1, nil); parked <- err }()
+	<-entered
+	_, err = sup.Call(0, nil)
+	if !errors.Is(err, ErrCallFailed) || !errors.As(err, new(*RemoteError)) {
+		t.Fatalf("remote panic = %v, want a *RemoteError matching ErrCallFailed", err)
+	}
+	if n := panics.Load(); n != 1 {
+		t.Errorf("the panicking handler ran %d times, want 1", n)
+	}
+	close(release)
+	if err := <-parked; err != nil {
+		t.Errorf("the call parked beside the panic failed: %v", err)
+	}
+	if n := sup.Stats().Rebinds - before; n != 0 {
+		t.Errorf("%d rebinds after a remote panic, want 0", n)
 	}
 }
