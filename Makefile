@@ -137,13 +137,16 @@ oneasync:
 # lines run the one-CPU side of the wait policy, where shm waits skip the
 # load probe and go straight to sched_yield, pinned with taskset where it
 # exists (Linux); the shmring line includes the park that only a wake
-# ends (TestPopWaitParksUntilWoken).
+# ends (TestPopWaitParksUntilWoken). The batch hand-over tests ride the
+# second and pinned lines: a batch waiter's window closes soonest on one
+# CPU, so that is where its entries are handed over most.
+SHM_HANDOVER = TestShmBatchHandOverOnSlotShortage|TestShmBatchResetHandsOver|TestShmBatchSlowHandlerParks|TestShmBatchDoneHandsOver|TestShmBatchSurvivesPeerDeath
 shmtest:
 	$(GO) test -race -count=1 -run 'TestShm' ./internal/faultinject/ .
-	$(GO) test -race -count=5 -run 'TestShmNoHintMark|TestShmReplyHintCounts|TestShmHostileNoHintWord|TestShmCloseWakesParkedDemux|TestShmSlotWaitersAllWake' .
+	$(GO) test -race -count=5 -run 'TestShmNoHintMark|TestShmReplyHintCounts|TestShmHostileNoHintWord|TestShmCloseWakesParkedDemux|TestShmSlotWaitersAllWake|$(SHM_HANDOVER)' .
 	$(GO) test -race -count=20 -run 'TestShmCloseDrainsInflight' .
 	$(GO) test -race -count=40 -run 'TestShmNoLostWake' .
-	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -race -count=5 -run 'TestShmNoLostWake|TestShmReplyHintCounts|TestShmNoHintMark|TestShmSlotWaitersAllWake' .; fi
+	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -race -count=5 -run 'TestShmNoLostWake|TestShmReplyHintCounts|TestShmNoHintMark|TestShmSlotWaitersAllWake|$(SHM_HANDOVER)' .; fi
 	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -count=3 ./internal/shmring/; fi
 
 # The high-availability suite: replicated-registry fault schedules

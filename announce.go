@@ -211,6 +211,17 @@ func (a *Announcement) renewLoop() {
 	}
 }
 
+// announceHook, when set, runs inside the announcers (Broker.Announce,
+// NetServer.Announce) between a registration becoming resolvable and the
+// announcer recording it, so a test can act in that window every run.
+var announceHook atomic.Pointer[func(name string)]
+
+func announceRegistered(name string) {
+	if h := announceHook.Load(); h != nil {
+		(*h)(name)
+	}
+}
+
 // --- NetServer: the TCP export path with announcement wired in ---
 
 // NetServer bundles a System with its TCP listener — the network-plane
@@ -271,7 +282,15 @@ func (ns *NetServer) Announce(rc Registry, name string, ttl time.Duration, extra
 	if err != nil {
 		return nil, err
 	}
+	announceRegistered(name)
 	ns.mu.Lock()
+	if ns.closed.Load() {
+		// Close ran while this registered and took every announcement
+		// but this one: withdraw it here, or it renews for a dead port.
+		ns.mu.Unlock()
+		a.Close()
+		return nil, ErrConnClosed
+	}
 	ns.anns = append(ns.anns, a)
 	ns.mu.Unlock()
 	return a, nil

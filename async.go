@@ -69,6 +69,7 @@ const (
 // that waits while another is already blocked on it gets ErrFutureSpent.
 type Future struct {
 	state atomic.Uint32
+	slot  uint32        // the entry's slot on lazy (beside state: no padding)
 	ch    chan struct{} // capacity 1: the completion signal
 	// abandon is closed when the caller gives up on the future; an
 	// in-process submission still queued for admission sheds on it.
@@ -87,6 +88,12 @@ type Future struct {
 
 	// abandons, when non-nil, is the client plane's timeout counter.
 	abandons *atomic.Uint64
+
+	// lazy, when non-nil, is the batch plane that reaps this future's
+	// completion only while somebody drives it (the shm batch): a waiter
+	// about to block drives it first, and a Done that finds the call
+	// pending hands the entry over.
+	lazy lazyBackend
 }
 
 var futurePool = sync.Pool{New: func() any {
@@ -108,6 +115,7 @@ func newFuture() *Future {
 	f.exp, f.sys, f.procName = nil, nil, ""
 	f.act.Store(nil)
 	f.abandons = nil
+	f.lazy = nil
 	f.state.Store(futPending)
 	return f
 }
@@ -168,6 +176,9 @@ var completeBetweenCAS atomic.Pointer[func(*Future)]
 // loses, the completer already claimed the parked state and its token is
 // on the way, so the waiter takes it rather than strand it in ch.
 func (f *Future) park(stop <-chan struct{}) bool {
+	if f.lazy != nil {
+		f.lazy.drive(f, f.slot)
+	}
 	if !f.state.CompareAndSwap(futPending, futParked) {
 		return true
 	}
@@ -196,7 +207,13 @@ func (f *Future) await(stop <-chan struct{}) bool {
 
 // Done reports whether the call has completed and the result awaits
 // collection.
-func (f *Future) Done() bool { return f.state.Load() == futReady }
+func (f *Future) Done() bool {
+	if f.lazy != nil && f.state.Load() == futPending {
+		// Nobody may ever wait: let the plane reap it on its own.
+		f.lazy.handOver(f, f.slot)
+	}
+	return f.state.Load() == futReady
+}
 
 // Err blocks until the call completes and returns its error without
 // collecting the result: Wait afterwards still returns the results (and
@@ -338,6 +355,20 @@ type batchBackend interface {
 	flush(pending []batchEnt) error
 }
 
+// lazyBackend is a batch backend whose completions are reaped only while
+// somebody drives them: the shm plane (shm_async.go), whose batch entries
+// the demultiplexer is not woken for. A waiter about to block on a
+// pending entry (Future.park, under Batch.Wait or a direct Wait) runs
+// drive on its own goroutine: the plane's wait window, then a hand-over
+// if the entry is still pending. An entry nobody will drive — one Done
+// polls, one Reset lets go unwaited — is handed over, after which the
+// plane reaps it without help. handOver is idempotent and safe from any
+// goroutine, and a no-op once the entry has completed.
+type lazyBackend interface {
+	drive(f *Future, slot uint32)
+	handOver(f *Future, slot uint32)
+}
+
 // batchEnt is one staged submission and, after Batch.Wait, its outcome.
 type batchEnt struct {
 	proc   int
@@ -347,6 +378,7 @@ type batchEnt struct {
 	out    []byte
 	err    error
 	waited bool
+	slot   uint32 // the entry's slot on a lazyBackend
 }
 
 // Batch accumulates submissions and rings the transport's doorbell once
@@ -465,6 +497,13 @@ func (bt *Batch) Len() int { return len(bt.ents) }
 func (bt *Batch) Reset() {
 	if bt.sent < len(bt.ents) {
 		bt.Flush()
+	}
+	if lb, ok := bt.be.(lazyBackend); ok {
+		for i := range bt.ents {
+			if e := &bt.ents[i]; !e.oneWay && !e.waited {
+				lb.handOver(e.fut, e.slot)
+			}
+		}
 	}
 	bt.ents, bt.sent = bt.ents[:0], 0
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -64,18 +65,32 @@ func TestShmBatchSingleDoorbell(t *testing.T) {
 	// More entries than slots: staging flushes (rings) and blocks for a
 	// slot when the pairwise allocation runs dry, then keeps going.
 	const n = 24
-	for i := 0; i < n; i++ {
-		args := make([]byte, 4)
-		binary.LittleEndian.PutUint32(args, uint32(i))
-		if _, err := bt.Call(0, args); err != nil {
-			t.Fatalf("stage %d: %v", i, err)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			args := make([]byte, 4)
+			binary.LittleEndian.PutUint32(args, uint32(i))
+			if _, err := bt.Call(0, args); err != nil {
+				done <- fmt.Errorf("stage %d: %v", i, err)
+				return
+			}
 		}
-	}
-	if err := bt.OneWay(1, nil); err != nil { // Null, fire-and-forget
-		t.Fatal(err)
-	}
-	if err := bt.Wait(); err != nil {
-		t.Fatal(err)
+		if err := bt.OneWay(1, nil); err != nil { // Null, fire-and-forget
+			done <- err
+			return
+		}
+		done <- bt.Wait()
+	}()
+	// A staging caller asleep for a slot that only a drain can free
+	// wedges here, until Close (deferred) ends the session under it.
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("batch staging wedged on the slot free list: %d of %d slots free, parked = %d",
+			freeSlots(c), c.Slots(), shmParked(c))
 	}
 	for i := 0; i < n; i++ {
 		out, err := bt.Result(i)
@@ -150,5 +165,279 @@ func TestShmAsyncAfterClose(t *testing.T) {
 	bt := c.NewBatch()
 	if _, err := bt.Call(0, nil); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("batch stage after Close = %v, want ErrConnClosed", err)
+	}
+}
+
+// --- batch entries reaped by their own waiter, handed over otherwise ---
+//
+// A shm batch entry is not registered with the demultiplexer: Batch.Wait
+// drains the reply ring for it. Each test below takes one path on which
+// nobody drives an entry, so it must be handed over to the
+// demultiplexer, or the call hangs; each ends with the demultiplexer's
+// count back at zero.
+
+// TestShmBatchHandOverOnSlotShortage: 24 entries on 8 slots, so staging
+// runs out of slots with its own entries holding them, beside a
+// goroutine of synchronous calls on the same session that run out too.
+func TestShmBatchHandOverOnSlotShortage(t *testing.T) {
+	_, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{Workers: 2})
+	c, err := DialShmOpts(sock, "Shm", ShmDialOptions{Slots: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stop := make(chan struct{})
+	syncErr := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				syncErr <- nil
+				return
+			default:
+			}
+			want := fmt.Sprintf("sync %d", i)
+			if out, err := c.Call(0, []byte(want)); err != nil || string(out) != want {
+				syncErr <- fmt.Errorf("sync call %d = %q, %v", i, out, err)
+				return
+			}
+		}
+	}()
+	batchErr := make(chan error, 1)
+	go func() {
+		bt := c.NewBatch()
+		for round := 0; round < 20; round++ {
+			const n = 24
+			for i := 0; i < n; i++ {
+				args := make([]byte, 4)
+				binary.LittleEndian.PutUint32(args, uint32(round*n+i))
+				if _, err := bt.Call(0, args); err != nil {
+					batchErr <- fmt.Errorf("round %d stage %d: %v", round, i, err)
+					return
+				}
+			}
+			if err := bt.Wait(); err != nil {
+				batchErr <- fmt.Errorf("round %d: %v", round, err)
+				return
+			}
+			for i := 0; i < n; i++ {
+				if out, err := bt.Result(i); err != nil || binary.LittleEndian.Uint32(out) != uint32(round*n+i) {
+					batchErr <- fmt.Errorf("round %d entry %d = %x, %v", round, i, out, err)
+					return
+				}
+			}
+			bt.Reset()
+		}
+		batchErr <- nil
+	}()
+	// A caller asleep for a slot only a drain can free hangs here, until
+	// Close (deferred) ends the session under it.
+	select {
+	case err := <-batchErr:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("batch rounds wedged on the slot free list: %d of %d slots free, parked = %d",
+			freeSlots(c), c.Slots(), shmParked(c))
+	}
+	close(stop)
+	select {
+	case err := <-syncErr:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("synchronous caller wedged on the slot free list")
+	}
+	waitUnparked(t, c, 5*time.Second)
+}
+
+// TestShmBatchResetHandsOver: a flushed batch is Reset without Wait.
+// Its slots come back with nobody waiting, and its futures, waited later
+// from another goroutine, carry their results.
+func TestShmBatchResetHandsOver(t *testing.T) {
+	_, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{})
+	c, err := DialShmOpts(sock, "Shm", ShmDialOptions{Slots: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	bt := c.NewBatch()
+	futs := make([]*Future, c.Slots())
+	for i := range futs {
+		if futs[i], err = bt.Call(0, []byte(fmt.Sprintf("reset %d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bt.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	bt.Reset()
+	shmWaitFor(t, 5*time.Second, func() bool { return freeSlots(c) == c.Slots() },
+		func() string { return fmt.Sprintf("%d of %d slots free", freeSlots(c), c.Slots()) })
+	done := make(chan error, 1)
+	go func() {
+		for i, f := range futs {
+			if out, err := f.Wait(); err != nil || string(out) != fmt.Sprintf("reset %d", i) {
+				done <- fmt.Errorf("future %d = %q, %v", i, out, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	waitUnparked(t, c, 5*time.Second)
+}
+
+// TestShmBatchSlowHandlerParks: against a handler that outlasts the wait
+// window, a batch future waited directly, and Batch.Wait itself, park
+// after handing the entry over, and the demultiplexer wakes them.
+func TestShmBatchSlowHandlerParks(t *testing.T) {
+	for _, direct := range []bool{true, false} {
+		t.Run(fmt.Sprintf("direct=%v", direct), func(t *testing.T) {
+			hold := make(chan struct{})
+			_, sock, _ := startShm(t, shmTestIface("Shm", hold), ShmServeOptions{})
+			c, err := DialShmOpts(sock, "Shm", ShmDialOptions{Slots: 4, Spin: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			bt := c.NewBatch()
+			f, err := bt.Call(2, nil) // Hold
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := bt.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				if direct {
+					_, err := f.Wait()
+					done <- err
+					return
+				}
+				done <- bt.Wait()
+			}()
+			// The waiter is parked and handed over once the count shows it.
+			shmWaitFor(t, 5*time.Second, func() bool { return shmParked(c) == 1 },
+				func() string { return fmt.Sprintf("parked = %d", shmParked(c)) })
+			close(hold)
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a parked batch waiter was never woken")
+			}
+			waitUnparked(t, c, 5*time.Second)
+		})
+	}
+}
+
+// TestShmBatchDoneHandsOver: Done turns true on a flushed entry nobody
+// waits on.
+func TestShmBatchDoneHandsOver(t *testing.T) {
+	_, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{})
+	c, err := DialShmOpts(sock, "Shm", ShmDialOptions{Slots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	bt := c.NewBatch()
+	f, err := bt.Call(0, []byte("done"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bt.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	shmWaitFor(t, 5*time.Second, f.Done, func() string { return "Done never turned true" })
+	if out, err := f.Wait(); err != nil || string(out) != "done" {
+		t.Fatalf("Wait = %q, %v", out, err)
+	}
+	waitUnparked(t, c, 5*time.Second)
+}
+
+// TestShmBatchSurvivesPeerDeath: the server goes away while a batch
+// waiter drains the reply ring for its entries. The waiter comes out
+// with the peer-death error, the reaper unmaps only after its window
+// ends, and the count is back at zero. The two-process kill is
+// internal/faultinject's TestShmBatchSurvivesPeerKill.
+func TestShmBatchSurvivesPeerDeath(t *testing.T) {
+	sv, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{Workers: 2})
+	c, err := DialShmOpts(sock, "Shm", ShmDialOptions{Slots: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var flushes atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		bt := c.NewBatch()
+		for {
+			for i := 0; i < 16; i++ {
+				if _, err := bt.Call(0, []byte("drain")); err != nil {
+					done <- err
+					return
+				}
+			}
+			if err := bt.Wait(); err != nil {
+				done <- err
+				return
+			}
+			bt.Reset()
+			flushes.Add(1)
+		}
+	}()
+	shmWaitFor(t, 5*time.Second, func() bool { return flushes.Load() >= 20 },
+		func() string { return fmt.Sprintf("%d flushes", flushes.Load()) })
+	sv.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrCallFailed) && !errors.Is(err, ErrRevoked) {
+			t.Fatalf("draining batch waiter = %v, want ErrCallFailed or ErrRevoked", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("draining batch waiter never returned after the server closed")
+	}
+	waitUnparked(t, c, 5*time.Second)
+}
+
+// TestShmBatchAllocs is TestBatchAllocs on the shm plane: a 64-entry
+// batch allocates one result copy per entry (retire's) and nothing else.
+func TestShmBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop items; alloc counts not meaningful")
+	}
+	_, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{})
+	c, err := DialShmOpts(sock, "Shm", ShmDialOptions{Slots: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 64
+	args := []byte("ping")
+	bt := c.NewBatch()
+	run := func() {
+		for i := 0; i < n; i++ {
+			if _, err := bt.Call(0, args); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bt.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		bt.Reset()
+	}
+	for i := 0; i < 4; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(200, run); allocs > n {
+		t.Errorf("a %d-call shm batch allocates %.2f objects per flush, want ≤ %d", n, allocs, n)
 	}
 }

@@ -530,6 +530,12 @@ type Broker struct {
 	leaseCtr atomic.Uint64 // per-generation tenant lease mint
 	connCtr  atomic.Uint32 // counter stripe assignment
 
+	// announcing is write-held by Announce from registration until the
+	// announced generation is stored; a hello reads the generation under
+	// it, so one that found the broker through its fresh registry entry
+	// is admitted under that entry's generation, not the one before.
+	announcing sync.RWMutex
+
 	policy  atomic.Pointer[BrokerPolicy]
 	version atomic.Uint64 // applied policy version
 
@@ -690,13 +696,21 @@ func (bk *Broker) tenant(name string) *tenantState {
 // restarts by generation change. It also loads the stored policy
 // document (if any, and newer than the applied one) and starts the
 // policy poll loop. Call before Serve so no tenant admits under the
-// pre-announce generation.
+// pre-announce generation. A broker that already serves holds every
+// hello from the registration until the generation is stored, so a
+// registry that is slow to register (an election: up to a
+// registry.Client's OpTimeout) stalls admission as long, and a tenant
+// whose HelloTimeout is shorter fails its hello and retries.
 func (bk *Broker) Announce(rc Registry, ttl time.Duration, addr string) (*Announcement, error) {
+	bk.announcing.Lock()
 	a, err := AnnounceEndpoint(rc, bk.opts.Name, ttl, Endpoint{Plane: PlaneTCP, Addr: addr})
 	if err != nil {
+		bk.announcing.Unlock()
 		return nil, err
 	}
+	announceRegistered(bk.opts.Name)
 	bk.gen.Store(a.Lease())
+	bk.announcing.Unlock()
 	bk.mu.Lock()
 	bk.ann = a
 	bk.rc = rc
@@ -992,7 +1006,9 @@ func (bk *Broker) admit(rt *tenantRoute, args []byte) ([]byte, error) {
 	}
 	ts := bk.tenant(h.Tenant)
 	stripe := bk.connCtr.Add(1)
+	bk.announcing.RLock()
 	gen := bk.gen.Load()
+	bk.announcing.RUnlock()
 	ts.admits.add(stripe, 1)
 	if h.PrevGen != 0 && h.PrevGen != gen {
 		// Lease re-admission on a new broker generation: the tenant

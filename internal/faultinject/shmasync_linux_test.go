@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,9 +26,10 @@ import (
 const shmAsyncSockEnv = "LRPC_SHM_ASYNC_SOCK"
 
 // TestShmAsyncServerRole is the scripted server process for
-// TestShmBatchSurvivesPeerKill: it serves an interface whose handler
-// never returns, so the parent's submissions are pinned in flight when
-// the kill lands.
+// TestShmBatchSurvivesPeerKill: it serves an interface whose Hold
+// handler never returns, so the parent's submissions are pinned in
+// flight when the kill lands, and whose Echo keeps a batch waiter
+// draining the reply ring up to the kill.
 func TestShmAsyncServerRole(t *testing.T) {
 	if !IsChild("shm-async-server") {
 		t.Skip("helper role; driven by TestShmBatchSurvivesPeerKill")
@@ -35,9 +37,14 @@ func TestShmAsyncServerRole(t *testing.T) {
 	sys := lrpc.NewSystem()
 	if _, err := sys.Export(&lrpc.Interface{
 		Name: "AsyncCrash",
-		Procs: []lrpc.Proc{{Name: "Hold", Handler: func(c *lrpc.Call) {
-			select {} // held until the process dies
-		}}},
+		Procs: []lrpc.Proc{
+			{Name: "Hold", Handler: func(c *lrpc.Call) {
+				select {} // held until the process dies
+			}},
+			{Name: "Echo", Handler: func(c *lrpc.Call) {
+				copy(c.ResultsBuf(len(c.Args())), c.Args())
+			}},
+		},
 	}); err != nil {
 		Emit("ERR export: %v", err)
 		os.Exit(1)
@@ -105,6 +112,45 @@ func TestShmBatchSurvivesPeerKill(t *testing.T) {
 		stragglerErr <- err
 	}()
 
+	// A second session keeps a batch waiter draining the reply ring on
+	// its own goroutine (its entries are reaped by nobody else) until
+	// the kill lands mid-window: the reaper must not unmap the segment
+	// under that drain, and the waiter must come out with an error.
+	drainer, err := lrpc.DialShmOpts(sock, "AsyncCrash", lrpc.ShmDialOptions{Slots: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainer.Close()
+	var flushes atomic.Int64
+	drained := make(chan error, 1)
+	go func() {
+		dbt := drainer.NewBatch()
+		for {
+			for i := 0; i < 16; i++ {
+				if _, err := dbt.Call(1, []byte("drain")); err != nil {
+					drained <- err
+					return
+				}
+			}
+			if err := dbt.Wait(); err != nil {
+				drained <- err
+				return
+			}
+			dbt.Reset()
+			flushes.Add(1)
+		}
+	}()
+	warm := time.After(10 * time.Second)
+	for flushes.Load() < 50 {
+		select {
+		case err := <-drained:
+			t.Fatalf("draining batch waiter failed before the kill: %v", err)
+		case <-warm:
+			t.Fatalf("draining batch waiter made %d flushes before the kill, want 50", flushes.Load())
+		case <-time.After(time.Millisecond):
+		}
+	}
+
 	// Kill the server domain outright: no bye, no reply, rings armed.
 	if err := child.Kill(); err != nil {
 		t.Logf("kill: %v (expected: killed children report an error)", err)
@@ -135,6 +181,14 @@ func TestShmBatchSurvivesPeerKill(t *testing.T) {
 		}
 	case <-deadline:
 		t.Fatal("straggler submission never unblocked after peer kill")
+	}
+	select {
+	case err := <-drained:
+		if !errors.Is(err, lrpc.ErrCallFailed) && !errors.Is(err, lrpc.ErrRevoked) {
+			t.Fatalf("draining batch waiter = %v, want ErrCallFailed or ErrRevoked", err)
+		}
+	case <-deadline:
+		t.Fatal("draining batch waiter never returned after peer kill")
 	}
 
 	// The session is dead, not wedged: new submissions fail fast and

@@ -844,10 +844,12 @@ type ShmClient struct {
 	futs  []atomic.Pointer[Future]
 
 	// parked counts callers (and orphan watchers) blocked on a sigs
-	// channel; kick rouses the demultiplexer out of its process-local
+	// channel, and the async, one-way and handed-over batch submissions
+	// in flight; kick rouses the demultiplexer out of its process-local
 	// sleep when the count goes positive. While parked is zero the
 	// demultiplexer holds no futex wait, so the server's reply doorbell
-	// costs no wake syscall — the spin-regime fast path.
+	// costs no wake syscall — the spin-regime fast path, which a batch
+	// drained by its own waiter stays on (shm_async.go).
 	parked atomic.Int32
 	kick   chan struct{}
 
@@ -1199,6 +1201,9 @@ func (c *ShmClient) acquire(ctx context.Context, block bool) (uint32, error) {
 			id, ok = c.popFree()
 		}
 		for ; !ok; id, ok = c.popFree() {
+			// Slots held by batch entries come back only when somebody
+			// drains for them; nobody may while this caller sleeps.
+			c.handOverAll()
 			select {
 			case <-c.freeToken:
 			case <-c.dead:
@@ -1501,14 +1506,37 @@ func (c *ShmClient) wakeWaiter() {
 	}
 }
 
-// awaitReply waits for slot id's reply in three phases: a probe of the
-// slot's state with plain loads (shmring.Probe; with both domains on
-// distinct processors the reply usually lands within it), a bounded
-// spin whose yields hand a single processor straight to the server
-// domain, then a park on the per-slot signal fed by the doorbell
-// demultiplexer. A non-nil return has already settled the caller's
-// accounting: dead sessions release the reference here, timeouts hand
-// the slot (and the reference) to an orphan watcher.
+// window is the one shm wait window, shared by a synchronous caller's
+// reply wait (awaitReply) and a batch waiter's (shmBatch.drive): a probe
+// of ready with plain loads (shmring.Probe; with both domains on distinct
+// processors the reply usually lands within it), then up to Spin rounds
+// that drain the reply ring and yield, handing a single processor
+// straight to the server domain. It reports whether ready turned true;
+// false leaves the caller to park. The caller holds a reference.
+func (c *ShmClient) window(ready func() bool) bool {
+	if shmring.Probe(ready) {
+		return true
+	}
+	for i := 0; i < c.opts.Spin; i++ {
+		// Spinners drain the reply ring themselves: with the
+		// demultiplexer asleep, hints for async and batch siblings must
+		// not accumulate, and a hint for a parked sibling is forwarded
+		// to its signal channel. With no hints in the ring the drain
+		// stays in this side's cache.
+		c.drainReplies()
+		if ready() {
+			return true
+		}
+		shmring.Yield()
+	}
+	return false
+}
+
+// awaitReply waits for slot id's reply in two phases: the wait window
+// (window) over the slot's state word, then a park on the per-slot
+// signal fed by the doorbell demultiplexer. A non-nil return has already
+// settled the caller's accounting: dead sessions release the reference
+// here, timeouts hand the slot (and the reference) to an orphan watcher.
 //
 // The slot was posted with noHint at this call's ID, so while the caller
 // probes or spins the server publishes the reply in the state word and
@@ -1521,19 +1549,9 @@ func (c *ShmClient) wakeWaiter() {
 // once parked, when the word is already zero, so the orphan watcher of
 // an abandoned call is always hinted.
 func (c *ShmClient) awaitReply(ctx context.Context, id uint32, state *atomic.Uint32, noHint *atomic.Uint64) error {
-	shmring.Probe(func() bool { return state.Load() >= slotDoneOK })
-	for i := 0; i < c.opts.Spin; i++ {
-		if state.Load() >= slotDoneOK {
-			c.spinReplies.Add(1)
-			return nil
-		}
-		// Spinners drain the reply ring themselves: with the
-		// demultiplexer asleep, hints for async siblings must not
-		// accumulate, and a hint for a parked sibling is forwarded to
-		// its signal channel. With no hints of its own in the ring the
-		// probe stays in this side's cache.
-		c.drainReplies()
-		shmring.Yield()
+	if c.window(func() bool { return state.Load() >= slotDoneOK }) {
+		c.spinReplies.Add(1)
+		return nil
 	}
 	// Swap, not Store, for the reason given at the server's half of the
 	// pair (shmSession.dispatch): the re-read below must not pass it.
@@ -1545,10 +1563,7 @@ func (c *ShmClient) awaitReply(ctx context.Context, id uint32, state *atomic.Uin
 	// Crossing into the parked regime: register so the reply doorbell
 	// takes the futex path, and rouse the demultiplexer.
 	c.parked.Add(1)
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
+	c.kickDemux()
 	for {
 		select {
 		case <-c.sigs[id]:
@@ -1678,7 +1693,7 @@ func (c *ShmClient) BulkBytes() int64 { return int64(c.lay.bulkBytes) }
 // drainReplies empties whatever the reply ring holds right now — the
 // bulk completion reap. Hints are popped in batches and routed per the
 // slot's submission kind: synchronous hints go to the slot's signal
-// channel, asynchronous and one-way hints are retired in place
+// channel, asynchronous, batch and one-way hints are retired in place
 // (shm_async.go). Safe from any goroutine: the ring entry is a hint,
 // the slot state is the truth, so stale or double signals are absorbed
 // by the waiters' re-checks and the futs/kinds claim gates.
@@ -1714,14 +1729,15 @@ func (c *ShmClient) handleHint(v uint64) {
 // demux pops reply doorbells and signals the slot's waiter. It runs in
 // two regimes. While no caller is parked it sleeps on a process-local
 // channel, leaving the futex word with zero waiters: spinning callers
-// drain the ring themselves and the server's doorbell costs no wake
-// syscall. The moment a caller parks, it is kicked awake and parks on
-// the futex instead, so cross-process wakes reach parked callers. A
-// synchronous reply taken inside the caller's spin window never enters
-// the ring at all (roundTrip); one taken on the window's edge may leave
-// a hint behind — stale signals are possible and every waiter re-checks
-// its slot. Its futex park keeps no timer: markDead's WakeAll, after it
-// closes dead, is what ends it at shutdown.
+// and batch waiters drain the ring themselves and the server's doorbell
+// costs no wake syscall. The moment a caller parks or a submission
+// registers, it is kicked awake and parks on the futex instead, so
+// cross-process wakes reach parked callers. A synchronous reply taken
+// inside the caller's spin window never enters the ring at all
+// (roundTrip); one taken on the window's edge may leave a hint behind —
+// stale signals are possible and every waiter re-checks its slot. Its
+// futex park keeps no timer: markDead's WakeAll, after it closes dead,
+// is what ends it at shutdown.
 func (c *ShmClient) demux() {
 	defer close(c.demuxDone)
 	stop := func() bool {

@@ -29,7 +29,7 @@ type structureCap struct {
 	why    string // what one site too many would be
 	files  []string
 	max    int
-	in     string
+	in     []string // the only functions a site may be in
 	within []string
 	match  func(n ast.Node) bool
 }
@@ -165,9 +165,9 @@ var structureCaps = []structureCap{
 	{why: "a hand-copied breaker gate", max: 1, match: callTo("br.allow")},
 	{why: "a second spawn site in the server loop", max: 1, match: goCall("l.handle")},
 	{why: "a second stall-watch handoff", max: 1, match: goCall("l.read")},
-	{why: "a second ticker beside the one watch's", files: []string{"net.go"}, max: 1, in: "tick", match: callTo("time.NewTicker")},
+	{why: "a second ticker beside the one watch's", files: []string{"net.go"}, max: 1, in: []string{"tick"}, match: callTo("time.NewTicker")},
 	{why: "a lock → deadline → write → clear sequence pasted back", files: []string{"net.go", "net_async.go"}, max: 1, match: callTo("SetWriteDeadline")},
-	{why: "a second pending-call registration", files: []string{"net.go", "net_async.go"}, max: 1, in: "register", match: func(n ast.Node) bool {
+	{why: "a second pending-call registration", files: []string{"net.go", "net_async.go"}, max: 1, in: []string{"register"}, match: func(n ast.Node) bool {
 		a, ok := n.(*ast.AssignStmt)
 		if !ok {
 			return false
@@ -179,9 +179,9 @@ var structureCaps = []structureCap{
 		}
 		return false
 	}},
-	{why: "a call finished outside settle", files: []string{"net.go", "net_async.go"}, max: 1, in: "settle", match: callTo("complete")},
-	{why: "a second client reply reader beside dispatch", files: []string{"net.go", "net_async.go"}, max: 1, in: "dispatch", match: callTo("readFrame")},
-	{why: "a second client reply reader beside dispatch", files: []string{"net.go", "net_async.go"}, max: 1, in: "dispatch", match: callTo("bulkReply")},
+	{why: "a call finished outside settle", files: []string{"net.go", "net_async.go"}, max: 1, in: []string{"settle"}, match: callTo("complete")},
+	{why: "a second client reply reader beside dispatch", files: []string{"net.go", "net_async.go"}, max: 1, in: []string{"dispatch"}, match: callTo("readFrame")},
+	{why: "a second client reply reader beside dispatch", files: []string{"net.go", "net_async.go"}, max: 1, in: []string{"dispatch"}, match: callTo("bulkReply")},
 	{why: "the per-call reply channel coming back", match: func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		return ok && id.Name == "netReply"
@@ -192,8 +192,8 @@ var structureCaps = []structureCap{
 	// failReply and the shm server's dispatch, nowhere else — classified
 	// against the one sentinel table, wireSentinels, and never matched to
 	// a sentinel by its text.
-	{why: "a failure reply written beside failReply", files: []string{"net.go"}, max: 1, in: "failReply", match: callTo("appendFailure")},
-	{why: "a failure reply written beside the shm server's dispatch", files: []string{"shm.go"}, max: 1, in: "dispatch", match: callTo("appendFailure")},
+	{why: "a failure reply written beside failReply", files: []string{"net.go"}, max: 1, in: []string{"failReply"}, match: callTo("appendFailure")},
+	{why: "a failure reply written beside the shm server's dispatch", files: []string{"shm.go"}, max: 1, in: []string{"dispatch"}, match: callTo("appendFailure")},
 	{why: "a third failure-record writer", max: 2, match: callTo("appendFailure")},
 	{why: "a sentinel matched by its text", match: func(n ast.Node) bool {
 		f, call := callee(n)
@@ -212,7 +212,7 @@ var structureCaps = []structureCap{
 	// oneasync (DESIGN §5.13): a Future's completion token is sent by
 	// complete alone, to a parked waiter, and the in-process batch reads
 	// the Batch's one entry list instead of keeping a second one.
-	{why: "a Future token sent outside complete", max: 1, in: "complete", match: func(n ast.Node) bool {
+	{why: "a Future token sent outside complete", max: 1, in: []string{"complete"}, match: func(n ast.Node) bool {
 		s, ok := n.(*ast.SendStmt)
 		return ok && strings.HasSuffix(types.ExprString(s.Chan), ".ch") && types.ExprString(s.Value) == "struct{}{}"
 	}},
@@ -230,14 +230,17 @@ var structureCaps = []structureCap{
 
 	// oneslot: every shm call kind drives one slot lifecycle. A slot is
 	// taken in one place (acquire: the reference and the one receive of
-	// the free-slot wait token), a request header written in one, a reply
-	// read in one, an async slot claimed in two (retire, and unpostSlot
-	// for a submission the peer never saw); the call entries are written
+	// the free-slot wait token); the only other reference is the one a
+	// batch waiter holds across its wait window (shmBatch.drive), whose
+	// drain may retire the entry that held the mapping for it. A request
+	// header is written in one place, a reply read in one, an async slot
+	// claimed in two (retire, and unpostSlot for a submission the peer
+	// never saw); the call entries are written
 	// once, in shm_common.go, so shm_stub.go stubs the drivers and no
 	// entry. The call path takes no lock (DESIGN §5.11): the reference
 	// count, the slot stack and the segment's words are all it shares.
-	{why: "a second slot acquisition", max: 1, match: callTo("c.begin")},
-	{why: "a second slot acquisition", max: 1, in: "acquire", match: func(n ast.Node) bool {
+	{why: "a reference taken beside a slot's and a batch waiter's", max: 2, in: []string{"acquire", "drive"}, match: callTo("c.begin")},
+	{why: "a second slot acquisition", max: 1, in: []string{"acquire"}, match: func(n ast.Node) bool {
 		u, ok := n.(*ast.UnaryExpr)
 		return ok && u.Op == token.ARROW && types.ExprString(u.X) == "c.freeToken"
 	}},
@@ -246,7 +249,7 @@ var structureCaps = []structureCap{
 	}},
 	{why: "a lock on the shm client's call path", files: []string{"shm.go", "shm_async.go"},
 		within: []string{"begin", "end", "acquire", "prepare", "stage", "stageBulk", "header",
-			"roundTrip", "awaitReply", "reply", "collectBulk", "recycle", "call", "post", "retire"},
+			"roundTrip", "awaitReply", "window", "drive", "handOver", "reply", "collectBulk", "recycle", "call", "post", "retire"},
 		match: func(n ast.Node) bool {
 			return callTo("Lock")(n) || callTo("Unlock")(n) || callTo("Wait")(n) || callTo("Broadcast")(n)
 		}},
@@ -261,10 +264,11 @@ var structureCaps = []structureCap{
 	// The shm wait policy (DESIGN §5.11, "Control transfer"): whether a
 	// wait probes with loads is decided once, by shmring from the CPU
 	// count, and the probe loop is written once there; the root package
-	// probes only in the sync caller's reply wait. A parked waiter keeps
+	// probes only in the one wait window that a sync caller's reply wait
+	// and a batch waiter share. A parked waiter keeps
 	// no timer: close and peer death wake it, so every PopWait waits 0.
 	{why: "a second CPU-count decision beside shmring's", match: callTo("runtime.NumCPU")},
-	{why: "a second probe of a shm wait", max: 1, in: "awaitReply", match: callTo("shmring.Probe")},
+	{why: "a second probe of a shm wait", max: 1, in: []string{"window"}, match: callTo("shmring.Probe")},
 	{why: "a parked shm waiter that re-arms on a timer instead of being woken", match: func(n ast.Node) bool {
 		_, call := callee(n)
 		return callTo("PopWait")(n) && (len(call.Args) != 3 || types.ExprString(call.Args[1]) != "0")
@@ -273,7 +277,7 @@ var structureCaps = []structureCap{
 	// The TCP read probe (DESIGN §5.20): the socket is read raw in one
 	// place, the probing reader under both of the TCP plane's buffered
 	// readers, and its budget reads shmring's CPU decision (above).
-	{why: "a second raw socket read beside the probing reader", max: 1, in: "readNow", match: callTo("syscall.Read")},
+	{why: "a second raw socket read beside the probing reader", max: 1, in: []string{"readNow"}, match: callTo("syscall.Read")},
 
 	// The name service (DESIGN §5.12): the replicated registry is package
 	// lrpc/registry, a client of this one that serves through NetServer.
@@ -357,8 +361,8 @@ func TestStructureCaps(t *testing.T) {
 				ast.Inspect(d, func(n ast.Node) bool {
 					if n != nil && c.match(n) {
 						site := fset.Position(n.Pos()).String()
-						if c.in != "" && fn != c.in {
-							t.Errorf("%s: in %s, want only in %s (%s)", site, fn, c.in, c.why)
+						if c.in != nil && !slices.Contains(c.in, fn) {
+							t.Errorf("%s: in %s, want only in %s (%s)", site, fn, strings.Join(c.in, " or "), c.why)
 						}
 						sites = append(sites, site)
 					}
